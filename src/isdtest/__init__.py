@@ -16,6 +16,7 @@ from .curves import (
     Grid,
     LambdaCurve,
     diff_eval,
+    eval_block,
     eval_on_grid,
     lambda_eval,
 )
@@ -42,6 +43,9 @@ from .functionals import (
 )
 from .bootstrap import (
     BootstrapDraw,
+    bootstrap_block,
+    bootstrap_diff_block,
+    bootstrap_diff_block_paired,
     bootstrap_diff_curve,
     bootstrap_diff_curve_paired,
     bootstrap_draw,

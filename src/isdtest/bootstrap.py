@@ -3,7 +3,17 @@
 Randomness is organized as counter-based substreams: every replication
 derives its own generator from the master seed and an integer key, so the
 full list of bootstrap statistics is a pure function of (data, config,
-seed) regardless of execution order or thread count.
+seed) regardless of execution order, thread count or block size.
+
+Replications are evaluated in blocks: :func:`bootstrap_block` stacks the
+weights of R replications into (R, n) matrices, row b equal to the single
+draw :func:`bootstrap_draw` makes from the b-th generator, and
+:func:`bootstrap_diff_block` / :func:`bootstrap_diff_block_paired` turn a
+block into R difference curves with one :func:`~isdtest.curves.eval_block`
+per sample.  Matched rows are routed through the sort orders the
+:class:`~isdtest.empirical.PairedSample` computed once.  The single-draw
+functions stay as the public one-replication API and the reference the
+block route is tested against.
 """
 
 from __future__ import annotations
@@ -13,7 +23,7 @@ from math import ceil
 
 import numpy as np
 
-from .curves import Direction, DifferenceCurve, Grid, LambdaCurve
+from .curves import Direction, DifferenceCurve, Grid, LambdaCurve, eval_block
 from .empirical import PairedSample, SortedSample, WeightedSample
 from .errors import ConfigError
 from .functionals import ContactSet, FunctionalKind, derivative_int, derivative_sup
@@ -26,6 +36,9 @@ __all__ = [
     "bootstrap_draw",
     "bootstrap_diff_curve",
     "bootstrap_diff_curve_paired",
+    "bootstrap_block",
+    "bootstrap_diff_block",
+    "bootstrap_diff_block_paired",
     "bootstrap_statistic",
     "critical_value",
     "p_value",
@@ -63,11 +76,12 @@ def derive_seed(seed: int, *key) -> int:
 
 @dataclass(frozen=True)
 class BootstrapDraw:
-    """One replication's multinomial weights.
+    """One replication's multinomial weights, or a block of R of them as
+    (R, n) matrices with one replication per row.
 
-    For matched pairs both fields reference the same row-indexed vector;
-    for independent samples the vectors are drawn independently and are
-    aligned with each sample's sorted order.
+    For matched pairs both fields reference the same row-indexed weights;
+    for independent samples they are drawn independently and are aligned
+    with each sample's sorted order.
     """
 
     weights1: np.ndarray
@@ -119,12 +133,58 @@ def bootstrap_diff_curve_paired(pairs: PairedSample, draw: BootstrapDraw,
     return DifferenceCurve(first, second)
 
 
+def bootstrap_block(n1: int, n2: int, shared: bool, rngs) -> BootstrapDraw:
+    """Weights of one replication per generator, stacked into (R, n) rows.
+
+    Row b is exactly ``bootstrap_draw(n1, n2, shared, rngs[b])``.
+    """
+    draws = [bootstrap_draw(n1, n2, shared, rng) for rng in rngs]
+    if not draws:
+        raise ConfigError("a bootstrap block needs at least one replication")
+    w1 = np.stack([d.weights1 for d in draws])
+    if shared:
+        return BootstrapDraw(w1, w1)
+    return BootstrapDraw(w1, np.stack([d.weights2 for d in draws]))
+
+
+def _check_block(draw: BootstrapDraw, n1: int, n2: int) -> None:
+    w1, w2 = draw.weights1, draw.weights2
+    if w1.ndim != 2 or w2.ndim != 2 or w1.shape != (len(w2), n1) or w2.shape[1] != n2:
+        raise ConfigError("bootstrap weight block is not aligned with the samples")
+
+
+def bootstrap_diff_block(s1: SortedSample, s2: SortedSample, draw: BootstrapDraw,
+                         m: int, direction: Direction, grid: Grid) -> np.ndarray:
+    """Difference curves of a block of reweighted sample pairs, shape (R, G)."""
+    _check_block(draw, s1.n, s2.n)
+    return (eval_block(s2, draw.weights2, m, direction, grid)
+            - eval_block(s1, draw.weights1, m, direction, grid))
+
+
+def bootstrap_diff_block_paired(pairs: PairedSample, draw: BootstrapDraw,
+                                m: int, direction: Direction, grid: Grid) -> np.ndarray:
+    """Matched-pair difference curves of a block, shape (R, G): each row's
+    weights are shared by both columns and routed through their sort orders."""
+    if not draw.shared:
+        raise ConfigError("matched pairs require a shared weight vector")
+    _check_block(draw, pairs.n, pairs.n)
+    w = draw.weights1
+    right = np.take(w, pairs.right_order(), axis=1)
+    left = np.take(w, pairs.left_order(), axis=1)
+    return (eval_block(pairs.right_sample(), right, m, direction, grid)
+            - eval_block(pairs.left_sample(), left, m, direction, grid))
+
+
 def bootstrap_statistic(phi_star, phi_hat, cs: ContactSet, t_n: float,
-                        kind: FunctionalKind, grid: Grid) -> float:
-    """Derivative functional applied to sqrt(T_n) * (phi_star - phi_hat)."""
+                        kind: FunctionalKind, grid: Grid):
+    """Derivative functional applied to sqrt(T_n) * (phi_star - phi_hat).
+
+    ``phi_star`` is one bootstrap curve (a float is returned) or a block
+    of R curves, shape (R, G) (an array of R statistics is returned).
+    """
     phi_star = np.asarray(phi_star, dtype=float)
     phi_hat = np.asarray(phi_hat, dtype=float)
-    if phi_star.shape != phi_hat.shape or len(phi_star) != len(grid):
+    if phi_hat.shape != (len(grid),) or phi_star.shape[-1:] != phi_hat.shape:
         raise ConfigError("bootstrap and sample curves are not aligned with the grid")
     h = np.sqrt(t_n) * (phi_star - phi_hat)
     if kind is FunctionalKind.SUP:

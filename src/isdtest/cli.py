@@ -54,12 +54,22 @@ def _parse_number(token: str, line_no: int) -> float:
     return value
 
 
+def _is_float(token: str) -> bool:
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return True
+
+
 def load_csv(path, paired: bool = False) -> SortedSample | PairedSample:
     """Read observations from a CSV file.
 
     Single-column layout yields a SortedSample; two-column paired layout
-    yields a PairedSample with the row pairing preserved.  A single
-    non-numeric first row is treated as a header and skipped.
+    yields a PairedSample with the row pairing preserved.  A first row with
+    a field that does not parse as a number is treated as a header and
+    skipped; a first row of numbers (``-5``, ``nan`` and ``inf`` included)
+    is data and is validated like every other row.
     """
     p = Path(path)
     if not p.exists():
@@ -73,12 +83,8 @@ def load_csv(path, paired: bool = False) -> SortedSample | PairedSample:
             fields = [f.strip() for f in line.split(",")] if paired else [line]
             if paired and len(fields) != 2:
                 raise DataError(f"line {line_no}: expected two comma-separated columns")
-            if line_no == 1:
-                try:
-                    rows.append([_parse_number(f, line_no) for f in fields])
-                except DataError:
-                    continue  # header row
-                continue
+            if line_no == 1 and not all(_is_float(f) for f in fields):
+                continue  # header row
             rows.append([_parse_number(f, line_no) for f in fields])
     if not rows:
         raise DataError(f"no data rows in {p}")

@@ -12,18 +12,25 @@ and the downward curve aggregates from above,
 For an empirical (possibly reweighted) sample, Q is a step function over
 the order-statistic intervals, so both integrals have exact closed forms:
 no quadrature is involved and the results are exact up to floating point.
+
+A sample of size n reweighted by integer multiplicities summing to n has
+its step breakpoints on the lattice j/n, j = 0..n.  :func:`eval_block`
+uses this to evaluate R reweighted copies of one sample at once: the jump
+sizes are binned onto lattice levels, prefix sums over the lattice carry
+the binomial expansion in powers of p, and a lattice-to-grid index shared
+by every copy reads the sums off at the grid points.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from math import comb, factorial
 
 import numpy as np
 
 from .empirical import SortedSample, WeightedSample, mean
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 
 __all__ = [
     "MAX_DEGREE",
@@ -34,6 +41,7 @@ __all__ = [
     "lambda_eval",
     "diff_eval",
     "eval_on_grid",
+    "eval_block",
 ]
 
 # Factorials and binomial expansions stay well-conditioned up to here.
@@ -52,6 +60,8 @@ class Grid:
     """Strictly increasing evaluation points spanning [0, 1] inclusive."""
 
     points: np.ndarray
+    # Lattice-to-grid plans of eval_block, keyed by (n, m, direction).
+    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
@@ -73,6 +83,12 @@ class Grid:
 
     def __len__(self) -> int:
         return len(self.points)
+
+    def _plan(self, n: int, m: int, direction: "Direction") -> "_LatticePlan":
+        key = (n, m, direction)
+        if key not in self._plans:
+            self._plans[key] = _LatticePlan.build(self.points, n, m, direction)
+        return self._plans[key]
 
 
 def _check_degree(m: int, direction: Direction) -> None:
@@ -119,47 +135,25 @@ def _knots(sample) -> tuple[np.ndarray, np.ndarray]:
     integrals by parts collapses them to sums of d_k * ((p - c_k)_+)^(m-1)
     with d = (X_(1), diff(X), -X_(n)).
     """
-    values = sample.values
-    cum = sample.cumprobs()
-    n = len(values)
-    c = np.empty(n + 1)
+    c = np.empty(sample.n + 1)
     c[0] = 0.0
-    c[1:] = cum
+    c[1:] = sample.cumprobs()
+    return c, _jumps(sample.values)
+
+
+def _jumps(values: np.ndarray) -> np.ndarray:
+    """Jump sizes (X_(1), diff(X), -X_(n)) at the n + 1 breakpoints."""
+    n = len(values)
     d = np.empty(n + 1)
     d[0] = values[0]
     d[1:n] = np.diff(values)
     d[n] = -values[-1]
-    return c, d
+    return d
 
 
 def _powsum_point(c, d, p, k, direction) -> float:
     t = p - c if direction is Direction.UP else c - p
     return float(np.sum(d * np.clip(t, 0.0, None) ** k))
-
-
-def _powsum_grid(c, d, grid_points, k, direction) -> np.ndarray:
-    # Binomial expansion in powers of p with knot contributions switched on
-    # by cumulative sums over searchsorted positions: O((n + G) * m).
-    G = len(grid_points)
-    out = np.zeros(G)
-    pr = np.ones(G)
-    if direction is Direction.UP:
-        idx = np.searchsorted(grid_points, c, side="left")
-        for r in range(k + 1):
-            coef = comb(k, r) * d * (-c) ** (k - r)
-            steps = np.bincount(idx, weights=coef, minlength=G + 1)[:G]
-            out += np.cumsum(steps) * pr
-            pr = pr * grid_points
-    else:
-        idx = np.searchsorted(grid_points, c, side="right")
-        sign = 1.0
-        for r in range(k + 1):
-            coef = comb(k, r) * d * c ** (k - r)
-            csum = np.cumsum(np.bincount(idx, weights=coef, minlength=G + 1))
-            out += (csum[-1] - csum[:G]) * (sign * pr)
-            pr = pr * grid_points
-            sign = -sign
-    return out
 
 
 def _lambda_point(sample, m, direction, p) -> float:
@@ -169,21 +163,6 @@ def _lambda_point(sample, m, direction, p) -> float:
         return _powsum_point(c, d, p, k, direction) / factorial(k)
     tail = _powsum_point(c, d, p, k, direction) / factorial(k)
     return mean(sample) * (1.0 - p) ** (m - 2) / factorial(m - 2) + tail
-
-
-def _lambda_grid(sample, m, direction, grid_points) -> np.ndarray:
-    c, d = _knots(sample)
-    k = m - 1
-    out = _powsum_grid(c, d, grid_points, k, direction) / factorial(k)
-    if direction is Direction.DOWN:
-        out += mean(sample) * (1.0 - grid_points) ** (m - 2) / factorial(m - 2)
-        # p = 1 vanishes exactly; recompute directly to avoid expansion residue.
-        if grid_points[-1] == 1.0:
-            out[-1] = _lambda_point(sample, m, direction, 1.0)
-    else:
-        if grid_points[0] == 0.0:
-            out[0] = _lambda_point(sample, m, direction, 0.0)
-    return out
 
 
 def lambda_eval(curve: LambdaCurve, p: float) -> float:
@@ -202,4 +181,86 @@ def eval_on_grid(curve: LambdaCurve | DifferenceCurve, grid: Grid) -> np.ndarray
     """Pointwise evaluation over a grid with a single O((n + G) m) sweep."""
     if isinstance(curve, DifferenceCurve):
         return eval_on_grid(curve.second, grid) - eval_on_grid(curve.first, grid)
-    return _lambda_grid(curve.sample, curve.m, curve.direction, grid.points)
+    sample = curve.sample
+    if isinstance(sample, WeightedSample):
+        base, weights = sample.base, sample.weights
+    else:
+        base, weights = sample, np.ones(sample.n, dtype=np.int64)
+    return eval_block(base, weights[None, :], curve.m, curve.direction, grid)[0]
+
+
+@dataclass(frozen=True)
+class _LatticePlan:
+    """Everything of a block evaluation that depends only on (n, m, direction, grid).
+
+    ``cut[g]`` counts the lattice levels j/n that enter grid point g: those
+    at or below it upward, those below it downward (whose complement
+    enters).  ``lattice[r]`` and ``powers[r]`` are the level and grid
+    factors of the r-th term of the binomial expansion.
+    """
+
+    cut: np.ndarray
+    lattice: np.ndarray
+    powers: np.ndarray
+    mean_factor: np.ndarray | None
+
+    @classmethod
+    def build(cls, points: np.ndarray, n: int, m: int, direction: Direction) -> "_LatticePlan":
+        k = m - 1
+        levels = np.arange(n + 1) / n
+        up = direction is Direction.UP
+        cut = np.searchsorted(levels, points, side="right" if up else "left")
+        base = -levels if up else levels
+        lattice = np.array([comb(k, r) * base ** (k - r) for r in range(k + 1)])
+        step = points if up else -points
+        powers = np.cumprod(np.vstack([np.ones_like(points)] + [step] * k), axis=0)
+        mean_factor = None if up else (1.0 - points) ** (m - 2) / factorial(m - 2)
+        return cls(cut, lattice, powers, mean_factor)
+
+
+def eval_block(sample: SortedSample, weights, m: int, direction: Direction,
+               grid: Grid) -> np.ndarray:
+    """Curves of R reweighted copies of one sample over a grid, shape (R, G).
+
+    Row b of ``weights`` holds the copy's nonnegative integer
+    multiplicities, aligned with the sorted values and summing to n (a
+    multinomial bootstrap draw).  The cost is O(R (n + G) m) with no search
+    per row.  Each row's values do not depend on the other rows of the
+    block.  The boundary value (p = 0 upward, p = 1 downward) is exactly 0.
+    """
+    _check_degree(m, direction)
+    values = sample.values
+    n = len(values)
+    w = np.ascontiguousarray(weights, dtype=np.int64)
+    if w.ndim != 2 or w.shape[1] != n:
+        raise DataError("weights length does not match the sample size")
+    if np.any(w < 0):
+        raise DataError("weights must be nonnegative")
+    rows, width = w.shape[0], n + 1
+    plan = grid._plan(n, m, direction)
+
+    # Knot i sits at lattice level S_i = w_1 + ... + w_i (S_0 = 0); offset
+    # each row so that one bincount sums the jump sizes per level and row.
+    levels = np.zeros((rows, width), dtype=np.intp)
+    np.cumsum(w, axis=1, out=levels[:, 1:])
+    if np.any(levels[:, -1] != n):
+        raise DataError("weights must sum to the sample size")
+    levels += np.arange(0, rows * width, width)[:, None]
+    jumps = np.bincount(levels.ravel(), weights=np.tile(_jumps(values), rows),
+                        minlength=rows * width).reshape(rows, width)
+
+    prefix = np.zeros((rows, width + 1))
+    out = np.zeros((rows, len(grid)))
+    for r in range(m):
+        np.cumsum(jumps * plan.lattice[r], axis=1, out=prefix[:, 1:])
+        part = np.take(prefix, plan.cut, axis=1)
+        if direction is Direction.DOWN:
+            part = prefix[:, -1:] - part
+        out += part * plan.powers[r]
+    out /= factorial(m - 1)
+    if direction is Direction.DOWN:
+        out += (np.sum(w * values, axis=1) / n)[:, None] * plan.mean_factor
+        out[:, -1] = 0.0
+    else:
+        out[:, 0] = 0.0
+    return out

@@ -7,7 +7,7 @@ multiple threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -101,11 +101,15 @@ class PairedSample:
 
     ``left`` and ``right`` keep the original row order so that paired rows
     remain recoverable; the sorted per-column views are exposed through
-    :meth:`left_sample` and :meth:`right_sample`.
+    :meth:`left_sample` and :meth:`right_sample`.  Both views and the
+    stable sort orders are computed once, at construction, as read-only
+    arrays.
     """
 
     left: np.ndarray
     right: np.ndarray
+    _sorted: tuple = field(init=False, repr=False, compare=False)
+    _orders: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         left = _frozen_array(self.left)
@@ -116,23 +120,27 @@ class PairedSample:
             raise DataError("paired columns must have equal length")
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
+        object.__setattr__(self, "_sorted", tuple(
+            SortedSample(_frozen_array(np.sort(col))) for col in (left, right)))
+        object.__setattr__(self, "_orders", tuple(
+            _frozen_array(np.argsort(col, kind="stable"), dtype=np.intp) for col in (left, right)))
 
     @property
     def n(self) -> int:
         return len(self.left)
 
     def left_sample(self) -> SortedSample:
-        return SortedSample(_frozen_array(np.sort(self.left)))
+        return self._sorted[0]
 
     def right_sample(self) -> SortedSample:
-        return SortedSample(_frozen_array(np.sort(self.right)))
+        return self._sorted[1]
 
     def left_order(self) -> np.ndarray:
         """Row indices that sort the left column ascending (stable)."""
-        return np.argsort(self.left, kind="stable")
+        return self._orders[0]
 
     def right_order(self) -> np.ndarray:
-        return np.argsort(self.right, kind="stable")
+        return self._orders[1]
 
 
 def make_sample(raw) -> SortedSample:

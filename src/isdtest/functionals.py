@@ -3,7 +3,9 @@
 Two functionals measure the positive part of a curve difference h on [0, 1]:
 the supremum and the integral of max(h, 0).  Their estimated directional
 derivatives restrict the same measurements to the contact region where the
-two curves are statistically indistinguishable from touching.
+two curves are statistically indistinguishable from touching.  The
+derivatives reduce along the last axis, so a stack of R curves, shape
+(R, G), yields R values at once.
 """
 
 from __future__ import annotations
@@ -66,12 +68,30 @@ def _aligned(values, grid: Grid) -> np.ndarray:
     return h
 
 
-def _trapezoid_masked(g: np.ndarray, points: np.ndarray, interval_mask) -> float:
+def _stacked(values, grid: Grid) -> np.ndarray:
+    h = np.asarray(values, dtype=float)
+    if h.ndim not in (1, 2) or h.shape[-1] != len(grid):
+        raise ConfigError("values are not aligned with the grid")
+    return h
+
+
+def _reduced(values: np.ndarray):
+    """A float for one curve, an array of R values for a stack."""
+    return float(values) if values.ndim == 0 else values
+
+
+def _members(values: np.ndarray, mask) -> np.ndarray:
+    # np.compress keeps each row contiguous (boolean indexing on the last
+    # axis does not), so a row reduces exactly as a single curve would.
+    return np.compress(mask, values, axis=-1)
+
+
+def _trapezoid_masked(g: np.ndarray, points: np.ndarray, interval_mask):
     # Sum over subintervals whose both endpoints qualify; isolated member
     # points carry zero measure.
     dp = np.diff(points)
-    seg = dp * (g[:-1] + g[1:]) / 2.0
-    return float(np.sum(seg[interval_mask]))
+    seg = dp * (g[..., :-1] + g[..., 1:]) / 2.0
+    return _reduced(np.sum(_members(seg, interval_mask), axis=-1))
 
 
 def sup_functional(h) -> float:
@@ -106,21 +126,22 @@ def estimate_contact_set(phi, vhat, t_n: float, tau_n: float, grid: Grid) -> Con
     return ContactSet(grid, membership)
 
 
-def derivative_sup(h, cs: ContactSet) -> float:
-    """Maximum of h over the contact set."""
-    h = _aligned(h, cs.grid)
+def derivative_sup(h, cs: ContactSet):
+    """Maximum of h over the contact set (per row for a stack of curves)."""
+    h = _stacked(h, cs.grid)
     if not np.any(cs.membership):
         raise ConfigError("contact set is empty; the grid is malformed")
-    return float(np.max(h[cs.membership]))
+    return _reduced(np.max(_members(h, cs.membership), axis=-1))
 
 
-def derivative_int(h, cs: ContactSet, grid: Grid) -> float:
-    """Trapezoidal integral of max(h, 0) restricted to the contact set.
+def derivative_int(h, cs: ContactSet, grid: Grid):
+    """Trapezoidal integral of max(h, 0) restricted to the contact set
+    (per row for a stack of curves).
 
     Only subintervals with both endpoints in the set contribute, so the
     set is measured as a union of grid intervals.
     """
-    h = _aligned(h, grid)
+    h = _stacked(h, grid)
     if len(cs.membership) != len(grid):
         raise ConfigError("contact set is not aligned with the grid")
     g = np.maximum(h, 0.0)

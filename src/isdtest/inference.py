@@ -6,6 +6,13 @@ degree and direction.  Large positive values of the difference curve
 (second minus first) are evidence against that null, so rejecting means
 "sample 1 does not dominate sample 2" -- never that sample 2 dominates.
 This orientation is the single most error-prone convention of the tool.
+
+The B bootstrap replications run in fixed blocks of R rows, R set by the
+larger sample size n under a fixed cell budget (R * (n + 1) <= 2**16, one
+row at least), so a block's arrays stay cache-sized.  With ``threads > 1``
+the thread pool maps over blocks.  Each replication's statistic depends
+only on its own weights, bit for bit, so the statistics are a pure function
+of (data, config, seed), whatever the thread count or the block size.
 """
 
 from __future__ import annotations
@@ -19,9 +26,9 @@ from math import sqrt
 import numpy as np
 
 from .bootstrap import (
-    bootstrap_diff_curve,
-    bootstrap_diff_curve_paired,
-    bootstrap_draw,
+    bootstrap_block,
+    bootstrap_diff_block,
+    bootstrap_diff_block_paired,
     bootstrap_statistic,
     critical_value,
     derive_seed,
@@ -50,6 +57,9 @@ __all__ = [
 
 _BOOT_TAG = 0xB0
 _RANK_TAG = 0x7A
+# Cells (rows x lattice levels) of one bootstrap block; a block of R rows
+# for samples of up to n observations keeps R * (n + 1) within it.
+_BLOCK_CELLS = 1 << 16
 
 
 def _coerce(value, enum_cls):
@@ -140,24 +150,23 @@ def _resolve_layout(sample1, sample2, scheme: Scheme):
 def _bootstrap_stats(s1, s2, pairs, phi, cs, t_n, config, grid) -> np.ndarray:
     m, direction, kind = config.m, config.direction, config.kind
     shared = pairs is not None
+    rows = max(1, _BLOCK_CELLS // (max(s1.n, s2.n) + 1))
+    b_total = config.bootstrap
+    blocks = [range(lo, min(lo + rows, b_total)) for lo in range(0, b_total, rows)]
 
-    def one(b: int) -> float:
-        rng = substream(config.seed, _BOOT_TAG, b)
-        draw = bootstrap_draw(s1.n, s2.n, shared, rng)
+    def block(reps: range) -> np.ndarray:
+        rngs = [substream(config.seed, _BOOT_TAG, b) for b in reps]
+        draw = bootstrap_block(s1.n, s2.n, shared, rngs)
         if shared:
-            star_curve = bootstrap_diff_curve_paired(pairs, draw, m, direction)
+            phi_star = bootstrap_diff_block_paired(pairs, draw, m, direction, grid)
         else:
-            star_curve = bootstrap_diff_curve(s1, s2, draw, m, direction)
-        phi_star = eval_on_grid(star_curve, grid)
+            phi_star = bootstrap_diff_block(s1, s2, draw, m, direction, grid)
         return bootstrap_statistic(phi_star, phi, cs, t_n, kind, grid)
 
-    b_total = config.bootstrap
     if config.threads > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            stats = np.fromiter(pool.map(one, range(b_total)), dtype=float, count=b_total)
-    else:
-        stats = np.fromiter(map(one, range(b_total)), dtype=float, count=b_total)
-    return stats
+            return np.concatenate(list(pool.map(block, blocks)))
+    return np.concatenate(list(map(block, blocks)))
 
 
 def run_test(sample1, sample2, config: TestConfig) -> TestResult:

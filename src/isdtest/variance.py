@@ -120,6 +120,13 @@ def _v_vectors(values: np.ndarray, col_means: np.ndarray, W: np.ndarray) -> np.n
     return v
 
 
+def _inverse(order: np.ndarray) -> np.ndarray:
+    """Inverse permutation of a sort order: the sorted position of each row."""
+    pos = np.empty_like(order)
+    pos[order] = np.arange(len(order))
+    return pos
+
+
 class CovKernel:
     """Covariance-kernel estimate for a two-sample layout.
 
@@ -128,7 +135,8 @@ class CovKernel:
     """
 
     def __init__(self, scheme: Scheme, sorted1: np.ndarray, sorted2: np.ndarray,
-                 rows1: np.ndarray | None = None, rows2: np.ndarray | None = None):
+                 rows1: np.ndarray | None = None, rows2: np.ndarray | None = None,
+                 order1: np.ndarray | None = None, order2: np.ndarray | None = None):
         self.scheme = scheme
         self._x1 = sorted1
         self._x2 = sorted2
@@ -146,8 +154,8 @@ class CovKernel:
         self._breaks2 = np.concatenate(([0.0], np.arange(1, self.n2 + 1) / self.n2))
         if scheme is Scheme.MATCHED:
             # Positions of each row in the per-column sort, for cross terms.
-            self._pos1 = np.argsort(np.argsort(rows1, kind="stable"), kind="stable")
-            self._pos2 = np.argsort(np.argsort(rows2, kind="stable"), kind="stable")
+            self._pos1 = _inverse(order1)
+            self._pos2 = _inverse(order2)
 
     @classmethod
     def independent(cls, sample1: SortedSample, sample2: SortedSample) -> "CovKernel":
@@ -155,8 +163,9 @@ class CovKernel:
 
     @classmethod
     def matched(cls, pairs: PairedSample) -> "CovKernel":
-        return cls(Scheme.MATCHED, np.sort(pairs.left), np.sort(pairs.right),
-                   rows1=pairs.left, rows2=pairs.right)
+        return cls(Scheme.MATCHED, pairs.left_sample().values, pairs.right_sample().values,
+                   rows1=pairs.left, rows2=pairs.right,
+                   order1=pairs.left_order(), order2=pairs.right_order())
 
     def _clip_centered(self, which: int, pts: np.ndarray) -> np.ndarray:
         values = self._x1 if which == 1 else self._x2

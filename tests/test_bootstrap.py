@@ -4,9 +4,17 @@ import pytest
 from isdtest import (
     ConfigError,
     ContactSet,
+    DataError,
+    DifferenceCurve,
     Direction,
     FunctionalKind,
     Grid,
+    LambdaCurve,
+    Scheme,
+    TestConfig,
+    bootstrap_block,
+    bootstrap_diff_block,
+    bootstrap_diff_block_paired,
     bootstrap_diff_curve,
     bootstrap_diff_curve_paired,
     bootstrap_draw,
@@ -14,12 +22,14 @@ from isdtest import (
     critical_value,
     derive_seed,
     draw_weights,
+    eval_block,
     eval_on_grid,
     make_paired,
     make_sample,
     p_value,
     substream,
 )
+from isdtest import inference
 from isdtest.bootstrap import BootstrapDraw
 
 from conftest import random_dp_values
@@ -137,6 +147,138 @@ class TestBootstrapCurves:
                 np.array([1, 1, 1]), np.array([1, 1, 1])), 3, Direction.UP)
         with pytest.raises(ConfigError):
             bootstrap_diff_curve(s1, s1, draw, 3, Direction.UP)
+
+
+BLOCK_COMBOS = [(m, direction, kind, scheme)
+                for m in (3, 4, 6) for direction in Direction
+                for kind in FunctionalKind for scheme in Scheme]
+BLOCK_ROWS = 6
+
+
+def _layout(scheme, n1=40, n2=55, seed=21):
+    rng = np.random.default_rng(seed)
+    if scheme is Scheme.MATCHED:
+        left = random_dp_values(rng, n1)
+        pairs = make_paired(left, left * rng.uniform(0.7, 1.4, size=n1))
+        return pairs.left_sample(), pairs.right_sample(), pairs
+    return make_sample(random_dp_values(rng, n1)), make_sample(random_dp_values(rng, n2)), None
+
+
+def _contact(grid):
+    # Gaps in the membership exercise the masked reductions.
+    mask = (np.arange(len(grid)) % 7) != 3
+    mask[[0, -1]] = True
+    return ContactSet(grid, mask)
+
+
+def _single_curve(s1, s2, pairs, draw, m, direction):
+    if pairs is not None:
+        return bootstrap_diff_curve_paired(pairs, draw, m, direction)
+    return bootstrap_diff_curve(s1, s2, draw, m, direction)
+
+
+class TestBlockRoute:
+    """Blocks of replications against the one-draw-at-a-time reference."""
+
+    grid = Grid.uniform(101)
+
+    def _setup(self, m, direction, kind, scheme, bootstrap):
+        s1, s2, pairs = _layout(scheme)
+        phi = eval_on_grid(DifferenceCurve(LambdaCurve(s1, m, direction),
+                                           LambdaCurve(s2, m, direction)), self.grid)
+        cfg = TestConfig(m=m, direction=direction, kind=kind, scheme=scheme,
+                         bootstrap=bootstrap, seed=5, grid=len(self.grid))
+        t_n = s1.n * s2.n / (s1.n + s2.n)
+        return s1, s2, pairs, phi, _contact(self.grid), t_n, cfg
+
+    @pytest.mark.parametrize("bootstrap", [1, BLOCK_ROWS - 1, BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("m, direction, kind, scheme", BLOCK_COMBOS)
+    def test_block_stats_match_single_draws(self, m, direction, kind, scheme, bootstrap,
+                                            monkeypatch):
+        s1, s2, pairs, phi, cs, t_n, cfg = self._setup(m, direction, kind, scheme, bootstrap)
+        monkeypatch.setattr(inference, "_BLOCK_CELLS", BLOCK_ROWS * (max(s1.n, s2.n) + 1))
+        got = inference._bootstrap_stats(s1, s2, pairs, phi, cs, t_n, cfg, self.grid)
+        want = []
+        for b in range(bootstrap):
+            draw = bootstrap_draw(s1.n, s2.n, pairs is not None,
+                                  substream(cfg.seed, inference._BOOT_TAG, b))
+            star = eval_on_grid(_single_curve(s1, s2, pairs, draw, m, direction), self.grid)
+            want.append(bootstrap_statistic(star, phi, cs, t_n, kind, self.grid))
+        want = np.array(want)
+        assert got.shape == (bootstrap,)
+        assert np.max(np.abs(got - want)) <= 1e-10 * max(np.max(np.abs(want)), 1e-300)
+
+    @pytest.mark.parametrize("m, direction, kind, scheme", BLOCK_COMBOS)
+    def test_one_row_blocks_match_default(self, m, direction, kind, scheme, monkeypatch):
+        # A row's statistic does not depend on the rows it shares a block
+        # with, so the block size leaves every bit of the statistics alone.
+        s1, s2, pairs, phi, cs, t_n, cfg = self._setup(m, direction, kind, scheme, 150)
+        default = inference._bootstrap_stats(s1, s2, pairs, phi, cs, t_n, cfg, self.grid)
+        monkeypatch.setattr(inference, "_BLOCK_CELLS", 1)
+        single = inference._bootstrap_stats(s1, s2, pairs, phi, cs, t_n, cfg, self.grid)
+        assert np.array_equal(single, default)
+
+    @pytest.mark.parametrize("m, direction, kind, scheme", BLOCK_COMBOS)
+    def test_rows_with_empty_ends(self, m, direction, kind, scheme):
+        # Zero weight on the smallest and the largest observation stacks
+        # several knots on each lattice end, 0 and 1.
+        s1, s2, pairs, phi, cs, t_n, _ = self._setup(m, direction, kind, scheme, 1)
+        rng = np.random.default_rng(8)
+
+        def rows(n, count):
+            w = np.zeros((count, n), dtype=np.int64)
+            for row in w:
+                row[1:-1] = np.bincount(rng.integers(0, n - 2, size=n), minlength=n - 2)
+            return w
+
+        if pairs is not None:
+            w = np.empty((4, pairs.n), dtype=np.int64)
+            w[:, pairs.left_order()] = rows(pairs.n, 4)  # drop the left column's ends
+            block = BootstrapDraw(w, w)
+            stars = bootstrap_diff_block_paired(pairs, block, m, direction, self.grid)
+        else:
+            block = BootstrapDraw(rows(s1.n, 4), rows(s2.n, 4))
+            stars = bootstrap_diff_block(s1, s2, block, m, direction, self.grid)
+        end = 0 if direction is Direction.UP else -1
+        assert np.all(stars[:, end] == 0.0)
+        got = bootstrap_statistic(stars, phi, cs, t_n, kind, self.grid)
+        for b in range(4):
+            w1 = block.weights1[b]
+            draw = BootstrapDraw(w1, w1 if pairs is not None else block.weights2[b])
+            star = eval_on_grid(_single_curve(s1, s2, pairs, draw, m, direction), self.grid)
+            assert star[end] == 0.0
+            assert np.max(np.abs(stars[b] - star)) <= 1e-10 * np.max(np.abs(star))
+            want = bootstrap_statistic(star, phi, cs, t_n, kind, self.grid)
+            assert abs(got[b] - want) <= 1e-10 * max(abs(want), np.max(np.abs(got)))
+
+    def test_block_rows_equal_single_draws(self):
+        rngs = [substream(3, inference._BOOT_TAG, b) for b in range(5)]
+        block = bootstrap_block(30, 45, False, rngs)
+        assert block.weights1.shape == (5, 30) and block.weights2.shape == (5, 45)
+        for b in range(5):
+            draw = bootstrap_draw(30, 45, False, substream(3, inference._BOOT_TAG, b))
+            assert block.weights1[b].tobytes() == draw.weights1.tobytes()
+            assert block.weights2[b].tobytes() == draw.weights2.tobytes()
+        shared = bootstrap_block(30, 30, True, [substream(3, 0)])
+        assert shared.shared
+        with pytest.raises(ConfigError):
+            bootstrap_block(30, 30, False, [])
+
+    def test_block_weight_checks(self):
+        s = make_sample([1.0, 2.0, 4.0])
+        g = Grid.uniform(5)
+        good = np.array([[3, 0, 0], [1, 1, 1]])
+        assert eval_block(s, good, 3, Direction.UP, g).shape == (2, 5)
+        for bad in (np.array([1, 1, 1]), np.array([[1, 1, 1, 0]]),
+                    np.array([[1, 1, 1], [4, -1, 0]]), np.array([[1, 1, 1], [1, 1, 0]])):
+            with pytest.raises(DataError):
+                eval_block(s, bad, 3, Direction.UP, g)
+        draw = BootstrapDraw(good, np.array([[1, 1]]))
+        with pytest.raises(ConfigError):
+            bootstrap_diff_block(s, s, draw, 3, Direction.UP, g)
+        with pytest.raises(ConfigError):
+            bootstrap_diff_block_paired(make_paired([1, 2, 4], [1, 2, 4]),
+                                        BootstrapDraw(good, good.copy()), 3, Direction.UP, g)
 
 
 class TestBootstrapStatistic:

@@ -24,6 +24,15 @@ class TestLoadCsv:
         s = load_csv(write(tmp_path, "a.csv", "income\n1\n2\n"))
         assert list(s.values) == [1.0, 2.0]
 
+    @pytest.mark.parametrize("first", ["-5", "nan", "inf", "-inf"])
+    def test_invalid_number_on_line_1_is_not_a_header(self, tmp_path, first):
+        with pytest.raises(DataError, match="line 1"):
+            load_csv(write(tmp_path, "a.csv", f"{first}\n1\n2\n"))
+
+    def test_invalid_number_on_paired_line_1(self, tmp_path):
+        with pytest.raises(DataError, match="line 1"):
+            load_csv(write(tmp_path, "a.csv", "1,-5\n1,2\n"), paired=True)
+
     def test_paired(self, tmp_path):
         p = load_csv(write(tmp_path, "a.csv", "1,2\n3,4\n"), paired=True)
         assert isinstance(p, PairedSample)

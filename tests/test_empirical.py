@@ -154,6 +154,17 @@ class TestPairedSample:
         assert list(left.values) == [1, 2, 3]
         order = p.left_order()
         assert list(p.left[order]) == [1, 2, 3]
+        assert list(p.right[p.right_order()]) == [10, 20, 30]
+        assert list(p.right_sample().values) == [10, 20, 30]
+        # The views are computed once, read-only, and the same on every call.
+        for sample, order in ((p.left_sample, p.left_order), (p.right_sample, p.right_order)):
+            assert sample() is sample() and order() is order()
+            for arr in (sample().values, order()):
+                with pytest.raises(ValueError):
+                    arr[0] = 0
+        ties = make_paired([3, 1, 2, 1], [5, 5, 4, 6])
+        assert list(ties.left_order()) == [1, 3, 2, 0]  # stable among equal values
+        assert list(ties.right_order()) == [2, 0, 1, 3]
 
     def test_length_mismatch(self):
         with pytest.raises(DataError, match="equal length"):

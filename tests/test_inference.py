@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from isdtest import inference
 from isdtest import (
     ConfigError,
     Direction,
@@ -100,12 +101,19 @@ class TestRunTest:
             stats.append(res.statistic)
         assert np.all(np.diff(stats) >= -1e-12)
 
-    def test_thread_count_does_not_change_result(self):
+    @pytest.mark.parametrize("scheme", list(Scheme), ids=lambda scheme: scheme.value)
+    def test_thread_count_does_not_change_result(self, scheme, monkeypatch):
+        # Small blocks, so that the 99 replications span many of them.
+        monkeypatch.setattr(inference, "_BLOCK_CELLS", 8 * 91)
         rng = np.random.default_rng(5)
-        s1 = make_sample(random_dp_values(rng, 90))
-        s2 = make_sample(random_dp_values(rng, 90))
-        r1 = run_test(s1, s2, quick_cfg(threads=1))
-        r3 = run_test(s1, s2, quick_cfg(threads=3))
+        a = random_dp_values(rng, 90)
+        b = random_dp_values(rng, 90)
+        if scheme is Scheme.MATCHED:
+            args = (make_paired(a, b), None)
+        else:
+            args = (make_sample(a), make_sample(b))
+        r1 = run_test(*args, quick_cfg(threads=1, scheme=scheme))
+        r3 = run_test(*args, quick_cfg(threads=3, scheme=scheme))
         assert r1.statistic == r3.statistic
         assert r1.critical_value == r3.critical_value
         assert r1.p_value == r3.p_value
