@@ -11,6 +11,7 @@ __version__ = "0.1.0"
 
 from .curves import (
     MAX_DEGREE,
+    BlockWorkspace,
     DifferenceCurve,
     Direction,
     Grid,

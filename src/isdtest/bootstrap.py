@@ -10,7 +10,9 @@ weights of R replications into (R, n) matrices, row b equal to the single
 draw :func:`bootstrap_draw` makes from the b-th generator, and
 :func:`bootstrap_diff_block` / :func:`bootstrap_diff_block_paired` turn a
 block into R difference curves with one :func:`~isdtest.curves.eval_block`
-per sample.  Matched rows are routed through the sort orders the
+per sample, whose scratch arrays a caller may lend as one
+:class:`~isdtest.curves.BlockWorkspace` per thread.  Matched rows are
+routed through the sort orders the
 :class:`~isdtest.empirical.PairedSample` computed once.  The single-draw
 functions stay as the public one-replication API and the reference the
 block route is tested against.
@@ -23,7 +25,7 @@ from math import ceil
 
 import numpy as np
 
-from .curves import Direction, DifferenceCurve, Grid, LambdaCurve, eval_block
+from .curves import BlockWorkspace, Direction, DifferenceCurve, Grid, LambdaCurve, eval_block
 from .empirical import PairedSample, SortedSample, WeightedSample
 from .errors import ConfigError
 from .functionals import ContactSet, FunctionalKind, derivative_int, derivative_sup
@@ -154,25 +156,33 @@ def _check_block(draw: BootstrapDraw, n1: int, n2: int) -> None:
 
 
 def bootstrap_diff_block(s1: SortedSample, s2: SortedSample, draw: BootstrapDraw,
-                         m: int, direction: Direction, grid: Grid) -> np.ndarray:
-    """Difference curves of a block of reweighted sample pairs, shape (R, G)."""
+                         m: int, direction: Direction, grid: Grid,
+                         work: BlockWorkspace | None = None) -> np.ndarray:
+    """Difference curves of a block of reweighted sample pairs, shape (R, G).
+
+    ``work`` lends :func:`~isdtest.curves.eval_block` its scratch arrays.
+    """
     _check_block(draw, s1.n, s2.n)
-    return (eval_block(s2, draw.weights2, m, direction, grid)
-            - eval_block(s1, draw.weights1, m, direction, grid))
+    diff = eval_block(s2, draw.weights2, m, direction, grid, work)
+    diff -= eval_block(s1, draw.weights1, m, direction, grid, work)
+    return diff
 
 
 def bootstrap_diff_block_paired(pairs: PairedSample, draw: BootstrapDraw,
-                                m: int, direction: Direction, grid: Grid) -> np.ndarray:
+                                m: int, direction: Direction, grid: Grid,
+                                work: BlockWorkspace | None = None) -> np.ndarray:
     """Matched-pair difference curves of a block, shape (R, G): each row's
     weights are shared by both columns and routed through their sort orders."""
     if not draw.shared:
         raise ConfigError("matched pairs require a shared weight vector")
     _check_block(draw, pairs.n, pairs.n)
     w = draw.weights1
-    right = np.take(w, pairs.right_order(), axis=1)
-    left = np.take(w, pairs.left_order(), axis=1)
-    return (eval_block(pairs.right_sample(), right, m, direction, grid)
-            - eval_block(pairs.left_sample(), left, m, direction, grid))
+    work = BlockWorkspace() if work is None else work
+    right = np.take(w, pairs.right_order(), axis=1, out=work.array("right", w.shape, w.dtype))
+    left = np.take(w, pairs.left_order(), axis=1, out=work.array("left", w.shape, w.dtype))
+    diff = eval_block(pairs.right_sample(), right, m, direction, grid, work)
+    diff -= eval_block(pairs.left_sample(), left, m, direction, grid, work)
+    return diff
 
 
 def bootstrap_statistic(phi_star, phi_hat, cs: ContactSet, t_n: float,

@@ -329,7 +329,6 @@ def _build_parser() -> argparse.ArgumentParser:
                             "table1", "table2", "table3", "table4"])
     s.add_argument("--replications", type=int, default=None)
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--threads", type=int, default=1)
     s.add_argument("--format", choices=["json", "csv", "text"], default="json")
     s.add_argument("--output", default=None)
     return parser

@@ -42,6 +42,7 @@ __all__ = [
     "diff_eval",
     "eval_on_grid",
     "eval_block",
+    "BlockWorkspace",
 ]
 
 # Factorials and binomial expansions stay well-conditioned up to here.
@@ -218,8 +219,28 @@ class _LatticePlan:
         return cls(cut, lattice, powers, mean_factor)
 
 
+class BlockWorkspace:
+    """Scratch arrays that :func:`eval_block` reuses from one call to the next.
+
+    The bootstrap evaluates many blocks of the same shape.  Block-sized
+    temporaries freed after every block are handed back to the operating
+    system by the allocator and page-faulted in again by the next block,
+    which costs more than the arithmetic; a workspace keeps them.  Arrays
+    are keyed by name, shape and dtype.  Not thread-safe: one per thread.
+    """
+
+    def __init__(self):
+        self._arrays: dict = {}
+
+    def array(self, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+        key = (name, shape, np.dtype(dtype))
+        if key not in self._arrays:
+            self._arrays[key] = np.empty(shape, dtype)
+        return self._arrays[key]
+
+
 def eval_block(sample: SortedSample, weights, m: int, direction: Direction,
-               grid: Grid) -> np.ndarray:
+               grid: Grid, work: BlockWorkspace | None = None) -> np.ndarray:
     """Curves of R reweighted copies of one sample over a grid, shape (R, G).
 
     Row b of ``weights`` holds the copy's nonnegative integer
@@ -227,6 +248,8 @@ def eval_block(sample: SortedSample, weights, m: int, direction: Direction,
     multinomial bootstrap draw).  The cost is O(R (n + G) m) with no search
     per row.  Each row's values do not depend on the other rows of the
     block.  The boundary value (p = 0 upward, p = 1 downward) is exactly 0.
+    Temporaries come from ``work`` when one is given; the returned array is
+    always new.
     """
     _check_degree(m, direction)
     values = sample.values
@@ -238,28 +261,38 @@ def eval_block(sample: SortedSample, weights, m: int, direction: Direction,
         raise DataError("weights must be nonnegative")
     rows, width = w.shape[0], n + 1
     plan = grid._plan(n, m, direction)
+    work = BlockWorkspace() if work is None else work
 
     # Knot i sits at lattice level S_i = w_1 + ... + w_i (S_0 = 0); offset
     # each row so that one bincount sums the jump sizes per level and row.
-    levels = np.zeros((rows, width), dtype=np.intp)
+    levels = work.array("levels", (rows, width), np.intp)
+    levels[:, 0] = 0
     np.cumsum(w, axis=1, out=levels[:, 1:])
     if np.any(levels[:, -1] != n):
         raise DataError("weights must sum to the sample size")
     levels += np.arange(0, rows * width, width)[:, None]
-    jumps = np.bincount(levels.ravel(), weights=np.tile(_jumps(values), rows),
+    tiled = work.array("tiled", (rows, width))
+    tiled[:] = _jumps(values)
+    jumps = np.bincount(levels.ravel(), weights=tiled.ravel(),
                         minlength=rows * width).reshape(rows, width)
 
-    prefix = np.zeros((rows, width + 1))
+    prefix = work.array("prefix", (rows, width + 1))
+    prefix[:, 0] = 0.0
+    term = work.array("term", (rows, width))
+    part = work.array("part", (rows, len(grid)))
     out = np.zeros((rows, len(grid)))
     for r in range(m):
-        np.cumsum(jumps * plan.lattice[r], axis=1, out=prefix[:, 1:])
-        part = np.take(prefix, plan.cut, axis=1)
+        np.multiply(jumps, plan.lattice[r], out=term)
+        np.cumsum(term, axis=1, out=prefix[:, 1:])
+        np.take(prefix, plan.cut, axis=1, out=part)
         if direction is Direction.DOWN:
-            part = prefix[:, -1:] - part
-        out += part * plan.powers[r]
+            np.subtract(prefix[:, -1:], part, out=part)
+        part *= plan.powers[r]
+        out += part
     out /= factorial(m - 1)
     if direction is Direction.DOWN:
-        out += (np.sum(w * values, axis=1) / n)[:, None] * plan.mean_factor
+        weighted = np.multiply(w, values, out=work.array("weighted", (rows, n)))
+        out += (np.sum(weighted, axis=1) / n)[:, None] * plan.mean_factor
         out[:, -1] = 0.0
     else:
         out[:, 0] = 0.0

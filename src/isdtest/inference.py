@@ -17,6 +17,7 @@ of (data, config, seed), whatever the thread count or the block size.
 
 from __future__ import annotations
 
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -35,7 +36,15 @@ from .bootstrap import (
     p_value,
     substream,
 )
-from .curves import MAX_DEGREE, DifferenceCurve, Direction, Grid, LambdaCurve, eval_on_grid
+from .curves import (
+    MAX_DEGREE,
+    BlockWorkspace,
+    DifferenceCurve,
+    Direction,
+    Grid,
+    LambdaCurve,
+    eval_on_grid,
+)
 from .empirical import PairedSample, SortedSample
 from .errors import ConfigError
 from .functionals import (
@@ -154,13 +163,17 @@ def _bootstrap_stats(s1, s2, pairs, phi, cs, t_n, config, grid) -> np.ndarray:
     b_total = config.bootstrap
     blocks = [range(lo, min(lo + rows, b_total)) for lo in range(0, b_total, rows)]
 
+    local = threading.local()  # one BlockWorkspace per worker thread
+
     def block(reps: range) -> np.ndarray:
+        if not hasattr(local, "work"):
+            local.work = BlockWorkspace()
         rngs = [substream(config.seed, _BOOT_TAG, b) for b in reps]
         draw = bootstrap_block(s1.n, s2.n, shared, rngs)
         if shared:
-            phi_star = bootstrap_diff_block_paired(pairs, draw, m, direction, grid)
+            phi_star = bootstrap_diff_block_paired(pairs, draw, m, direction, grid, local.work)
         else:
-            phi_star = bootstrap_diff_block(s1, s2, draw, m, direction, grid)
+            phi_star = bootstrap_diff_block(s1, s2, draw, m, direction, grid, local.work)
         return bootstrap_statistic(phi_star, phi, cs, t_n, kind, grid)
 
     if config.threads > 1:

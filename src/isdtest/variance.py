@@ -8,17 +8,37 @@ integral of the kernel, which collapses to a weighted double integral
     sigma^2(p) = II w(p,t) w(p,t') K(t,t') dt dt',
     w(p,t) = (p-t)^(m-3)/(m-3)!   (upward; mirrored for downward).
 
-Because the empirical kernel is piecewise constant on the rectangles of
-the order-statistic partition, the double integral is computed exactly:
-the time integrals have closed forms per interval and the kernel's Gram
-structure reduces everything to prefix sums, O(n) per evaluation point.
+The empirical kernel is piecewise constant on the rectangles of the
+order-statistic partition, whose breakpoints lie on the lattice j/n, so
+the double integral is exact: it is the (n-1)-denominator variance over k
+of f_p(X_(k)) = sum_i W_i(p) min(X_(i), X_(k)), where W_i(p) integrates
+the weight over the i-th interval.  With q = m - 2 and j = floor(p n) full
+intervals below p, f_p is a degree-q polynomial in p for k <= j, whose
+coefficients are prefix sums over the sample, and a constant for k > j.
+
+Independent samples: prefix sums of the coefficients and of their pairwise
+products give sum f and sum f^2 at every level, O((n + G) m^2) time and
+O(n m) memory for G levels.  The downward direction is the upward one
+applied to the reflected sample -X reversed at 1 - p; the reflection adds
+a term linear in X_(k) beyond j.  Each sample is shifted by its mean first
+(the variance is shift-invariant).  The worst error relative to
+max_p sigma^2(p), against exact rational arithmetic for n <= 40, is 1e-14
+at m = 3, 3e-14 at m = 4, 3e-12 at m = 6 and 2e-7 at m = 12.  The loss
+grows with the degree upward only (downward it stays within 2e-12): it
+comes from sum f^2 - (sum f)^2 / n when f is nearly constant over k.  The
+variance enters the test only through the contact set.
+
+Matched pairs pair rows across two rank orders, so there is no prefix
+structure: the row values f_p are evaluated from the same coefficients,
+O(G n m), gathered into row order and differenced.  Identical columns give
+exactly 0.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from math import factorial
+from math import comb, factorial
 
 import numpy as np
 
@@ -83,41 +103,96 @@ def vv_cov(x, y, p_x: float, p_y: float) -> float:
     return float(np.dot(a, b)) / (len(xa) - 1)
 
 
-def _interval_weights(breaks: np.ndarray, ps: np.ndarray, m: int, direction: Direction) -> np.ndarray:
-    """Exact integrals of the collapse weight over each order-statistic interval.
+def _frame(values: np.ndarray, m: int, direction: Direction, ps: np.ndarray):
+    """Per-sample coefficients of the collapsed clip functions, in the upward frame.
 
-    Returns a (len(ps), n) array whose row p sums to p^(m-2)/(m-2)! upward
-    (mirrored downward).
+    Downward, the centered sample x is replaced by z = -x reversed and each
+    level p by p' = 1 - p, which turns the downward weights into upward
+    ones.  With q = m - 2, j = floor(p' n) full lattice intervals below p'
+    and c_r = C(q, r) p'^(q-r) / q!, the frame value of observation k is
+
+        f_k = sum_r c_r e[r, k]      for k < j,
+        f_k = tail + beta * z_k      for k >= j.
+
+    Returns ``(z, e, j, c, tail, beta)``; ``z`` (n + 1) and ``e``
+    (q + 1, n + 1) carry a trailing zero so that prefix sums over segments
+    may start at j = n.
     """
     q = m - 2
-    a = breaks[:-1]
-    b = breaks[1:]
-    p = ps[:, None]
-    if direction is Direction.UP:
-        w = np.clip(p - a, 0.0, None) ** q - np.clip(p - b, 0.0, None) ** q
-    else:
-        w = np.clip(b - p, 0.0, None) ** q - np.clip(a - p, 0.0, None) ** q
-    return w / factorial(q)
-
-
-def _clip_prefix_stats(values: np.ndarray) -> np.ndarray:
-    # Column means of the implicit clip matrix min(X_(i), X_(k)) over k.
     n = len(values)
-    px = np.cumsum(values)
-    return (px + values * (n - 1 - np.arange(n))) / n
+    up = direction is Direction.UP
+    x = values - values.mean()
+    z = np.zeros(n + 1)
+    z[:n] = x if up else -x[::-1]
+    zn = z[:n]
+    pf = ps if up else 1.0 - ps
+    # prefix[r, j]: sum over i < j of z_i ((-a_i)^r - (-b_i)^r), interval i = [a_i, b_i].
+    prefix = np.zeros((q + 1, n + 1))
+    e = np.zeros((q + 1, n + 1))
+    neg_a = -np.arange(n) / n
+    neg_b = -np.arange(1, n + 1) / n
+    pow_a = np.ones(n)
+    pow_b = np.ones(n)
+    for r in range(q + 1):
+        np.cumsum(zn * (pow_a - pow_b), out=prefix[r, 1:])
+        np.add(prefix[r, 1:], zn * pow_b, out=e[r, :n])
+        pow_a *= neg_a
+        pow_b *= neg_b
+    if not up:
+        e[0, :n] -= zn
+    j = np.searchsorted(np.arange(n + 1) / n, pf, side="right") - 1
+    c = np.array([comb(q, r) * pf ** (q - r) for r in range(q + 1)]) / factorial(q)
+    # Integrated weight of the partial interval j times its value, plus the full ones.
+    tail = np.einsum("rg,rg->g", c, prefix[:, j]) + (pf - j / n) ** q / factorial(q) * z[j]
+    beta = np.zeros_like(pf) if up else -pf ** q / factorial(q)
+    return z, e, j, c, tail, beta
 
 
-def _v_vectors(values: np.ndarray, col_means: np.ndarray, W: np.ndarray) -> np.ndarray:
-    """Weighted row sums of the centered clip matrix, via prefix sums.
+def _variance_independent(values: np.ndarray, m: int, direction: Direction,
+                          ps: np.ndarray) -> np.ndarray:
+    """Variance over k of f_p(X_(k)) from prefix moments, O((n + G) m^2).
 
-    V[p, k] = sum_i W[p, i] * (min(X_(i), X_(k)) - colmean_i); the min
-    structure makes each row an O(n) prefix computation.
+    Each product e_r e_s is reduced onto the segments between consecutive
+    distinct j and summed over segments, so only n-vectors are held.
     """
-    cum_wx = np.cumsum(W * values, axis=1)
-    cum_w = np.cumsum(W, axis=1)
-    v = cum_wx + values * (cum_w[:, -1:] - cum_w)
-    v -= (W @ col_means)[:, None]
-    return v
+    z, e, j, c, tail, beta = _frame(values, m, direction, ps)
+    n = len(values)
+    starts, inverse = np.unique(np.concatenate(([0], j)), return_inverse=True)
+    at = inverse.ravel()[1:]
+
+    def below_j(rows: np.ndarray) -> np.ndarray:
+        # sum over k < j of rows[..., k], at every level.
+        seg = np.add.reduceat(rows, starts, axis=-1)
+        out = np.zeros(seg.shape)
+        np.cumsum(seg[..., :-1], axis=-1, out=out[..., 1:])
+        return out[..., at]
+
+    head = np.einsum("rg,rg->g", c, below_j(e))
+    head_sq = np.zeros(len(ps))
+    prod = np.zeros(n + 1)
+    for r in range(len(c)):
+        for s in range(r, len(c)):
+            np.multiply(e[r], e[s], out=prod)
+            head_sq += (1.0 if r == s else 2.0) * c[r] * c[s] * below_j(prod)
+    rest = n - j
+    zz = z * z
+    z_tail = z.sum() - below_j(z)
+    zz_tail = zz.sum() - below_j(zz)
+    sum_f = head + rest * tail + beta * z_tail
+    sum_f2 = head_sq + rest * tail ** 2 + 2.0 * beta * tail * z_tail + beta ** 2 * zz_tail
+    return (sum_f2 - sum_f ** 2 / n) / (n - 1)
+
+
+def _row_values(values: np.ndarray, m: int, direction: Direction, ps: np.ndarray,
+                pos: np.ndarray) -> np.ndarray:
+    """f_p up to a constant per level, shape (G, n), at the rows whose sorted
+    positions are ``pos``."""
+    z, e, j, c, tail, beta = _frame(values, m, direction, ps)
+    n = len(values)
+    rows = c.T @ e[:, :n]
+    tails = np.stack((tail, beta), axis=1) @ np.stack((np.ones(n), z[:n]))
+    np.copyto(rows, tails, where=np.arange(n) >= j[:, None])
+    return np.take(rows, pos if direction is Direction.UP else n - 1 - pos, axis=1)
 
 
 def _inverse(order: np.ndarray) -> np.ndarray:
@@ -148,10 +223,6 @@ class CovKernel:
             raise ConfigError("kernel estimation requires at least two observations per sample")
         self.lam = self.n1 / (self.n1 + self.n2)
         self.t_n = effective_size(self.n1, self.n2)
-        self._means1 = _clip_prefix_stats(sorted1)
-        self._means2 = _clip_prefix_stats(sorted2)
-        self._breaks1 = np.concatenate(([0.0], np.arange(1, self.n1 + 1) / self.n1))
-        self._breaks2 = np.concatenate(([0.0], np.arange(1, self.n2 + 1) / self.n2))
         if scheme is Scheme.MATCHED:
             # Positions of each row in the per-column sort, for cross terms.
             self._pos1 = _inverse(order1)
@@ -195,20 +266,28 @@ class CovKernel:
         return float(self.matrix(np.array([t, t2]))[0, 1])
 
     def sigma_sq_many(self, m: int, direction: Direction, ps) -> np.ndarray:
-        """Exact collapsed double integral of the kernel at each p."""
+        """Exact collapsed double integral of the kernel at each level in ``ps``.
+
+        Independent samples cost O((n + G) m^2) for G levels; matched pairs
+        cost O(G n m).  The value is clamped at 0 and is exactly 0 at
+        p = 0 upward and p = 1 downward.
+        """
         if m < 3:
             raise ConfigError(f"variance of the curve difference requires degree >= 3, got {m}")
         ps = np.atleast_1d(np.asarray(ps, dtype=float))
-        w1 = _interval_weights(self._breaks1, ps, m, direction)
-        w2 = _interval_weights(self._breaks2, ps, m, direction)
-        v1 = _v_vectors(self._x1, self._means1, w1)
-        v2 = _v_vectors(self._x2, self._means2, w2)
+        if ps.ndim != 1 or not np.all((ps >= 0.0) & (ps <= 1.0)):
+            raise ValueError("evaluation points must lie in [0, 1]")
         if self.scheme is Scheme.INDEPENDENT:
-            s1 = np.sum(v1 * v1, axis=1) / (self.n1 - 1)
-            s2 = np.sum(v2 * v2, axis=1) / (self.n2 - 1)
-            return (1.0 - self.lam) * s1 + self.lam * s2
-        diff = v1[:, self._pos1] - v2[:, self._pos2]
-        return np.sum(diff * diff, axis=1) / (2.0 * (self.n1 - 1))
+            out = ((1.0 - self.lam) * _variance_independent(self._x1, m, direction, ps)
+                   + self.lam * _variance_independent(self._x2, m, direction, ps))
+        else:
+            diff = _row_values(self._x1, m, direction, ps, self._pos1)
+            diff -= _row_values(self._x2, m, direction, ps, self._pos2)
+            diff -= diff.mean(axis=1, keepdims=True)
+            out = np.einsum("gk,gk->g", diff, diff) / (2.0 * (self.n1 - 1))
+        out = np.maximum(out, 0.0)
+        out[ps == (0.0 if direction is Direction.UP else 1.0)] = 0.0
+        return out
 
     def sigma_sq(self, m: int, direction: Direction, p: float) -> float:
         if not 0.0 <= p <= 1.0:
@@ -254,5 +333,4 @@ def sigma_curve(kernel: CovKernel, m: int, direction: Direction,
     """
     sig_v = kernel.sigma_sq_many(m, direction, vgrid.points)
     sig_f = np.interp(fgrid.points, vgrid.points, sig_v)
-    sig_f = np.maximum(sig_f, 0.0)
     return SigmaCurve(grid=fgrid, sigma_sq=sig_f, vhat=trim(sig_f, xi), xi=xi)

@@ -5,6 +5,10 @@ routes (adaptive quadrature, nested cumulative integration) and must not
 import the closed-form evaluation paths they are used to check.
 """
 
+from bisect import bisect_left
+from fractions import Fraction
+from math import factorial
+
 import numpy as np
 import scipy.integrate
 
@@ -20,13 +24,17 @@ def random_dp_values(rng, n, alpha=3.0, beta=2.0):
 
 
 def step_quantile(values, cumprobs):
-    """Left-inf step quantile lookup: smallest value with cumulative mass >= t."""
-    values = np.asarray(values, dtype=float)
-    cum = np.asarray(cumprobs, dtype=float)
+    """Left-inf step quantile lookup: smallest value with cumulative mass >= t.
+
+    The quadrature routines call it once per node with a scalar ``t``, so
+    the lookup bisects plain lists rather than paying numpy's per-call cost.
+    """
+    values = np.asarray(values, dtype=float).tolist()
+    cum = np.asarray(cumprobs, dtype=float).tolist()
+    last = len(values) - 1
 
     def q(t):
-        idx = np.searchsorted(cum, t, side="left")
-        return values[np.minimum(idx, len(values) - 1)]
+        return values[min(bisect_left(cum, t), last)]
 
     return q
 
@@ -63,36 +71,45 @@ def quad_lambda(values, cumprobs, m, direction, p):
     return ((1.0 - p) ** (m - 2) * mu - tail) / fac
 
 
-def quad_lambda_grid(values, cumprobs, m, direction, grid_points):
+def quad_lambda_grids(values, cumprobs, combos, grid_points):
     """Vectorized adaptive-quadrature oracle over a whole grid.
 
-    Every grid point and step breakpoint is a subdivision point, so the
-    integrand is polynomial on each panel and the rule is exact there.
+    Returns a (len(combos), len(grid_points)) array, one row per
+    ``(m, direction)`` in ``combos``.  All rows share one ``quad_vec`` call
+    whose integrand stacks their kernels, so the quantile is looked up once
+    per node.  Every grid point and step breakpoint is a subdivision point,
+    so the integrand is polynomial on each panel and the rule is exact there.
     """
     q = step_quantile(values, cumprobs)
     grid_points = np.asarray(grid_points, dtype=float)
     breaks = np.concatenate(([0.0], np.asarray(cumprobs, dtype=float), grid_points))
     pts = _interior_points(np.unique(breaks), 0.0, 1.0)
-    fac = 1.0
-    for i in range(1, m - 1):
-        fac *= i
+    degrees = np.array([m for m, _ in combos])
+    fac = np.array([float(factorial(m - 2)) for m in degrees])[:, None]
+    # Upward rows weigh (p - t)^(m-2) on t <= p, downward rows (t - p)^(m-2) on t >= p.
+    up = np.array([direction is Direction.UP for _, direction in combos])
+    signs = np.where(up, 1.0, -1.0)[:, None]
+    powers = (degrees - 2)[:, None]
+    # Raise to the power by repeated products: row r takes factor k if powers[r] >= k.
+    factor_masks = [powers >= k for k in range(1, int(powers.max()) + 1)]
 
-    if direction is Direction.UP:
-        def f(t):
-            w = np.where(grid_points >= t, (grid_points - t) ** (m - 2), 0.0)
-            return w * q(t)
-    else:
-        def f(t):
-            w = np.where(grid_points <= t, (t - grid_points) ** (m - 2), 0.0)
-            return w * q(t)
+    def f(t):
+        d = signs * (grid_points - t)
+        w = np.where(d >= 0.0, 1.0, 0.0)
+        for mask in factor_masks:
+            np.multiply(w, d, out=w, where=mask)
+        w *= q(t)
+        return w.ravel()
 
     val, _ = scipy.integrate.quad_vec(f, 0.0, 1.0, points=pts, limit=400,
                                       epsabs=1e-13, epsrel=1e-12)
-    if direction is Direction.UP:
+    val = val.reshape(len(combos), len(grid_points))
+    if up.all():
         return val / fac
     mu, _ = scipy.integrate.quad(q, 0.0, 1.0, points=_interior_points(breaks, 0.0, 1.0),
                                  limit=400, epsabs=1e-14, epsrel=1e-12)
-    return ((1.0 - grid_points) ** (m - 2) * mu - val) / fac
+    down = (1.0 - grid_points) ** powers * mu - val
+    return np.where(up[:, None], val, down) / fac
 
 
 def centered_clips(column, ts):
@@ -146,3 +163,98 @@ def nested_sigma_oracle(kernel_mid, cells, m, direction, p):
     a = step * (c[0] / 2 + c[1:-1].sum(axis=0) + c[-1] / 2)
     b = np.concatenate(([0.0], np.cumsum(a))) * step
     return float(step * (b[0] / 2 + b[1:-1].sum() + b[-1] / 2))
+
+
+def interval_weights(breaks, ps, m, direction):
+    """Exact integrals of the collapse weight over each order-statistic interval.
+
+    Returns a (len(ps), n) array whose row p sums to p^(m-2)/(m-2)! upward
+    (mirrored downward).
+    """
+    q = m - 2
+    a = breaks[:-1]
+    b = breaks[1:]
+    p = np.asarray(ps, dtype=float)[:, None]
+    if direction is Direction.UP:
+        w = np.clip(p - a, 0.0, None) ** q - np.clip(p - b, 0.0, None) ** q
+    else:
+        w = np.clip(b - p, 0.0, None) ** q - np.clip(a - p, 0.0, None) ** q
+    return w / factorial(q)
+
+
+def _dense_v(column, m, direction, ps):
+    """Weighted row sums V[p, k] = sum_i W[p, i] (min(X_(i), X_(k)) - colmean_i).
+
+    Rows follow the input order of ``column``; the min structure of the
+    clip matrix makes each row an O(n) prefix computation over a dense
+    (len(ps), n) weight matrix.
+    """
+    x = np.asarray(column, dtype=float)
+    order = np.argsort(x, kind="stable")
+    xs = x[order]
+    n = len(xs)
+    w = interval_weights(np.arange(n + 1) / n, ps, m, direction)
+    col_means = (np.cumsum(xs) + xs * (n - 1 - np.arange(n))) / n
+    cum_wx = np.cumsum(w * xs, axis=1)
+    cum_w = np.cumsum(w, axis=1)
+    v = cum_wx + xs * (cum_w[:, -1:] - cum_w)
+    v -= (w @ col_means)[:, None]
+    out = np.empty_like(v)
+    out[:, order] = v
+    return out
+
+
+def dense_sigma_sq(x1, x2, m, direction, ps, matched=False):
+    """Reference variance curve through dense (len(ps), n) weight matrices.
+
+    ``x1`` and ``x2`` are the raw columns; with ``matched`` their rows are
+    paired.  O(len(ps) n) time and memory.
+    """
+    n1, n2 = len(x1), len(x2)
+    lam = n1 / (n1 + n2)
+    v1 = _dense_v(x1, m, direction, ps)
+    v2 = _dense_v(x2, m, direction, ps)
+    if not matched:
+        return ((1 - lam) * np.sum(v1 * v1, axis=1) / (n1 - 1)
+                + lam * np.sum(v2 * v2, axis=1) / (n2 - 1))
+    diff = v1 - v2
+    return np.sum(diff * diff, axis=1) / (2.0 * (n1 - 1))
+
+
+
+def _fraction_f(column, m, direction, p):
+    """Exact f_p(x_k) = sum_i W_i(p) min(X_(i), x_k) for every row k, in row order."""
+    x = [Fraction(float(v)) for v in column]
+    xs = sorted(x)
+    n = len(xs)
+    q = m - 2
+    p = Fraction(float(p))
+    w = []
+    for i in range(n):
+        a, b = Fraction(i, n), Fraction(i + 1, n)
+        if direction is Direction.UP:
+            wi = max(p - a, 0) ** q - max(p - b, 0) ** q
+        else:
+            wi = max(b - p, 0) ** q - max(a - p, 0) ** q
+        w.append(wi / factorial(q))
+    return [sum(wi * min(xi, xk) for wi, xi in zip(w, xs)) for xk in x]
+
+
+def fraction_sigma_sq(x1, x2, m, direction, p, matched=False):
+    """Exact rational variance of the curve difference at one level.
+
+    The definition written out with ``fractions.Fraction``: the (n-1)
+    variance of f_p over the rows of each sample (mixed by lambda), or
+    half the (n-1) variance of the row differences for matched pairs.
+    O(n^2) per level; meant for n <= 8.
+    """
+    def var(values):
+        mu = sum(values) / len(values)
+        return sum((v - mu) ** 2 for v in values) / (len(values) - 1)
+
+    f1 = _fraction_f(x1, m, direction, p)
+    f2 = _fraction_f(x2, m, direction, p)
+    if matched:
+        return float(var([a - b for a, b in zip(f1, f2)]) / 2)
+    lam = Fraction(len(x1), len(x1) + len(x2))
+    return float((1 - lam) * var(f1) + lam * var(f2))

@@ -39,7 +39,7 @@ from isdtest import (
 )
 from isdtest.cli import main, save_csv
 
-from conftest import fine_kernel, nested_sigma_oracle, quad_lambda_grid
+from conftest import fine_kernel, nested_sigma_oracle, quad_lambda_grids
 
 UP, DOWN = Direction.UP, Direction.DOWN
 CURVE_COMBOS = ((2, UP), (3, UP), (4, UP), (3, DOWN), (4, DOWN))
@@ -68,9 +68,9 @@ def _curve_oracle_chunk(indices):
     for i in indices:
         vals, cum = _curve_sample(i)
         sample = make_sample(vals)
-        for m, direction in CURVE_COMBOS:
+        oracle = quad_lambda_grids(vals, cum, CURVE_COMBOS, grid.points)
+        for (m, direction), want in zip(CURVE_COMBOS, oracle):
             got = eval_on_grid(LambdaCurve(sample, m, direction), grid)
-            want = quad_lambda_grid(vals, cum, m, direction, grid.points)
             err = np.max(np.abs(got - want) / np.maximum(np.abs(want), 1e-12))
             worst = max(worst, float(err))
     return worst

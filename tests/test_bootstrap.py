@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from isdtest import (
+    BlockWorkspace,
     ConfigError,
     ContactSet,
     DataError,
@@ -263,6 +264,24 @@ class TestBlockRoute:
         assert shared.shared
         with pytest.raises(ConfigError):
             bootstrap_block(30, 30, False, [])
+
+    def test_workspace_reuse_is_bit_exact(self):
+        # One workspace lent to calls of changing n, rows, degree and
+        # direction gives the same bits as fresh temporaries.
+        rng = np.random.default_rng(12)
+        work = BlockWorkspace()
+        g = Grid.uniform(41)
+        for n, rows, m, direction in ((30, 4, 3, Direction.UP), (45, 4, 4, Direction.DOWN),
+                                      (30, 2, 3, Direction.DOWN), (30, 4, 3, Direction.UP)):
+            s = make_sample(random_dp_values(rng, n))
+            w = np.stack([draw_weights(n, rng) for _ in range(rows)])
+            assert np.array_equal(eval_block(s, w, m, direction, g, work),
+                                  eval_block(s, w, m, direction, g))
+        pairs = make_paired(random_dp_values(rng, 20), random_dp_values(rng, 20))
+        draw = bootstrap_block(20, 20, True, [substream(5, b) for b in range(3)])
+        assert np.array_equal(
+            bootstrap_diff_block_paired(pairs, draw, 3, Direction.UP, g, work),
+            bootstrap_diff_block_paired(pairs, draw, 3, Direction.UP, g))
 
     def test_block_weight_checks(self):
         s = make_sample([1.0, 2.0, 4.0])

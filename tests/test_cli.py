@@ -245,6 +245,12 @@ class TestMainSimulate:
     def test_needs_spec_or_preset(self):
         assert main(["simulate"]) == 3
 
+    def test_no_threads_flag(self, tmp_path):
+        # The simulation harness runs on one thread; the flag was never read.
+        path = tmp_path / "design.sim"
+        path.write_text(SPEC_TEXT, encoding="utf-8")
+        assert main(["simulate", "--spec", str(path), "--threads", "2"]) == 3
+
     def test_missing_spec_file(self, tmp_path):
         assert main(["simulate", "--spec", str(tmp_path / "none.sim")]) == 2
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,9 +14,15 @@ from isdtest import (
     trim,
     vv_cov,
 )
-from isdtest.variance import _interval_weights
-
-from conftest import fine_kernel, nested_sigma_oracle, random_dp_values, rel_err
+from conftest import (
+    dense_sigma_sq,
+    fine_kernel,
+    fraction_sigma_sq,
+    interval_weights,
+    nested_sigma_oracle,
+    random_dp_values,
+    rel_err,
+)
 
 UP, DOWN = Direction.UP, Direction.DOWN
 
@@ -128,11 +136,105 @@ class TestIntervalWeights:
         from math import factorial
 
         for m in (3, 4, 5):
-            w_up = _interval_weights(breaks, ps, m, UP)
+            w_up = interval_weights(breaks, ps, m, UP)
             assert w_up.sum(axis=1) == pytest.approx(ps ** (m - 2) / factorial(m - 2), abs=1e-15)
-            w_dn = _interval_weights(breaks, ps, m, DOWN)
+            w_dn = interval_weights(breaks, ps, m, DOWN)
             assert w_dn.sum(axis=1) == pytest.approx(
                 (1 - ps) ** (m - 2) / factorial(m - 2), abs=1e-15)
+
+
+def _layout(rng, n, matched):
+    """Raw columns and their kernel: two independent samples, or n matched pairs."""
+    x1 = random_dp_values(rng, n)
+    if matched:
+        x2 = x1 * rng.uniform(0.6, 1.4, size=n)
+        return x1, x2, CovKernel.matched(make_paired(x1, x2))
+    x2 = random_dp_values(rng, n + 1)
+    return x1, x2, CovKernel.independent(make_sample(x1), make_sample(x2))
+
+
+def _levels(n):
+    """Every lattice level j/n, the endpoints, points inside (0, 1/n) and off the lattice."""
+    lattice = np.arange(n + 1) / n
+    inside = np.array([0.5, 1e-9, 1.0 - 1e-9]) / n
+    return np.unique(np.concatenate((lattice, inside, np.linspace(0.0, 1.0, 23))))
+
+
+def _bound(m):
+    # Relative to max sigma^2: the moments lose accuracy with the degree, upward.
+    return 1e-11 if m <= 4 else 1e-9 if m <= 6 else 1e-5
+
+
+DEGREES = (3, 4, 5, 6, 12)
+SCHEMES = pytest.mark.parametrize("matched", [False, True], ids=["independent", "matched"])
+
+
+class TestPrefixMoments:
+    @SCHEMES
+    @pytest.mark.parametrize("n", [2, 3, 7, 501])
+    @pytest.mark.parametrize("m", DEGREES)
+    def test_matches_dense_reference(self, m, n, matched):
+        rng = np.random.default_rng(100 * m + n)
+        x1, x2, k = _layout(rng, n, matched)
+        ps = _levels(n)
+        for direction in (UP, DOWN):
+            want = dense_sigma_sq(x1, x2, m, direction, ps, matched=matched)
+            got = k.sigma_sq_many(m, direction, ps)
+            assert np.max(np.abs(got - want)) <= _bound(m) * np.max(want)
+
+    @SCHEMES
+    @pytest.mark.parametrize("n", [2, 3, 7])
+    @pytest.mark.parametrize("m", DEGREES)
+    def test_matches_fraction_oracle(self, m, n, matched):
+        rng = np.random.default_rng(200 * m + n)
+        x1, x2, k = _layout(rng, n, matched)
+        ps = _levels(n)
+        for direction in (UP, DOWN):
+            want = np.array([fraction_sigma_sq(x1, x2, m, direction, p, matched=matched)
+                             for p in ps])
+            got = k.sigma_sq_many(m, direction, ps)
+            assert np.max(np.abs(got - want)) <= _bound(m) * np.max(want)
+
+    @SCHEMES
+    @pytest.mark.parametrize("m", [3, 4, 6])
+    def test_shift_invariant(self, m, matched):
+        rng = np.random.default_rng(300 + m)
+        x1, x2, k = _layout(rng, 40, matched)
+        shift = 25.0
+        if matched:
+            shifted = CovKernel.matched(make_paired(x1 + shift, x2 + shift))
+        else:
+            shifted = CovKernel.independent(make_sample(x1 + shift), make_sample(x2 + shift))
+        ps = _levels(40)
+        for direction in (UP, DOWN):
+            base = k.sigma_sq_many(m, direction, ps)
+            moved = shifted.sigma_sq_many(m, direction, ps)
+            assert np.max(np.abs(moved - base)) <= 1e-12 * np.max(base)
+
+    def test_unsorted_levels(self):
+        rng = np.random.default_rng(17)
+        _, _, k = _layout(rng, 30, False)
+        ps = rng.permutation(_levels(30))
+        for direction in (UP, DOWN):
+            got = k.sigma_sq_many(4, direction, ps)
+            want = np.array([k.sigma_sq(4, direction, p) for p in ps])
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
+
+    def test_memory_is_linear_in_n(self):
+        # One dense (101 x n) float array alone would take 162 MB here.
+        rng = np.random.default_rng(18)
+        n = 200_000
+        k = CovKernel.independent(make_sample(random_dp_values(rng, n)),
+                                  make_sample(random_dp_values(rng, n)))
+        ps = Grid.uniform(101).points
+        tracemalloc.start()
+        try:
+            out = k.sigma_sq_many(3, UP, ps)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (101,)
+        assert peak < 64 * 2 ** 20
 
 
 class TestSigmaSq:
@@ -152,6 +254,16 @@ class TestSigmaSq:
         for m in (3, 4):
             for direction in (UP, DOWN):
                 assert np.all(k.sigma_sq_many(m, direction, ps) >= 0.0)
+
+    @pytest.mark.parametrize("bad", [-0.1, 1.0 + 1e-12, np.nan, np.inf])
+    def test_levels_validated(self, bad):
+        rng = np.random.default_rng(4)
+        k = CovKernel.independent(make_sample(random_dp_values(rng, 10)),
+                                  make_sample(random_dp_values(rng, 10)))
+        with pytest.raises(ValueError):
+            k.sigma_sq_many(3, UP, [0.5, bad])
+        with pytest.raises(ValueError):
+            k.sigma_sq(3, DOWN, bad)
 
     def test_degree_validation(self):
         rng = np.random.default_rng(1)
