@@ -36,9 +36,11 @@ from .errors import ConfigError, DataError
 from .functionals import (
     ContactSet,
     FunctionalKind,
+    derivative,
     derivative_int,
     derivative_sup,
     estimate_contact_set,
+    functional,
     int_functional,
     sup_functional,
 )
@@ -47,9 +49,6 @@ from .bootstrap import (
     bootstrap_block,
     bootstrap_diff_block,
     bootstrap_diff_block_paired,
-    bootstrap_diff_curve,
-    bootstrap_diff_curve_paired,
-    bootstrap_draw,
     bootstrap_statistic,
     critical_value,
     derive_seed,
@@ -72,9 +71,7 @@ from .variance import (
     Scheme,
     SigmaCurve,
     effective_size,
-    kernel_eval,
     sigma_curve,
-    sigma_sq,
     trim,
     vv_cov,
 )

@@ -6,16 +6,17 @@ full list of bootstrap statistics is a pure function of (data, config,
 seed) regardless of execution order, thread count or block size.
 
 Replications are evaluated in blocks: :func:`bootstrap_block` stacks the
-weights of R replications into (R, n) matrices, row b equal to the single
-draw :func:`bootstrap_draw` makes from the b-th generator, and
-:func:`bootstrap_diff_block` / :func:`bootstrap_diff_block_paired` turn a
-block into R difference curves with one :func:`~isdtest.curves.eval_block`
-per sample, whose scratch arrays a caller may lend as one
-:class:`~isdtest.curves.BlockWorkspace` per thread.  Matched rows are
-routed through the sort orders the
-:class:`~isdtest.empirical.PairedSample` computed once.  The single-draw
-functions stay as the public one-replication API and the reference the
-block route is tested against.
+weights of R replications into (R, n) matrices, row b drawn from the b-th
+generator, and :func:`bootstrap_diff_block` /
+:func:`bootstrap_diff_block_paired` turn a block into R difference curves
+with one :func:`~isdtest.curves.eval_block` per sample, whose scratch
+arrays a caller may lend as one :class:`~isdtest.curves.BlockWorkspace`
+per thread.  Matched rows are routed through the sort orders the
+:class:`~isdtest.empirical.PairedSample` computed once.  One replication
+is a block with one generator::
+
+    draw = bootstrap_block(n1, n2, False, [rng])
+    phi_star = bootstrap_diff_block(s1, s2, draw, m, direction, grid)[0]
 """
 
 from __future__ import annotations
@@ -25,19 +26,16 @@ from math import ceil
 
 import numpy as np
 
-from .curves import BlockWorkspace, Direction, DifferenceCurve, Grid, LambdaCurve, eval_block
-from .empirical import PairedSample, SortedSample, WeightedSample
+from .curves import BlockWorkspace, Direction, Grid, eval_block
+from .empirical import PairedSample, SortedSample
 from .errors import ConfigError
-from .functionals import ContactSet, FunctionalKind, derivative_int, derivative_sup
+from .functionals import ContactSet, FunctionalKind, derivative
 
 __all__ = [
     "substream",
     "derive_seed",
     "BootstrapDraw",
     "draw_weights",
-    "bootstrap_draw",
-    "bootstrap_diff_curve",
-    "bootstrap_diff_curve_paired",
     "bootstrap_block",
     "bootstrap_diff_block",
     "bootstrap_diff_block_paired",
@@ -78,8 +76,8 @@ def derive_seed(seed: int, *key) -> int:
 
 @dataclass(frozen=True)
 class BootstrapDraw:
-    """One replication's multinomial weights, or a block of R of them as
-    (R, n) matrices with one replication per row.
+    """Multinomial weights of a block of R replications as (R, n)
+    matrices, one replication per row.
 
     For matched pairs both fields reference the same row-indexed weights;
     for independent samples they are drawn independently and are aligned
@@ -101,52 +99,22 @@ def draw_weights(n: int, rng: np.random.Generator) -> np.ndarray:
     return np.bincount(rng.integers(0, n, size=n), minlength=n)
 
 
-def bootstrap_draw(n1: int, n2: int, shared: bool, rng: np.random.Generator) -> BootstrapDraw:
-    """Draw one replication's weights; ``shared`` mirrors matched pairs."""
-    w1 = draw_weights(n1, rng)
-    if shared:
-        if n1 != n2:
-            raise ConfigError("shared weights require equal sample sizes")
-        return BootstrapDraw(w1, w1)
-    return BootstrapDraw(w1, draw_weights(n2, rng))
-
-
-def bootstrap_diff_curve(s1: SortedSample, s2: SortedSample, draw: BootstrapDraw,
-                         m: int, direction: Direction) -> DifferenceCurve:
-    """Difference curve of the two reweighted samples (independent layout)."""
-    if len(draw.weights1) != s1.n or len(draw.weights2) != s2.n:
-        raise ConfigError("bootstrap weights are not aligned with the samples")
-    first = LambdaCurve(WeightedSample(s1, draw.weights1), m, direction)
-    second = LambdaCurve(WeightedSample(s2, draw.weights2), m, direction)
-    return DifferenceCurve(first, second)
-
-
-def bootstrap_diff_curve_paired(pairs: PairedSample, draw: BootstrapDraw,
-                                m: int, direction: Direction) -> DifferenceCurve:
-    """Difference curve for matched pairs: one weight per row, shared by
-    both columns and routed through each column's sort order."""
-    if not draw.shared:
-        raise ConfigError("matched pairs require a shared weight vector")
-    if len(draw.weights1) != pairs.n:
-        raise ConfigError("bootstrap weights are not aligned with the paired rows")
-    w = draw.weights1
-    first = LambdaCurve(WeightedSample(pairs.left_sample(), w[pairs.left_order()]), m, direction)
-    second = LambdaCurve(WeightedSample(pairs.right_sample(), w[pairs.right_order()]), m, direction)
-    return DifferenceCurve(first, second)
-
-
 def bootstrap_block(n1: int, n2: int, shared: bool, rngs) -> BootstrapDraw:
     """Weights of one replication per generator, stacked into (R, n) rows.
 
-    Row b is exactly ``bootstrap_draw(n1, n2, shared, rngs[b])``.
+    Row b is ``draw_weights(n1, rngs[b])`` followed, unless ``shared``
+    (matched pairs, one weight per row for both columns), by
+    ``draw_weights(n2, rngs[b])`` from the same generator.
     """
-    draws = [bootstrap_draw(n1, n2, shared, rng) for rng in rngs]
-    if not draws:
+    rngs = list(rngs)
+    if not rngs:
         raise ConfigError("a bootstrap block needs at least one replication")
-    w1 = np.stack([d.weights1 for d in draws])
+    if shared and n1 != n2:
+        raise ConfigError("shared weights require equal sample sizes")
+    w1 = np.stack([draw_weights(n1, rng) for rng in rngs])
     if shared:
         return BootstrapDraw(w1, w1)
-    return BootstrapDraw(w1, np.stack([d.weights2 for d in draws]))
+    return BootstrapDraw(w1, np.stack([draw_weights(n2, rng) for rng in rngs]))
 
 
 def _check_block(draw: BootstrapDraw, n1: int, n2: int) -> None:
@@ -196,10 +164,7 @@ def bootstrap_statistic(phi_star, phi_hat, cs: ContactSet, t_n: float,
     phi_hat = np.asarray(phi_hat, dtype=float)
     if phi_hat.shape != (len(grid),) or phi_star.shape[-1:] != phi_hat.shape:
         raise ConfigError("bootstrap and sample curves are not aligned with the grid")
-    h = np.sqrt(t_n) * (phi_star - phi_hat)
-    if kind is FunctionalKind.SUP:
-        return derivative_sup(h, cs)
-    return derivative_int(h, cs, grid)
+    return derivative(kind, np.sqrt(t_n) * (phi_star - phi_hat), cs, grid)
 
 
 def critical_value(stats, alpha: float) -> float:

@@ -11,7 +11,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -171,17 +171,6 @@ def _cell_dict(res: SimResult) -> dict:
     }
 
 
-def _report_dict(report: Report) -> dict:
-    return {
-        "command": report.command,
-        "config": report.config,
-        "result": report.result,
-        "seed": report.seed,
-        "version": report.version,
-        "elapsed_ms": report.elapsed_ms,
-    }
-
-
 def _emit_csv(report: Report) -> str:
     lines = []
     if report.command == "test":
@@ -266,7 +255,7 @@ def _emit_text(report: Report) -> str:
 def emit_report(report: Report, fmt: str = "json") -> bytes:
     """Serialize a report deterministically (fixed key order, repr floats)."""
     if fmt == "json":
-        return (json.dumps(_report_dict(report), indent=2, allow_nan=False) + "\n").encode()
+        return (json.dumps(asdict(report), indent=2, allow_nan=False) + "\n").encode()
     if fmt == "csv":
         return _emit_csv(report).encode()
     if fmt == "text":
@@ -328,7 +317,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    choices=["size_up", "size_down", "power_up", "power_down",
                             "table1", "table2", "table3", "table4"])
     s.add_argument("--replications", type=int, default=None)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=int, default=None,
+                   help="master seed (default: the spec file's seed, or 0)")
     s.add_argument("--format", choices=["json", "csv", "text"], default="json")
     s.add_argument("--output", default=None)
     return parser
@@ -401,9 +391,10 @@ def _parse_spec_file(path) -> dict:
     return values
 
 
-def _floats(tokens, key):
+def _cast(cast, tokens, key):
+    """Each token through ``cast``; a value it rejects is a configuration error."""
     try:
-        return [_tau_value(t) if key == "tau" else float(t) for t in tokens]
+        return [cast(t) for t in tokens]
     except ValueError:
         raise ConfigError(f"spec key {key!r}: cannot parse {tokens!r}") from None
 
@@ -418,10 +409,10 @@ def _specs_from_file(path, seed_override, reps_override) -> list[SimSpec]:
             return default
         if len(kv[key]) != 1:
             raise ConfigError(f"spec key {key!r} takes a single value")
-        return cast(kv[key][0])
+        return _cast(cast, kv[key], key)[0]
 
-    mode = SimMode(one("mode", "warpspeed"))
-    replications = reps_override or one("replications", 1000, int)
+    mode = one("mode", SimMode.WARPSPEED, SimMode)
+    replications = reps_override if reps_override is not None else one("replications", 1000, int)
     seed = seed_override if seed_override is not None else one("seed", 0, int)
     m = one("m", 3, int)
     alpha = one("alpha", 0.05, float)
@@ -431,19 +422,21 @@ def _specs_from_file(path, seed_override, reps_override) -> list[SimSpec]:
     vgrid = one("vgrid", 101, int)
     bootstrap = one("bootstrap", 999, int)
 
-    ns = [int(x) for x in _floats(kv.get("n", ["2000"]), "n")]
-    directions = [Direction(d) for d in kv.get("direction", ["up"])]
-    kinds = [FunctionalKind(k) for k in kv.get("functional", ["sup"])]
-    taus = _floats(kv.get("tau", ["3"]), "tau")
-    a1s = _floats(kv.get("dgp1.alpha", ["3"]), "dgp1.alpha")
-    b1s = _floats(kv.get("dgp1.beta", ["2"]), "dgp1.beta")
+    ns = _cast(int, kv.get("n", ["2000"]), "n")
+    directions = _cast(Direction, kv.get("direction", ["up"]), "direction")
+    kinds = _cast(FunctionalKind, kv.get("functional", ["sup"]), "functional")
+    taus = _cast(_tau_value, kv.get("tau", ["3"]), "tau")
+    a1s = _cast(float, kv.get("dgp1.alpha", ["3"]), "dgp1.alpha")
+    b1s = _cast(float, kv.get("dgp1.beta", ["2"]), "dgp1.beta")
     scale1 = one("dgp1.scale", 1.0, float)
-    same = kv.get("dgp2", [""])[0] == "same" if "dgp2" in kv else False
+    same = "dgp2" in kv
+    if same and one("dgp2") != "same":
+        raise ConfigError("spec key 'dgp2' takes only the value 'same'")
     if same:
         a2s, b2s, scale2 = [None], [None], scale1
     else:
-        a2s = _floats(kv.get("dgp2.alpha", ["3"]), "dgp2.alpha")
-        b2s = _floats(kv.get("dgp2.beta", ["2"]), "dgp2.beta")
+        a2s = _cast(float, kv.get("dgp2.alpha", ["3"]), "dgp2.alpha")
+        b2s = _cast(float, kv.get("dgp2.beta", ["2"]), "dgp2.beta")
         scale2 = one("dgp2.scale", 1.0, float)
 
     specs = []
@@ -471,8 +464,8 @@ def _cmd_simulate(args) -> Report:
     if (args.spec is None) == (args.preset is None):
         raise ConfigError("simulate needs exactly one of --spec FILE or --preset NAME")
     if args.preset is not None:
-        specs = preset_specs(args.preset, seed=args.seed,
-                             replications=args.replications or 1000)
+        specs = preset_specs(args.preset, seed=0 if args.seed is None else args.seed,
+                             replications=1000 if args.replications is None else args.replications)
     else:
         specs = _specs_from_file(args.spec, args.seed, args.replications)
     results = run_table(specs)

@@ -5,7 +5,9 @@ the supremum and the integral of max(h, 0).  Their estimated directional
 derivatives restrict the same measurements to the contact region where the
 two curves are statistically indistinguishable from touching.  The
 derivatives reduce along the last axis, so a stack of R curves, shape
-(R, G), yields R values at once.
+(R, G), yields R values at once.  :func:`functional` and :func:`derivative`
+pick the sup or the integral variant by :class:`FunctionalKind`; the test
+and the simulation harness both go through them.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ __all__ = [
     "estimate_contact_set",
     "derivative_sup",
     "derivative_int",
+    "functional",
+    "derivative",
 ]
 
 
@@ -147,3 +151,17 @@ def derivative_int(h, cs: ContactSet, grid: Grid):
     g = np.maximum(h, 0.0)
     both = cs.membership[:-1] & cs.membership[1:]
     return _trapezoid_masked(g, grid.points, both)
+
+
+def functional(kind: FunctionalKind, h, grid: Grid) -> float:
+    """The ``kind`` functional of h over the whole grid."""
+    if kind is FunctionalKind.SUP:
+        return sup_functional(h)
+    return int_functional(h, grid)
+
+
+def derivative(kind: FunctionalKind, h, cs: ContactSet, grid: Grid):
+    """The ``kind`` derivative of h on the contact set (per row for a stack)."""
+    if kind is FunctionalKind.SUP:
+        return derivative_sup(h, cs)
+    return derivative_int(h, cs, grid)

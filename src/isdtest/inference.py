@@ -47,13 +47,8 @@ from .curves import (
 )
 from .empirical import PairedSample, SortedSample
 from .errors import ConfigError
-from .functionals import (
-    FunctionalKind,
-    estimate_contact_set,
-    int_functional,
-    sup_functional,
-)
-from .variance import CovKernel, Scheme, sigma_curve
+from .functionals import FunctionalKind, estimate_contact_set, functional
+from .variance import CovKernel, Scheme, effective_size, sigma_curve
 
 __all__ = [
     "TestConfig",
@@ -140,12 +135,6 @@ class TestResult:
     elapsed_ms: float
 
 
-def _functional(kind: FunctionalKind, values, grid: Grid) -> float:
-    if kind is FunctionalKind.SUP:
-        return sup_functional(values)
-    return int_functional(values, grid)
-
-
 def _resolve_layout(sample1, sample2, scheme: Scheme):
     if scheme is Scheme.MATCHED:
         if not isinstance(sample1, PairedSample) or sample2 is not None:
@@ -199,8 +188,8 @@ def run_test(sample1, sample2, config: TestConfig) -> TestResult:
     diff = DifferenceCurve(LambdaCurve(s1, config.m, direction),
                            LambdaCurve(s2, config.m, direction))
     phi = eval_on_grid(diff, fgrid)
-    t_n = s1.n * s2.n / (s1.n + s2.n)
-    statistic = sqrt(t_n) * _functional(config.kind, phi, fgrid)
+    t_n = effective_size(s1.n, s2.n)
+    statistic = sqrt(t_n) * functional(config.kind, phi, fgrid)
 
     kernel = CovKernel.matched(pairs) if pairs is not None else CovKernel.independent(s1, s2)
     sig = sigma_curve(kernel, config.m, direction, vgrid, fgrid, config.xi)

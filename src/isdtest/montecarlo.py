@@ -8,6 +8,12 @@ index) only, so cells that differ merely in the contact-set bandwidth,
 functional, or direction see identical draws -- the bandwidth-monotonicity
 of rejection rates then holds exactly, and tables are reproducible under
 any parallel schedule.
+
+A warp-speed replication runs the single test's own steps: its bootstrap
+draw is a one-generator :func:`~isdtest.bootstrap.bootstrap_block`,
+evaluated by :func:`~isdtest.bootstrap.bootstrap_diff_block`, and the
+statistics come from :func:`~isdtest.functionals.functional` and
+:func:`~isdtest.functionals.derivative`.
 """
 
 from __future__ import annotations
@@ -19,11 +25,11 @@ from math import sqrt
 
 import numpy as np
 
-from .bootstrap import bootstrap_diff_curve, bootstrap_draw, critical_value, derive_seed, substream
+from .bootstrap import bootstrap_block, bootstrap_diff_block, critical_value, derive_seed, substream
 from .curves import DifferenceCurve, Direction, Grid, LambdaCurve, eval_on_grid
 from .dgp import DoubleParetoParams, dp_sample
 from .errors import ConfigError
-from .functionals import FunctionalKind, derivative_int, derivative_sup, estimate_contact_set
+from .functionals import FunctionalKind, derivative, estimate_contact_set, functional
 from .inference import TestConfig, run_test
 from .variance import CovKernel, Scheme, effective_size, sigma_curve
 
@@ -108,24 +114,18 @@ def _run_warpspeed_group(specs: list[SimSpec]) -> list[SimResult]:
         x1 = dp_sample(base.dgp1, base.n1, rng)
         x2 = dp_sample(base.dgp2, base.n2, rng)
         wrng = substream(cfg.seed, _MC_BOOT, *key, r)
-        draw = bootstrap_draw(base.n1, base.n2, False, wrng)
+        draw = bootstrap_block(base.n1, base.n2, False, [wrng])
         kernel = CovKernel.independent(x1, x2)
 
         for direction in directions:
             phi = eval_on_grid(DifferenceCurve(LambdaCurve(x1, cfg.m, direction),
                                                LambdaCurve(x2, cfg.m, direction)), fgrid)
-            phi_star = eval_on_grid(
-                bootstrap_diff_curve(x1, x2, draw, cfg.m, direction), fgrid)
+            phi_star = bootstrap_diff_block(x1, x2, draw, cfg.m, direction, fgrid)[0]
             sig = sigma_curve(kernel, cfg.m, direction, vgrid, fgrid, cfg.xi)
             h = root_t * (phi_star - phi)
-            pos = np.maximum(phi, 0.0)
-            sup_phi = float(np.max(phi))
-            dp = np.diff(fgrid.points)
-            int_phi = float(np.sum(dp * (pos[:-1] + pos[1:]) / 2.0))
-            for kind in (FunctionalKind.SUP, FunctionalKind.INT):
-                if (direction, kind) in stats:
-                    value = sup_phi if kind is FunctionalKind.SUP else int_phi
-                    stats[(direction, kind)][r] = root_t * value
+            for (d, kind), values in stats.items():
+                if d is direction:
+                    values[r] = root_t * functional(kind, phi, fgrid)
 
             contact_cache = {}
             for idx, s in enumerate(specs):
@@ -134,11 +134,7 @@ def _run_warpspeed_group(specs: list[SimSpec]) -> list[SimResult]:
                 tau = s.config.tau
                 if tau not in contact_cache:
                     contact_cache[tau] = estimate_contact_set(phi, sig.vhat, t_n, tau, fgrid)
-                cs = contact_cache[tau]
-                if s.config.kind is FunctionalKind.SUP:
-                    boot_stats[idx][r] = derivative_sup(h, cs)
-                else:
-                    boot_stats[idx][r] = derivative_int(h, cs, fgrid)
+                boot_stats[idx][r] = derivative(s.config.kind, h, contact_cache[tau], fgrid)
 
     elapsed_ms = (time.perf_counter() - start) * 1e3
     results = []
@@ -181,9 +177,7 @@ def _run_full(spec: SimSpec) -> SimResult:
 
 def run_cell(spec: SimSpec) -> SimResult:
     """Rejection rate of a single simulation cell."""
-    if spec.mode is SimMode.FULL:
-        return _run_full(spec)
-    return _run_warpspeed_group([spec])[0]
+    return run_table([spec])[0]
 
 
 def run_table(specs) -> list[SimResult]:

@@ -52,8 +52,6 @@ __all__ = [
     "SigmaCurve",
     "effective_size",
     "vv_cov",
-    "kernel_eval",
-    "sigma_sq",
     "trim",
     "sigma_curve",
 ]
@@ -293,16 +291,6 @@ class CovKernel:
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"evaluation point must lie in [0, 1], got {p!r}")
         return float(self.sigma_sq_many(m, direction, [p])[0])
-
-
-def kernel_eval(kernel: CovKernel, t: float, t2: float) -> float:
-    """Module-level alias of :meth:`CovKernel.eval`."""
-    return kernel.eval(t, t2)
-
-
-def sigma_sq(kernel: CovKernel, m: int, direction: Direction, p: float) -> float:
-    """Module-level alias of :meth:`CovKernel.sigma_sq`."""
-    return kernel.sigma_sq(m, direction, p)
 
 
 def trim(sigma_sq_values, xi: float) -> np.ndarray:

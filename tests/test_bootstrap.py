@@ -13,18 +13,17 @@ from isdtest import (
     LambdaCurve,
     Scheme,
     TestConfig,
+    WeightedSample,
     bootstrap_block,
     bootstrap_diff_block,
     bootstrap_diff_block_paired,
-    bootstrap_diff_curve,
-    bootstrap_diff_curve_paired,
-    bootstrap_draw,
     bootstrap_statistic,
     critical_value,
     derive_seed,
     draw_weights,
     eval_block,
     eval_on_grid,
+    lambda_eval,
     make_paired,
     make_sample,
     p_value,
@@ -96,31 +95,28 @@ class TestBootstrapCurves:
         rng = np.random.default_rng(3)
         s1 = make_sample(random_dp_values(rng, 20))
         s2 = make_sample(random_dp_values(rng, 30))
-        draw = BootstrapDraw(np.ones(20, dtype=int), np.ones(30, dtype=int))
+        draw = BootstrapDraw(np.ones((1, 20), dtype=int), np.ones((1, 30), dtype=int))
         g = Grid.uniform(101)
-        star = eval_on_grid(bootstrap_diff_curve(s1, s2, draw, 3, Direction.UP), g)
-        from isdtest import DifferenceCurve, LambdaCurve
-
+        star = bootstrap_diff_block(s1, s2, draw, 3, Direction.UP, g)
         plain = eval_on_grid(DifferenceCurve(LambdaCurve(s1, 3, Direction.UP),
                                              LambdaCurve(s2, 3, Direction.UP)), g)
-        assert np.array_equal(star, plain)
+        assert star.shape == (1, 101)
+        assert np.array_equal(star[0], plain)
 
     def test_degenerate_concentration(self):
         s = make_sample([1.0, 2.0, 3.0])
-        w = np.array([3, 0, 0])
+        w = np.array([[3, 0, 0]])
         draw = BootstrapDraw(w, w)
         g = Grid.uniform(11)
-        star = eval_on_grid(bootstrap_diff_curve(s, s, draw, 3, Direction.UP), g)
+        star = bootstrap_diff_block(s, s, draw, 3, Direction.UP, g)
         assert np.allclose(star, 0.0)
-        from isdtest import LambdaCurve, WeightedSample, lambda_eval
-
-        c = LambdaCurve(WeightedSample(s, w), 2, Direction.UP)
+        c = LambdaCurve(WeightedSample(s, w[0]), 2, Direction.UP)
         assert lambda_eval(c, 1.0) == pytest.approx(1.0)  # mean of the resample
 
     def test_matched_draw_shares_weights(self):
-        rng = substream(11, 2)
-        draw = bootstrap_draw(25, 25, True, rng)
+        draw = bootstrap_block(25, 25, True, [substream(11, 2)])
         assert draw.shared
+        assert draw.weights1.shape == (1, 25)
         assert np.array_equal(draw.weights1, draw.weights2)
 
     def test_matched_curve_respects_pairing(self):
@@ -128,13 +124,11 @@ class TestBootstrapCurves:
         left = random_dp_values(rng, 15)
         right = random_dp_values(rng, 15)
         pairs = make_paired(left, right)
-        draw = bootstrap_draw(15, 15, True, substream(8, 0))
+        draw = bootstrap_block(15, 15, True, [substream(8, 0)])
         g = Grid.uniform(51)
-        star = eval_on_grid(bootstrap_diff_curve_paired(pairs, draw, 3, Direction.UP), g)
+        star = bootstrap_diff_block_paired(pairs, draw, 3, Direction.UP, g)[0]
         # Equivalent construction: expand rows by weights, then build plain curves.
-        w = draw.weights1
-        from isdtest import DifferenceCurve, LambdaCurve
-
+        w = draw.weights1[0]
         expanded = eval_on_grid(DifferenceCurve(
             LambdaCurve(make_sample(np.repeat(left, w)), 3, Direction.UP),
             LambdaCurve(make_sample(np.repeat(right, w)), 3, Direction.UP)), g)
@@ -142,12 +136,14 @@ class TestBootstrapCurves:
 
     def test_misaligned_weights_rejected(self):
         s1 = make_sample([1, 2, 3])
-        draw = BootstrapDraw(np.array([2, 1]), np.array([1, 1, 1]))
+        g = Grid.uniform(11)
+        ones = np.ones((1, 3), dtype=int)
         with pytest.raises(ConfigError):
-            bootstrap_diff_curve(make_sample([1, 2]), s1, BootstrapDraw(
-                np.array([1, 1, 1]), np.array([1, 1, 1])), 3, Direction.UP)
+            bootstrap_diff_block(make_sample([1, 2]), s1, BootstrapDraw(ones, ones),
+                                 3, Direction.UP, g)
         with pytest.raises(ConfigError):
-            bootstrap_diff_curve(s1, s1, draw, 3, Direction.UP)
+            bootstrap_diff_block(s1, s1, BootstrapDraw(np.array([[2, 1]]), ones),
+                                 3, Direction.UP, g)
 
 
 BLOCK_COMBOS = [(m, direction, kind, scheme)
@@ -172,10 +168,13 @@ def _contact(grid):
     return ContactSet(grid, mask)
 
 
-def _single_curve(s1, s2, pairs, draw, m, direction):
+def _row_curve(s1, s2, pairs, w1, w2, m, direction, grid):
+    """One replication's difference curve from a reweighted sample per
+    curve; matched rows are routed through each column's sort order here."""
     if pairs is not None:
-        return bootstrap_diff_curve_paired(pairs, draw, m, direction)
-    return bootstrap_diff_curve(s1, s2, draw, m, direction)
+        w1, w2 = w1[pairs.left_order()], w1[pairs.right_order()]
+    return eval_on_grid(DifferenceCurve(LambdaCurve(WeightedSample(s1, w1), m, direction),
+                                        LambdaCurve(WeightedSample(s2, w2), m, direction)), grid)
 
 
 class TestBlockRoute:
@@ -201,9 +200,10 @@ class TestBlockRoute:
         got = inference._bootstrap_stats(s1, s2, pairs, phi, cs, t_n, cfg, self.grid)
         want = []
         for b in range(bootstrap):
-            draw = bootstrap_draw(s1.n, s2.n, pairs is not None,
-                                  substream(cfg.seed, inference._BOOT_TAG, b))
-            star = eval_on_grid(_single_curve(s1, s2, pairs, draw, m, direction), self.grid)
+            rng = substream(cfg.seed, inference._BOOT_TAG, b)
+            w1 = draw_weights(s1.n, rng)
+            w2 = w1 if pairs is not None else draw_weights(s2.n, rng)
+            star = _row_curve(s1, s2, pairs, w1, w2, m, direction, self.grid)
             want.append(bootstrap_statistic(star, phi, cs, t_n, kind, self.grid))
         want = np.array(want)
         assert got.shape == (bootstrap,)
@@ -244,26 +244,29 @@ class TestBlockRoute:
         assert np.all(stars[:, end] == 0.0)
         got = bootstrap_statistic(stars, phi, cs, t_n, kind, self.grid)
         for b in range(4):
-            w1 = block.weights1[b]
-            draw = BootstrapDraw(w1, w1 if pairs is not None else block.weights2[b])
-            star = eval_on_grid(_single_curve(s1, s2, pairs, draw, m, direction), self.grid)
+            star = _row_curve(s1, s2, pairs, block.weights1[b], block.weights2[b],
+                              m, direction, self.grid)
             assert star[end] == 0.0
             assert np.max(np.abs(stars[b] - star)) <= 1e-10 * np.max(np.abs(star))
             want = bootstrap_statistic(star, phi, cs, t_n, kind, self.grid)
             assert abs(got[b] - want) <= 1e-10 * max(abs(want), np.max(np.abs(got)))
 
     def test_block_rows_equal_single_draws(self):
+        # Row b takes n1 then n2 categories from the b-th generator.
         rngs = [substream(3, inference._BOOT_TAG, b) for b in range(5)]
         block = bootstrap_block(30, 45, False, rngs)
         assert block.weights1.shape == (5, 30) and block.weights2.shape == (5, 45)
         for b in range(5):
-            draw = bootstrap_draw(30, 45, False, substream(3, inference._BOOT_TAG, b))
-            assert block.weights1[b].tobytes() == draw.weights1.tobytes()
-            assert block.weights2[b].tobytes() == draw.weights2.tobytes()
+            rng = substream(3, inference._BOOT_TAG, b)
+            assert block.weights1[b].tobytes() == draw_weights(30, rng).tobytes()
+            assert block.weights2[b].tobytes() == draw_weights(45, rng).tobytes()
         shared = bootstrap_block(30, 30, True, [substream(3, 0)])
         assert shared.shared
+        assert shared.weights1[0].tobytes() == draw_weights(30, substream(3, 0)).tobytes()
         with pytest.raises(ConfigError):
             bootstrap_block(30, 30, False, [])
+        with pytest.raises(ConfigError):
+            bootstrap_block(30, 31, True, [substream(3, 0)])
 
     def test_workspace_reuse_is_bit_exact(self):
         # One workspace lent to calls of changing n, rows, degree and

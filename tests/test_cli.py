@@ -258,3 +258,29 @@ class TestMainSimulate:
         path = tmp_path / "bad.sim"
         path.write_text("just nonsense\n", encoding="utf-8")
         assert main(["simulate", "--spec", str(path)]) == 2
+
+    @pytest.mark.parametrize("line", [
+        "direction = sideways", "functional = max", "mode = turbo",
+        "m = three", "grid = 10.5", "vgrid = many", "bootstrap = 1e3",
+        "replications = some", "seed = x", "n = 60.5", "dgp2 =", "dgp2 = sme",
+    ])
+    def test_malformed_spec_value_is_config_error(self, tmp_path, line):
+        # A later line overrides the same key of SPEC_TEXT.
+        path = tmp_path / "design.sim"
+        path.write_text(SPEC_TEXT + line + "\n", encoding="utf-8")
+        assert main(["simulate", "--spec", str(path)]) == 3
+
+    def test_spec_seed_used_unless_overridden(self, tmp_path, capsysbinary):
+        path = tmp_path / "design.sim"
+        path.write_text(SPEC_TEXT, encoding="utf-8")
+        assert main(["simulate", "--spec", str(path)]) == 0
+        assert json.loads(capsysbinary.readouterr().out)["seed"] == 4
+        assert main(["simulate", "--spec", str(path), "--seed", "9"]) == 0
+        assert json.loads(capsysbinary.readouterr().out)["seed"] == 9
+
+    @pytest.mark.filterwarnings("ignore:upper-tail shape")
+    def test_zero_replications_is_config_error(self, tmp_path):
+        path = tmp_path / "design.sim"
+        path.write_text(SPEC_TEXT, encoding="utf-8")
+        assert main(["simulate", "--spec", str(path), "--replications", "0"]) == 3
+        assert main(["simulate", "--preset", "size_up", "--replications", "0"]) == 3

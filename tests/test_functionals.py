@@ -4,10 +4,13 @@ import pytest
 from isdtest import (
     ConfigError,
     ContactSet,
+    FunctionalKind,
     Grid,
+    derivative,
     derivative_int,
     derivative_sup,
     estimate_contact_set,
+    functional,
     int_functional,
     sup_functional,
 )
@@ -131,6 +134,14 @@ class TestDerivatives:
         cs = ContactSet(grid, np.ones(len(grid), dtype=bool))
         assert derivative_sup(h, cs) == sup_functional(h)
         assert derivative_int(h, cs, grid) == int_functional(h, grid)
+
+    def test_kind_switch(self, grid):
+        h = np.random.default_rng(4).normal(size=len(grid))
+        cs = ContactSet(grid, grid.points <= 0.5)
+        assert functional(FunctionalKind.SUP, h, grid) == sup_functional(h)
+        assert functional(FunctionalKind.INT, h, grid) == int_functional(h, grid)
+        assert derivative(FunctionalKind.SUP, h, cs, grid) == derivative_sup(h, cs)
+        assert derivative(FunctionalKind.INT, h, cs, grid) == derivative_int(h, cs, grid)
 
     def test_nonpositive_with_zero(self):
         g = Grid(np.array([0.0, 0.5, 1.0]))

@@ -14,6 +14,7 @@ from isdtest import (
 )
 
 DGP = DoubleParetoParams(3.0, 2.0)
+INF = float("inf")
 
 
 def spec(replications=50, n=100, mode=SimMode.WARPSPEED, **cfg_kw):
@@ -80,6 +81,39 @@ class TestRunTable:
     def test_empty_rejected(self):
         with pytest.raises(ConfigError):
             run_table([])
+
+
+# Rejections and critical values of a warp-speed table (n = 100, 40
+# replications, seed 2024), recorded before the warp-speed replication was
+# moved onto the test's block route and shared functionals.  Any change to
+# the data or bootstrap streams, the curves, the variance or the functionals
+# shows up here.
+PINNED_TABLE = [
+    ("up", "sup", 1.0, 24, 0.23125945942471232),
+    ("up", "sup", 3.0, 9, 0.35844424383002005),
+    ("up", "sup", INF, 9, 0.35844424383002005),
+    ("up", "int", 1.0, 22, 0.07231365807792901),
+    ("up", "int", 3.0, 12, 0.10191518013579262),
+    ("up", "int", INF, 12, 0.10191518013579262),
+    ("down", "sup", 1.0, 23, 0.23165462721600485),
+    ("down", "sup", 3.0, 9, 0.35844424383002477),
+    ("down", "sup", INF, 9, 0.35844424383002477),
+    ("down", "int", 1.0, 24, 0.1589630628396222),
+    ("down", "int", 3.0, 10, 0.2344893114986759),
+    ("down", "int", INF, 10, 0.2344893114986759),
+]
+
+
+class TestPinnedWarpSpeed:
+    def test_table_matches_recorded_values(self):
+        dgp2 = DoubleParetoParams(3.0, 2.5)
+        specs = [SimSpec(DGP, dgp2, 100, 100,
+                         TestConfig(direction=d, kind=k, tau=tau, grid=201, vgrid=51, seed=2024),
+                         40)
+                 for d, k, tau, _, _ in PINNED_TABLE]
+        for (d, k, tau, rejections, chat), res in zip(PINNED_TABLE, run_table(specs)):
+            assert res.rejections == rejections, (d, k, tau)
+            assert res.critical_value == pytest.approx(chat, rel=1e-12), (d, k, tau)
 
 
 class TestWarpSpeedAgainstFull:
