@@ -16,16 +16,13 @@ from .curves import (
     Direction,
     Grid,
     LambdaCurve,
-    diff_eval,
     eval_block,
     eval_on_grid,
-    lambda_eval,
 )
 from .dgp import DoubleParetoParams, dp_cdf, dp_mean, dp_pdf, dp_quantile, dp_sample
 from .empirical import (
     PairedSample,
     SortedSample,
-    WeightedSample,
     ecdf,
     make_paired,
     make_sample,
@@ -37,19 +34,14 @@ from .functionals import (
     ContactSet,
     FunctionalKind,
     derivative,
-    derivative_int,
-    derivative_sup,
     estimate_contact_set,
     functional,
-    int_functional,
-    sup_functional,
 )
 from .bootstrap import (
     BootstrapDraw,
     bootstrap_block,
     bootstrap_diff_block,
     bootstrap_diff_block_paired,
-    bootstrap_statistic,
     critical_value,
     derive_seed,
     draw_weights,
@@ -65,7 +57,7 @@ from .inference import (
     pairwise_rank,
     run_test,
 )
-from .montecarlo import SimMode, SimResult, SimSpec, preset_specs, run_cell, run_table
+from .montecarlo import SimMode, SimResult, SimSpec, preset_specs, run_table
 from .variance import (
     CovKernel,
     Scheme,
@@ -73,7 +65,6 @@ from .variance import (
     effective_size,
     sigma_curve,
     trim,
-    vv_cov,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

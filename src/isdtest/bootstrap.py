@@ -1,4 +1,4 @@
-"""Multinomial bootstrap: weights, resampled curves, statistics, critical values.
+"""Multinomial bootstrap: weights, resampled curves, critical values and p-values.
 
 Randomness is organized as counter-based substreams: every replication
 derives its own generator from the master seed and an integer key, so the
@@ -17,6 +17,9 @@ is a block with one generator::
 
     draw = bootstrap_block(n1, n2, False, [rng])
     phi_star = bootstrap_diff_block(s1, s2, draw, m, direction, grid)[0]
+
+A replication's statistic is :func:`~isdtest.functionals.derivative` of
+sqrt(T_n) * (phi_star - phi_hat) on the contact set.
 """
 
 from __future__ import annotations
@@ -29,7 +32,6 @@ import numpy as np
 from .curves import BlockWorkspace, Direction, Grid, eval_block
 from .empirical import PairedSample, SortedSample
 from .errors import ConfigError
-from .functionals import ContactSet, FunctionalKind, derivative
 
 __all__ = [
     "substream",
@@ -39,7 +41,6 @@ __all__ = [
     "bootstrap_block",
     "bootstrap_diff_block",
     "bootstrap_diff_block_paired",
-    "bootstrap_statistic",
     "critical_value",
     "p_value",
 ]
@@ -151,20 +152,6 @@ def bootstrap_diff_block_paired(pairs: PairedSample, draw: BootstrapDraw,
     diff = eval_block(pairs.right_sample(), right, m, direction, grid, work)
     diff -= eval_block(pairs.left_sample(), left, m, direction, grid, work)
     return diff
-
-
-def bootstrap_statistic(phi_star, phi_hat, cs: ContactSet, t_n: float,
-                        kind: FunctionalKind, grid: Grid):
-    """Derivative functional applied to sqrt(T_n) * (phi_star - phi_hat).
-
-    ``phi_star`` is one bootstrap curve (a float is returned) or a block
-    of R curves, shape (R, G) (an array of R statistics is returned).
-    """
-    phi_star = np.asarray(phi_star, dtype=float)
-    phi_hat = np.asarray(phi_hat, dtype=float)
-    if phi_hat.shape != (len(grid),) or phi_star.shape[-1:] != phi_hat.shape:
-        raise ConfigError("bootstrap and sample curves are not aligned with the grid")
-    return derivative(kind, np.sqrt(t_n) * (phi_star - phi_hat), cs, grid)
 
 
 def critical_value(stats, alpha: float) -> float:

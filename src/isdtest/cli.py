@@ -399,8 +399,19 @@ def _cast(cast, tokens, key):
         raise ConfigError(f"spec key {key!r}: cannot parse {tokens!r}") from None
 
 
+# Every key _specs_from_file reads; any other key is a configuration error.
+_SPEC_KEYS = frozenset({
+    "mode", "replications", "seed", "m", "alpha", "xi", "eta", "grid", "vgrid", "bootstrap",
+    "n", "direction", "functional", "tau", "dgp1.alpha", "dgp1.beta", "dgp1.scale",
+    "dgp2", "dgp2.alpha", "dgp2.beta", "dgp2.scale",
+})
+
+
 def _specs_from_file(path, seed_override, reps_override) -> list[SimSpec]:
     kv = _parse_spec_file(path)
+    unknown = sorted(set(kv) - _SPEC_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown simulation spec key(s): {', '.join(map(repr, unknown))}")
 
     def one(key, default=None, cast=str):
         if key not in kv:
@@ -432,6 +443,10 @@ def _specs_from_file(path, seed_override, reps_override) -> list[SimSpec]:
     same = "dgp2" in kv
     if same and one("dgp2") != "same":
         raise ConfigError("spec key 'dgp2' takes only the value 'same'")
+    conflicting = sorted(key for key in kv if key.startswith("dgp2."))
+    if same and conflicting:
+        raise ConfigError("'dgp2 = same' cannot be combined with "
+                          + ", ".join(map(repr, conflicting)))
     if same:
         a2s, b2s, scale2 = [None], [None], scale1
     else:

@@ -18,7 +18,9 @@ its step breakpoints on the lattice j/n, j = 0..n.  :func:`eval_block`
 uses this to evaluate R reweighted copies of one sample at once: the jump
 sizes are binned onto lattice levels, prefix sums over the lattice carry
 the binomial expansion in powers of p, and a lattice-to-grid index shared
-by every copy reads the sums off at the grid points.
+by every copy reads the sums off at the grid points.  :func:`eval_on_grid`
+evaluates one unweighted sample, or the difference of two, as a one-row
+block.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from math import comb, factorial
 
 import numpy as np
 
-from .empirical import SortedSample, WeightedSample, mean
+from .empirical import SortedSample
 from .errors import ConfigError, DataError
 
 __all__ = [
@@ -38,8 +40,6 @@ __all__ = [
     "Grid",
     "LambdaCurve",
     "DifferenceCurve",
-    "lambda_eval",
-    "diff_eval",
     "eval_on_grid",
     "eval_block",
     "BlockWorkspace",
@@ -103,9 +103,9 @@ def _check_degree(m: int, direction: Direction) -> None:
 
 @dataclass(frozen=True)
 class LambdaCurve:
-    """Exact evaluator for one sample's dominance curve of degree ``m``."""
+    """One sample's dominance curve of degree ``m``, evaluated by :func:`eval_on_grid`."""
 
-    sample: SortedSample | WeightedSample
+    sample: SortedSample
     m: int
     direction: Direction
 
@@ -129,21 +129,13 @@ class DifferenceCurve:
             raise ConfigError("difference requires curves of equal degree and direction")
 
 
-def _knots(sample) -> tuple[np.ndarray, np.ndarray]:
-    """Breakpoints c_0..c_n of the step quantile and its jump sizes.
+def _jumps(values: np.ndarray) -> np.ndarray:
+    """Jump sizes (X_(1), diff(X), -X_(n)) at the n + 1 breakpoints.
 
     The step quantile equals X_(i) on (c_{i-1}, c_i]; writing the curve
     integrals by parts collapses them to sums of d_k * ((p - c_k)_+)^(m-1)
-    with d = (X_(1), diff(X), -X_(n)).
+    over the breakpoints c_k with these jump sizes d_k.
     """
-    c = np.empty(sample.n + 1)
-    c[0] = 0.0
-    c[1:] = sample.cumprobs()
-    return c, _jumps(sample.values)
-
-
-def _jumps(values: np.ndarray) -> np.ndarray:
-    """Jump sizes (X_(1), diff(X), -X_(n)) at the n + 1 breakpoints."""
     n = len(values)
     d = np.empty(n + 1)
     d[0] = values[0]
@@ -152,42 +144,12 @@ def _jumps(values: np.ndarray) -> np.ndarray:
     return d
 
 
-def _powsum_point(c, d, p, k, direction) -> float:
-    t = p - c if direction is Direction.UP else c - p
-    return float(np.sum(d * np.clip(t, 0.0, None) ** k))
-
-
-def _lambda_point(sample, m, direction, p) -> float:
-    c, d = _knots(sample)
-    k = m - 1
-    if direction is Direction.UP:
-        return _powsum_point(c, d, p, k, direction) / factorial(k)
-    tail = _powsum_point(c, d, p, k, direction) / factorial(k)
-    return mean(sample) * (1.0 - p) ** (m - 2) / factorial(m - 2) + tail
-
-
-def lambda_eval(curve: LambdaCurve, p: float) -> float:
-    """Exact curve value at a single point, O(n)."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"evaluation point must lie in [0, 1], got {p!r}")
-    return _lambda_point(curve.sample, curve.m, curve.direction, p)
-
-
-def diff_eval(d: DifferenceCurve, p: float) -> float:
-    """Second-curve value minus first-curve value at ``p``."""
-    return lambda_eval(d.second, p) - lambda_eval(d.first, p)
-
-
 def eval_on_grid(curve: LambdaCurve | DifferenceCurve, grid: Grid) -> np.ndarray:
     """Pointwise evaluation over a grid with a single O((n + G) m) sweep."""
     if isinstance(curve, DifferenceCurve):
         return eval_on_grid(curve.second, grid) - eval_on_grid(curve.first, grid)
-    sample = curve.sample
-    if isinstance(sample, WeightedSample):
-        base, weights = sample.base, sample.weights
-    else:
-        base, weights = sample, np.ones(sample.n, dtype=np.int64)
-    return eval_block(base, weights[None, :], curve.m, curve.direction, grid)[0]
+    weights = np.ones((1, curve.sample.n), dtype=np.int64)
+    return eval_block(curve.sample, weights, curve.m, curve.direction, grid)[0]
 
 
 @dataclass(frozen=True)

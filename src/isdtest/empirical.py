@@ -15,7 +15,6 @@ from .errors import DataError
 
 __all__ = [
     "SortedSample",
-    "WeightedSample",
     "PairedSample",
     "make_sample",
     "make_paired",
@@ -29,6 +28,13 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
     out = np.array(values, dtype=dtype)
     out.flags.writeable = False
     return out
+
+
+def _numeric(raw, what: str = "sample") -> np.ndarray:
+    try:
+        return np.asarray(raw, dtype=float)
+    except (TypeError, ValueError):
+        raise DataError(f"{what} contains values that are not numbers") from None
 
 
 def _validate_column(values: np.ndarray, what: str = "sample") -> None:
@@ -53,46 +59,6 @@ class SortedSample:
     @property
     def n(self) -> int:
         return len(self.values)
-
-    def cumprobs(self) -> np.ndarray:
-        """Cumulative probability mass at each order statistic: i/n, i = 1..n."""
-        n = self.n
-        return np.arange(1, n + 1) / n
-
-
-@dataclass(frozen=True)
-class WeightedSample:
-    """A sorted sample reweighted by nonnegative integer multiplicities.
-
-    The weights must sum to the sample size, as produced by a multinomial
-    bootstrap draw; a weight of zero drops the observation from the
-    resample without disturbing the order-statistic bookkeeping.
-    """
-
-    base: SortedSample
-    weights: np.ndarray
-
-    def __post_init__(self):
-        w = _frozen_array(self.weights, dtype=np.int64)
-        if len(w) != self.base.n:
-            raise DataError("weights length does not match the sample size")
-        if np.any(w < 0):
-            raise DataError("weights must be nonnegative")
-        if int(w.sum()) != self.base.n:
-            raise DataError("weights must sum to the sample size")
-        object.__setattr__(self, "weights", w)
-
-    @property
-    def values(self) -> np.ndarray:
-        return self.base.values
-
-    @property
-    def n(self) -> int:
-        return self.base.n
-
-    def cumprobs(self) -> np.ndarray:
-        """Cumulative weight mass at each order statistic, in [0, 1]."""
-        return np.cumsum(self.weights) / self.n
 
 
 @dataclass(frozen=True)
@@ -149,58 +115,36 @@ def make_sample(raw) -> SortedSample:
     Raises
     ------
     DataError
-        If the input is empty, contains negative values (support is
-        [0, inf)), or contains non-finite values.
+        If the input is empty, contains values that are not numbers,
+        negative values (support is [0, inf)), or non-finite values.
     """
-    values = np.asarray(raw, dtype=float)
+    values = _numeric(raw)
     _validate_column(values)
     return SortedSample(_frozen_array(np.sort(values)))
 
 
 def make_paired(left_raw, right_raw) -> PairedSample:
     """Validate two row-aligned columns into a :class:`PairedSample`."""
-    return PairedSample(np.asarray(left_raw, dtype=float), np.asarray(right_raw, dtype=float))
+    return PairedSample(_numeric(left_raw, "left column"), _numeric(right_raw, "right column"))
 
 
-def ecdf(sample: SortedSample | WeightedSample, x: float) -> float:
-    """Right-continuous empirical CDF at ``x``.
-
-    For weighted input each observation carries mass ``w_i / n``.
-    """
+def ecdf(sample: SortedSample, x: float) -> float:
+    """Right-continuous empirical CDF at ``x``."""
     if not np.isfinite(x):
         raise ValueError("ecdf requires a finite argument")
-    idx = int(np.searchsorted(sample.values, x, side="right"))
-    if isinstance(sample, WeightedSample):
-        if idx == 0:
-            return 0.0
-        return float(np.sum(sample.weights[:idx])) / sample.n
-    return idx / sample.n
+    return int(np.searchsorted(sample.values, x, side="right")) / sample.n
 
 
-def quantile(sample: SortedSample | WeightedSample, p: float) -> float:
+def quantile(sample: SortedSample, p: float) -> float:
     """Empirical quantile: the smallest observation with ECDF mass >= p.
 
-    For unweighted input and p in (0, 1] this is the ceil(n*p)-th order
-    statistic.  At p = 0 the minimum observation (smallest value with
-    positive weight) is returned, which keeps the curve integrals finite.
+    For p in (0, 1] this is the ceil(n*p)-th order statistic.  At p = 0 the
+    minimum observation is returned, which keeps the curve integrals finite.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"quantile level must lie in [0, 1], got {p!r}")
     values = sample.values
     n = sample.n
-    if isinstance(sample, WeightedSample):
-        cumw = np.cumsum(sample.weights)
-        if p == 0.0:
-            idx = int(np.searchsorted(cumw, 0, side="right"))
-            return float(values[min(idx, n - 1)])
-        idx = min(int(np.searchsorted(cumw, p * n, side="left")), n - 1)
-        # p*n can land an ulp off an integer mass; settle the inf against the
-        # represented ECDF values cumw/n so quantile inverts ecdf exactly.
-        while idx > 0 and cumw[idx - 1] / n >= p:
-            idx -= 1
-        while idx < n - 1 and cumw[idx] / n < p:
-            idx += 1
-        return float(values[idx])
     if p == 0.0:
         return float(values[0])
     k = min(max(int(np.ceil(p * n)), 1), n)
@@ -211,8 +155,6 @@ def quantile(sample: SortedSample | WeightedSample, p: float) -> float:
     return float(values[k - 1])
 
 
-def mean(sample: SortedSample | WeightedSample) -> float:
-    """Arithmetic (weighted) mean; equals the integral of the quantile."""
-    if isinstance(sample, WeightedSample):
-        return float(np.sum(sample.weights * sample.values)) / sample.n
+def mean(sample: SortedSample) -> float:
+    """Arithmetic mean; equals the integral of the quantile."""
     return float(np.sum(sample.values)) / sample.n

@@ -3,11 +3,12 @@
 Two functionals measure the positive part of a curve difference h on [0, 1]:
 the supremum and the integral of max(h, 0).  Their estimated directional
 derivatives restrict the same measurements to the contact region where the
-two curves are statistically indistinguishable from touching.  The
-derivatives reduce along the last axis, so a stack of R curves, shape
-(R, G), yields R values at once.  :func:`functional` and :func:`derivative`
-pick the sup or the integral variant by :class:`FunctionalKind`; the test
-and the simulation harness both go through them.
+two curves are statistically indistinguishable from touching.
+:func:`derivative` picks the sup or the integral variant by
+:class:`FunctionalKind` and reduces along the last axis, so a stack of R
+curves, shape (R, G), yields R values at once; :func:`functional` is the
+derivative over the whole grid.  The test and the simulation harness both
+go through these two functions.
 """
 
 from __future__ import annotations
@@ -23,11 +24,7 @@ from .errors import ConfigError
 __all__ = [
     "FunctionalKind",
     "ContactSet",
-    "sup_functional",
-    "int_functional",
     "estimate_contact_set",
-    "derivative_sup",
-    "derivative_int",
     "functional",
     "derivative",
 ]
@@ -90,30 +87,6 @@ def _members(values: np.ndarray, mask) -> np.ndarray:
     return np.compress(mask, values, axis=-1)
 
 
-def _trapezoid_masked(g: np.ndarray, points: np.ndarray, interval_mask):
-    # Sum over subintervals whose both endpoints qualify; isolated member
-    # points carry zero measure.
-    dp = np.diff(points)
-    seg = dp * (g[..., :-1] + g[..., 1:]) / 2.0
-    return _reduced(np.sum(_members(seg, interval_mask), axis=-1))
-
-
-def sup_functional(h) -> float:
-    """Maximum of the values (grid proxy for the supremum over [0, 1])."""
-    h = np.asarray(h, dtype=float)
-    if h.size == 0:
-        raise ConfigError("sup functional of an empty value list")
-    return float(np.max(h))
-
-
-def int_functional(h, grid: Grid) -> float:
-    """Trapezoidal integral of max(h, 0) over [0, 1]."""
-    h = _aligned(h, grid)
-    g = np.maximum(h, 0.0)
-    full = np.ones(len(grid) - 1, dtype=bool)
-    return _trapezoid_masked(g, grid.points, full)
-
-
 def estimate_contact_set(phi, vhat, t_n: float, tau_n: float, grid: Grid) -> ContactSet:
     """Points where |sqrt(T_n) * phi| <= tau_n * vhat.
 
@@ -130,38 +103,29 @@ def estimate_contact_set(phi, vhat, t_n: float, tau_n: float, grid: Grid) -> Con
     return ContactSet(grid, membership)
 
 
-def derivative_sup(h, cs: ContactSet):
-    """Maximum of h over the contact set (per row for a stack of curves)."""
-    h = _stacked(h, cs.grid)
-    if not np.any(cs.membership):
-        raise ConfigError("contact set is empty; the grid is malformed")
-    return _reduced(np.max(_members(h, cs.membership), axis=-1))
+def derivative(kind: FunctionalKind, h, cs: ContactSet, grid: Grid):
+    """The ``kind`` functional of h restricted to the contact set (per row
+    for a stack of curves).
 
-
-def derivative_int(h, cs: ContactSet, grid: Grid):
-    """Trapezoidal integral of max(h, 0) restricted to the contact set
-    (per row for a stack of curves).
-
-    Only subintervals with both endpoints in the set contribute, so the
-    set is measured as a union of grid intervals.
+    The sup takes the maximum over the member points.  The integral is the
+    trapezoidal integral of max(h, 0) over the subintervals with both
+    endpoints in the set, so the set is measured as a union of grid
+    intervals and isolated member points carry zero measure.
     """
     h = _stacked(h, grid)
     if len(cs.membership) != len(grid):
         raise ConfigError("contact set is not aligned with the grid")
+    if kind is FunctionalKind.SUP:
+        if not np.any(cs.membership):
+            raise ConfigError("contact set is empty; the grid is malformed")
+        return _reduced(np.max(_members(h, cs.membership), axis=-1))
     g = np.maximum(h, 0.0)
+    seg = np.diff(grid.points) * (g[..., :-1] + g[..., 1:]) / 2.0
     both = cs.membership[:-1] & cs.membership[1:]
-    return _trapezoid_masked(g, grid.points, both)
+    return _reduced(np.sum(_members(seg, both), axis=-1))
 
 
 def functional(kind: FunctionalKind, h, grid: Grid) -> float:
-    """The ``kind`` functional of h over the whole grid."""
-    if kind is FunctionalKind.SUP:
-        return sup_functional(h)
-    return int_functional(h, grid)
-
-
-def derivative(kind: FunctionalKind, h, cs: ContactSet, grid: Grid):
-    """The ``kind`` derivative of h on the contact set (per row for a stack)."""
-    if kind is FunctionalKind.SUP:
-        return derivative_sup(h, cs)
-    return derivative_int(h, cs, grid)
+    """The ``kind`` functional of h over the whole grid: the sup of h, or
+    the trapezoidal integral of max(h, 0) over [0, 1]."""
+    return derivative(kind, h, ContactSet(grid, np.ones(len(grid), dtype=bool)), grid)

@@ -30,7 +30,6 @@ from .bootstrap import (
     bootstrap_block,
     bootstrap_diff_block,
     bootstrap_diff_block_paired,
-    bootstrap_statistic,
     critical_value,
     derive_seed,
     p_value,
@@ -47,7 +46,7 @@ from .curves import (
 )
 from .empirical import PairedSample, SortedSample
 from .errors import ConfigError
-from .functionals import FunctionalKind, estimate_contact_set, functional
+from .functionals import FunctionalKind, derivative, estimate_contact_set, functional
 from .variance import CovKernel, Scheme, effective_size, sigma_curve
 
 __all__ = [
@@ -68,6 +67,13 @@ _BLOCK_CELLS = 1 << 16
 
 def _coerce(value, enum_cls):
     return value if isinstance(value, enum_cls) else enum_cls(value)
+
+
+def _count(value, name: str) -> int:
+    """``value`` as an int; a float (2.0 included), a bool or a string is rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -99,16 +105,19 @@ class TestConfig:
         object.__setattr__(self, "direction", _coerce(self.direction, Direction))
         object.__setattr__(self, "kind", _coerce(self.kind, FunctionalKind))
         object.__setattr__(self, "scheme", _coerce(self.scheme, Scheme))
-        if not (isinstance(self.m, int) and 3 <= self.m <= MAX_DEGREE):
+        for name in ("m", "bootstrap", "seed", "grid", "vgrid", "threads"):
+            object.__setattr__(self, name, _count(getattr(self, name), name))
+        if not 3 <= self.m <= MAX_DEGREE:
             raise ConfigError(f"test degree must be an integer in [3, {MAX_DEGREE}], got {self.m!r}")
         if not 0.0 < self.alpha < 1.0:
             raise ConfigError(f"significance level must lie in (0, 1), got {self.alpha!r}")
         if not self.tau > 0:
             raise ConfigError(f"contact-set bandwidth tau must be positive or inf, got {self.tau!r}")
-        if not self.xi > 0:
-            raise ConfigError(f"trimming floor xi must be positive, got {self.xi!r}")
-        if self.eta < 0:
-            raise ConfigError(f"critical-value floor eta must be nonnegative, got {self.eta!r}")
+        if not 0 < self.xi < float("inf"):
+            raise ConfigError(f"trimming floor xi must be positive and finite, got {self.xi!r}")
+        if not 0 <= self.eta < float("inf"):
+            raise ConfigError(f"critical-value floor eta must be nonnegative and finite, "
+                              f"got {self.eta!r}")
         if self.bootstrap < 1:
             raise ConfigError("bootstrap replication count must be at least 1")
         if self.grid < 2 or self.vgrid < 2:
@@ -163,7 +172,7 @@ def _bootstrap_stats(s1, s2, pairs, phi, cs, t_n, config, grid) -> np.ndarray:
             phi_star = bootstrap_diff_block_paired(pairs, draw, m, direction, grid, local.work)
         else:
             phi_star = bootstrap_diff_block(s1, s2, draw, m, direction, grid, local.work)
-        return bootstrap_statistic(phi_star, phi, cs, t_n, kind, grid)
+        return derivative(kind, sqrt(t_n) * (phi_star - phi), cs, grid)
 
     if config.threads > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:

@@ -33,7 +33,7 @@ from .functionals import FunctionalKind, derivative, estimate_contact_set, funct
 from .inference import TestConfig, run_test
 from .variance import CovKernel, Scheme, effective_size, sigma_curve
 
-__all__ = ["SimMode", "SimSpec", "SimResult", "run_cell", "run_table", "preset_specs"]
+__all__ = ["SimMode", "SimSpec", "SimResult", "run_table", "preset_specs"]
 
 _MC_DATA = 0xD0
 _MC_BOOT = 0xD1
@@ -173,11 +173,6 @@ def _run_full(spec: SimSpec) -> SimResult:
         critical_value=float("nan"),
         elapsed_ms=elapsed_ms,
     )
-
-
-def run_cell(spec: SimSpec) -> SimResult:
-    """Rejection rate of a single simulation cell."""
-    return run_table([spec])[0]
 
 
 def run_table(specs) -> list[SimResult]:

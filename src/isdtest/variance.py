@@ -51,7 +51,6 @@ __all__ = [
     "CovKernel",
     "SigmaCurve",
     "effective_size",
-    "vv_cov",
     "trim",
     "sigma_curve",
 ]
@@ -67,38 +66,6 @@ class Scheme(Enum):
 def effective_size(n1: int, n2: int) -> float:
     """Effective two-sample size n1*n2/(n1+n2) scaling the curve difference."""
     return n1 * n2 / (n1 + n2)
-
-
-def _quantiles_at(values: np.ndarray, ps) -> np.ndarray:
-    """Step quantile of a sorted array at levels ps (ceil(n*p) convention)."""
-    n = len(values)
-    idx = np.ceil(np.asarray(ps, dtype=float) * n).astype(int)
-    return values[np.clip(idx, 1, n) - 1]
-
-
-def vv_cov(x, y, p_x: float, p_y: float) -> float:
-    """Sample covariance of the clipped series min(Q_x(p_x), x_i), min(Q_y(p_y), y_i).
-
-    ``x`` and ``y`` are row-aligned observation arrays (or SortedSample);
-    pass the same array twice for a single-sample term.  Cross terms
-    between different samples require matched rows of equal length.
-    Uses the n-1 denominator.
-    """
-    xa = x.values if isinstance(x, SortedSample) else np.asarray(x, dtype=float)
-    ya = y.values if isinstance(y, SortedSample) else np.asarray(y, dtype=float)
-    if len(xa) != len(ya):
-        raise ConfigError("clipped-covariance cross terms require row-aligned samples of equal length")
-    if len(xa) < 2:
-        raise ConfigError("covariance requires at least two observations")
-    if not (0.0 <= p_x <= 1.0 and 0.0 <= p_y <= 1.0):
-        raise ValueError("clipping levels must lie in [0, 1]")
-    qx = _quantiles_at(np.sort(xa), [p_x])[0]
-    qy = _quantiles_at(np.sort(ya), [p_y])[0]
-    a = np.minimum(xa, qx)
-    b = np.minimum(ya, qy)
-    a = a - a.mean()
-    b = b - b.mean()
-    return float(np.dot(a, b)) / (len(xa) - 1)
 
 
 def _frame(values: np.ndarray, m: int, direction: Direction, ps: np.ndarray):
@@ -208,13 +175,10 @@ class CovKernel:
     """
 
     def __init__(self, scheme: Scheme, sorted1: np.ndarray, sorted2: np.ndarray,
-                 rows1: np.ndarray | None = None, rows2: np.ndarray | None = None,
                  order1: np.ndarray | None = None, order2: np.ndarray | None = None):
         self.scheme = scheme
         self._x1 = sorted1
         self._x2 = sorted2
-        self._rows1 = rows1
-        self._rows2 = rows2
         self.n1 = len(sorted1)
         self.n2 = len(sorted2)
         if min(self.n1, self.n2) < 2:
@@ -233,35 +197,7 @@ class CovKernel:
     @classmethod
     def matched(cls, pairs: PairedSample) -> "CovKernel":
         return cls(Scheme.MATCHED, pairs.left_sample().values, pairs.right_sample().values,
-                   rows1=pairs.left, rows2=pairs.right,
                    order1=pairs.left_order(), order2=pairs.right_order())
-
-    def _clip_centered(self, which: int, pts: np.ndarray) -> np.ndarray:
-        values = self._x1 if which == 1 else self._x2
-        rows = values if self.scheme is Scheme.INDEPENDENT else (
-            self._rows1 if which == 1 else self._rows2)
-        q = _quantiles_at(values, pts)
-        a = np.minimum(rows[:, None], q[None, :])
-        return a - a.mean(axis=0)
-
-    def matrix(self, grid: Grid | np.ndarray) -> np.ndarray:
-        """Kernel matrix over grid x grid (symmetric, diagonal >= 0)."""
-        pts = grid.points if isinstance(grid, Grid) else np.asarray(grid, dtype=float)
-        a1 = self._clip_centered(1, pts)
-        a2 = self._clip_centered(2, pts)
-        c11 = a1.T @ a1 / (self.n1 - 1)
-        c22 = a2.T @ a2 / (self.n2 - 1)
-        if self.scheme is Scheme.INDEPENDENT:
-            return (1.0 - self.lam) * c11 + self.lam * c22
-        c12 = a1.T @ a2 / (self.n1 - 1)
-        root = np.sqrt(self.lam * (1.0 - self.lam))
-        return (1.0 - self.lam) * c11 - root * (c12 + c12.T) + self.lam * c22
-
-    def eval(self, t: float, t2: float) -> float:
-        """Kernel value at a single pair of points."""
-        if not (0.0 <= t <= 1.0 and 0.0 <= t2 <= 1.0):
-            raise ValueError("kernel arguments must lie in [0, 1]")
-        return float(self.matrix(np.array([t, t2]))[0, 1])
 
     def sigma_sq_many(self, m: int, direction: Direction, ps) -> np.ndarray:
         """Exact collapsed double integral of the kernel at each level in ``ps``.
@@ -286,11 +222,6 @@ class CovKernel:
         out = np.maximum(out, 0.0)
         out[ps == (0.0 if direction is Direction.UP else 1.0)] = 0.0
         return out
-
-    def sigma_sq(self, m: int, direction: Direction, p: float) -> float:
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"evaluation point must lie in [0, 1], got {p!r}")
-        return float(self.sigma_sq_many(m, direction, [p])[0])
 
 
 def trim(sigma_sq_values, xi: float) -> np.ndarray:

@@ -1,8 +1,8 @@
 """Shared oracles for the test suite.
 
 These helpers recompute the package's quantities through independent
-routes (adaptive quadrature, nested cumulative integration) and must not
-import the closed-form evaluation paths they are used to check.
+routes (point-by-point closed form, adaptive quadrature, nested cumulative
+integration) and must not import the evaluation paths they check.
 """
 
 from bisect import bisect_left
@@ -37,6 +37,27 @@ def step_quantile(values, cumprobs):
         return values[min(bisect_left(cum, t), last)]
 
     return q
+
+
+def point_lambda(values, cumprobs, m, direction, p):
+    """Closed-form curve value at p, a point or an array of points in [0, 1].
+
+    The step quantile takes ``values[i]`` (ascending) up to ``cumprobs[i]``.
+    By parts the curve is a sum over the breakpoints c_k of jump sizes
+    d = (X_(1), diff(X), -X_(n)) times ((p - c_k)_+)^(m-1) / (m-1)! upward;
+    downward the sum is mirrored and the mean term added.  The sum is taken
+    at each point directly, O(n) per point, with no lattice or prefix sums.
+    Pass ``np.cumsum(w) / n`` as ``cumprobs`` for a sample reweighted by w.
+    """
+    x = np.asarray(values, dtype=float)
+    c = np.concatenate(([0.0], np.asarray(cumprobs, dtype=float)))
+    d = np.concatenate(([x[0]], np.diff(x), [-x[-1]]))
+    p = np.asarray(p, dtype=float)
+    t = p[..., None] - c if direction is Direction.UP else c - p[..., None]
+    out = np.sum(d * np.clip(t, 0.0, None) ** (m - 1), axis=-1) / factorial(m - 1)
+    if direction is Direction.DOWN:
+        out = float(np.sum(np.diff(c) * x)) * (1.0 - p) ** (m - 2) / factorial(m - 2) + out
+    return float(out) if out.ndim == 0 else out
 
 
 def _interior_points(breaks, lo, hi):

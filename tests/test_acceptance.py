@@ -30,7 +30,6 @@ from isdtest import (
     dp_quantile,
     dp_sample,
     eval_on_grid,
-    lambda_eval,
     make_sample,
     pairwise_rank,
     run_table,
@@ -96,17 +95,18 @@ def test_acceptance_2_boundary_and_bridge():
     equals the downward value at 0 within 1e-12, over 100 random samples."""
     start = time.perf_counter()
     rng = substream(MASTER, 2)
+    ends = Grid(np.array([0.0, 1.0]))
     ok = True
     worst_gap = 0.0
     for _ in range(100):
         n = int(rng.integers(2, 80))
         s = dp_sample(DoubleParetoParams(3.0, 2.0), n, rng)
         for m in (2, 3, 4):
-            ok &= lambda_eval(LambdaCurve(s, m, UP), 0.0) == 0.0
+            ok &= eval_on_grid(LambdaCurve(s, m, UP), ends)[0] == 0.0
             if m >= 3:
-                ok &= lambda_eval(LambdaCurve(s, m, DOWN), 1.0) == 0.0
-        up_end = lambda_eval(LambdaCurve(s, 3, UP), 1.0)
-        down_start = lambda_eval(LambdaCurve(s, 3, DOWN), 0.0)
+                ok &= eval_on_grid(LambdaCurve(s, m, DOWN), ends)[1] == 0.0
+        up_end = eval_on_grid(LambdaCurve(s, 3, UP), ends)[1]
+        down_start = eval_on_grid(LambdaCurve(s, 3, DOWN), ends)[0]
         gap = abs(up_end - down_start)
         worst_gap = max(worst_gap, gap)
         ok &= gap < 1e-12
@@ -136,7 +136,7 @@ def test_acceptance_3_sigma_collapse():
             for direction in (UP, DOWN):
                 for p in (0.25, 0.5, 0.75):
                     want = nested_sigma_oracle(km, cells, m, direction, p)
-                    got = kernel.sigma_sq(m, direction, p)
+                    got = kernel.sigma_sq_many(m, direction, [p])[0]
                     rel = abs(got - want) / max(abs(want), 1e-12)
                     worst = max(worst, float(rel))
     elapsed = time.perf_counter() - start

@@ -13,17 +13,15 @@ from isdtest import (
     LambdaCurve,
     Scheme,
     TestConfig,
-    WeightedSample,
     bootstrap_block,
     bootstrap_diff_block,
     bootstrap_diff_block_paired,
-    bootstrap_statistic,
     critical_value,
+    derivative,
     derive_seed,
     draw_weights,
     eval_block,
     eval_on_grid,
-    lambda_eval,
     make_paired,
     make_sample,
     p_value,
@@ -32,7 +30,7 @@ from isdtest import (
 from isdtest import inference
 from isdtest.bootstrap import BootstrapDraw
 
-from conftest import random_dp_values
+from conftest import point_lambda, random_dp_values
 
 
 class TestSubstream:
@@ -110,8 +108,8 @@ class TestBootstrapCurves:
         g = Grid.uniform(11)
         star = bootstrap_diff_block(s, s, draw, 3, Direction.UP, g)
         assert np.allclose(star, 0.0)
-        c = LambdaCurve(WeightedSample(s, w[0]), 2, Direction.UP)
-        assert lambda_eval(c, 1.0) == pytest.approx(1.0)  # mean of the resample
+        resample = eval_block(s, w, 2, Direction.UP, Grid(np.array([0.0, 1.0])))
+        assert resample[0, -1] == pytest.approx(1.0)  # mean of the resample
 
     def test_matched_draw_shares_weights(self):
         draw = bootstrap_block(25, 25, True, [substream(11, 2)])
@@ -169,12 +167,17 @@ def _contact(grid):
 
 
 def _row_curve(s1, s2, pairs, w1, w2, m, direction, grid):
-    """One replication's difference curve from a reweighted sample per
-    curve; matched rows are routed through each column's sort order here."""
+    """One replication's difference curve from the point formula at each
+    grid point; matched rows are routed through each column's sort order here."""
     if pairs is not None:
         w1, w2 = w1[pairs.left_order()], w1[pairs.right_order()]
-    return eval_on_grid(DifferenceCurve(LambdaCurve(WeightedSample(s1, w1), m, direction),
-                                        LambdaCurve(WeightedSample(s2, w2), m, direction)), grid)
+    return (point_lambda(s2.values, np.cumsum(w2) / s2.n, m, direction, grid.points)
+            - point_lambda(s1.values, np.cumsum(w1) / s1.n, m, direction, grid.points))
+
+
+def _statistic(star, phi, cs, t_n, kind, grid):
+    """A replication's statistic: the derivative of sqrt(T_n) (phi* - phi)."""
+    return derivative(kind, np.sqrt(t_n) * (np.asarray(star) - phi), cs, grid)
 
 
 class TestBlockRoute:
@@ -204,10 +207,13 @@ class TestBlockRoute:
             w1 = draw_weights(s1.n, rng)
             w2 = w1 if pairs is not None else draw_weights(s2.n, rng)
             star = _row_curve(s1, s2, pairs, w1, w2, m, direction, self.grid)
-            want.append(bootstrap_statistic(star, phi, cs, t_n, kind, self.grid))
+            want.append(_statistic(star, phi, cs, t_n, kind, self.grid))
         want = np.array(want)
         assert got.shape == (bootstrap,)
-        assert np.max(np.abs(got - want)) <= 1e-10 * max(np.max(np.abs(want)), 1e-300)
+        # Both routes round relative to the curves; a statistic can be far smaller.
+        scale = np.sqrt(t_n) * max(np.max(np.abs(eval_on_grid(LambdaCurve(s, m, direction),
+                                                              self.grid))) for s in (s1, s2))
+        assert np.max(np.abs(got - want)) <= 1e-10 * max(np.max(np.abs(want)), scale)
 
     @pytest.mark.parametrize("m, direction, kind, scheme", BLOCK_COMBOS)
     def test_one_row_blocks_match_default(self, m, direction, kind, scheme, monkeypatch):
@@ -242,13 +248,13 @@ class TestBlockRoute:
             stars = bootstrap_diff_block(s1, s2, block, m, direction, self.grid)
         end = 0 if direction is Direction.UP else -1
         assert np.all(stars[:, end] == 0.0)
-        got = bootstrap_statistic(stars, phi, cs, t_n, kind, self.grid)
+        got = _statistic(stars, phi, cs, t_n, kind, self.grid)
         for b in range(4):
             star = _row_curve(s1, s2, pairs, block.weights1[b], block.weights2[b],
                               m, direction, self.grid)
             assert star[end] == 0.0
             assert np.max(np.abs(stars[b] - star)) <= 1e-10 * np.max(np.abs(star))
-            want = bootstrap_statistic(star, phi, cs, t_n, kind, self.grid)
+            want = _statistic(star, phi, cs, t_n, kind, self.grid)
             assert abs(got[b] - want) <= 1e-10 * max(abs(want), np.max(np.abs(got)))
 
     def test_block_rows_equal_single_draws(self):
@@ -311,25 +317,20 @@ class TestBootstrapStatistic:
     def test_zero_when_equal(self):
         phi = np.linspace(0, 1, 101)
         for kind in FunctionalKind:
-            assert bootstrap_statistic(phi, phi, self.cs_full, 50.0, kind, self.grid) == 0.0
+            assert _statistic(phi, phi, self.cs_full, 50.0, kind, self.grid) == 0.0
 
     def test_full_grid_sup_reduction(self):
         phi = np.zeros(101)
         star = np.zeros(101)
         star[40] = 0.25
-        got = bootstrap_statistic(star, phi, self.cs_full, 100.0, FunctionalKind.SUP, self.grid)
+        got = _statistic(star, phi, self.cs_full, 100.0, FunctionalKind.SUP, self.grid)
         assert got == pytest.approx(10.0 * 0.25)
 
     def test_nonpositive_int_zero(self):
         phi = np.zeros(101)
         star = -np.ones(101)
-        got = bootstrap_statistic(star, phi, self.cs_full, 100.0, FunctionalKind.INT, self.grid)
+        got = _statistic(star, phi, self.cs_full, 100.0, FunctionalKind.INT, self.grid)
         assert got == 0.0
-
-    def test_misaligned(self):
-        with pytest.raises(ConfigError):
-            bootstrap_statistic(np.zeros(7), np.zeros(101), self.cs_full, 1.0,
-                                FunctionalKind.SUP, self.grid)
 
 
 class TestCriticalValue:

@@ -220,6 +220,31 @@ vgrid = 26
 """
 
 
+# Every key the spec parser reads except 'dgp2', which SPEC_TEXT uses.
+FULL_SPEC_TEXT = """
+mode = warpspeed
+replications = 6
+seed = 4
+m = 4
+alpha = 0.1
+xi = 0.002
+eta = 0
+grid = 101
+vgrid = 26
+bootstrap = 49
+n = 50
+direction = up down
+functional = int
+tau = 2 inf
+dgp1.alpha = 3
+dgp1.beta = 2
+dgp1.scale = 1
+dgp2.alpha = 3 4
+dgp2.beta = 2.5
+dgp2.scale = 1.5
+"""
+
+
 class TestMainSimulate:
     def test_spec_file(self, tmp_path, capsysbinary):
         path = tmp_path / "design.sim"
@@ -269,6 +294,27 @@ class TestMainSimulate:
         path = tmp_path / "design.sim"
         path.write_text(SPEC_TEXT + line + "\n", encoding="utf-8")
         assert main(["simulate", "--spec", str(path)]) == 3
+
+    @pytest.mark.parametrize("line", [
+        "functionl = int", "replication = 8", "dgp3.alpha = 2", "threads = 2",
+        "dgp2.alpha = 4",  # conflicts with SPEC_TEXT's 'dgp2 = same'
+    ])
+    def test_unknown_spec_key_is_config_error(self, tmp_path, capsys, line):
+        path = tmp_path / "design.sim"
+        path.write_text(SPEC_TEXT + line + "\n", encoding="utf-8")
+        assert main(["simulate", "--spec", str(path)]) == 3
+        assert line.split("=")[0].strip() in capsys.readouterr().err
+
+    def test_every_spec_key_runs(self, tmp_path, capsysbinary):
+        path = tmp_path / "design.sim"
+        path.write_text(FULL_SPEC_TEXT, encoding="utf-8")
+        assert main(["simulate", "--spec", str(path)]) == 0
+        payload = json.loads(capsysbinary.readouterr().out)
+        cells = payload["result"]["cells"]
+        assert len(cells) == 8  # 2 taus x 2 second-law shapes x 2 directions
+        assert payload["seed"] == 4 and payload["config"]["m"] == 4
+        assert {(c["direction"], c["functional"], c["dgp2"]["alpha"]) for c in cells} == {
+            (d, "int", a) for d in ("up", "down") for a in (3.0, 4.0)}
 
     def test_spec_seed_used_unless_overridden(self, tmp_path, capsysbinary):
         path = tmp_path / "design.sim"

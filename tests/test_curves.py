@@ -7,20 +7,26 @@ from isdtest import (
     Direction,
     Grid,
     LambdaCurve,
-    WeightedSample,
-    diff_eval,
+    eval_block,
     eval_on_grid,
-    lambda_eval,
     make_sample,
 )
 
-from conftest import quad_lambda, random_dp_values, rel_err
+from conftest import point_lambda, quad_lambda, random_dp_values, rel_err
 
 UP, DOWN = Direction.UP, Direction.DOWN
 
 
 def curve(values, m, direction):
     return LambdaCurve(make_sample(values), m, direction)
+
+
+def at(c, *ps):
+    """Values of a curve at the points ``ps``, read off a grid that contains them."""
+    pts = np.unique(np.concatenate(([0.0, 1.0], ps)))
+    y = eval_on_grid(c, Grid(pts))
+    vals = [y[np.searchsorted(pts, p)] for p in ps]
+    return vals[0] if len(ps) == 1 else vals
 
 
 class TestGrid:
@@ -40,19 +46,19 @@ class TestGrid:
 
 class TestLambdaEval:
     def test_m2_up_at_one_is_mean(self):
-        assert lambda_eval(curve([1, 2, 3], 2, UP), 1.0) == pytest.approx(2.0, rel=1e-14)
+        assert at(curve([1, 2, 3], 2, UP), 1.0) == pytest.approx(2.0, rel=1e-14)
 
     def test_m3_up_boundary(self):
-        assert lambda_eval(curve([1, 2, 3], 3, UP), 0.0) == 0.0
+        assert at(curve([1, 2, 3], 3, UP), 0.0) == 0.0
 
     def test_m3_up_at_one(self):
-        got = lambda_eval(curve([1, 2, 3], 3, UP), 1.0)
+        got = at(curve([1, 2, 3], 3, UP), 1.0)
         assert got == pytest.approx(7 / 9, rel=1e-12)
         oracle = quad_lambda([1, 2, 3], [1 / 3, 2 / 3, 1.0], 3, UP, 1.0)
         assert got == pytest.approx(oracle, rel=1e-10)
 
     def test_m3_down_at_zero(self):
-        got = lambda_eval(curve([1, 2, 3], 3, DOWN), 0.0)
+        got = at(curve([1, 2, 3], 3, DOWN), 0.0)
         assert got == pytest.approx(7 / 9, rel=1e-12)
         oracle = quad_lambda([1, 2, 3], [1 / 3, 2 / 3, 1.0], 3, DOWN, 0.0)
         assert got == pytest.approx(oracle, rel=1e-10)
@@ -62,8 +68,8 @@ class TestLambdaEval:
         for n in (1, 7, 30):
             vals = random_dp_values(rng, n)
             for m in (3, 4, 5):
-                assert lambda_eval(curve(vals, m, DOWN), 1.0) == 0.0
-                assert lambda_eval(curve(vals, m, UP), 0.0) == 0.0
+                assert at(curve(vals, m, DOWN), 1.0) == 0.0
+                assert at(curve(vals, m, UP), 0.0) == 0.0
 
     def test_degree_validation(self):
         s = make_sample([1, 2])
@@ -73,10 +79,6 @@ class TestLambdaEval:
             LambdaCurve(s, 1, UP)
         with pytest.raises(ConfigError):
             LambdaCurve(s, 13, UP)
-
-    def test_point_out_of_range(self):
-        with pytest.raises(ValueError):
-            lambda_eval(curve([1], 3, UP), 1.5)
 
     def test_matches_quadrature_oracle(self):
         rng = np.random.default_rng(17)
@@ -90,9 +92,8 @@ class TestLambdaEval:
                     if direction is DOWN and m == 2:
                         continue
                     c = curve(vals, m, direction)
-                    for p in grid[::4]:
+                    for p, got in zip(grid[::4], at(c, *grid[::4])):
                         want = quad_lambda(np.sort(vals), cum, m, direction, p)
-                        got = lambda_eval(c, p)
                         assert rel_err(got, want, floor=1e-12) < 1e-9
 
     def test_nested_repeated_integral_m3(self):
@@ -102,38 +103,34 @@ class TestLambdaEval:
         rng = np.random.default_rng(23)
         vals = np.sort(random_dp_values(rng, 11))
         cum = np.arange(1, 12) / 11
-        c2 = curve(vals, 2, UP)
-        for p in (0.3, 0.8):
+        for p, got in zip((0.3, 0.8), at(curve(vals, 3, UP), 0.3, 0.8)):
             want, _ = scipy.integrate.quad(
-                lambda t: lambda_eval(c2, t), 0, p, limit=200,
+                lambda t: point_lambda(vals, cum, 2, UP, t), 0, p, limit=200,
                 points=[b for b in cum if b < p])
-            got = lambda_eval(curve(vals, 3, UP), p)
             assert got == pytest.approx(want, rel=1e-9)
 
     def test_weighted_equals_expanded(self):
-        # A weighted sample is the same step function as the expanded
+        # A reweighted sample is the same step function as the expanded
         # sample that repeats each value by its weight.
         rng = np.random.default_rng(9)
         n = 25
         vals = np.sort(random_dp_values(rng, n))
         w = np.bincount(rng.integers(0, n, size=n), minlength=n)
-        weighted = WeightedSample(make_sample(vals), w)
-        expanded = make_sample(np.repeat(vals, w))
+        g = Grid.uniform(9)
         for m, direction in ((2, UP), (3, UP), (4, DOWN)):
-            cw = LambdaCurve(weighted, m, direction)
-            ce = LambdaCurve(expanded, m, direction)
-            for p in np.linspace(0, 1, 9):
-                assert lambda_eval(cw, p) == pytest.approx(lambda_eval(ce, p), rel=1e-12, abs=1e-15)
+            weighted = eval_block(make_sample(vals), w[None, :], m, direction, g)[0]
+            expanded = eval_on_grid(curve(np.repeat(vals, w), m, direction), g)
+            for got, want in zip(weighted, expanded):
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
 
     def test_scale_equivariance(self):
         rng = np.random.default_rng(31)
         vals = random_dp_values(rng, 23)
         for m, direction in ((3, UP), (4, DOWN)):
-            base = curve(vals, m, direction)
-            scaled = curve(1000.0 * vals, m, direction)
-            for p in (0.2, 0.7, 1.0):
-                assert lambda_eval(scaled, p) == pytest.approx(
-                    1000.0 * lambda_eval(base, p), rel=1e-12)
+            base = at(curve(vals, m, direction), 0.2, 0.7, 1.0)
+            scaled = at(curve(1000.0 * vals, m, direction), 0.2, 0.7, 1.0)
+            for got, want in zip(scaled, base):
+                assert got == pytest.approx(1000.0 * want, rel=1e-12)
 
     def test_up_monotone_convex(self):
         rng = np.random.default_rng(41)
@@ -152,8 +149,8 @@ class TestBridgeIdentity:
         rng = np.random.default_rng(77)
         for _ in range(100):
             vals = random_dp_values(rng, int(rng.integers(2, 60)))
-            up = lambda_eval(curve(vals, 3, UP), 1.0)
-            down = lambda_eval(curve(vals, 3, DOWN), 0.0)
+            up = at(curve(vals, 3, UP), 1.0)
+            down = at(curve(vals, 3, DOWN), 0.0)
             assert abs(up - down) < 1e-12 * max(1.0, abs(up))
 
 
@@ -162,19 +159,19 @@ class TestDifferenceCurve:
         c1 = curve([1, 2, 5], 3, UP)
         c2 = curve([1, 2, 5], 3, UP)
         d = DifferenceCurve(c1, c2)
-        for p in np.linspace(0, 1, 7):
-            assert diff_eval(d, p) == 0.0
+        for value in at(d, *np.linspace(0, 1, 7)):
+            assert value == 0.0
 
     def test_shift_adds_half_at_one(self):
         d = DifferenceCurve(curve([1, 2, 3], 3, UP), curve([2, 3, 4], 3, UP))
-        assert diff_eval(d, 1.0) == pytest.approx(0.5, rel=1e-12)
+        assert at(d, 1.0) == pytest.approx(0.5, rel=1e-12)
         oracle = (quad_lambda([2, 3, 4], [1 / 3, 2 / 3, 1.0], 3, UP, 1.0)
                   - quad_lambda([1, 2, 3], [1 / 3, 2 / 3, 1.0], 3, UP, 1.0))
-        assert diff_eval(d, 1.0) == pytest.approx(oracle, rel=1e-10)
+        assert at(d, 1.0) == pytest.approx(oracle, rel=1e-10)
 
     def test_up_vanishes_at_zero(self):
         d = DifferenceCurve(curve([1, 9], 3, UP), curve([2, 3, 4], 3, UP))
-        assert diff_eval(d, 0.0) == 0.0
+        assert at(d, 0.0) == 0.0
 
     def test_mismatched_curves_rejected(self):
         with pytest.raises(ConfigError):
@@ -197,13 +194,15 @@ class TestEvalOnGrid:
     def test_matches_pointwise(self):
         rng = np.random.default_rng(10)
         vals = random_dp_values(rng, 33)
+        cum = np.arange(1, 34) / 33
         g = Grid.uniform(101)
         for m, direction in ((2, UP), (3, UP), (4, UP), (3, DOWN), (4, DOWN)):
             c = curve(vals, m, direction)
             grid_vals = eval_on_grid(c, g)
             for i in range(0, 101, 10):
                 assert grid_vals[i] == pytest.approx(
-                    lambda_eval(c, g.points[i]), rel=1e-11, abs=1e-13)
+                    point_lambda(np.sort(vals), cum, m, direction, g.points[i]),
+                    rel=1e-11, abs=1e-13)
 
     def test_constant_sample(self):
         g = Grid(np.array([0.0, 0.5, 1.0]))

@@ -4,7 +4,6 @@ import pytest
 from isdtest import (
     DataError,
     SortedSample,
-    WeightedSample,
     ecdf,
     make_paired,
     make_sample,
@@ -40,6 +39,15 @@ class TestMakeSample:
         with pytest.raises(DataError, match="non-finite"):
             make_sample([1.0, np.inf])
 
+    @pytest.mark.parametrize("raw", [["1", "x"], ["", "2"], [1.0, 2j]])
+    def test_non_numeric_rejected(self, raw):
+        with pytest.raises(DataError, match="not numbers"):
+            make_sample(raw)
+        with pytest.raises(DataError, match="left column"):
+            make_paired(raw, [1.0] * len(raw))
+        with pytest.raises(DataError, match="right column"):
+            make_paired([1.0] * len(raw), raw)
+
     def test_immutable(self):
         s = make_sample([1, 2])
         with pytest.raises(ValueError):
@@ -57,12 +65,6 @@ class TestEcdf:
         s = make_sample([1, 2, 3])
         assert ecdf(s, 2.0) == ecdf(s, 2.0 + 1e-12) == pytest.approx(2 / 3)
 
-    def test_weighted_mass(self):
-        w = WeightedSample(make_sample([1, 2, 3]), [2, 0, 1])
-        assert ecdf(w, 1.0) == pytest.approx(2 / 3)
-        assert ecdf(w, 2.5) == pytest.approx(2 / 3)
-        assert ecdf(w, 3.0) == 1.0
-
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
             ecdf(make_sample([1]), np.nan)
@@ -76,29 +78,12 @@ class TestQuantile:
         assert quantile(s, 1 / 3) == 1.0
         assert quantile(s, 0.0) == 1.0
 
-    def test_weighted(self):
-        w = WeightedSample(make_sample([1, 2, 3]), [2, 0, 1])
-        assert quantile(w, 0.9) == 3.0
-        assert quantile(w, 2 / 3) == 1.0
-        assert quantile(w, 0.7) == 3.0
-
-    def test_weighted_zero_min_weight(self):
-        w = WeightedSample(make_sample([1, 2, 3]), [0, 2, 1])
-        assert quantile(w, 0.0) == 2.0
-
     def test_out_of_range(self):
         s = make_sample([1])
         with pytest.raises(ValueError):
             quantile(s, -0.1)
         with pytest.raises(ValueError):
             quantile(s, 1.1)
-
-    def test_weights_all_one_matches_unweighted(self):
-        rng = np.random.default_rng(5)
-        s = make_sample(random_dp_values(rng, 37))
-        w = WeightedSample(s, np.ones(37, dtype=int))
-        for p in np.linspace(0, 1, 23):
-            assert quantile(w, p) == quantile(s, p)
 
     def test_galois_consistency(self):
         rng = np.random.default_rng(11)
@@ -122,27 +107,12 @@ class TestMean:
         assert mean(make_sample([1, 2, 3])) == 2.0
         assert mean(make_sample([4, 4, 4])) == 4.0
 
-    def test_weighted(self):
-        w = WeightedSample(make_sample([1, 2, 3]), [2, 0, 1])
-        assert mean(w) == pytest.approx(5 / 3, rel=1e-15)
-
     def test_equals_quantile_integral(self):
         rng = np.random.default_rng(8)
         s = make_sample(random_dp_values(rng, 101))
-        widths = np.diff(np.concatenate(([0.0], s.cumprobs())))
+        widths = np.diff(np.arange(s.n + 1) / s.n)
         step_integral = float(np.sum(widths * s.values))
         assert step_integral == pytest.approx(mean(s), rel=1e-14)
-
-
-class TestWeightedSample:
-    def test_weight_validation(self):
-        s = make_sample([1, 2, 3])
-        with pytest.raises(DataError):
-            WeightedSample(s, [1, 1])  # wrong length
-        with pytest.raises(DataError):
-            WeightedSample(s, [2, 2, 0])  # wrong sum
-        with pytest.raises(DataError):
-            WeightedSample(s, [4, -1, 0])  # negative
 
 
 class TestPairedSample:

@@ -7,13 +7,16 @@ from isdtest import (
     FunctionalKind,
     Grid,
     derivative,
-    derivative_int,
-    derivative_sup,
     estimate_contact_set,
     functional,
-    int_functional,
-    sup_functional,
 )
+
+SUP, INT = FunctionalKind.SUP, FunctionalKind.INT
+
+
+def trapezoid(g, points):
+    """Plain trapezoid rule on the grid."""
+    return np.sum(np.diff(points) * (g[:-1] + g[1:]) / 2.0)
 
 
 @pytest.fixture
@@ -24,35 +27,35 @@ def grid():
 class TestSupFunctional:
     def test_attained_at_one(self, grid):
         h = grid.points - 0.5
-        assert sup_functional(h) == pytest.approx(0.5)
+        assert functional(SUP, h, grid) == pytest.approx(0.5)
 
     def test_nonpositive_touching_zero(self, grid):
         h = -np.ones(len(grid))
         h[0] = 0.0
-        assert sup_functional(h) == 0.0
+        assert functional(SUP, h, grid) == 0.0
 
     def test_zero(self, grid):
-        assert sup_functional(np.zeros(len(grid))) == 0.0
+        assert functional(SUP, np.zeros(len(grid)), grid) == 0.0
 
-    def test_empty_rejected(self):
+    def test_empty_rejected(self, grid):
         with pytest.raises(ConfigError):
-            sup_functional([])
+            functional(SUP, [], grid)
 
 
 class TestIntFunctional:
     def test_triangle(self, grid):
         h = grid.points - 0.5
-        assert int_functional(h, grid) == pytest.approx(0.125, rel=1e-9)
+        assert functional(INT, h, grid) == pytest.approx(0.125, rel=1e-9)
 
     def test_nonpositive_is_zero(self, grid):
-        assert int_functional(-np.ones(len(grid)), grid) == 0.0
+        assert functional(INT, -np.ones(len(grid)), grid) == 0.0
 
     def test_constant_one(self, grid):
-        assert int_functional(np.ones(len(grid)), grid) == pytest.approx(1.0, rel=1e-12)
+        assert functional(INT, np.ones(len(grid)), grid) == pytest.approx(1.0, rel=1e-12)
 
     def test_misaligned(self, grid):
         with pytest.raises(ConfigError):
-            int_functional(np.ones(7), grid)
+            functional(INT, np.ones(7), grid)
 
 
 class TestHomogeneityAndMonotonicity:
@@ -60,25 +63,26 @@ class TestHomogeneityAndMonotonicity:
         rng = np.random.default_rng(4)
         h = rng.normal(size=len(grid))
         for c in (2.0, 117.5):
-            assert sup_functional(c * h) == pytest.approx(c * sup_functional(h), rel=1e-15)
-            assert int_functional(c * h, grid) == pytest.approx(
-                c * int_functional(h, grid), rel=1e-13)
+            assert functional(SUP, c * h, grid) == pytest.approx(
+                c * functional(SUP, h, grid), rel=1e-15)
+            assert functional(INT, c * h, grid) == pytest.approx(
+                c * functional(INT, h, grid), rel=1e-13)
 
     def test_monotone(self, grid):
         rng = np.random.default_rng(6)
         h = rng.normal(size=len(grid))
         h2 = h + np.abs(rng.normal(size=len(grid)))
-        assert sup_functional(h2) >= sup_functional(h)
-        assert int_functional(h2, grid) >= int_functional(h, grid)
+        assert functional(SUP, h2, grid) >= functional(SUP, h, grid)
+        assert functional(INT, h2, grid) >= functional(INT, h, grid)
         cs = estimate_contact_set(np.zeros(len(grid)), np.full(len(grid), 0.1), 100.0, 3.0, grid)
-        assert derivative_sup(h2, cs) >= derivative_sup(h, cs)
-        assert derivative_int(h2, cs, grid) >= derivative_int(h, cs, grid)
+        assert derivative(SUP, h2, cs, grid) >= derivative(SUP, h, cs, grid)
+        assert derivative(INT, h2, cs, grid) >= derivative(INT, h, cs, grid)
 
     def test_assumption_positive_interior(self, grid):
         h = np.zeros(len(grid))
         h[500] = 0.3
-        assert sup_functional(h) > 0
-        assert int_functional(h, grid) > 0
+        assert functional(SUP, h, grid) > 0
+        assert functional(INT, h, grid) > 0
 
 
 class TestContactSet:
@@ -126,27 +130,29 @@ class TestDerivatives:
     def test_single_member(self):
         g = Grid(np.array([0.0, 0.5, 1.0]))
         cs = ContactSet(g, [False, True, False])
-        assert derivative_sup([1.0, 7.0, -2.0], cs) == 7.0
+        assert derivative(SUP, [1.0, 7.0, -2.0], cs, g) == 7.0
 
     def test_full_grid_equals_functionals_exactly(self, grid):
         rng = np.random.default_rng(3)
         h = rng.normal(size=len(grid))
         cs = ContactSet(grid, np.ones(len(grid), dtype=bool))
-        assert derivative_sup(h, cs) == sup_functional(h)
-        assert derivative_int(h, cs, grid) == int_functional(h, grid)
+        assert derivative(SUP, h, cs, grid) == np.max(h)
+        assert derivative(INT, h, cs, grid) == trapezoid(np.maximum(h, 0.0), grid.points)
 
     def test_kind_switch(self, grid):
         h = np.random.default_rng(4).normal(size=len(grid))
         cs = ContactSet(grid, grid.points <= 0.5)
-        assert functional(FunctionalKind.SUP, h, grid) == sup_functional(h)
-        assert functional(FunctionalKind.INT, h, grid) == int_functional(h, grid)
-        assert derivative(FunctionalKind.SUP, h, cs, grid) == derivative_sup(h, cs)
-        assert derivative(FunctionalKind.INT, h, cs, grid) == derivative_int(h, cs, grid)
+        inside = grid.points <= 0.5
+        assert functional(SUP, h, grid) == np.max(h)
+        assert functional(INT, h, grid) == trapezoid(np.maximum(h, 0.0), grid.points)
+        assert derivative(SUP, h, cs, grid) == np.max(h[inside])
+        assert derivative(INT, h, cs, grid) == trapezoid(np.maximum(h[inside], 0.0),
+                                                          grid.points[inside])
 
     def test_nonpositive_with_zero(self):
         g = Grid(np.array([0.0, 0.5, 1.0]))
         cs = ContactSet(g, [True, True, True])
-        assert derivative_sup([0.0, -1.0, -3.0], cs) == 0.0
+        assert derivative(SUP, [0.0, -1.0, -3.0], cs, g) == 0.0
 
     def test_isolated_endpoint_zero_measure(self, grid):
         # Only p = 0 in the set: the integral derivative sees no interval.
@@ -154,18 +160,18 @@ class TestDerivatives:
         membership[0] = True
         cs = ContactSet(grid, membership)
         h = np.ones(len(grid))
-        assert derivative_int(h, cs, grid) == 0.0
-        assert derivative_sup(h, cs) == 1.0
+        assert derivative(INT, h, cs, grid) == 0.0
+        assert derivative(SUP, h, cs, grid) == 1.0
 
     def test_interval_measure(self, grid):
         membership = grid.points <= 0.5
         cs = ContactSet(grid, membership)
-        assert derivative_int(np.ones(len(grid)), cs, grid) == pytest.approx(0.5, rel=1e-12)
+        assert derivative(INT, np.ones(len(grid)), cs, grid) == pytest.approx(0.5, rel=1e-12)
 
     def test_empty_contact_set_rejected(self, grid):
         cs = ContactSet(grid, np.zeros(len(grid), dtype=bool))
         with pytest.raises(ConfigError, match="empty"):
-            derivative_sup(np.ones(len(grid)), cs)
+            derivative(SUP, np.ones(len(grid)), cs, grid)
 
     def test_membership_alignment(self, grid):
         with pytest.raises(ConfigError):

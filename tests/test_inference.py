@@ -44,10 +44,19 @@ class TestConfigValidation:
         dict(m=2), dict(m=13), dict(alpha=0.0), dict(alpha=1.0),
         dict(tau=0.0), dict(tau=-1.0), dict(xi=0.0), dict(eta=-0.1),
         dict(bootstrap=0), dict(grid=1), dict(threads=0),
+        dict(eta=float("nan")), dict(eta=float("inf")),
+        dict(xi=float("inf")), dict(xi=float("nan")),
+        dict(bootstrap=2.5), dict(grid=10.5), dict(vgrid=10.5), dict(threads=2.0),
+        dict(m=3.0), dict(seed=1.5), dict(bootstrap=True), dict(grid="11"),
     ])
     def test_rejects(self, kw):
         with pytest.raises(ConfigError):
             TestConfig(**kw)
+
+    def test_numpy_integers_become_ints(self):
+        cfg = TestConfig(m=np.int64(4), bootstrap=np.int32(9), seed=np.uint64(7))
+        assert (cfg.m, cfg.bootstrap, cfg.seed) == (4, 9, 7)
+        assert all(type(v) is int for v in (cfg.m, cfg.bootstrap, cfg.seed, cfg.grid))
 
     def test_infinite_tau_allowed(self):
         assert np.isinf(TestConfig(tau=float("inf")).tau)

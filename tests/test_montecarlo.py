@@ -9,7 +9,6 @@ from isdtest import (
     SimSpec,
     TestConfig,
     preset_specs,
-    run_cell,
     run_table,
 )
 
@@ -35,18 +34,18 @@ class TestSimSpec:
 
 class TestRunCell:
     def test_single_replication_rate_is_zero_or_one(self):
-        res = run_cell(spec(replications=1))
+        res = run_table([spec(replications=1)])[0]
         assert res.rejection_rate in (0.0, 1.0)
         assert res.replications == 1 if hasattr(res, "replications") else True
 
     def test_deterministic(self):
-        a = run_cell(spec())
-        b = run_cell(spec())
+        a = run_table([spec()])[0]
+        b = run_table([spec()])[0]
         assert a.rejection_rate == b.rejection_rate
         assert a.critical_value == b.critical_value
 
     def test_full_mode_runs(self):
-        res = run_cell(spec(replications=10, mode=SimMode.FULL, bootstrap=49))
+        res = run_table([spec(replications=10, mode=SimMode.FULL, bootstrap=49)])[0]
         assert 0.0 <= res.rejection_rate <= 1.0
         assert np.isnan(res.critical_value)
 
@@ -60,7 +59,7 @@ class TestRunTable:
                  for d in ("up", "down")]
         table = run_table(specs)
         for s, joint in zip(specs, table):
-            alone = run_cell(s)
+            alone = run_table([s])[0]
             assert joint.rejection_rate == alone.rejection_rate
             assert joint.critical_value == alone.critical_value
 
@@ -120,8 +119,8 @@ class TestWarpSpeedAgainstFull:
     def test_smoke_cell_agreement(self):
         # Same data substreams feed both modes, so the comparison isolates
         # the critical-value convention.
-        ws = run_cell(spec(replications=500, n=200))
-        full = run_cell(spec(replications=500, n=200, mode=SimMode.FULL, bootstrap=199))
+        ws = run_table([spec(replications=500, n=200)])[0]
+        full = run_table([spec(replications=500, n=200, mode=SimMode.FULL, bootstrap=199)])[0]
         assert abs(ws.rejection_rate - full.rejection_rate) < 0.04
 
 

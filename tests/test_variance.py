@@ -12,9 +12,9 @@ from isdtest import (
     make_sample,
     sigma_curve,
     trim,
-    vv_cov,
 )
 from conftest import (
+    centered_clips,
     dense_sigma_sq,
     fine_kernel,
     fraction_sigma_sq,
@@ -27,7 +27,17 @@ from conftest import (
 UP, DOWN = Direction.UP, Direction.DOWN
 
 
+def vv_cov(x, y, t, t2):
+    """Sample covariance (n - 1) of the clipped series min(Q_x(t), x_i) and
+    min(Q_y(t2), y_i) of row-aligned columns, from the reference clips."""
+    a = centered_clips(getattr(x, "values", x), [t])[:, 0]
+    b = centered_clips(getattr(y, "values", y), [t2])[:, 0]
+    return float(a @ b) / (len(a) - 1)
+
+
 class TestVvCov:
+    """The clip covariance that ``centered_clips`` and ``fine_kernel`` build on."""
+
     def test_variance_at_full_clip(self):
         s = make_sample([1, 2, 3])
         assert vv_cov(s, s, 1.0, 1.0) == pytest.approx(1.0, rel=1e-14)
@@ -41,10 +51,6 @@ class TestVvCov:
         s = make_sample([4, 4, 4])
         assert vv_cov(s, s, 0.5, 0.9) == 0.0
 
-    def test_cross_requires_equal_length(self):
-        with pytest.raises(ConfigError):
-            vv_cov(np.array([1.0, 2.0]), np.array([1.0, 2.0, 3.0]), 0.5, 0.5)
-
     def test_matches_numpy_cov(self):
         rng = np.random.default_rng(2)
         x = random_dp_values(rng, 30)
@@ -56,61 +62,45 @@ class TestVvCov:
 
 
 class TestKernel:
-    def test_symmetry_and_diagonal(self):
-        rng = np.random.default_rng(7)
-        s1 = make_sample(random_dp_values(rng, 40))
-        s2 = make_sample(random_dp_values(rng, 60))
-        k = CovKernel.independent(s1, s2)
-        mat = k.matrix(Grid.uniform(21))
-        assert np.array_equal(mat, mat.T)
-        assert np.all(np.diag(mat) >= -1e-12)
-
-    def test_matched_symmetry(self):
-        rng = np.random.default_rng(8)
-        base = random_dp_values(rng, 50)
-        pairs = make_paired(base, base * rng.uniform(0.5, 1.5, size=50))
-        k = CovKernel.matched(pairs)
-        mat = k.matrix(Grid.uniform(21))
-        assert np.allclose(mat, mat.T, atol=1e-14)
-        assert np.all(np.diag(mat) >= -1e-12)
+    """A degenerate kernel's zero variance, and the clip-covariance formulas
+    of ``fine_kernel``, the kernel that the nested variance oracle integrates."""
 
     def test_degenerate_samples_zero(self):
         s = make_sample([2.0] * 10)
         k = CovKernel.independent(s, make_sample([3.0] * 12))
-        assert k.eval(0.3, 0.8) == 0.0
+        for m in (3, 4):
+            for direction in (UP, DOWN):
+                assert np.all(k.sigma_sq_many(m, direction, np.linspace(0, 1, 11)) == 0.0)
 
     def test_identical_independent_convex_combination(self):
         rng = np.random.default_rng(9)
         vals = random_dp_values(rng, 35)
         s = make_sample(vals)
-        k = CovKernel.independent(s, make_sample(vals))
         t = 0.6
         want = vv_cov(s, s, t, t)  # (1-lam) Var + lam Var = Var
-        assert k.eval(t, t) == pytest.approx(want, rel=1e-12)
+        assert fine_kernel(vals, vals, [t])[0, 0] == pytest.approx(want, rel=1e-12)
 
     def test_independent_mixture_formula(self):
         rng = np.random.default_rng(10)
         x1, x2 = random_dp_values(rng, 30), random_dp_values(rng, 50)
         s1, s2 = make_sample(x1), make_sample(x2)
-        k = CovKernel.independent(s1, s2)
         lam = 30 / 80
         t, t2 = 0.25, 0.85
         want = (1 - lam) * vv_cov(s1, s1, t, t2) + lam * vv_cov(s2, s2, t, t2)
-        assert k.eval(t, t2) == pytest.approx(want, rel=1e-12)
+        assert fine_kernel(x1, x2, [t, t2])[0, 1] == pytest.approx(want, rel=1e-12)
 
     def test_matched_four_term_formula(self):
         rng = np.random.default_rng(11)
         left = random_dp_values(rng, 40)
         right = left * rng.uniform(0.8, 1.2, size=40)
-        pairs = make_paired(left, right)
-        k = CovKernel.matched(pairs)
         t, t2 = 0.3, 0.7
         c11 = vv_cov(left, left, t, t2)
         c12 = vv_cov(left, right, t, t2)
         c21 = vv_cov(right, left, t, t2)
         c22 = vv_cov(right, right, t, t2)
         want = 0.5 * (c11 - c12 - c21 + c22)
-        assert k.eval(t, t2) == pytest.approx(want, rel=1e-12)
+        assert fine_kernel(left, right, [t, t2], matched=True)[0, 1] == pytest.approx(
+            want, rel=1e-12)
 
     def test_matched_independent_columns_small_cross(self):
         # Shuffled pairing: the cross-covariance should vanish within
@@ -217,7 +207,7 @@ class TestPrefixMoments:
         ps = rng.permutation(_levels(30))
         for direction in (UP, DOWN):
             got = k.sigma_sq_many(4, direction, ps)
-            want = np.array([k.sigma_sq(4, direction, p) for p in ps])
+            want = np.array([k.sigma_sq_many(4, direction, [p])[0] for p in ps])
             assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
 
     def test_memory_is_linear_in_n(self):
@@ -243,8 +233,8 @@ class TestSigmaSq:
         k = CovKernel.independent(make_sample(random_dp_values(rng, 20)),
                                   make_sample(random_dp_values(rng, 30)))
         for m in (3, 4):
-            assert k.sigma_sq(m, UP, 0.0) == 0.0
-            assert k.sigma_sq(m, DOWN, 1.0) == 0.0
+            assert k.sigma_sq_many(m, UP, [0.0])[0] == 0.0
+            assert k.sigma_sq_many(m, DOWN, [1.0])[0] == 0.0
 
     def test_nonnegative(self):
         rng = np.random.default_rng(21)
@@ -263,14 +253,14 @@ class TestSigmaSq:
         with pytest.raises(ValueError):
             k.sigma_sq_many(3, UP, [0.5, bad])
         with pytest.raises(ValueError):
-            k.sigma_sq(3, DOWN, bad)
+            k.sigma_sq_many(3, DOWN, [bad])
 
     def test_degree_validation(self):
         rng = np.random.default_rng(1)
         k = CovKernel.independent(make_sample(random_dp_values(rng, 10)),
                                   make_sample(random_dp_values(rng, 10)))
         with pytest.raises(ConfigError):
-            k.sigma_sq(2, UP, 0.5)
+            k.sigma_sq_many(2, UP, [0.5])
 
     def test_matches_nested_oracle_independent(self):
         # Sample sizes divide the fine-cell count, so the oracle's midpoint
@@ -286,7 +276,7 @@ class TestSigmaSq:
                 for direction in (UP, DOWN):
                     for p in (0.25, 0.5, 0.75):
                         want = nested_sigma_oracle(km, cells, m, direction, p)
-                        got = k.sigma_sq(m, direction, p)
+                        got = k.sigma_sq_many(m, direction, [p])[0]
                         assert rel_err(got, want, floor=1e-12) < 1e-6
 
     def test_matches_nested_oracle_matched(self):
@@ -301,7 +291,7 @@ class TestSigmaSq:
         for m in (3, 4):
             for p in (0.25, 0.75):
                 want = nested_sigma_oracle(km, cells, m, UP, p)
-                got = k.sigma_sq(m, UP, p)
+                got = k.sigma_sq_many(m, UP, [p])[0]
                 assert rel_err(got, want, floor=1e-12) < 1e-6
 
     def test_scale_quadratic(self):
@@ -310,14 +300,13 @@ class TestSigmaSq:
         k = CovKernel.independent(make_sample(x1), make_sample(x2))
         kc = CovKernel.independent(make_sample(1000.0 * x1), make_sample(1000.0 * x2))
         for m, direction, p in ((3, UP, 0.4), (4, DOWN, 0.6)):
-            assert kc.sigma_sq(m, direction, p) == pytest.approx(
-                1e6 * k.sigma_sq(m, direction, p), rel=1e-9)
-        assert kc.eval(0.3, 0.9) == pytest.approx(1e6 * k.eval(0.3, 0.9), rel=1e-9)
+            assert kc.sigma_sq_many(m, direction, [p])[0] == pytest.approx(
+                1e6 * k.sigma_sq_many(m, direction, [p])[0], rel=1e-9)
 
     def test_matched_identical_columns_zero(self):
         base = np.linspace(0.5, 4.0, 20)
         k = CovKernel.matched(make_paired(base, base))
-        assert k.sigma_sq(3, UP, 0.5) == pytest.approx(0.0, abs=1e-18)
+        assert k.sigma_sq_many(3, UP, [0.5])[0] == pytest.approx(0.0, abs=1e-18)
 
 
 class TestTrim:
