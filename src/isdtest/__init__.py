@@ -67,4 +67,17 @@ from .variance import (
     trim,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "MAX_DEGREE", "BlockWorkspace", "DifferenceCurve", "Direction", "Grid", "LambdaCurve",
+    "eval_block", "eval_on_grid",
+    "DoubleParetoParams", "dp_cdf", "dp_mean", "dp_pdf", "dp_quantile", "dp_sample",
+    "PairedSample", "SortedSample", "ecdf", "make_paired", "make_sample", "mean", "quantile",
+    "ConfigError", "DataError",
+    "ContactSet", "FunctionalKind", "derivative", "estimate_contact_set", "functional",
+    "BootstrapDraw", "bootstrap_block", "bootstrap_diff_block", "bootstrap_diff_block_paired",
+    "critical_value", "derive_seed", "draw_weights", "p_value", "substream",
+    "PairDecision", "RankingMatrix", "Relation", "TestConfig", "TestResult", "pairwise_rank",
+    "run_test",
+    "SimMode", "SimResult", "SimSpec", "preset_specs", "run_table",
+    "CovKernel", "Scheme", "SigmaCurve", "effective_size", "sigma_curve", "trim",
+]

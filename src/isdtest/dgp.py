@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from math import inf
+from numbers import Real
 
 import numpy as np
 
@@ -27,8 +29,10 @@ class DoubleParetoParams:
     scale: float = 1.0
 
     def __post_init__(self):
-        if not (self.alpha > 0 and self.beta > 0 and self.scale > 0):
-            raise ConfigError("double Pareto parameters must be strictly positive")
+        for value in (self.alpha, self.beta, self.scale):
+            if isinstance(value, bool) or not isinstance(value, Real) or not 0 < value < inf:
+                raise ConfigError("double Pareto parameters must be positive finite numbers, "
+                                  f"got {value!r}")
         if self.alpha <= 2:
             warnings.warn(
                 f"upper-tail shape alpha={self.alpha} <= 2: the variance is infinite "

@@ -7,6 +7,14 @@ degree and direction.  Large positive values of the difference curve
 "sample 1 does not dominate sample 2" -- never that sample 2 dominates.
 This orientation is the single most error-prone convention of the tool.
 
+The test's recipe is written once, in a private core that takes one data
+set, a list of cells (direction, functional, contact-set bandwidth) and
+one generator per bootstrap replication.  It evaluates phi-hat and
+sigma-hat once per direction and the contact set once per bandwidth, and
+one set of bootstrap draws serves every cell.  ``run_test`` is its
+one-cell call; both modes of the simulation harness
+(:mod:`isdtest.montecarlo`) run their cells through it too.
+
 The B bootstrap replications run in fixed blocks of R rows, R set by the
 larger sample size n under a fixed cell budget (R * (n + 1) <= 2**16, one
 row at least), so a block's arrays stay cache-sized.  With ``threads > 1``
@@ -22,7 +30,9 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import partial
 from math import sqrt
+from numbers import Real
 
 import numpy as np
 
@@ -65,8 +75,15 @@ _RANK_TAG = 0x7A
 _BLOCK_CELLS = 1 << 16
 
 
-def _coerce(value, enum_cls):
-    return value if isinstance(value, enum_cls) else enum_cls(value)
+def _coerce(value, enum_cls, name: str):
+    """``value`` as a member of ``enum_cls``; an unknown value is a ConfigError."""
+    if isinstance(value, enum_cls):
+        return value
+    try:
+        return enum_cls(value)
+    except (ValueError, TypeError):
+        choices = ", ".join(member.value for member in enum_cls)
+        raise ConfigError(f"{name} must be one of {choices}, got {value!r}") from None
 
 
 def _count(value, name: str) -> int:
@@ -74,6 +91,13 @@ def _count(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _real(value, name: str) -> float:
+    """``value`` as a float; a bool, a string or None is rejected."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ConfigError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -102,11 +126,13 @@ class TestConfig:
     threads: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "direction", _coerce(self.direction, Direction))
-        object.__setattr__(self, "kind", _coerce(self.kind, FunctionalKind))
-        object.__setattr__(self, "scheme", _coerce(self.scheme, Scheme))
+        object.__setattr__(self, "direction", _coerce(self.direction, Direction, "direction"))
+        object.__setattr__(self, "kind", _coerce(self.kind, FunctionalKind, "kind"))
+        object.__setattr__(self, "scheme", _coerce(self.scheme, Scheme, "scheme"))
         for name in ("m", "bootstrap", "seed", "grid", "vgrid", "threads"):
             object.__setattr__(self, name, _count(getattr(self, name), name))
+        for name in ("alpha", "tau", "xi", "eta"):
+            object.__setattr__(self, name, _real(getattr(self, name), name))
         if not 3 <= self.m <= MAX_DEGREE:
             raise ConfigError(f"test degree must be an integer in [3, {MAX_DEGREE}], got {self.m!r}")
         if not 0.0 < self.alpha < 1.0:
@@ -154,30 +180,86 @@ def _resolve_layout(sample1, sample2, scheme: Scheme):
     return sample1, sample2, None
 
 
-def _bootstrap_stats(s1, s2, pairs, phi, cs, t_n, config, grid) -> np.ndarray:
-    m, direction, kind = config.m, config.direction, config.kind
-    shared = pairs is not None
-    rows = max(1, _BLOCK_CELLS // (max(s1.n, s2.n) + 1))
-    b_total = config.bootstrap
-    blocks = [range(lo, min(lo + rows, b_total)) for lo in range(0, b_total, rows)]
+def _critical(stats, config: TestConfig) -> float:
+    """The bootstrap critical value at ``config.alpha``, floored at ``config.eta``."""
+    chat = critical_value(stats, config.alpha)
+    return max(chat, config.eta) if config.eta > 0 else chat
 
+
+def _bootstrap_stats(s1, s2, pairs, m, grid, t_n, plan, rng, bootstrap,
+                     threads=1) -> np.ndarray:
+    """Bootstrap statistics of every cell, shape (cells, bootstrap).
+
+    ``plan`` lists each direction with its phi-hat and its cells as
+    (row, kind, contact set); replication b draws its weights from
+    ``rng(b)``.  A block's draw, and its curves in each direction, serve
+    every cell.
+    """
+    shared = pairs is not None
+    root_t = sqrt(t_n)
+    rows = max(1, _BLOCK_CELLS // (max(s1.n, s2.n) + 1))
+    stats = np.empty((sum(len(members) for _, _, members in plan), bootstrap))
     local = threading.local()  # one BlockWorkspace per worker thread
 
-    def block(reps: range) -> np.ndarray:
+    def block(lo: int) -> None:
         if not hasattr(local, "work"):
             local.work = BlockWorkspace()
-        rngs = [substream(config.seed, _BOOT_TAG, b) for b in reps]
-        draw = bootstrap_block(s1.n, s2.n, shared, rngs)
-        if shared:
-            phi_star = bootstrap_diff_block_paired(pairs, draw, m, direction, grid, local.work)
-        else:
-            phi_star = bootstrap_diff_block(s1, s2, draw, m, direction, grid, local.work)
-        return derivative(kind, sqrt(t_n) * (phi_star - phi), cs, grid)
+        hi = min(lo + rows, bootstrap)
+        draw = bootstrap_block(s1.n, s2.n, shared, [rng(b) for b in range(lo, hi)])
+        for direction, phi, members in plan:
+            if shared:
+                phi_star = bootstrap_diff_block_paired(pairs, draw, m, direction, grid, local.work)
+            else:
+                phi_star = bootstrap_diff_block(s1, s2, draw, m, direction, grid, local.work)
+            h = root_t * (phi_star - phi)
+            for i, kind, cs in members:
+                stats[i, lo:hi] = derivative(kind, h, cs, grid)
 
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            return np.concatenate(list(pool.map(block, blocks)))
-    return np.concatenate(list(map(block, blocks)))
+    starts = range(0, bootstrap, rows)
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(block, starts))
+    else:
+        for lo in starts:
+            block(lo)
+    return stats
+
+
+def _test_cells(s1, s2, pairs, m, xi, fgrid, vgrid, cells, rng, bootstrap, threads=1):
+    """The test's statistics for several cells (direction, kind, tau) of one data set.
+
+    phi-hat and sigma-hat are evaluated once per direction, the observed
+    statistic once per (direction, kind), the contact set once per
+    (direction, tau), and one set of bootstrap draws, replication b from
+    ``rng(b)``, serves every cell.  Returns each cell's observed statistic,
+    its bootstrap statistics (a row of a (cells, bootstrap) array) and its
+    contact set.
+    """
+    t_n = effective_size(s1.n, s2.n)
+    kernel = CovKernel.matched(pairs) if pairs is not None else CovKernel.independent(s1, s2)
+    directions = []
+    for direction, _, _ in cells:
+        if direction not in directions:
+            directions.append(direction)
+    statistics, contact_sets, plan = [0.0] * len(cells), [None] * len(cells), []
+    for direction in directions:
+        phi = eval_on_grid(DifferenceCurve(LambdaCurve(s1, m, direction),
+                                           LambdaCurve(s2, m, direction)), fgrid)
+        vhat = sigma_curve(kernel, m, direction, vgrid, fgrid, xi).vhat
+        observed, contact, members = {}, {}, []
+        for i, (d, kind, tau) in enumerate(cells):
+            if d is not direction:
+                continue
+            statistic = observed.get(kind)
+            if statistic is None:
+                statistic = observed[kind] = sqrt(t_n) * functional(kind, phi, fgrid)
+            if tau not in contact:
+                contact[tau] = estimate_contact_set(phi, vhat, t_n, tau, fgrid)
+            statistics[i], contact_sets[i] = statistic, contact[tau]
+            members.append((i, kind, contact[tau]))
+        plan.append((direction, phi, members))
+    boot = _bootstrap_stats(s1, s2, pairs, m, fgrid, t_n, plan, rng, bootstrap, threads)
+    return statistics, boot, contact_sets
 
 
 def run_test(sample1, sample2, config: TestConfig) -> TestResult:
@@ -190,24 +272,11 @@ def run_test(sample1, sample2, config: TestConfig) -> TestResult:
     """
     start = time.perf_counter()
     s1, s2, pairs = _resolve_layout(sample1, sample2, config.scheme)
-    fgrid = Grid.uniform(config.grid)
-    vgrid = Grid.uniform(config.vgrid)
-    direction = config.direction
-
-    diff = DifferenceCurve(LambdaCurve(s1, config.m, direction),
-                           LambdaCurve(s2, config.m, direction))
-    phi = eval_on_grid(diff, fgrid)
-    t_n = effective_size(s1.n, s2.n)
-    statistic = sqrt(t_n) * functional(config.kind, phi, fgrid)
-
-    kernel = CovKernel.matched(pairs) if pairs is not None else CovKernel.independent(s1, s2)
-    sig = sigma_curve(kernel, config.m, direction, vgrid, fgrid, config.xi)
-    cs = estimate_contact_set(phi, sig.vhat, t_n, config.tau, fgrid)
-
-    stats = _bootstrap_stats(s1, s2, pairs, phi, cs, t_n, config, fgrid)
-    chat = critical_value(stats, config.alpha)
-    if config.eta > 0:
-        chat = max(chat, config.eta)
+    [statistic], [stats], [cs] = _test_cells(
+        s1, s2, pairs, config.m, config.xi, Grid.uniform(config.grid),
+        Grid.uniform(config.vgrid), [(config.direction, config.kind, config.tau)],
+        partial(substream, config.seed, _BOOT_TAG), config.bootstrap, config.threads)
+    chat = _critical(stats, config)
 
     elapsed_ms = (time.perf_counter() - start) * 1e3
     return TestResult(
@@ -216,7 +285,7 @@ def run_test(sample1, sample2, config: TestConfig) -> TestResult:
         p_value=p_value(stats, statistic),
         reject=bool(statistic > chat),
         contact_fraction=cs.fraction,
-        t_n=t_n,
+        t_n=effective_size(s1.n, s2.n),
         grid=config.grid,
         vgrid=config.vgrid,
         bootstrap=config.bootstrap,
@@ -300,8 +369,9 @@ def pairwise_rank(datasets, config: TestConfig) -> RankingMatrix:
 
     ``datasets`` is a sequence of (label, SortedSample).  For each pair
     {A, B} the nulls "A dominates B" and "B dominates A" are tested;
-    rejecting exactly one yields a strict ranking.  Each test gets its own
-    derived seed, so the matrix is reproducible under any execution order.
+    rejecting exactly one yields a strict ranking.  Pairs run in order; each
+    test gets its own derived seed and runs its bootstrap on
+    ``config.threads`` threads.
     """
     datasets = list(datasets)
     if len(datasets) < 2:
@@ -312,13 +382,7 @@ def pairwise_rank(datasets, config: TestConfig) -> RankingMatrix:
     if len(set(labels)) != len(labels):
         raise ConfigError("dataset labels must be unique")
 
-    tasks = []
-    for i in range(len(datasets)):
-        for j in range(i + 1, len(datasets)):
-            tasks.append((i, j))
-
-    def decide(pair) -> PairDecision:
-        i, j = pair
+    def decide(i: int, j: int) -> PairDecision:
         name_a, sample_a = datasets[i]
         name_b, sample_b = datasets[j]
         cfg_ab = replace(config, seed=derive_seed(config.seed, _RANK_TAG, i, j, 0))
@@ -334,9 +398,6 @@ def pairwise_rank(datasets, config: TestConfig) -> RankingMatrix:
             p_b_dominates=res_ba.p_value,
         )
 
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            decisions = tuple(pool.map(decide, tasks))
-    else:
-        decisions = tuple(map(decide, tasks))
+    decisions = tuple(decide(i, j) for i in range(len(datasets))
+                      for j in range(i + 1, len(datasets)))
     return RankingMatrix(labels=labels, decisions=decisions)

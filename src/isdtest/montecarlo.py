@@ -2,36 +2,36 @@
 
 WARPSPEED mode draws one bootstrap statistic per replication and pools the
 R of them into a single critical value; FULL mode runs the complete
-B-draw bootstrap test inside every replication.  Data and bootstrap
-substreams are keyed by (seed, sample sizes, DGP parameters, replication
-index) only, so cells that differ merely in the contact-set bandwidth,
-functional, or direction see identical draws -- the bandwidth-monotonicity
-of rejection rates then holds exactly, and tables are reproducible under
-any parallel schedule.
+B-draw bootstrap test inside every replication.  Both modes run the
+test's own core (the one :func:`~isdtest.inference.run_test` calls), once
+per replication for every cell that shares the replication's data.
 
-A warp-speed replication runs the single test's own steps: its bootstrap
-draw is a one-generator :func:`~isdtest.bootstrap.bootstrap_block`,
-evaluated by :func:`~isdtest.bootstrap.bootstrap_diff_block`, and the
-statistics come from :func:`~isdtest.functionals.functional` and
-:func:`~isdtest.functionals.derivative`.
+Data and bootstrap substreams are keyed by (seed, sample sizes, DGP
+parameters, replication index) only, so cells that differ merely in the
+contact-set bandwidth, functional, direction, level or critical-value
+floor see identical draws -- the bandwidth-monotonicity of rejection rates
+then holds exactly, and tables are reproducible under any grouping.  A
+full-mode replication's B generators are the ones ``run_test`` draws from
+under that replication's derived seed, so full-mode cells that share data,
+seed, m, grids, xi and B also share their draws.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
-from math import sqrt
+from functools import partial
 
 import numpy as np
 
-from .bootstrap import bootstrap_block, bootstrap_diff_block, critical_value, derive_seed, substream
-from .curves import DifferenceCurve, Direction, Grid, LambdaCurve, eval_on_grid
+from .bootstrap import derive_seed, substream
+from .curves import Direction, Grid
 from .dgp import DoubleParetoParams, dp_sample
 from .errors import ConfigError
-from .functionals import FunctionalKind, derivative, estimate_contact_set, functional
-from .inference import TestConfig, run_test
-from .variance import CovKernel, Scheme, effective_size, sigma_curve
+from .functionals import FunctionalKind
+from .inference import _BOOT_TAG, TestConfig, _coerce, _count, _critical, _test_cells
+from .variance import Scheme
 
 __all__ = ["SimMode", "SimSpec", "SimResult", "run_table", "preset_specs"]
 
@@ -58,7 +58,9 @@ class SimSpec:
     mode: SimMode = SimMode.WARPSPEED
 
     def __post_init__(self):
-        object.__setattr__(self, "mode", self.mode if isinstance(self.mode, SimMode) else SimMode(self.mode))
+        object.__setattr__(self, "mode", _coerce(self.mode, SimMode, "mode"))
+        for name in ("n1", "n2", "replications"):
+            object.__setattr__(self, name, _count(getattr(self, name), name))
         if self.replications < 1:
             raise ConfigError("replication count must be at least 1")
         if min(self.n1, self.n2) < 2:
@@ -86,97 +88,54 @@ def _dgp_key(spec: SimSpec) -> tuple:
 def _group_key(spec: SimSpec) -> tuple:
     cfg = spec.config
     return (_dgp_key(spec), spec.replications, spec.mode, cfg.seed, cfg.m,
-            cfg.grid, cfg.vgrid, cfg.xi)
+            cfg.grid, cfg.vgrid, cfg.xi, cfg.bootstrap)
 
 
-def _run_warpspeed_group(specs: list[SimSpec]) -> list[SimResult]:
+def _run_group(specs: list[SimSpec]) -> list[SimResult]:
+    """Cells of one group key, every replication's data and draws shared."""
     start = time.perf_counter()
     base = specs[0]
     cfg = base.config
     reps = base.replications
+    full = base.mode is SimMode.FULL
     fgrid = Grid.uniform(cfg.grid)
     vgrid = Grid.uniform(cfg.vgrid)
-    t_n = effective_size(base.n1, base.n2)
-    root_t = sqrt(t_n)
     key = _dgp_key(base)
+    cells = [(s.config.direction, s.config.kind, s.config.tau) for s in specs]
 
-    directions = []
-    for s in specs:
-        if s.config.direction not in directions:
-            directions.append(s.config.direction)
-
-    stat_keys = {(s.config.direction, s.config.kind) for s in specs}
-    stats = {k: np.empty(reps) for k in stat_keys}
-    boot_stats = [np.empty(reps) for _ in specs]
-
+    observed = np.empty((len(specs), reps))
+    # Full mode: each replication's own critical values.  Warp speed: the
+    # one bootstrap statistic of each replication, pooled below.
+    boot = np.empty((len(specs), reps))
     for r in range(reps):
         rng = substream(cfg.seed, _MC_DATA, *key, r)
         x1 = dp_sample(base.dgp1, base.n1, rng)
         x2 = dp_sample(base.dgp2, base.n2, rng)
-        wrng = substream(cfg.seed, _MC_BOOT, *key, r)
-        draw = bootstrap_block(base.n1, base.n2, False, [wrng])
-        kernel = CovKernel.independent(x1, x2)
+        if full:  # run_test's generators under the replication's derived seed
+            seed = derive_seed(cfg.seed, _MC_FULL, *key, r)
+            draws, count = partial(substream, seed, _BOOT_TAG), cfg.bootstrap
+        else:
+            wrng = substream(cfg.seed, _MC_BOOT, *key, r)
+            draws, count = (lambda b: wrng), 1
+        observed[:, r], stats, _ = _test_cells(x1, x2, None, cfg.m, cfg.xi, fgrid, vgrid,
+                                               cells, draws, count)
+        boot[:, r] = ([_critical(row, s.config) for row, s in zip(stats, specs)]
+                      if full else stats[:, 0])
 
-        for direction in directions:
-            phi = eval_on_grid(DifferenceCurve(LambdaCurve(x1, cfg.m, direction),
-                                               LambdaCurve(x2, cfg.m, direction)), fgrid)
-            phi_star = bootstrap_diff_block(x1, x2, draw, cfg.m, direction, fgrid)[0]
-            sig = sigma_curve(kernel, cfg.m, direction, vgrid, fgrid, cfg.xi)
-            h = root_t * (phi_star - phi)
-            for (d, kind), values in stats.items():
-                if d is direction:
-                    values[r] = root_t * functional(kind, phi, fgrid)
-
-            contact_cache = {}
-            for idx, s in enumerate(specs):
-                if s.config.direction is not direction:
-                    continue
-                tau = s.config.tau
-                if tau not in contact_cache:
-                    contact_cache[tau] = estimate_contact_set(phi, sig.vhat, t_n, tau, fgrid)
-                boot_stats[idx][r] = derivative(s.config.kind, h, contact_cache[tau], fgrid)
-
+    if full:
+        chats, reported = boot, [float("nan")] * len(specs)
+    else:
+        reported = [_critical(row, s.config) for row, s in zip(boot, specs)]
+        chats = np.array(reported)[:, None]
+    rejections = np.count_nonzero(observed > chats, axis=1)
     elapsed_ms = (time.perf_counter() - start) * 1e3
-    results = []
-    for idx, s in enumerate(specs):
-        chat = critical_value(boot_stats[idx], s.config.alpha)
-        if s.config.eta > 0:
-            chat = max(chat, s.config.eta)
-        rejections = int(np.count_nonzero(stats[(s.config.direction, s.config.kind)] > chat))
-        results.append(SimResult(
-            spec=s,
-            rejection_rate=rejections / reps,
-            rejections=rejections,
-            critical_value=chat,
-            elapsed_ms=elapsed_ms,
-        ))
-    return results
-
-
-def _run_full(spec: SimSpec) -> SimResult:
-    start = time.perf_counter()
-    cfg = spec.config
-    key = _dgp_key(spec)
-    rejections = 0
-    for r in range(spec.replications):
-        rng = substream(cfg.seed, _MC_DATA, *key, r)
-        x1 = dp_sample(spec.dgp1, spec.n1, rng)
-        x2 = dp_sample(spec.dgp2, spec.n2, rng)
-        cfg_r = replace(cfg, seed=derive_seed(cfg.seed, _MC_FULL, *key, r))
-        if run_test(x1, x2, cfg_r).reject:
-            rejections += 1
-    elapsed_ms = (time.perf_counter() - start) * 1e3
-    return SimResult(
-        spec=spec,
-        rejection_rate=rejections / spec.replications,
-        rejections=rejections,
-        critical_value=float("nan"),
-        elapsed_ms=elapsed_ms,
-    )
+    return [SimResult(spec=s, rejection_rate=int(k) / reps, rejections=int(k),
+                      critical_value=chat, elapsed_ms=elapsed_ms)
+            for s, k, chat in zip(specs, rejections, reported)]
 
 
 def run_table(specs) -> list[SimResult]:
-    """Run many cells; warp-speed cells sharing a data signature are batched.
+    """Run many cells; cells sharing data, seed, m, grids, xi and B are batched.
 
     Results are identical to running each cell alone (streams are keyed by
     cell content, not by grouping) and are returned in input order.
@@ -189,13 +148,8 @@ def run_table(specs) -> list[SimResult]:
         groups.setdefault(_group_key(s), []).append(i)
     results: list[SimResult | None] = [None] * len(specs)
     for indices in groups.values():
-        members = [specs[i] for i in indices]
-        if members[0].mode is SimMode.FULL:
-            for i in indices:
-                results[i] = _run_full(specs[i])
-        else:
-            for i, res in zip(indices, _run_warpspeed_group(members)):
-                results[i] = res
+        for i, res in zip(indices, _run_group([specs[i] for i in indices])):
+            results[i] = res
     return results  # type: ignore[return-value]
 
 

@@ -1,3 +1,5 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -194,13 +196,19 @@ class TestBlockRoute:
         t_n = s1.n * s2.n / (s1.n + s2.n)
         return s1, s2, pairs, phi, _contact(self.grid), t_n, cfg
 
+    def _block_stats(self, s1, s2, pairs, phi, cs, t_n, cfg):
+        """The test's block loop on one cell, with the given contact set."""
+        return inference._bootstrap_stats(
+            s1, s2, pairs, cfg.m, self.grid, t_n, [(cfg.direction, phi, [(0, cfg.kind, cs)])],
+            partial(substream, cfg.seed, inference._BOOT_TAG), cfg.bootstrap)[0]
+
     @pytest.mark.parametrize("bootstrap", [1, BLOCK_ROWS - 1, BLOCK_ROWS + 1])
     @pytest.mark.parametrize("m, direction, kind, scheme", BLOCK_COMBOS)
     def test_block_stats_match_single_draws(self, m, direction, kind, scheme, bootstrap,
                                             monkeypatch):
         s1, s2, pairs, phi, cs, t_n, cfg = self._setup(m, direction, kind, scheme, bootstrap)
         monkeypatch.setattr(inference, "_BLOCK_CELLS", BLOCK_ROWS * (max(s1.n, s2.n) + 1))
-        got = inference._bootstrap_stats(s1, s2, pairs, phi, cs, t_n, cfg, self.grid)
+        got = self._block_stats(s1, s2, pairs, phi, cs, t_n, cfg)
         want = []
         for b in range(bootstrap):
             rng = substream(cfg.seed, inference._BOOT_TAG, b)
@@ -220,9 +228,9 @@ class TestBlockRoute:
         # A row's statistic does not depend on the rows it shares a block
         # with, so the block size leaves every bit of the statistics alone.
         s1, s2, pairs, phi, cs, t_n, cfg = self._setup(m, direction, kind, scheme, 150)
-        default = inference._bootstrap_stats(s1, s2, pairs, phi, cs, t_n, cfg, self.grid)
+        default = self._block_stats(s1, s2, pairs, phi, cs, t_n, cfg)
         monkeypatch.setattr(inference, "_BLOCK_CELLS", 1)
-        single = inference._bootstrap_stats(s1, s2, pairs, phi, cs, t_n, cfg, self.grid)
+        single = self._block_stats(s1, s2, pairs, phi, cs, t_n, cfg)
         assert np.array_equal(single, default)
 
     @pytest.mark.parametrize("m, direction, kind, scheme", BLOCK_COMBOS)

@@ -288,6 +288,7 @@ class TestMainSimulate:
         "direction = sideways", "functional = max", "mode = turbo",
         "m = three", "grid = 10.5", "vgrid = many", "bootstrap = 1e3",
         "replications = some", "seed = x", "n = 60.5", "dgp2 =", "dgp2 = sme",
+        "dgp1.alpha = inf",
     ])
     def test_malformed_spec_value_is_config_error(self, tmp_path, line):
         # A later line overrides the same key of SPEC_TEXT.

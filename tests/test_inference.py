@@ -48,6 +48,7 @@ class TestConfigValidation:
         dict(xi=float("inf")), dict(xi=float("nan")),
         dict(bootstrap=2.5), dict(grid=10.5), dict(vgrid=10.5), dict(threads=2.0),
         dict(m=3.0), dict(seed=1.5), dict(bootstrap=True), dict(grid="11"),
+        dict(alpha="0.05"), dict(tau="3"), dict(xi=None), dict(direction="sideways"),
     ])
     def test_rejects(self, kw):
         with pytest.raises(ConfigError):

@@ -23,13 +23,22 @@ def spec(replications=50, n=100, mode=SimMode.WARPSPEED, **cfg_kw):
 
 
 class TestSimSpec:
-    def test_validation(self):
+    @pytest.mark.parametrize("make", [
+        lambda: SimSpec(DGP, DGP, 100, 100, TestConfig(), 0),
+        lambda: SimSpec(DGP, DGP, 1, 100, TestConfig(), 10),
+        lambda: SimSpec(DGP, DGP, 100, 100, TestConfig(scheme=Scheme.MATCHED), 10),
+        lambda: SimSpec(DGP, DGP, 100, 100, TestConfig(), 2.5),
+        lambda: SimSpec(DGP, DGP, 100, 100, TestConfig(), True),
+        lambda: SimSpec(DGP, DGP, 100, 100, TestConfig(), float("nan")),
+        lambda: SimSpec(DGP, DGP, 50.5, 100, TestConfig(), 10),
+        lambda: SimSpec(DGP, DGP, "50", 100, TestConfig(), 10),
+        lambda: SimSpec(DGP, DGP, 100, 100, TestConfig(), 10, "x"),
+        lambda: DoubleParetoParams(INF, 2.0),
+        lambda: DoubleParetoParams("3", 2),
+    ])
+    def test_validation(self, make):
         with pytest.raises(ConfigError):
-            SimSpec(DGP, DGP, 100, 100, TestConfig(), 0)
-        with pytest.raises(ConfigError):
-            SimSpec(DGP, DGP, 1, 100, TestConfig(), 10)
-        with pytest.raises(ConfigError):
-            SimSpec(DGP, DGP, 100, 100, TestConfig(scheme=Scheme.MATCHED), 10)
+            make()
 
 
 class TestRunCell:
@@ -51,17 +60,21 @@ class TestRunCell:
 
 
 class TestRunTable:
-    def test_grouping_matches_individual_cells(self):
-        # Batched execution must reproduce the stand-alone cells bit-exactly.
-        specs = [spec(tau=t, kind=k, direction=d)
+    @pytest.mark.parametrize("mode, size", [(SimMode.WARPSPEED, dict()),
+                                            (SimMode.FULL, dict(replications=8, n=60, alpha=0.5))])
+    def test_grouping_matches_individual_cells(self, mode, size):
+        # Batched execution must reproduce the stand-alone cells bit-exactly,
+        # also where cells differ only in the bootstrap count.
+        specs = [spec(mode=mode, tau=t, kind=k, direction=d, bootstrap=b, **size)
                  for t in (2.0, 3.0)
                  for k in ("sup", "int")
-                 for d in ("up", "down")]
+                 for d in ("up", "down")
+                 for b in (9, 29)]
         table = run_table(specs)
         for s, joint in zip(specs, table):
             alone = run_table([s])[0]
             assert joint.rejection_rate == alone.rejection_rate
-            assert joint.critical_value == alone.critical_value
+            np.testing.assert_equal(joint.critical_value, alone.critical_value)  # NaN in full mode
 
     def test_tau_monotone_on_shared_draws(self):
         taus = (1.0, 2.0, 3.0, 4.0, float("inf"))
@@ -113,6 +126,39 @@ class TestPinnedWarpSpeed:
         for (d, k, tau, rejections, chat), res in zip(PINNED_TABLE, run_table(specs)):
             assert res.rejections == rejections, (d, k, tau)
             assert res.critical_value == pytest.approx(chat, rel=1e-12), (d, k, tau)
+
+
+# Rejections of a full-mode table (n = 100, 20 replications, seed 2024),
+# recorded when every full-mode cell still ran run_test on its own.  The
+# cells vary direction, functional, tau, alpha, eta and B, so cells that now
+# share draws must still decide with their own level, floor and B.
+PINNED_FULL = [
+    ("up", "sup", 1.0, 0.05, 0.0, 49, 8),
+    ("up", "sup", 3.0, 0.05, 0.0, 49, 3),
+    ("up", "sup", INF, 0.05, 0.0, 99, 2),
+    ("up", "int", 1.0, 0.3, 0.0, 49, 13),
+    ("up", "int", 3.0, 0.05, 0.0, 99, 3),
+    ("up", "int", 3.0, 0.05, 0.3, 99, 0),
+    ("down", "sup", 1.0, 0.3, 0.0, 99, 15),
+    ("down", "sup", 3.0, 0.05, 0.0, 49, 3),
+    ("down", "sup", 3.0, 0.05, 0.4, 49, 2),
+    ("down", "int", 1.0, 0.05, 0.0, 99, 8),
+    ("down", "int", INF, 0.3, 0.0, 49, 12),
+    ("down", "int", INF, 0.3, 0.0, 99, 14),
+]
+
+
+class TestPinnedFull:
+    def test_table_matches_recorded_values(self):
+        dgp2 = DoubleParetoParams(3.0, 2.4)
+        specs = [SimSpec(DGP, dgp2, 100, 100,
+                         TestConfig(direction=d, kind=k, tau=tau, alpha=a, eta=e, bootstrap=b,
+                                    grid=201, vgrid=51, seed=2024),
+                         20, SimMode.FULL)
+                 for d, k, tau, a, e, b, _ in PINNED_FULL]
+        for cell, res in zip(PINNED_FULL, run_table(specs)):
+            assert res.rejections == cell[-1], cell
+            assert np.isnan(res.critical_value)
 
 
 class TestWarpSpeedAgainstFull:
