@@ -38,10 +38,6 @@ from .functionals import (
     functional,
 )
 from .bootstrap import (
-    BootstrapDraw,
-    bootstrap_block,
-    bootstrap_diff_block,
-    bootstrap_diff_block_paired,
     critical_value,
     derive_seed,
     draw_weights,
@@ -74,7 +70,6 @@ __all__ = [
     "PairedSample", "SortedSample", "ecdf", "make_paired", "make_sample", "mean", "quantile",
     "ConfigError", "DataError",
     "ContactSet", "FunctionalKind", "derivative", "estimate_contact_set", "functional",
-    "BootstrapDraw", "bootstrap_block", "bootstrap_diff_block", "bootstrap_diff_block_paired",
     "critical_value", "derive_seed", "draw_weights", "p_value", "substream",
     "PairDecision", "RankingMatrix", "Relation", "TestConfig", "TestResult", "pairwise_rank",
     "run_test",

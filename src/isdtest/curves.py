@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import numpy as np
 
@@ -188,17 +188,26 @@ class BlockWorkspace:
     temporaries freed after every block are handed back to the operating
     system by the allocator and page-faulted in again by the next block,
     which costs more than the arithmetic; a workspace keeps them.  Arrays
-    are keyed by name, shape and dtype.  Not thread-safe: one per thread.
+    are views of one flat buffer per name and dtype, which grows to the
+    largest size asked for, so samples of different sizes share it; the
+    views are kept by shape.  Not thread-safe: one per thread.
     """
 
     def __init__(self):
-        self._arrays: dict = {}
+        self._buffers: dict = {}
+        self._views: dict = {}
 
     def array(self, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
-        key = (name, shape, np.dtype(dtype))
-        if key not in self._arrays:
-            self._arrays[key] = np.empty(shape, dtype)
-        return self._arrays[key]
+        key = (name, shape, dtype)
+        view = self._views.get(key)
+        if view is None:
+            size, flat = prod(shape), (name, np.dtype(dtype))
+            buf = self._buffers.get(flat)
+            if buf is None or buf.size < size:
+                buf = self._buffers[flat] = np.empty(size, dtype)
+                self._views.clear()  # drop views of the smaller buffer
+            view = self._views[key] = buf[:size].reshape(shape)
+        return view
 
 
 def eval_block(sample: SortedSample, weights, m: int, direction: Direction,
@@ -223,25 +232,26 @@ def eval_block(sample: SortedSample, weights, m: int, direction: Direction,
         raise DataError("weights must be nonnegative")
     rows, width = w.shape[0], n + 1
     plan = grid._plan(n, m, direction)
-    work = BlockWorkspace() if work is None else work
+    alloc = work.array if work is not None else (
+        lambda _, shape, dtype=np.float64: np.empty(shape, dtype))
 
     # Knot i sits at lattice level S_i = w_1 + ... + w_i (S_0 = 0); offset
     # each row so that one bincount sums the jump sizes per level and row.
-    levels = work.array("levels", (rows, width), np.intp)
+    levels = alloc("levels", (rows, width), np.intp)
     levels[:, 0] = 0
     np.cumsum(w, axis=1, out=levels[:, 1:])
     if np.any(levels[:, -1] != n):
         raise DataError("weights must sum to the sample size")
     levels += np.arange(0, rows * width, width)[:, None]
-    tiled = work.array("tiled", (rows, width))
+    tiled = alloc("tiled", (rows, width))
     tiled[:] = _jumps(values)
     jumps = np.bincount(levels.ravel(), weights=tiled.ravel(),
                         minlength=rows * width).reshape(rows, width)
 
-    prefix = work.array("prefix", (rows, width + 1))
+    prefix = alloc("prefix", (rows, width + 1))
     prefix[:, 0] = 0.0
-    term = work.array("term", (rows, width))
-    part = work.array("part", (rows, len(grid)))
+    term = alloc("term", (rows, width))
+    part = alloc("part", (rows, len(grid)))
     out = np.zeros((rows, len(grid)))
     for r in range(m):
         np.multiply(jumps, plan.lattice[r], out=term)
@@ -253,7 +263,7 @@ def eval_block(sample: SortedSample, weights, m: int, direction: Direction,
         out += part
     out /= factorial(m - 1)
     if direction is Direction.DOWN:
-        weighted = np.multiply(w, values, out=work.array("weighted", (rows, n)))
+        weighted = np.multiply(w, values, out=alloc("weighted", (rows, n)))
         out += (np.sum(weighted, axis=1) / n)[:, None] * plan.mean_factor
         out[:, -1] = 0.0
     else:

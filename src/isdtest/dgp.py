@@ -33,6 +33,10 @@ class DoubleParetoParams:
             if isinstance(value, bool) or not isinstance(value, Real) or not 0 < value < inf:
                 raise ConfigError("double Pareto parameters must be positive finite numbers, "
                                   f"got {value!r}")
+        a, b = float(self.alpha), float(self.beta)  # Python floats overflow to inf silently
+        if not (a + b < inf and a * b < inf):
+            raise ConfigError("double Pareto shapes overflow: alpha + beta and alpha * beta "
+                              f"must be finite, got alpha={self.alpha!r}, beta={self.beta!r}")
         if self.alpha <= 2:
             warnings.warn(
                 f"upper-tail shape alpha={self.alpha} <= 2: the variance is infinite "

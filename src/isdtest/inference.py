@@ -7,20 +7,29 @@ degree and direction.  Large positive values of the difference curve
 "sample 1 does not dominate sample 2" -- never that sample 2 dominates.
 This orientation is the single most error-prone convention of the tool.
 
-The test's recipe is written once, in a private core that takes one data
-set, a list of cells (direction, functional, contact-set bandwidth) and
-one generator per bootstrap replication.  It evaluates phi-hat and
-sigma-hat once per direction and the contact set once per bandwidth, and
-one set of bootstrap draws serves every cell.  ``run_test`` is its
-one-cell call; both modes of the simulation harness
-(:mod:`isdtest.montecarlo`) run their cells through it too.
+The test's recipe is written once, in a private core that takes a list of
+samples, a list of cells (ordered pair (a, b), direction, functional,
+contact-set bandwidth) and, per bootstrap replication, one generator per
+sample.  Each test, an ordered pair in one direction, evaluates phi-hat
+and sigma-hat once and the contact set once per bandwidth, exactly as a
+two-sample test of that pair would.  A block of replications draws every
+sample once and evaluates it once per direction; each test's bootstrap
+curves are row differences of those.  ``run_test`` is the one-cell call
+on two samples, whose weights both come from one generator keyed by
+(seed, b).  ``pairwise_rank`` is one call over all its datasets with both
+nulls of every pair; dataset k draws from a generator keyed by
+(seed, k, b), so the tests of one ranking share each dataset's draws.
+Both modes of the simulation harness (:mod:`isdtest.montecarlo`) run their
+cells through the core too.
 
 The B bootstrap replications run in fixed blocks of R rows, R set by the
-larger sample size n under a fixed cell budget (R * (n + 1) <= 2**16, one
+largest sample size n under a fixed cell budget (R * (n + 1) <= 2**16, one
 row at least), so a block's arrays stay cache-sized.  With ``threads > 1``
 the thread pool maps over blocks.  Each replication's statistic depends
 only on its own weights, bit for bit, so the statistics are a pure function
-of (data, config, seed), whatever the thread count or the block size.
+of (data, config, seed), whatever the thread count or the block size.  A
+phi-hat, sigma-hat or statistic that is not finite (data at the ends of
+the double range) raises :class:`~isdtest.errors.DataError`.
 """
 
 from __future__ import annotations
@@ -28,34 +37,26 @@ from __future__ import annotations
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 from math import sqrt
 from numbers import Real
 
 import numpy as np
 
-from .bootstrap import (
-    bootstrap_block,
-    bootstrap_diff_block,
-    bootstrap_diff_block_paired,
-    critical_value,
-    derive_seed,
-    p_value,
-    substream,
-)
+from . import bootstrap
+from .bootstrap import critical_value, p_value, substream
 from .curves import (
     MAX_DEGREE,
     BlockWorkspace,
-    DifferenceCurve,
     Direction,
     Grid,
     LambdaCurve,
+    eval_block,
     eval_on_grid,
 )
 from .empirical import PairedSample, SortedSample
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 from .functionals import FunctionalKind, derivative, estimate_contact_set, functional
 from .variance import CovKernel, Scheme, effective_size, sigma_curve
 
@@ -186,80 +187,135 @@ def _critical(stats, config: TestConfig) -> float:
     return max(chat, config.eta) if config.eta > 0 else chat
 
 
-def _bootstrap_stats(s1, s2, pairs, m, grid, t_n, plan, rng, bootstrap,
-                     threads=1) -> np.ndarray:
-    """Bootstrap statistics of every cell, shape (cells, bootstrap).
+def _finite(values, what: str) -> None:
+    """A DataError unless every value is finite: data near the top of the
+    double range overflow the variance, the curves or the statistics, and
+    that must not reach a decision."""
+    if not np.isfinite(values).all():
+        raise DataError(f"the {what} overflows double precision: "
+                        "the data are too large in magnitude")
 
-    ``plan`` lists each direction with its phi-hat and its cells as
-    (row, kind, contact set); replication b draws its weights from
-    ``rng(b)``.  A block's draw, and its curves in each direction, serve
-    every cell.
+
+def _plan(cells) -> tuple:
+    """The index structure of a list of cells (a, b, direction, kind, tau).
+
+    A cell tests the null that sample a dominates sample b.  Returns the
+    cell count and, per direction, each ordered pair (a, b) with its
+    distinct kinds, its distinct bandwidths and its cells as (cell, kind,
+    kind index, bandwidth index).  It depends on the cells only, so a
+    caller that tests many data sets with one list of cells builds it once.
     """
-    shared = pairs is not None
-    root_t = sqrt(t_n)
-    rows = max(1, _BLOCK_CELLS // (max(s1.n, s2.n) + 1))
-    stats = np.empty((sum(len(members) for _, _, members in plan), bootstrap))
+    directions: dict = {}
+    for i, (a, b, direction, kind, tau) in enumerate(cells):
+        kinds, taus, members = directions.setdefault(direction, {}).setdefault(
+            (a, b), ([], [], []))
+        if kind not in kinds:
+            kinds.append(kind)
+        if tau not in taus:
+            taus.append(tau)
+        members.append((i, kind, kinds.index(kind), taus.index(tau)))
+    return len(cells), [(direction, [(a, b, *lists) for (a, b), lists in tests.items()])
+                        for direction, tests in directions.items()]
+
+
+def _bootstrap_stats(samples, pairs, m, grid, plan, rng, replications,
+                     threads=1) -> np.ndarray:
+    """Bootstrap statistics of every cell, shape (cells, replications).
+
+    ``plan`` lists each direction with its tests (a, b, phi-hat,
+    sqrt(T_n), members, contact sets).  Replication b draws sample k's
+    weights from ``rng(b)[k]`` (matched pairs: one draw from ``rng(b)[0]``,
+    routed through each column's sort order).  A block draws and evaluates
+    every sample once per direction, and each test's curves are row
+    differences of those.  A non-finite statistic raises DataError.
+    """
+    cells, directions = plan
+    rows = max(1, _BLOCK_CELLS // (max(s.n for s in samples) + 1))
+    stats = np.empty((cells, replications))
     local = threading.local()  # one BlockWorkspace per worker thread
 
     def block(lo: int) -> None:
         if not hasattr(local, "work"):
             local.work = BlockWorkspace()
-        hi = min(lo + rows, bootstrap)
-        draw = bootstrap_block(s1.n, s2.n, shared, [rng(b) for b in range(lo, hi)])
-        for direction, phi, members in plan:
-            if shared:
-                phi_star = bootstrap_diff_block_paired(pairs, draw, m, direction, grid, local.work)
-            else:
-                phi_star = bootstrap_diff_block(s1, s2, draw, m, direction, grid, local.work)
-            h = root_t * (phi_star - phi)
-            for i, kind, cs in members:
-                stats[i, lo:hi] = derivative(kind, h, cs, grid)
+        work = local.work
+        hi = min(lo + rows, replications)
+        gens = [rng(b) for b in range(lo, hi)]
+        if pairs is None:
+            weights = [np.stack([bootstrap.draw_weights(s.n, g[k]) for g in gens])
+                       for k, s in enumerate(samples)]
+        else:
+            w = np.stack([bootstrap.draw_weights(pairs.n, g[0]) for g in gens])
+            weights = [np.take(w, order, axis=1, out=work.array(name, w.shape, w.dtype))
+                       for name, order in (("left", pairs.left_order()),
+                                           ("right", pairs.right_order()))]
+        with np.errstate(all="ignore"):
+            for direction, tests in directions:
+                curves = [eval_block(s, w, m, direction, grid, work)
+                          for s, w in zip(samples, weights)]
+                for a, b, phi, root_t, members, contact in tests:
+                    h = curves[b] - curves[a]
+                    h -= phi
+                    h *= root_t
+                    for i, kind, _, t in members:
+                        stats[i, lo:hi] = derivative(kind, h, contact[t], grid)
 
-    starts = range(0, bootstrap, rows)
+    starts = range(0, replications, rows)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             list(pool.map(block, starts))
     else:
         for lo in starts:
             block(lo)
+    _finite(stats, "bootstrap statistic")
     return stats
 
 
-def _test_cells(s1, s2, pairs, m, xi, fgrid, vgrid, cells, rng, bootstrap, threads=1):
-    """The test's statistics for several cells (direction, kind, tau) of one data set.
+def _test_cells(samples, pairs, m, xi, fgrid, vgrid, plan, rng, replications, threads=1):
+    """The test's statistics for every cell of a :func:`_plan` over ``samples``.
 
-    phi-hat and sigma-hat are evaluated once per direction, the observed
-    statistic once per (direction, kind), the contact set once per
-    (direction, tau), and one set of bootstrap draws, replication b from
-    ``rng(b)``, serves every cell.  Returns each cell's observed statistic,
-    its bootstrap statistics (a row of a (cells, bootstrap) array) and its
-    contact set.
+    Each test (ordered pair, direction) gets its phi-hat, sigma-hat,
+    observed statistic per kind and contact set per bandwidth exactly as a
+    two-sample test of its pair would; one set of bootstrap draws,
+    replication b from ``rng(b)``, serves every cell.  ``pairs`` is the
+    :class:`PairedSample` whose columns are ``samples`` under the matched
+    scheme, else None.  Returns each cell's observed statistic, its
+    bootstrap statistics (a row of a (cells, replications) array) and its
+    contact set.  A non-finite phi-hat, sigma-hat or statistic raises
+    DataError.
     """
-    t_n = effective_size(s1.n, s2.n)
-    kernel = CovKernel.matched(pairs) if pairs is not None else CovKernel.independent(s1, s2)
-    directions = []
-    for direction, _, _ in cells:
-        if direction not in directions:
-            directions.append(direction)
-    statistics, contact_sets, plan = [0.0] * len(cells), [None] * len(cells), []
-    for direction in directions:
-        phi = eval_on_grid(DifferenceCurve(LambdaCurve(s1, m, direction),
-                                           LambdaCurve(s2, m, direction)), fgrid)
-        vhat = sigma_curve(kernel, m, direction, vgrid, fgrid, xi).vhat
-        observed, contact, members = {}, {}, []
-        for i, (d, kind, tau) in enumerate(cells):
-            if d is not direction:
-                continue
-            statistic = observed.get(kind)
-            if statistic is None:
-                statistic = observed[kind] = sqrt(t_n) * functional(kind, phi, fgrid)
-            if tau not in contact:
-                contact[tau] = estimate_contact_set(phi, vhat, t_n, tau, fgrid)
-            statistics[i], contact_sets[i] = statistic, contact[tau]
-            members.append((i, kind, contact[tau]))
-        plan.append((direction, phi, members))
-    boot = _bootstrap_stats(s1, s2, pairs, m, fgrid, t_n, plan, rng, bootstrap, threads)
+    cells, directions = plan
+    statistics, contact_sets = [0.0] * cells, [None] * cells
+    tests_by_direction, kernels = [], {}
+    with np.errstate(all="ignore"):  # an overflow shows as a non-finite value, checked here
+        for direction, tests in directions:
+            curves = [eval_on_grid(LambdaCurve(s, m, direction), fgrid) for s in samples]
+            evaluated = []
+            for a, b, kinds, taus, members in tests:
+                t_n = effective_size(samples[a].n, samples[b].n)
+                kernel = kernels.get((a, b))
+                if kernel is None:
+                    kernel = kernels[a, b] = (CovKernel.matched(pairs) if pairs is not None else
+                                              CovKernel.independent(samples[a], samples[b]))
+                phi = curves[b] - curves[a]
+                _finite(phi, "curve difference")
+                vhat = sigma_curve(kernel, m, direction, vgrid, fgrid, xi).vhat
+                _finite(vhat, "standard deviation")
+                observed = [sqrt(t_n) * functional(kind, phi, fgrid) for kind in kinds]
+                _finite(observed, "test statistic")
+                contact = [estimate_contact_set(phi, vhat, t_n, tau, fgrid) for tau in taus]
+                for i, _, k, t in members:
+                    statistics[i], contact_sets[i] = observed[k], contact[t]
+                evaluated.append((a, b, phi, sqrt(t_n), members, contact))
+            tests_by_direction.append((direction, evaluated))
+    boot = _bootstrap_stats(samples, pairs, m, fgrid, (cells, tests_by_direction), rng,
+                            replications, threads)
     return statistics, boot, contact_sets
+
+
+def _test_streams(seed: int):
+    """``run_test``'s generators: replication b draws both samples' weights,
+    the first sample's then the second's, from one stream keyed by (seed, b)."""
+    return lambda b: (substream(seed, _BOOT_TAG, b),) * 2
 
 
 def run_test(sample1, sample2, config: TestConfig) -> TestResult:
@@ -273,9 +329,9 @@ def run_test(sample1, sample2, config: TestConfig) -> TestResult:
     start = time.perf_counter()
     s1, s2, pairs = _resolve_layout(sample1, sample2, config.scheme)
     [statistic], [stats], [cs] = _test_cells(
-        s1, s2, pairs, config.m, config.xi, Grid.uniform(config.grid),
-        Grid.uniform(config.vgrid), [(config.direction, config.kind, config.tau)],
-        partial(substream, config.seed, _BOOT_TAG), config.bootstrap, config.threads)
+        [s1, s2], pairs, config.m, config.xi, Grid.uniform(config.grid),
+        Grid.uniform(config.vgrid), _plan([(0, 1, config.direction, config.kind, config.tau)]),
+        _test_streams(config.seed), config.bootstrap, config.threads)
     chat = _critical(stats, config)
 
     elapsed_ms = (time.perf_counter() - start) * 1e3
@@ -369,9 +425,12 @@ def pairwise_rank(datasets, config: TestConfig) -> RankingMatrix:
 
     ``datasets`` is a sequence of (label, SortedSample).  For each pair
     {A, B} the nulls "A dominates B" and "B dominates A" are tested;
-    rejecting exactly one yields a strict ranking.  Pairs run in order; each
-    test gets its own derived seed and runs its bootstrap on
-    ``config.threads`` threads.
+    rejecting exactly one yields a strict ranking.  Each test computes its
+    observed statistic and contact set as :func:`run_test` would.  The
+    bootstrap draws are keyed by (seed, dataset index, replication):
+    replication b of the k-th dataset is drawn once and serves every test
+    that dataset enters, so its curves are evaluated once per replication,
+    not once per test.  The blocks run on ``config.threads`` threads.
     """
     datasets = list(datasets)
     if len(datasets) < 2:
@@ -381,23 +440,24 @@ def pairwise_rank(datasets, config: TestConfig) -> RankingMatrix:
     labels = tuple(name for name, _ in datasets)
     if len(set(labels)) != len(labels):
         raise ConfigError("dataset labels must be unique")
+    samples = [sample for _, sample in datasets]
+    if not all(isinstance(s, SortedSample) for s in samples):
+        raise ConfigError("ranking requires SortedSample datasets")
 
-    def decide(i: int, j: int) -> PairDecision:
-        name_a, sample_a = datasets[i]
-        name_b, sample_b = datasets[j]
-        cfg_ab = replace(config, seed=derive_seed(config.seed, _RANK_TAG, i, j, 0))
-        cfg_ba = replace(config, seed=derive_seed(config.seed, _RANK_TAG, i, j, 1))
-        res_ab = run_test(sample_a, sample_b, cfg_ab)
-        res_ba = run_test(sample_b, sample_a, cfg_ba)
-        return PairDecision(
-            a=name_a,
-            b=name_b,
-            reject_a_dominates=res_ab.reject,
-            reject_b_dominates=res_ba.reject,
-            p_a_dominates=res_ab.p_value,
-            p_b_dominates=res_ba.p_value,
-        )
-
-    decisions = tuple(decide(i, j) for i in range(len(datasets))
-                      for j in range(i + 1, len(datasets)))
+    k = len(samples)
+    tested = [(i, j) for i in range(k) for j in range(i + 1, k)]
+    cell = (config.direction, config.kind, config.tau)
+    statistics, stats, _ = _test_cells(
+        samples, None, config.m, config.xi, Grid.uniform(config.grid),
+        Grid.uniform(config.vgrid),
+        _plan([(a, b, *cell) for i, j in tested for a, b in ((i, j), (j, i))]),
+        lambda b: [substream(config.seed, _RANK_TAG, d, b) for d in range(k)],
+        config.bootstrap, config.threads)
+    reject = [statistic > _critical(row, config) for statistic, row in zip(statistics, stats)]
+    p = [p_value(row, statistic) for statistic, row in zip(statistics, stats)]
+    decisions = tuple(
+        PairDecision(a=labels[i], b=labels[j],
+                     reject_a_dominates=reject[2 * t], reject_b_dominates=reject[2 * t + 1],
+                     p_a_dominates=p[2 * t], p_b_dominates=p[2 * t + 1])
+        for t, (i, j) in enumerate(tested))
     return RankingMatrix(labels=labels, decisions=decisions)

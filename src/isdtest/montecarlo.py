@@ -4,7 +4,8 @@ WARPSPEED mode draws one bootstrap statistic per replication and pools the
 R of them into a single critical value; FULL mode runs the complete
 B-draw bootstrap test inside every replication.  Both modes run the
 test's own core (the one :func:`~isdtest.inference.run_test` calls), once
-per replication for every cell that shares the replication's data.
+per replication for every cell that shares the replication's data; the
+index plan of those cells is built once per group.
 
 Data and bootstrap substreams are keyed by (seed, sample sizes, DGP
 parameters, replication index) only, so cells that differ merely in the
@@ -21,7 +22,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from enum import Enum
-from functools import partial
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from .curves import Direction, Grid
 from .dgp import DoubleParetoParams, dp_sample
 from .errors import ConfigError
 from .functionals import FunctionalKind
-from .inference import _BOOT_TAG, TestConfig, _coerce, _count, _critical, _test_cells
+from .inference import TestConfig, _coerce, _count, _critical, _plan, _test_cells, _test_streams
 from .variance import Scheme
 
 __all__ = ["SimMode", "SimSpec", "SimResult", "run_table", "preset_specs"]
@@ -101,7 +101,7 @@ def _run_group(specs: list[SimSpec]) -> list[SimResult]:
     fgrid = Grid.uniform(cfg.grid)
     vgrid = Grid.uniform(cfg.vgrid)
     key = _dgp_key(base)
-    cells = [(s.config.direction, s.config.kind, s.config.tau) for s in specs]
+    plan = _plan([(0, 1, s.config.direction, s.config.kind, s.config.tau) for s in specs])
 
     observed = np.empty((len(specs), reps))
     # Full mode: each replication's own critical values.  Warp speed: the
@@ -113,12 +113,12 @@ def _run_group(specs: list[SimSpec]) -> list[SimResult]:
         x2 = dp_sample(base.dgp2, base.n2, rng)
         if full:  # run_test's generators under the replication's derived seed
             seed = derive_seed(cfg.seed, _MC_FULL, *key, r)
-            draws, count = partial(substream, seed, _BOOT_TAG), cfg.bootstrap
+            draws, count = _test_streams(seed), cfg.bootstrap
         else:
             wrng = substream(cfg.seed, _MC_BOOT, *key, r)
-            draws, count = (lambda b: wrng), 1
-        observed[:, r], stats, _ = _test_cells(x1, x2, None, cfg.m, cfg.xi, fgrid, vgrid,
-                                               cells, draws, count)
+            draws, count = (lambda b: (wrng, wrng)), 1
+        observed[:, r], stats, _ = _test_cells([x1, x2], None, cfg.m, cfg.xi, fgrid, vgrid,
+                                               plan, draws, count)
         boot[:, r] = ([_critical(row, s.config) for row, s in zip(stats, specs)]
                       if full else stats[:, 0])
 

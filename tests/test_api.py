@@ -3,12 +3,11 @@ import isdtest
 # The package's public names; submodules are not among them.  A name
 # leaves or joins this list only by a deliberate edit here.
 PUBLIC = [
-    "BlockWorkspace", "BootstrapDraw", "ConfigError", "ContactSet", "CovKernel", "DataError",
+    "BlockWorkspace", "ConfigError", "ContactSet", "CovKernel", "DataError",
     "DifferenceCurve", "Direction", "DoubleParetoParams", "FunctionalKind", "Grid",
     "LambdaCurve", "MAX_DEGREE", "PairDecision", "PairedSample", "RankingMatrix", "Relation",
     "Scheme", "SigmaCurve", "SimMode", "SimResult", "SimSpec", "SortedSample", "TestConfig",
-    "TestResult", "bootstrap_block", "bootstrap_diff_block", "bootstrap_diff_block_paired",
-    "critical_value", "derivative", "derive_seed", "dp_cdf", "dp_mean", "dp_pdf",
+    "TestResult", "critical_value", "derivative", "derive_seed", "dp_cdf", "dp_mean", "dp_pdf",
     "dp_quantile", "dp_sample", "draw_weights", "ecdf", "effective_size",
     "estimate_contact_set", "eval_block", "eval_on_grid", "functional", "make_paired",
     "make_sample", "mean", "p_value", "pairwise_rank", "preset_specs", "quantile", "run_table",

@@ -1,4 +1,3 @@
-from functools import partial
 
 import numpy as np
 import pytest
@@ -15,9 +14,6 @@ from isdtest import (
     LambdaCurve,
     Scheme,
     TestConfig,
-    bootstrap_block,
-    bootstrap_diff_block,
-    bootstrap_diff_block_paired,
     critical_value,
     derivative,
     derive_seed,
@@ -27,10 +23,10 @@ from isdtest import (
     make_paired,
     make_sample,
     p_value,
+    run_test,
     substream,
 )
-from isdtest import inference
-from isdtest.bootstrap import BootstrapDraw
+from isdtest import bootstrap, inference
 
 from conftest import point_lambda, random_dp_values
 
@@ -91,59 +87,16 @@ class TestDrawWeights:
 
 
 class TestBootstrapCurves:
-    def test_identity_weights_reproduce_curve(self):
-        rng = np.random.default_rng(3)
-        s1 = make_sample(random_dp_values(rng, 20))
-        s2 = make_sample(random_dp_values(rng, 30))
-        draw = BootstrapDraw(np.ones((1, 20), dtype=int), np.ones((1, 30), dtype=int))
-        g = Grid.uniform(101)
-        star = bootstrap_diff_block(s1, s2, draw, 3, Direction.UP, g)
-        plain = eval_on_grid(DifferenceCurve(LambdaCurve(s1, 3, Direction.UP),
-                                             LambdaCurve(s2, 3, Direction.UP)), g)
-        assert star.shape == (1, 101)
-        assert np.array_equal(star[0], plain)
-
     def test_degenerate_concentration(self):
+        # All weight on the smallest value: the curve of a sample of copies of it.
         s = make_sample([1.0, 2.0, 3.0])
         w = np.array([[3, 0, 0]])
-        draw = BootstrapDraw(w, w)
         g = Grid.uniform(11)
-        star = bootstrap_diff_block(s, s, draw, 3, Direction.UP, g)
-        assert np.allclose(star, 0.0)
+        star = eval_block(s, w, 3, Direction.UP, g)
+        plain = eval_on_grid(LambdaCurve(make_sample([1.0, 1.0, 1.0]), 3, Direction.UP), g)
+        assert star[0] == pytest.approx(plain, rel=1e-15, abs=1e-15)
         resample = eval_block(s, w, 2, Direction.UP, Grid(np.array([0.0, 1.0])))
         assert resample[0, -1] == pytest.approx(1.0)  # mean of the resample
-
-    def test_matched_draw_shares_weights(self):
-        draw = bootstrap_block(25, 25, True, [substream(11, 2)])
-        assert draw.shared
-        assert draw.weights1.shape == (1, 25)
-        assert np.array_equal(draw.weights1, draw.weights2)
-
-    def test_matched_curve_respects_pairing(self):
-        rng = np.random.default_rng(4)
-        left = random_dp_values(rng, 15)
-        right = random_dp_values(rng, 15)
-        pairs = make_paired(left, right)
-        draw = bootstrap_block(15, 15, True, [substream(8, 0)])
-        g = Grid.uniform(51)
-        star = bootstrap_diff_block_paired(pairs, draw, 3, Direction.UP, g)[0]
-        # Equivalent construction: expand rows by weights, then build plain curves.
-        w = draw.weights1[0]
-        expanded = eval_on_grid(DifferenceCurve(
-            LambdaCurve(make_sample(np.repeat(left, w)), 3, Direction.UP),
-            LambdaCurve(make_sample(np.repeat(right, w)), 3, Direction.UP)), g)
-        assert star == pytest.approx(expanded, rel=1e-12, abs=1e-15)
-
-    def test_misaligned_weights_rejected(self):
-        s1 = make_sample([1, 2, 3])
-        g = Grid.uniform(11)
-        ones = np.ones((1, 3), dtype=int)
-        with pytest.raises(ConfigError):
-            bootstrap_diff_block(make_sample([1, 2]), s1, BootstrapDraw(ones, ones),
-                                 3, Direction.UP, g)
-        with pytest.raises(ConfigError):
-            bootstrap_diff_block(s1, s1, BootstrapDraw(np.array([[2, 1]]), ones),
-                                 3, Direction.UP, g)
 
 
 BLOCK_COMBOS = [(m, direction, kind, scheme)
@@ -198,9 +151,10 @@ class TestBlockRoute:
 
     def _block_stats(self, s1, s2, pairs, phi, cs, t_n, cfg):
         """The test's block loop on one cell, with the given contact set."""
+        test = (0, 1, phi, np.sqrt(t_n), [(0, cfg.kind, 0, 0)], [cs])
         return inference._bootstrap_stats(
-            s1, s2, pairs, cfg.m, self.grid, t_n, [(cfg.direction, phi, [(0, cfg.kind, cs)])],
-            partial(substream, cfg.seed, inference._BOOT_TAG), cfg.bootstrap)[0]
+            [s1, s2], pairs, cfg.m, self.grid, (1, [(cfg.direction, [test])]),
+            inference._test_streams(cfg.seed), cfg.bootstrap)[0]
 
     @pytest.mark.parametrize("bootstrap", [1, BLOCK_ROWS - 1, BLOCK_ROWS + 1])
     @pytest.mark.parametrize("m, direction, kind, scheme", BLOCK_COMBOS)
@@ -247,40 +201,70 @@ class TestBlockRoute:
             return w
 
         if pairs is not None:
-            w = np.empty((4, pairs.n), dtype=np.int64)
-            w[:, pairs.left_order()] = rows(pairs.n, 4)  # drop the left column's ends
-            block = BootstrapDraw(w, w)
-            stars = bootstrap_diff_block_paired(pairs, block, m, direction, self.grid)
+            w1 = rows(pairs.n, 4)  # drop the left column's ends
+            w = np.empty_like(w1)
+            w[:, pairs.left_order()] = w1
+            w2 = w[:, pairs.right_order()]
         else:
-            block = BootstrapDraw(rows(s1.n, 4), rows(s2.n, 4))
-            stars = bootstrap_diff_block(s1, s2, block, m, direction, self.grid)
+            w1, w2 = rows(s1.n, 4), rows(s2.n, 4)
+        stars = (eval_block(s2, w2, m, direction, self.grid)
+                 - eval_block(s1, w1, m, direction, self.grid))
         end = 0 if direction is Direction.UP else -1
         assert np.all(stars[:, end] == 0.0)
         got = _statistic(stars, phi, cs, t_n, kind, self.grid)
         for b in range(4):
-            star = _row_curve(s1, s2, pairs, block.weights1[b], block.weights2[b],
-                              m, direction, self.grid)
+            row = w[b] if pairs is not None else w1[b]  # matched: row order
+            star = _row_curve(s1, s2, pairs, row, w2[b], m, direction, self.grid)
             assert star[end] == 0.0
             assert np.max(np.abs(stars[b] - star)) <= 1e-10 * np.max(np.abs(star))
             want = _statistic(star, phi, cs, t_n, kind, self.grid)
             assert abs(got[b] - want) <= 1e-10 * max(abs(want), np.max(np.abs(got)))
 
-    def test_block_rows_equal_single_draws(self):
-        # Row b takes n1 then n2 categories from the b-th generator.
-        rngs = [substream(3, inference._BOOT_TAG, b) for b in range(5)]
-        block = bootstrap_block(30, 45, False, rngs)
-        assert block.weights1.shape == (5, 30) and block.weights2.shape == (5, 45)
-        for b in range(5):
-            rng = substream(3, inference._BOOT_TAG, b)
-            assert block.weights1[b].tobytes() == draw_weights(30, rng).tobytes()
-            assert block.weights2[b].tobytes() == draw_weights(45, rng).tobytes()
-        shared = bootstrap_block(30, 30, True, [substream(3, 0)])
-        assert shared.shared
-        assert shared.weights1[0].tobytes() == draw_weights(30, substream(3, 0)).tobytes()
-        with pytest.raises(ConfigError):
-            bootstrap_block(30, 30, False, [])
-        with pytest.raises(ConfigError):
-            bootstrap_block(30, 31, True, [substream(3, 0)])
+    @pytest.mark.parametrize("scheme", list(Scheme), ids=lambda scheme: scheme.value)
+    def test_draws_keyed_by_seed_and_replication(self, scheme, monkeypatch):
+        # run_test's replication b draws n1 then n2 categories (matched
+        # pairs: n once) from the generator keyed by (seed, b).
+        s1, s2, pairs = _layout(scheme)
+        drawn = []
+
+        def recorded(n, rng):
+            w = draw_weights(n, rng)
+            drawn.append(w.tobytes())
+            return w
+
+        monkeypatch.setattr(bootstrap, "draw_weights", recorded)
+        monkeypatch.setattr(inference, "_BLOCK_CELLS", BLOCK_ROWS * (max(s1.n, s2.n) + 1))
+        cfg = TestConfig(scheme=scheme, bootstrap=2 * BLOCK_ROWS + 1, seed=3, grid=101, vgrid=11)
+        run_test(*((pairs, None) if pairs is not None else (s1, s2)), cfg)
+        want = []
+        for b in range(cfg.bootstrap):
+            rng = substream(cfg.seed, inference._BOOT_TAG, b)
+            want.append(draw_weights(s1.n, rng).tobytes())
+            if pairs is None:
+                want.append(draw_weights(s2.n, rng).tobytes())
+        assert sorted(drawn) == sorted(want)
+
+    def test_matched_rows_match_expanded_pairs(self):
+        # A matched replication reweights whole rows: its curves are those of
+        # the samples that repeat each row's left and right values w_i times.
+        rng = np.random.default_rng(4)
+        left, right = random_dp_values(rng, 15), random_dp_values(rng, 15)
+        pairs = make_paired(left, right)
+        g = Grid.uniform(51)
+        full = ContactSet(g, np.ones(len(g), dtype=bool))
+        members = [(0, FunctionalKind.SUP, 0, 0), (1, FunctionalKind.INT, 0, 0)]
+        test = (0, 1, np.zeros(len(g)), 1.0, members, [full])
+        stats = inference._bootstrap_stats(
+            [pairs.left_sample(), pairs.right_sample()], pairs, 3, g,
+            (2, [(Direction.UP, [test])]), inference._test_streams(8), 3)
+        for b in range(3):
+            w = draw_weights(15, substream(8, inference._BOOT_TAG, b))
+            expanded = eval_on_grid(DifferenceCurve(
+                LambdaCurve(make_sample(np.repeat(left, w)), 3, Direction.UP),
+                LambdaCurve(make_sample(np.repeat(right, w)), 3, Direction.UP)), g)
+            for i, kind in enumerate(FunctionalKind):
+                want = derivative(kind, expanded, full, g)
+                assert stats[i, b] == pytest.approx(want, rel=1e-12, abs=1e-15)
 
     def test_workspace_reuse_is_bit_exact(self):
         # One workspace lent to calls of changing n, rows, degree and
@@ -294,11 +278,6 @@ class TestBlockRoute:
             w = np.stack([draw_weights(n, rng) for _ in range(rows)])
             assert np.array_equal(eval_block(s, w, m, direction, g, work),
                                   eval_block(s, w, m, direction, g))
-        pairs = make_paired(random_dp_values(rng, 20), random_dp_values(rng, 20))
-        draw = bootstrap_block(20, 20, True, [substream(5, b) for b in range(3)])
-        assert np.array_equal(
-            bootstrap_diff_block_paired(pairs, draw, 3, Direction.UP, g, work),
-            bootstrap_diff_block_paired(pairs, draw, 3, Direction.UP, g))
 
     def test_block_weight_checks(self):
         s = make_sample([1.0, 2.0, 4.0])
@@ -309,12 +288,6 @@ class TestBlockRoute:
                     np.array([[1, 1, 1], [4, -1, 0]]), np.array([[1, 1, 1], [1, 1, 0]])):
             with pytest.raises(DataError):
                 eval_block(s, bad, 3, Direction.UP, g)
-        draw = BootstrapDraw(good, np.array([[1, 1]]))
-        with pytest.raises(ConfigError):
-            bootstrap_diff_block(s, s, draw, 3, Direction.UP, g)
-        with pytest.raises(ConfigError):
-            bootstrap_diff_block_paired(make_paired([1, 2, 4], [1, 2, 4]),
-                                        BootstrapDraw(good, good.copy()), 3, Direction.UP, g)
 
 
 class TestBootstrapStatistic:

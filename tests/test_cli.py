@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -197,6 +198,35 @@ class TestMainRank:
         assert code == 0
         out = capsysbinary.readouterr().out.decode()
         assert "<" in out
+
+    def test_rank_reports_reproducible(self, tmp_path, capsysbinary):
+        # The report is a pure function of (data, config, seed): reruns and
+        # thread counts agree byte for byte apart from the wall time.
+        rng = substream(22, 0)
+        paths = []
+        for i, name in enumerate("abc"):
+            path = tmp_path / f"{name}.csv"
+            save_csv(make_sample(random_dp_values(rng, 150 + 10 * i) + 0.05 * i), path)
+            paths.append(str(path))
+        reports = []
+        for threads in ("1", "1", "2"):
+            code = main(["rank", *paths, "--bootstrap", "49", "--grid", "101", "--vgrid", "21",
+                         "--seed", "5", "--threads", threads])
+            assert code == 0
+            out = capsysbinary.readouterr().out
+            reports.append(re.sub(rb'"elapsed_ms": [0-9.eE+-]+', b'"elapsed_ms": 0', out))
+        assert reports[0] == reports[1] == reports[2]
+        assert json.loads(reports[0])["command"] == "rank"
+
+    def test_overflowing_data_is_data_error(self, tmp_path):
+        rng = substream(23, 0)
+        paths = []
+        for name in "ab":
+            path = tmp_path / f"{name}.csv"
+            save_csv(make_sample(random_dp_values(rng, 60) * 1e300), path)
+            paths.append(str(path))
+        assert main(["rank", *paths, "--bootstrap", "19"]) == 2
+        assert main(["test", *paths, "--bootstrap", "19"]) == 2
 
     def test_rank_needs_two(self, tmp_path):
         fa, _ = _two_sample_files(tmp_path)

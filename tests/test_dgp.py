@@ -26,6 +26,16 @@ class TestParams:
         with pytest.raises(ConfigError):
             DoubleParetoParams(3.0, 0.0)
 
+    @pytest.mark.parametrize("alpha, beta", [(1e308, 1e308), (1e200, 1e200), (3.0, 1e308)])
+    def test_shape_overflow(self, alpha, beta):
+        # alpha + beta or alpha * beta overflows to inf, which would zero the
+        # lower mass alpha / (alpha + beta) (every draw 0) or the density.
+        with pytest.raises(ConfigError, match="overflow"):
+            DoubleParetoParams(alpha, beta)
+        with pytest.raises(ConfigError, match="overflow"):
+            DoubleParetoParams(np.float64(alpha), np.float64(beta))
+        assert DoubleParetoParams(1e308, 1.0).lower_mass == 1.0
+
     def test_heavy_tail_warns(self):
         with pytest.warns(UserWarning, match="alpha"):
             DoubleParetoParams(2.0, 1.0)

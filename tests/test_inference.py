@@ -1,20 +1,37 @@
+from math import sqrt
+
 import numpy as np
 import pytest
 
-from isdtest import inference
+from isdtest import bootstrap, inference
 from isdtest import (
     ConfigError,
+    CovKernel,
+    DataError,
     Direction,
     DoubleParetoParams,
     FunctionalKind,
+    Grid,
+    LambdaCurve,
     Relation,
     Scheme,
+    SimSpec,
     TestConfig,
+    critical_value,
+    derivative,
     dp_sample,
+    draw_weights,
+    estimate_contact_set,
+    eval_block,
+    eval_on_grid,
+    functional,
     make_paired,
     make_sample,
+    p_value,
     pairwise_rank,
+    run_table,
     run_test,
+    sigma_curve,
     substream,
 )
 
@@ -182,6 +199,12 @@ class TestPairwiseRank:
         with pytest.raises(ConfigError):
             pairwise_rank([("only", s)], quick_cfg())
 
+    def test_requires_sorted_samples(self):
+        rng = np.random.default_rng(11)
+        s = make_sample(random_dp_values(rng, 10))
+        with pytest.raises(ConfigError):
+            pairwise_rank([("x", s), ("y", list(s.values))], quick_cfg())
+
     def test_unique_labels(self):
         rng = np.random.default_rng(11)
         s = make_sample(random_dp_values(rng, 10))
@@ -196,3 +219,133 @@ class TestPairwiseRank:
         assert m1.to_table() == m2.to_table()
         for d1, d2 in zip(m1.decisions, m2.decisions):
             assert d1 == d2
+
+
+def _rank_sets():
+    rng = substream(8, 0)
+    return [(c, make_sample(random_dp_values(rng, n) + 0.02 * i))
+            for i, (c, n) in enumerate(zip("abc", (60, 70, 80)))]
+
+
+RANK_SETS = _rank_sets()
+
+
+def rank_cfg(**kw):
+    base = dict(bootstrap=49, grid=101, vgrid=21, seed=4)
+    base.update(kw)
+    return TestConfig(**base)
+
+
+RANK_PINNED = {
+    ("up", "sup"): [(4, 49), (2, 49), (23, 31)],
+    ("up", "int"): [(4, 49), (1, 49), (21, 31)],
+    ("down", "sup"): [(4, 49), (2, 49), (28, 21)],
+    ("down", "int"): [(3, 49), (2, 49), (29, 22)],
+}
+
+
+def _rank_reference(samples, cfg):
+    """Both nulls of every pair, dataset k's replication b drawn from
+    (seed, k, b) and each dataset's B curves evaluated in one block."""
+    fgrid, vgrid = Grid.uniform(cfg.grid), Grid.uniform(cfg.vgrid)
+    m, direction, kind = cfg.m, cfg.direction, cfg.kind
+    def rows(k, n):
+        return np.stack([draw_weights(n, substream(cfg.seed, inference._RANK_TAG, k, b))
+                         for b in range(cfg.bootstrap)])
+
+    boot = [eval_block(s, rows(k, s.n), m, direction, fgrid) for k, s in enumerate(samples)]
+    curves = [eval_on_grid(LambdaCurve(s, m, direction), fgrid) for s in samples]
+
+    def null(a, b):  # H0: dataset a dominates dataset b
+        t_n = samples[a].n * samples[b].n / (samples[a].n + samples[b].n)
+        phi = curves[b] - curves[a]
+        vhat = sigma_curve(CovKernel.independent(samples[a], samples[b]), m, direction,
+                           vgrid, fgrid, cfg.xi).vhat
+        cs = estimate_contact_set(phi, vhat, t_n, cfg.tau, fgrid)
+        statistic = sqrt(t_n) * functional(kind, phi, fgrid)
+        stats = derivative(kind, sqrt(t_n) * (boot[b] - boot[a] - phi), cs, fgrid)
+        return bool(statistic > critical_value(stats, cfg.alpha)), p_value(stats, statistic)
+
+    return [null(i, j) + null(j, i)
+            for i in range(len(samples)) for j in range(i + 1, len(samples))]
+
+
+COMBOS = pytest.mark.parametrize(
+    "direction, kind", [(d, k) for d in Direction for k in FunctionalKind],
+    ids=lambda v: v.value)
+
+
+class TestRankDraws:
+    """Ranking draws each dataset once per replication, from (seed, k, b)."""
+
+    @COMBOS
+    def test_reference(self, direction, kind, monkeypatch):
+        # Small blocks, so that the replications span many of them.
+        monkeypatch.setattr(inference, "_BLOCK_CELLS", 7 * 81)
+        samples = [s for _, s in RANK_SETS]
+        for threads in (1, 2):
+            cfg = rank_cfg(direction=direction, kind=kind, threads=threads)
+            matrix = pairwise_rank(RANK_SETS, cfg)
+            want = _rank_reference(samples, cfg)
+            got = [(d.reject_a_dominates, d.p_a_dominates, d.reject_b_dominates, d.p_b_dominates)
+                   for d in matrix.decisions]
+            assert got == want
+
+    def test_draws_each_dataset_once(self, monkeypatch):
+        calls = []
+
+        def counted(n, rng):
+            calls.append(n)
+            return draw_weights(n, rng)
+
+        monkeypatch.setattr(bootstrap, "draw_weights", counted)
+        cfg = rank_cfg()
+        pairwise_rank(RANK_SETS, cfg)
+        assert len(calls) == 3 * cfg.bootstrap
+        assert sorted(calls) == sorted([s.n for _, s in RANK_SETS] * cfg.bootstrap)
+
+    @COMBOS
+    def test_pinned_p_values(self, direction, kind):
+        # Bootstrap p-value counts out of B = 49 per pair (a < b, a < c, b < c)
+        # as (a dominates b, b dominates a), recorded when ranking drew each
+        # dataset once per replication.
+        matrix = pairwise_rank(RANK_SETS, rank_cfg(direction=direction, kind=kind))
+        counts = [(round(d.p_a_dominates * 49), round(d.p_b_dominates * 49))
+                  for d in matrix.decisions]
+        assert counts == RANK_PINNED[direction.value, kind.value]
+        for d, (ab, ba) in zip(matrix.decisions, counts):
+            assert (d.p_a_dominates, d.p_b_dominates) == (ab / 49, ba / 49)
+
+
+class TestNonFinite:
+    """Data whose variance or curves overflow give a DataError, and no
+    numpy warning escapes (tier-1 turns RuntimeWarning into an error)."""
+
+    @pytest.mark.parametrize("scale", [2.0 ** 510, 1e300], ids=["2^510", "1e300"])
+    def test_run_test(self, scale):
+        rng = np.random.default_rng(13)
+        a, b = random_dp_values(rng, 80), random_dp_values(rng, 90)
+        with pytest.raises(DataError, match="overflows"):
+            run_test(make_sample(a * scale), make_sample(b * scale), quick_cfg())
+        with pytest.raises(DataError, match="overflows"):
+            run_test(make_sample(a * scale), make_sample(b * scale),
+                     quick_cfg(threads=2, direction=Direction.DOWN, kind=FunctionalKind.INT))
+        # The same data one power of two below the overflow still test.
+        res = run_test(make_sample(a * 2.0 ** 500), make_sample(b * 2.0 ** 500), quick_cfg())
+        assert np.isfinite(res.statistic) and np.isfinite(res.critical_value)
+
+    def test_matched(self):
+        rng = np.random.default_rng(14)
+        a, b = random_dp_values(rng, 80), random_dp_values(rng, 80)
+        with pytest.raises(DataError, match="overflows"):
+            run_test(make_paired(a * 1e300, b * 1e300), None, quick_cfg(scheme=Scheme.MATCHED))
+
+    def test_rank_and_simulation(self):
+        rng = np.random.default_rng(15)
+        big = [(c, make_sample(random_dp_values(rng, 50) * 2.0 ** 510)) for c in "ab"]
+        with pytest.raises(DataError, match="overflows"):
+            pairwise_rank(big, quick_cfg())
+        dgp = DoubleParetoParams(3.0, 2.0, scale=2.0 ** 510)
+        spec = SimSpec(dgp, dgp, 50, 50, quick_cfg(), 3)
+        with pytest.raises(DataError, match="overflows"):
+            run_table([spec])
