@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 from .curves import (
     MAX_DEGREE,
     BlockWorkspace,
-    DifferenceCurve,
     Direction,
     Grid,
     LambdaCurve,
@@ -54,17 +53,10 @@ from .inference import (
     run_test,
 )
 from .montecarlo import SimMode, SimResult, SimSpec, preset_specs, run_table
-from .variance import (
-    CovKernel,
-    Scheme,
-    SigmaCurve,
-    effective_size,
-    sigma_curve,
-    trim,
-)
+from .variance import CovKernel, Scheme, effective_size, sigma_curve
 
 __all__ = [
-    "MAX_DEGREE", "BlockWorkspace", "DifferenceCurve", "Direction", "Grid", "LambdaCurve",
+    "MAX_DEGREE", "BlockWorkspace", "Direction", "Grid", "LambdaCurve",
     "eval_block", "eval_on_grid",
     "DoubleParetoParams", "dp_cdf", "dp_mean", "dp_pdf", "dp_quantile", "dp_sample",
     "PairedSample", "SortedSample", "ecdf", "make_paired", "make_sample", "mean", "quantile",
@@ -74,5 +66,5 @@ __all__ = [
     "PairDecision", "RankingMatrix", "Relation", "TestConfig", "TestResult", "pairwise_rank",
     "run_test",
     "SimMode", "SimResult", "SimSpec", "preset_specs", "run_table",
-    "CovKernel", "Scheme", "SigmaCurve", "effective_size", "sigma_curve", "trim",
+    "CovKernel", "Scheme", "effective_size", "sigma_curve",
 ]

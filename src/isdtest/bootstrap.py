@@ -3,7 +3,7 @@
 Randomness is organized as counter-based substreams: every replication
 derives its own generator from the master seed and an integer key, so the
 full list of bootstrap statistics is a pure function of (data, config,
-seed) regardless of execution order, thread count or block size.
+seed) regardless of execution order or block size.
 
 A replication reweights each sample by :func:`draw_weights`, a
 multinomial draw of n categories.  The test stacks the weights of R

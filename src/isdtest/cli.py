@@ -75,7 +75,7 @@ def load_csv(path, paired: bool = False) -> SortedSample | PairedSample:
     if not p.exists():
         raise DataError(f"file not found: {p}")
     rows = []
-    with open(p, encoding="utf-8") as fh:
+    with open(p, encoding="utf-8-sig") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line:
@@ -106,8 +106,8 @@ def save_csv(sample: SortedSample | PairedSample, path) -> None:
 
 
 def _config_dict(cfg: TestConfig) -> dict:
-    # The worker cap is execution machinery, not test configuration, and is
-    # deliberately absent: reports must not depend on how they were computed.
+    # ``threads`` accepts only 1 and says nothing about the test, so it is
+    # absent: reports must not depend on how they were computed.
     return {
         "m": cfg.m,
         "direction": cfg.direction.value,
@@ -291,7 +291,8 @@ def _add_test_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--grid", type=int, default=1001)
     p.add_argument("--vgrid", type=int, default=101)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted only as 1: the bootstrap runs on one thread")
     p.add_argument("--format", choices=["json", "csv", "text"], default="json")
     p.add_argument("--output", default=None, help="write the report here instead of stdout")
 
@@ -379,7 +380,7 @@ def _parse_spec_file(path) -> dict:
     if not p.exists():
         raise DataError(f"file not found: {p}")
     values: dict[str, list[str]] = {}
-    with open(p, encoding="utf-8") as fh:
+    with open(p, encoding="utf-8-sig") as fh:
         for line_no, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:
@@ -479,8 +480,8 @@ def _cmd_simulate(args) -> Report:
     if (args.spec is None) == (args.preset is None):
         raise ConfigError("simulate needs exactly one of --spec FILE or --preset NAME")
     if args.preset is not None:
-        specs = preset_specs(args.preset, seed=0 if args.seed is None else args.seed,
-                             replications=1000 if args.replications is None else args.replications)
+        given = {"seed": args.seed, "replications": args.replications}
+        specs = preset_specs(args.preset, **{k: v for k, v in given.items() if v is not None})
     else:
         specs = _specs_from_file(args.spec, args.seed, args.replications)
     results = run_table(specs)

@@ -19,8 +19,7 @@ uses this to evaluate R reweighted copies of one sample at once: the jump
 sizes are binned onto lattice levels, prefix sums over the lattice carry
 the binomial expansion in powers of p, and a lattice-to-grid index shared
 by every copy reads the sums off at the grid points.  :func:`eval_on_grid`
-evaluates one unweighted sample, or the difference of two, as a one-row
-block.
+evaluates one unweighted sample as a one-row block.
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ __all__ = [
     "Direction",
     "Grid",
     "LambdaCurve",
-    "DifferenceCurve",
     "eval_on_grid",
     "eval_block",
     "BlockWorkspace",
@@ -113,22 +111,6 @@ class LambdaCurve:
         _check_degree(self.m, self.direction)
 
 
-@dataclass(frozen=True)
-class DifferenceCurve:
-    """Second-sample curve minus first-sample curve, same degree and direction.
-
-    Positive values are evidence against the null that the first sample's
-    distribution dominates the second's.
-    """
-
-    first: LambdaCurve
-    second: LambdaCurve
-
-    def __post_init__(self):
-        if self.first.m != self.second.m or self.first.direction is not self.second.direction:
-            raise ConfigError("difference requires curves of equal degree and direction")
-
-
 def _jumps(values: np.ndarray) -> np.ndarray:
     """Jump sizes (X_(1), diff(X), -X_(n)) at the n + 1 breakpoints.
 
@@ -144,10 +126,8 @@ def _jumps(values: np.ndarray) -> np.ndarray:
     return d
 
 
-def eval_on_grid(curve: LambdaCurve | DifferenceCurve, grid: Grid) -> np.ndarray:
+def eval_on_grid(curve: LambdaCurve, grid: Grid) -> np.ndarray:
     """Pointwise evaluation over a grid with a single O((n + G) m) sweep."""
-    if isinstance(curve, DifferenceCurve):
-        return eval_on_grid(curve.second, grid) - eval_on_grid(curve.first, grid)
     weights = np.ones((1, curve.sample.n), dtype=np.int64)
     return eval_block(curve.sample, weights, curve.m, curve.direction, grid)[0]
 
@@ -190,7 +170,8 @@ class BlockWorkspace:
     which costs more than the arithmetic; a workspace keeps them.  Arrays
     are views of one flat buffer per name and dtype, which grows to the
     largest size asked for, so samples of different sizes share it; the
-    views are kept by shape.  Not thread-safe: one per thread.
+    views are kept by shape.  The bootstrap builds one per call and runs its
+    blocks through it in turn.
     """
 
     def __init__(self):

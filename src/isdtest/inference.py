@@ -24,19 +24,18 @@ cells through the core too.
 
 The B bootstrap replications run in fixed blocks of R rows, R set by the
 largest sample size n under a fixed cell budget (R * (n + 1) <= 2**16, one
-row at least), so a block's arrays stay cache-sized.  With ``threads > 1``
-the thread pool maps over blocks.  Each replication's statistic depends
-only on its own weights, bit for bit, so the statistics are a pure function
-of (data, config, seed), whatever the thread count or the block size.  A
-phi-hat, sigma-hat or statistic that is not finite (data at the ends of
-the double range) raises :class:`~isdtest.errors.DataError`.
+row at least), so a block's arrays stay cache-sized.  The blocks run in
+the calling thread, one after another, reusing one set of temporaries.
+Each replication's statistic depends only on its own weights, bit for bit,
+so the statistics are a pure function of (data, config, seed), whatever
+the block size.  A phi-hat, sigma-hat or statistic that is not finite
+(data at the ends of the double range) raises
+:class:`~isdtest.errors.DataError`.
 """
 
 from __future__ import annotations
 
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from math import sqrt
@@ -107,7 +106,8 @@ class TestConfig:
 
     Defaults follow the recommended practice for sample sizes up to a few
     thousand: tau = 3 for the contact-set band, trimming floor xi = 0.001,
-    nominal level alpha = 0.05, no critical-value floor (eta = 0).
+    nominal level alpha = 0.05, no critical-value floor (eta = 0).  The
+    bootstrap runs on one thread; ``threads`` accepts only 1.
     """
 
     __test__ = False  # keep pytest from collecting the Test* name
@@ -149,8 +149,9 @@ class TestConfig:
             raise ConfigError("bootstrap replication count must be at least 1")
         if self.grid < 2 or self.vgrid < 2:
             raise ConfigError("grids need at least the two endpoints")
-        if self.threads < 1:
-            raise ConfigError("thread count must be at least 1")
+        if self.threads != 1:
+            raise ConfigError(f"the bootstrap runs on one thread: threads must be 1, "
+                              f"got {self.threads!r}")
 
 
 @dataclass(frozen=True)
@@ -218,8 +219,7 @@ def _plan(cells) -> tuple:
                         for direction, tests in directions.items()]
 
 
-def _bootstrap_stats(samples, pairs, m, grid, plan, rng, replications,
-                     threads=1) -> np.ndarray:
+def _bootstrap_stats(samples, pairs, m, grid, plan, rng, replications) -> np.ndarray:
     """Bootstrap statistics of every cell, shape (cells, replications).
 
     ``plan`` lists each direction with its tests (a, b, phi-hat,
@@ -232,23 +232,19 @@ def _bootstrap_stats(samples, pairs, m, grid, plan, rng, replications,
     cells, directions = plan
     rows = max(1, _BLOCK_CELLS // (max(s.n for s in samples) + 1))
     stats = np.empty((cells, replications))
-    local = threading.local()  # one BlockWorkspace per worker thread
-
-    def block(lo: int) -> None:
-        if not hasattr(local, "work"):
-            local.work = BlockWorkspace()
-        work = local.work
-        hi = min(lo + rows, replications)
-        gens = [rng(b) for b in range(lo, hi)]
-        if pairs is None:
-            weights = [np.stack([bootstrap.draw_weights(s.n, g[k]) for g in gens])
-                       for k, s in enumerate(samples)]
-        else:
-            w = np.stack([bootstrap.draw_weights(pairs.n, g[0]) for g in gens])
-            weights = [np.take(w, order, axis=1, out=work.array(name, w.shape, w.dtype))
-                       for name, order in (("left", pairs.left_order()),
-                                           ("right", pairs.right_order()))]
-        with np.errstate(all="ignore"):
+    work = BlockWorkspace()
+    with np.errstate(all="ignore"):
+        for lo in range(0, replications, rows):
+            hi = min(lo + rows, replications)
+            gens = [rng(b) for b in range(lo, hi)]
+            if pairs is None:
+                weights = [np.stack([bootstrap.draw_weights(s.n, g[k]) for g in gens])
+                           for k, s in enumerate(samples)]
+            else:
+                w = np.stack([bootstrap.draw_weights(pairs.n, g[0]) for g in gens])
+                weights = [np.take(w, order, axis=1, out=work.array(name, w.shape, w.dtype))
+                           for name, order in (("left", pairs.left_order()),
+                                               ("right", pairs.right_order()))]
             for direction, tests in directions:
                 curves = [eval_block(s, w, m, direction, grid, work)
                           for s, w in zip(samples, weights)]
@@ -258,19 +254,11 @@ def _bootstrap_stats(samples, pairs, m, grid, plan, rng, replications,
                     h *= root_t
                     for i, kind, _, t in members:
                         stats[i, lo:hi] = derivative(kind, h, contact[t], grid)
-
-    starts = range(0, replications, rows)
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(block, starts))
-    else:
-        for lo in starts:
-            block(lo)
     _finite(stats, "bootstrap statistic")
     return stats
 
 
-def _test_cells(samples, pairs, m, xi, fgrid, vgrid, plan, rng, replications, threads=1):
+def _test_cells(samples, pairs, m, xi, fgrid, vgrid, plan, rng, replications):
     """The test's statistics for every cell of a :func:`_plan` over ``samples``.
 
     Each test (ordered pair, direction) gets its phi-hat, sigma-hat,
@@ -298,7 +286,7 @@ def _test_cells(samples, pairs, m, xi, fgrid, vgrid, plan, rng, replications, th
                                               CovKernel.independent(samples[a], samples[b]))
                 phi = curves[b] - curves[a]
                 _finite(phi, "curve difference")
-                vhat = sigma_curve(kernel, m, direction, vgrid, fgrid, xi).vhat
+                vhat = sigma_curve(kernel, m, direction, vgrid, fgrid, xi)
                 _finite(vhat, "standard deviation")
                 observed = [sqrt(t_n) * functional(kind, phi, fgrid) for kind in kinds]
                 _finite(observed, "test statistic")
@@ -308,7 +296,7 @@ def _test_cells(samples, pairs, m, xi, fgrid, vgrid, plan, rng, replications, th
                 evaluated.append((a, b, phi, sqrt(t_n), members, contact))
             tests_by_direction.append((direction, evaluated))
     boot = _bootstrap_stats(samples, pairs, m, fgrid, (cells, tests_by_direction), rng,
-                            replications, threads)
+                            replications)
     return statistics, boot, contact_sets
 
 
@@ -331,7 +319,7 @@ def run_test(sample1, sample2, config: TestConfig) -> TestResult:
     [statistic], [stats], [cs] = _test_cells(
         [s1, s2], pairs, config.m, config.xi, Grid.uniform(config.grid),
         Grid.uniform(config.vgrid), _plan([(0, 1, config.direction, config.kind, config.tau)]),
-        _test_streams(config.seed), config.bootstrap, config.threads)
+        _test_streams(config.seed), config.bootstrap)
     chat = _critical(stats, config)
 
     elapsed_ms = (time.perf_counter() - start) * 1e3
@@ -430,7 +418,7 @@ def pairwise_rank(datasets, config: TestConfig) -> RankingMatrix:
     bootstrap draws are keyed by (seed, dataset index, replication):
     replication b of the k-th dataset is drawn once and serves every test
     that dataset enters, so its curves are evaluated once per replication,
-    not once per test.  The blocks run on ``config.threads`` threads.
+    not once per test.
     """
     datasets = list(datasets)
     if len(datasets) < 2:
@@ -452,7 +440,7 @@ def pairwise_rank(datasets, config: TestConfig) -> RankingMatrix:
         Grid.uniform(config.vgrid),
         _plan([(a, b, *cell) for i, j in tested for a, b in ((i, j), (j, i))]),
         lambda b: [substream(config.seed, _RANK_TAG, d, b) for d in range(k)],
-        config.bootstrap, config.threads)
+        config.bootstrap)
     reject = [statistic > _critical(row, config) for statistic, row in zip(statistics, stats)]
     p = [p_value(row, statistic) for statistic, row in zip(statistics, stats)]
     decisions = tuple(

@@ -36,7 +36,6 @@ exactly 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from math import comb, factorial
 
@@ -44,14 +43,12 @@ import numpy as np
 
 from .curves import Direction, Grid
 from .empirical import PairedSample, SortedSample
-from .errors import ConfigError
+from .errors import ConfigError, DataError
 
 __all__ = [
     "Scheme",
     "CovKernel",
-    "SigmaCurve",
     "effective_size",
-    "trim",
     "sigma_curve",
 ]
 
@@ -182,9 +179,8 @@ class CovKernel:
         self.n1 = len(sorted1)
         self.n2 = len(sorted2)
         if min(self.n1, self.n2) < 2:
-            raise ConfigError("kernel estimation requires at least two observations per sample")
+            raise DataError("kernel estimation requires at least two observations per sample")
         self.lam = self.n1 / (self.n1 + self.n2)
-        self.t_n = effective_size(self.n1, self.n2)
         if scheme is Scheme.MATCHED:
             # Positions of each row in the per-column sort, for cross terms.
             self._pos1 = _inverse(order1)
@@ -224,32 +220,16 @@ class CovKernel:
         return out
 
 
-def trim(sigma_sq_values, xi: float) -> np.ndarray:
-    """Pointwise max with the trimming floor xi, then square root."""
-    if not xi > 0:
-        raise ConfigError(f"trimming floor xi must be positive, got {xi!r}")
-    return np.sqrt(np.maximum(np.asarray(sigma_sq_values, dtype=float), xi))
-
-
-@dataclass(frozen=True)
-class SigmaCurve:
-    """Pointwise variance estimates and their trimmed standard deviations."""
-
-    grid: Grid
-    sigma_sq: np.ndarray
-    vhat: np.ndarray
-    xi: float
-
-
 def sigma_curve(kernel: CovKernel, m: int, direction: Direction,
-                vgrid: Grid, fgrid: Grid, xi: float) -> SigmaCurve:
-    """Variance curve on the functional grid.
+                vgrid: Grid, fgrid: Grid, xi: float) -> np.ndarray:
+    """Trimmed standard deviation of the curve difference on the functional grid.
 
     The variance is evaluated exactly at the (coarser) variance-grid
-    abscissae and interpolated linearly onto the functional grid; it
-    enters the test only through the contact set, so coarse resolution
-    suffices.
+    abscissae, interpolated linearly onto the functional grid and floored
+    at the trimming level ``xi`` before the square root.  It enters the
+    test only through the contact set, so coarse resolution suffices.
     """
+    if not xi > 0:
+        raise ConfigError(f"trimming floor xi must be positive, got {xi!r}")
     sig_v = kernel.sigma_sq_many(m, direction, vgrid.points)
-    sig_f = np.interp(fgrid.points, vgrid.points, sig_v)
-    return SigmaCurve(grid=fgrid, sigma_sq=sig_f, vhat=trim(sig_f, xi), xi=xi)
+    return np.sqrt(np.maximum(np.interp(fgrid.points, vgrid.points, sig_v), xi))

@@ -241,26 +241,29 @@ def test_acceptance_8_scale_equivariance():
     _finish(8, ok, f"worst relative drift {worst:.2e} over 20 cases", elapsed, 120)
 
 
-def test_acceptance_9_thread_determinism(tmp_path):
-    """The same (data, config, seed) yields byte-identical JSON reports at
-    1, 4, and 8 worker threads (the wall-time field, which measures the
-    hardware rather than the computation, is normalized before comparing)."""
+def test_acceptance_9_block_determinism(tmp_path, monkeypatch):
+    """The same (data, config, seed) yields byte-identical JSON reports on a
+    rerun and with the bootstrap run in one-row blocks (the wall-time field,
+    which measures the hardware rather than the computation, is normalized
+    before comparing)."""
     start = time.perf_counter()
     rng = substream(MASTER, 9)
     fa, fb = tmp_path / "a.csv", tmp_path / "b.csv"
     save_csv(dp_sample(DoubleParetoParams(3.0, 2.0), 400, rng), fa)
     save_csv(dp_sample(DoubleParetoParams(3.0, 2.0), 400, rng), fb)
     payloads = []
-    for threads in (1, 4, 8):
-        out = tmp_path / f"report_{threads}.json"
+    for run, block_cells in enumerate((None, None, 1)):
+        if block_cells is not None:
+            monkeypatch.setattr(isdtest.inference, "_BLOCK_CELLS", block_cells)
+        out = tmp_path / f"report_{run}.json"
         code = main(["test", str(fa), str(fb), "--bootstrap", "299", "--seed", "77",
-                     "--threads", str(threads), "--output", str(out)])
+                     "--output", str(out)])
         assert code == 0
         raw = out.read_bytes().decode()
         payloads.append(re.sub(r'"elapsed_ms": [0-9.e+-]+', '"elapsed_ms": 0', raw))
     ok = payloads[0] == payloads[1] == payloads[2]
     elapsed = time.perf_counter() - start
-    _finish(9, ok, "reports identical at 1, 4, 8 threads", elapsed, 120)
+    _finish(9, ok, "reports identical on a rerun and in one-row blocks", elapsed, 120)
 
 
 def test_acceptance_10_dgp_validation():

@@ -4,14 +4,14 @@ import isdtest
 # leaves or joins this list only by a deliberate edit here.
 PUBLIC = [
     "BlockWorkspace", "ConfigError", "ContactSet", "CovKernel", "DataError",
-    "DifferenceCurve", "Direction", "DoubleParetoParams", "FunctionalKind", "Grid",
+    "Direction", "DoubleParetoParams", "FunctionalKind", "Grid",
     "LambdaCurve", "MAX_DEGREE", "PairDecision", "PairedSample", "RankingMatrix", "Relation",
-    "Scheme", "SigmaCurve", "SimMode", "SimResult", "SimSpec", "SortedSample", "TestConfig",
+    "Scheme", "SimMode", "SimResult", "SimSpec", "SortedSample", "TestConfig",
     "TestResult", "critical_value", "derivative", "derive_seed", "dp_cdf", "dp_mean", "dp_pdf",
     "dp_quantile", "dp_sample", "draw_weights", "ecdf", "effective_size",
     "estimate_contact_set", "eval_block", "eval_on_grid", "functional", "make_paired",
     "make_sample", "mean", "p_value", "pairwise_rank", "preset_specs", "quantile", "run_table",
-    "run_test", "sigma_curve", "substream", "trim",
+    "run_test", "sigma_curve", "substream",
 ]
 
 

@@ -7,7 +7,6 @@ from isdtest import (
     ConfigError,
     ContactSet,
     DataError,
-    DifferenceCurve,
     Direction,
     FunctionalKind,
     Grid,
@@ -142,8 +141,8 @@ class TestBlockRoute:
 
     def _setup(self, m, direction, kind, scheme, bootstrap):
         s1, s2, pairs = _layout(scheme)
-        phi = eval_on_grid(DifferenceCurve(LambdaCurve(s1, m, direction),
-                                           LambdaCurve(s2, m, direction)), self.grid)
+        phi = (eval_on_grid(LambdaCurve(s2, m, direction), self.grid)
+               - eval_on_grid(LambdaCurve(s1, m, direction), self.grid))
         cfg = TestConfig(m=m, direction=direction, kind=kind, scheme=scheme,
                          bootstrap=bootstrap, seed=5, grid=len(self.grid))
         t_n = s1.n * s2.n / (s1.n + s2.n)
@@ -259,9 +258,9 @@ class TestBlockRoute:
             (2, [(Direction.UP, [test])]), inference._test_streams(8), 3)
         for b in range(3):
             w = draw_weights(15, substream(8, inference._BOOT_TAG, b))
-            expanded = eval_on_grid(DifferenceCurve(
-                LambdaCurve(make_sample(np.repeat(left, w)), 3, Direction.UP),
-                LambdaCurve(make_sample(np.repeat(right, w)), 3, Direction.UP)), g)
+            expanded = (
+                eval_on_grid(LambdaCurve(make_sample(np.repeat(right, w)), 3, Direction.UP), g)
+                - eval_on_grid(LambdaCurve(make_sample(np.repeat(left, w)), 3, Direction.UP), g))
             for i, kind in enumerate(FunctionalKind):
                 want = derivative(kind, expanded, full, g)
                 assert stats[i, b] == pytest.approx(want, rel=1e-12, abs=1e-15)

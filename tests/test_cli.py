@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from isdtest import DataError, PairedSample, make_paired, make_sample, substream
+from isdtest import cli
 from isdtest.cli import Report, emit_report, load_csv, main, save_csv
 
 from conftest import random_dp_values
@@ -17,12 +18,15 @@ def write(tmp_path, name, text):
 
 
 class TestLoadCsv:
-    def test_single_column(self, tmp_path):
-        s = load_csv(write(tmp_path, "a.csv", "1\n2\n3\n"))
-        assert list(s.values) == [1.0, 2.0, 3.0]
+    # A UTF-8 byte-order mark is not part of the first value or header.
+    @pytest.mark.parametrize("bom", ["", "\ufeff"], ids=["plain", "bom"])
+    def test_single_column(self, tmp_path, bom):
+        s = load_csv(write(tmp_path, "a.csv", bom + "1.5\n2.5\n3.5\n"))
+        assert list(s.values) == [1.5, 2.5, 3.5]
 
-    def test_header_skipped(self, tmp_path):
-        s = load_csv(write(tmp_path, "a.csv", "income\n1\n2\n"))
+    @pytest.mark.parametrize("bom", ["", "\ufeff"], ids=["plain", "bom"])
+    def test_header_skipped(self, tmp_path, bom):
+        s = load_csv(write(tmp_path, "a.csv", bom + "income\n1\n2\n"))
         assert list(s.values) == [1.0, 2.0]
 
     @pytest.mark.parametrize("first", ["-5", "nan", "inf", "-inf"])
@@ -163,6 +167,18 @@ class TestMainTest:
         assert main(["test", fa, fb, "--direction", "sideways"]) == 3
         assert main(["test", fa]) == 3
         assert main(["test", fa, fb, "--tau", "bogus"]) == 3
+        assert main(["test", fa, fb, "--threads", "2"]) == 3
+        assert main(["rank", fa, fb, "--threads", "2"]) == 3
+        assert b"one thread" in capsysbinary.readouterr().err
+
+    def test_one_observation_exit_2(self, tmp_path, capsys):
+        one = write(tmp_path, "one.csv", "1.5\n")
+        many = write(tmp_path, "many.csv", "1\n2\n3\n")
+        pair = write(tmp_path, "pair.csv", "1,2\n")
+        assert main(["test", one, many, "--bootstrap", "19"]) == 2
+        assert main(["rank", many, one, "--bootstrap", "19"]) == 2
+        assert main(["test", pair, "--matched", "--bootstrap", "19"]) == 2
+        assert "at least two observations" in capsys.readouterr().err
 
     def test_infinite_tau(self, tmp_path, capsysbinary):
         fa, fb = _two_sample_files(tmp_path)
@@ -200,8 +216,8 @@ class TestMainRank:
         assert "<" in out
 
     def test_rank_reports_reproducible(self, tmp_path, capsysbinary):
-        # The report is a pure function of (data, config, seed): reruns and
-        # thread counts agree byte for byte apart from the wall time.
+        # The report is a pure function of (data, config, seed): reruns
+        # agree byte for byte apart from the wall time.
         rng = substream(22, 0)
         paths = []
         for i, name in enumerate("abc"):
@@ -209,9 +225,10 @@ class TestMainRank:
             save_csv(make_sample(random_dp_values(rng, 150 + 10 * i) + 0.05 * i), path)
             paths.append(str(path))
         reports = []
-        for threads in ("1", "1", "2"):
+        for threads in ("1", "1", None):
+            flags = [] if threads is None else ["--threads", threads]
             code = main(["rank", *paths, "--bootstrap", "49", "--grid", "101", "--vgrid", "21",
-                         "--seed", "5", "--threads", threads])
+                         "--seed", "5", *flags])
             assert code == 0
             out = capsysbinary.readouterr().out
             reports.append(re.sub(rb'"elapsed_ms": [0-9.eE+-]+', b'"elapsed_ms": 0', out))
@@ -305,6 +322,32 @@ class TestMainSimulate:
         path = tmp_path / "design.sim"
         path.write_text(SPEC_TEXT, encoding="utf-8")
         assert main(["simulate", "--spec", str(path), "--threads", "2"]) == 3
+
+    @pytest.mark.parametrize("text", [SPEC_TEXT.lstrip(), SPEC_TEXT.split("\n", 2)[2]],
+                             ids=["comment-first", "key-first"])
+    def test_bom_spec_file(self, tmp_path, capsysbinary, text):
+        path = tmp_path / "design.sim"
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        assert main(["simulate", "--spec", str(path)]) == 0
+        assert len(json.loads(capsysbinary.readouterr().out)["result"]["cells"]) == 4
+
+    def test_preset_gets_only_given_flags(self, tmp_path, capsysbinary, monkeypatch):
+        # preset_specs owns its defaults; the command passes on what it was given.
+        path = tmp_path / "design.sim"
+        path.write_text(SPEC_TEXT, encoding="utf-8")
+        small = cli._specs_from_file(str(path), None, None)[:1]
+        calls = []
+
+        def recorded(name, **kwargs):
+            calls.append((name, kwargs))
+            return small
+
+        monkeypatch.setattr(cli, "preset_specs", recorded)
+        for flags in ([], ["--seed", "9"], ["--replications", "3", "--seed", "0"]):
+            assert main(["simulate", "--preset", "size_up", *flags]) == 0
+            capsysbinary.readouterr()
+        assert calls == [("size_up", {}), ("size_up", {"seed": 9}),
+                         ("size_up", {"seed": 0, "replications": 3})]
 
     def test_missing_spec_file(self, tmp_path):
         assert main(["simulate", "--spec", str(tmp_path / "none.sim")]) == 2

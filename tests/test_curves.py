@@ -3,7 +3,6 @@ import pytest
 
 from isdtest import (
     ConfigError,
-    DifferenceCurve,
     Direction,
     Grid,
     LambdaCurve,
@@ -154,30 +153,28 @@ class TestBridgeIdentity:
             assert abs(up - down) < 1e-12 * max(1.0, abs(up))
 
 
-class TestDifferenceCurve:
+def difference(first, second, grid):
+    """Second curve minus first: positive values are evidence against the
+    null that the first sample's distribution dominates the second's."""
+    return eval_on_grid(second, grid) - eval_on_grid(first, grid)
+
+
+class TestDifference:
     def test_identical_samples_zero(self):
         c1 = curve([1, 2, 5], 3, UP)
         c2 = curve([1, 2, 5], 3, UP)
-        d = DifferenceCurve(c1, c2)
-        for value in at(d, *np.linspace(0, 1, 7)):
-            assert value == 0.0
+        assert np.all(difference(c1, c2, Grid.uniform(7)) == 0.0)
 
     def test_shift_adds_half_at_one(self):
-        d = DifferenceCurve(curve([1, 2, 3], 3, UP), curve([2, 3, 4], 3, UP))
-        assert at(d, 1.0) == pytest.approx(0.5, rel=1e-12)
+        d = difference(curve([1, 2, 3], 3, UP), curve([2, 3, 4], 3, UP), Grid.uniform(5))
+        assert d[-1] == pytest.approx(0.5, rel=1e-12)
         oracle = (quad_lambda([2, 3, 4], [1 / 3, 2 / 3, 1.0], 3, UP, 1.0)
                   - quad_lambda([1, 2, 3], [1 / 3, 2 / 3, 1.0], 3, UP, 1.0))
-        assert at(d, 1.0) == pytest.approx(oracle, rel=1e-10)
+        assert d[-1] == pytest.approx(oracle, rel=1e-10)
 
     def test_up_vanishes_at_zero(self):
-        d = DifferenceCurve(curve([1, 9], 3, UP), curve([2, 3, 4], 3, UP))
-        assert at(d, 0.0) == 0.0
-
-    def test_mismatched_curves_rejected(self):
-        with pytest.raises(ConfigError):
-            DifferenceCurve(curve([1], 3, UP), curve([1], 4, UP))
-        with pytest.raises(ConfigError):
-            DifferenceCurve(curve([1], 3, UP), curve([1], 3, DOWN))
+        d = difference(curve([1, 9], 3, UP), curve([2, 3, 4], 3, UP), Grid.uniform(5))
+        assert d[0] == 0.0
 
     def test_shift_monotone_pointwise(self):
         rng = np.random.default_rng(55)
@@ -185,8 +182,8 @@ class TestDifferenceCurve:
         b = random_dp_values(rng, 40)
         g = Grid.uniform(51)
         first = curve(a, 3, UP)
-        base = eval_on_grid(DifferenceCurve(first, curve(b, 3, UP)), g)
-        shifted = eval_on_grid(DifferenceCurve(first, curve(b + 0.5, 3, UP)), g)
+        base = difference(first, curve(b, 3, UP), g)
+        shifted = difference(first, curve(b + 0.5, 3, UP), g)
         assert np.all(shifted >= base - 1e-12)
 
 
@@ -211,8 +208,7 @@ class TestEvalOnGrid:
 
     def test_identical_difference_all_zero(self):
         g = Grid.uniform(17)
-        d = DifferenceCurve(curve([1, 2], 3, UP), curve([1, 2], 3, UP))
-        assert np.all(eval_on_grid(d, g) == 0.0)
+        assert np.all(difference(curve([1, 2], 3, UP), curve([1, 2], 3, UP), g) == 0.0)
 
     def test_endpoints_example(self):
         g = Grid(np.array([0.0, 1.0]))

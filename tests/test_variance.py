@@ -6,12 +6,12 @@ import pytest
 from isdtest import (
     ConfigError,
     CovKernel,
+    DataError,
     Direction,
     Grid,
     make_paired,
     make_sample,
     sigma_curve,
-    trim,
 )
 from conftest import (
     centered_clips,
@@ -309,30 +309,40 @@ class TestSigmaSq:
         assert k.sigma_sq_many(3, UP, [0.5])[0] == pytest.approx(0.0, abs=1e-18)
 
 
-class TestTrim:
-    def test_floor(self):
-        out = trim(np.zeros(4), 0.001)
-        assert out == pytest.approx(np.full(4, np.sqrt(0.001)))
-
-    def test_above_floor(self):
-        assert trim([4.0], 0.001)[0] == 2.0
-
-    def test_below_floor(self):
-        assert trim([0.0005], 0.001)[0] == pytest.approx(np.sqrt(0.001))
-
-    def test_nonpositive_xi_rejected(self):
-        with pytest.raises(ConfigError):
-            trim([1.0], 0.0)
-
-
 class TestSigmaCurve:
-    def test_interpolated_from_variance_grid(self):
-        rng = np.random.default_rng(15)
-        k = CovKernel.independent(make_sample(random_dp_values(rng, 40)),
-                                  make_sample(random_dp_values(rng, 40)))
+    """``sigma_curve`` is the trimmed standard deviation on the functional grid."""
+
+    def _kernel(self, seed):
+        rng = np.random.default_rng(seed)
+        return CovKernel.independent(make_sample(random_dp_values(rng, 40)),
+                                     make_sample(random_dp_values(rng, 40)))
+
+    @pytest.mark.parametrize("xi", [1e-3, 1e-12])
+    def test_interpolated_from_variance_grid(self, xi):
+        k = self._kernel(15)
         vgrid, fgrid = Grid.uniform(11), Grid.uniform(101)
-        sc = sigma_curve(k, 3, UP, vgrid, fgrid, 1e-3)
-        want = np.interp(fgrid.points, vgrid.points,
-                         k.sigma_sq_many(3, UP, vgrid.points))
-        assert sc.sigma_sq == pytest.approx(np.maximum(want, 0.0), rel=1e-12)
-        assert np.all(sc.vhat >= np.sqrt(1e-3) - 1e-15)
+        got = sigma_curve(k, 3, UP, vgrid, fgrid, xi)
+        want = np.interp(fgrid.points, vgrid.points, k.sigma_sq_many(3, UP, vgrid.points))
+        assert np.array_equal(got, np.sqrt(np.maximum(want, xi)))
+        assert np.all(got >= np.sqrt(xi))
+
+    def test_zero_variance_is_floored(self):
+        k = CovKernel.independent(make_sample([2.0] * 10), make_sample([3.0] * 12))
+        got = sigma_curve(k, 4, DOWN, Grid.uniform(11), Grid.uniform(31), 0.001)
+        assert np.array_equal(got, np.full(31, np.sqrt(0.001)))
+
+    @pytest.mark.parametrize("xi", [0.0, -1.0, np.nan])
+    def test_nonpositive_xi_rejected(self, xi):
+        with pytest.raises(ConfigError):
+            sigma_curve(self._kernel(16), 3, UP, Grid.uniform(11), Grid.uniform(21), xi)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: CovKernel.independent(make_sample([1.5]), make_sample([1.0, 2.0, 3.0])),
+    lambda: CovKernel.independent(make_sample([1.0, 2.0]), make_sample([4.0])),
+    lambda: CovKernel.matched(make_paired([1.0], [2.0])),
+], ids=["first", "second", "matched"])
+def test_one_observation_is_data_error(make):
+    # Too little data is an input problem, not a configuration one.
+    with pytest.raises(DataError, match="at least two observations"):
+        make()
