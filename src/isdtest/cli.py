@@ -62,6 +62,16 @@ def _is_float(token: str) -> bool:
     return True
 
 
+def _lines(p: Path):
+    """(line number, line) pairs of a UTF-8 text file; a leading BOM is
+    dropped, and bytes that are not UTF-8 are an input error naming the file."""
+    try:
+        with open(p, encoding="utf-8-sig") as fh:
+            yield from enumerate(fh, start=1)
+    except UnicodeDecodeError:
+        raise DataError(f"{p} is not UTF-8 text") from None
+
+
 def load_csv(path, paired: bool = False) -> SortedSample | PairedSample:
     """Read observations from a CSV file.
 
@@ -75,17 +85,16 @@ def load_csv(path, paired: bool = False) -> SortedSample | PairedSample:
     if not p.exists():
         raise DataError(f"file not found: {p}")
     rows = []
-    with open(p, encoding="utf-8-sig") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            fields = [f.strip() for f in line.split(",")] if paired else [line]
-            if paired and len(fields) != 2:
-                raise DataError(f"line {line_no}: expected two comma-separated columns")
-            if line_no == 1 and not all(_is_float(f) for f in fields):
-                continue  # header row
-            rows.append([_parse_number(f, line_no) for f in fields])
+    for line_no, raw in _lines(p):
+        line = raw.strip()
+        if not line:
+            continue
+        fields = [f.strip() for f in line.split(",")] if paired else [line]
+        if paired and len(fields) != 2:
+            raise DataError(f"line {line_no}: expected two comma-separated columns")
+        if line_no == 1 and not all(_is_float(f) for f in fields):
+            continue  # header row
+        rows.append([_parse_number(f, line_no) for f in fields])
     if not rows:
         raise DataError(f"no data rows in {p}")
     data = np.asarray(rows, dtype=float)
@@ -380,15 +389,14 @@ def _parse_spec_file(path) -> dict:
     if not p.exists():
         raise DataError(f"file not found: {p}")
     values: dict[str, list[str]] = {}
-    with open(p, encoding="utf-8-sig") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise DataError(f"line {line_no}: expected 'key = value'")
-            key, _, rest = line.partition("=")
-            values[key.strip().lower()] = rest.split()
+    for line_no, raw in _lines(p):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise DataError(f"line {line_no}: expected 'key = value'")
+        key, _, rest = line.partition("=")
+        values[key.strip().lower()] = rest.split()
     return values
 
 

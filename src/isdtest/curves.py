@@ -15,11 +15,12 @@ no quadrature is involved and the results are exact up to floating point.
 
 A sample of size n reweighted by integer multiplicities summing to n has
 its step breakpoints on the lattice j/n, j = 0..n.  :func:`eval_block`
-uses this to evaluate R reweighted copies of one sample at once: the jump
-sizes are binned onto lattice levels, prefix sums over the lattice carry
-the binomial expansion in powers of p, and a lattice-to-grid index shared
-by every copy reads the sums off at the grid points.  :func:`eval_on_grid`
-evaluates one unweighted sample as a one-row block.
+uses this to evaluate R reweighted copies of one sample at once, or R
+reweighted samples of one size, one per row: the jump sizes are binned
+onto lattice levels, prefix sums over the lattice carry the binomial
+expansion in powers of p, and a lattice-to-grid index shared by every row
+reads the sums off at the grid points.  :func:`eval_on_grid` evaluates an
+unweighted sample, or a stack of them, as one block.
 """
 
 from __future__ import annotations
@@ -112,24 +113,28 @@ class LambdaCurve:
 
 
 def _jumps(values: np.ndarray) -> np.ndarray:
-    """Jump sizes (X_(1), diff(X), -X_(n)) at the n + 1 breakpoints.
+    """Jump sizes (X_(1), diff(X), -X_(n)) at the n + 1 breakpoints, per
+    sample of a stack.
 
     The step quantile equals X_(i) on (c_{i-1}, c_i]; writing the curve
     integrals by parts collapses them to sums of d_k * ((p - c_k)_+)^(m-1)
     over the breakpoints c_k with these jump sizes d_k.
     """
-    n = len(values)
-    d = np.empty(n + 1)
-    d[0] = values[0]
-    d[1:n] = np.diff(values)
-    d[n] = -values[-1]
+    n = values.shape[-1]
+    d = np.empty(values.shape[:-1] + (n + 1,))
+    d[..., 0] = values[..., 0]
+    d[..., 1:n] = np.diff(values, axis=-1)
+    d[..., n] = -values[..., -1]
     return d
 
 
 def eval_on_grid(curve: LambdaCurve, grid: Grid) -> np.ndarray:
-    """Pointwise evaluation over a grid with a single O((n + G) m) sweep."""
-    weights = np.ones((1, curve.sample.n), dtype=np.int64)
-    return eval_block(curve.sample, weights, curve.m, curve.direction, grid)[0]
+    """Pointwise evaluation over a grid with a single O((n + G) m) sweep per
+    sample: shape (G,), or (D, G) for a stack of D samples."""
+    values = curve.sample.values
+    curves = eval_block(curve.sample, np.ones(np.atleast_2d(values).shape, dtype=np.int64),
+                        curve.m, curve.direction, grid)
+    return curves.reshape(values.shape[:-1] + (len(grid),))
 
 
 @dataclass(frozen=True)
@@ -193,22 +198,26 @@ class BlockWorkspace:
 
 def eval_block(sample: SortedSample, weights, m: int, direction: Direction,
                grid: Grid, work: BlockWorkspace | None = None) -> np.ndarray:
-    """Curves of R reweighted copies of one sample over a grid, shape (R, G).
+    """Curves of R reweighted samples over a grid, shape (R, G).
 
-    Row b of ``weights`` holds the copy's nonnegative integer
-    multiplicities, aligned with the sorted values and summing to n (a
-    multinomial bootstrap draw).  The cost is O(R (n + G) m) with no search
-    per row.  Each row's values do not depend on the other rows of the
-    block.  The boundary value (p = 0 upward, p = 1 downward) is exactly 0.
-    Temporaries come from ``work`` when one is given; the returned array is
-    always new.
+    ``sample`` is one :class:`SortedSample` that every row reweights, or a
+    stack of R samples of size n, values of shape (R, n), one per row.  Row
+    b of ``weights`` holds that row's nonnegative integer multiplicities,
+    aligned with the sorted values and summing to n (a multinomial
+    bootstrap draw; all ones for the sample itself).  The cost is
+    O(R (n + G) m) with no search per row.  Each row's values do not depend
+    on the other rows of the block, bit for bit.  The boundary value (p = 0
+    upward, p = 1 downward) is exactly 0.  Temporaries come from ``work``
+    when one is given; the returned array is always new.
     """
     _check_degree(m, direction)
     values = sample.values
-    n = len(values)
+    n = values.shape[-1]
     w = np.ascontiguousarray(weights, dtype=np.int64)
     if w.ndim != 2 or w.shape[1] != n:
         raise DataError("weights length does not match the sample size")
+    if values.ndim != 1 and values.shape != w.shape:
+        raise DataError("per-row samples do not match the weights' shape")
     if np.any(w < 0):
         raise DataError("weights must be nonnegative")
     rows, width = w.shape[0], n + 1

@@ -51,14 +51,16 @@ class SortedSample:
     """An ascending sample of nonnegative observations.
 
     ``values`` is a read-only float array sorted ascending (ties kept).
-    Construct through :func:`make_sample`, which validates raw input.
+    Construct through :func:`make_sample`, which validates raw input.  The
+    test's core also holds a stack of D samples of one size n here, shape
+    (D, n), each row sorted; ``n`` is then the size of each.
     """
 
     values: np.ndarray
 
     @property
     def n(self) -> int:
-        return len(self.values)
+        return self.values.shape[-1]
 
 
 @dataclass(frozen=True)

@@ -8,19 +8,23 @@ degree and direction.  Large positive values of the difference curve
 This orientation is the single most error-prone convention of the tool.
 
 The test's recipe is written once, in a private core that takes a list of
-samples, a list of cells (ordered pair (a, b), direction, functional,
+sample slots, a list of cells (ordered pair (a, b), direction, functional,
 contact-set bandwidth) and, per bootstrap replication, one generator per
-sample.  Each test, an ordered pair in one direction, evaluates phi-hat
+sample.  Each slot holds a stack of D datasets of one size, and dataset d
+of every slot is one test problem, computed row by row exactly as if it
+were alone.  Each test, an ordered pair in one direction, evaluates phi-hat
 and sigma-hat once and the contact set once per bandwidth, exactly as a
-two-sample test of that pair would.  A block of replications draws every
-sample once and evaluates it once per direction; each test's bootstrap
-curves are row differences of those.  ``run_test`` is the one-cell call
-on two samples, whose weights both come from one generator keyed by
-(seed, b).  ``pairwise_rank`` is one call over all its datasets with both
-nulls of every pair; dataset k draws from a generator keyed by
-(seed, k, b), so the tests of one ranking share each dataset's draws.
-Both modes of the simulation harness (:mod:`isdtest.montecarlo`) run their
-cells through the core too.
+two-sample test of that pair would; each sample's own variance is computed
+once per direction and mixed per pair.  A block of replications draws
+every sample once and evaluates it once per direction; each test's
+bootstrap curves are row differences of those.  ``run_test`` is the
+one-cell call on two samples (D = 1), whose weights both come from one
+generator keyed by (seed, b).  ``pairwise_rank`` is one call over all its
+datasets (D = 1) with both nulls of every pair; dataset k draws from a
+generator keyed by (seed, k, b), so the tests of one ranking share each
+dataset's draws.  Both modes of the simulation harness
+(:mod:`isdtest.montecarlo`) run their cells through the core too, once
+per chunk of replications, their datasets stacked.
 
 The B bootstrap replications run in fixed blocks of R rows, R set by the
 largest sample size n under a fixed cell budget (R * (n + 1) <= 2**16, one
@@ -28,9 +32,9 @@ row at least), so a block's arrays stay cache-sized.  The blocks run in
 the calling thread, one after another, reusing one set of temporaries.
 Each replication's statistic depends only on its own weights, bit for bit,
 so the statistics are a pure function of (data, config, seed), whatever
-the block size.  A phi-hat, sigma-hat or statistic that is not finite
-(data at the ends of the double range) raises
-:class:`~isdtest.errors.DataError`.
+the block size or the number of stacked datasets.  A phi-hat, sigma-hat or
+statistic that is not finite (data at the ends of the double range) raises
+:class:`~isdtest.errors.DataError`; the check runs once per core call.
 """
 
 from __future__ import annotations
@@ -220,60 +224,70 @@ def _plan(cells) -> tuple:
 
 
 def _bootstrap_stats(samples, pairs, m, grid, plan, rng, replications) -> np.ndarray:
-    """Bootstrap statistics of every cell, shape (cells, replications).
+    """Bootstrap statistics of every cell, shape (cells, D, replications).
 
     ``plan`` lists each direction with its tests (a, b, phi-hat,
-    sqrt(T_n), members, contact sets).  Replication b draws sample k's
-    weights from ``rng(b)[k]`` (matched pairs: one draw from ``rng(b)[0]``,
-    routed through each column's sort order).  A block draws and evaluates
-    every sample once per direction, and each test's curves are row
-    differences of those.  A non-finite statistic raises DataError.
+    sqrt(T_n), members, contact sets).  Replication b of dataset d draws
+    sample k's weights from ``rng(b)[d][k]`` (matched pairs: one draw from
+    ``rng(b)[0][0]``, routed through each column's sort order).  A block
+    holds whole replications, row (b, d) for every dataset d of the stack,
+    and draws and evaluates every sample once per direction; each test's
+    curves are row differences of those.
     """
     cells, directions = plan
-    rows = max(1, _BLOCK_CELLS // (max(s.n for s in samples) + 1))
-    stats = np.empty((cells, replications))
+    depth = len(samples[0].values)
+    per_block = max(1, _BLOCK_CELLS // (max(s.n for s in samples) + 1) // depth)
+    stats = np.empty((cells, depth, replications))
     work = BlockWorkspace()
-    with np.errstate(all="ignore"):
-        for lo in range(0, replications, rows):
-            hi = min(lo + rows, replications)
-            gens = [rng(b) for b in range(lo, hi)]
-            if pairs is None:
-                weights = [np.stack([bootstrap.draw_weights(s.n, g[k]) for g in gens])
-                           for k, s in enumerate(samples)]
-            else:
-                w = np.stack([bootstrap.draw_weights(pairs.n, g[0]) for g in gens])
-                weights = [np.take(w, order, axis=1, out=work.array(name, w.shape, w.dtype))
-                           for name, order in (("left", pairs.left_order()),
-                                               ("right", pairs.right_order()))]
-            for direction, tests in directions:
-                curves = [eval_block(s, w, m, direction, grid, work)
-                          for s, w in zip(samples, weights)]
-                for a, b, phi, root_t, members, contact in tests:
-                    h = curves[b] - curves[a]
-                    h -= phi
-                    h *= root_t
-                    for i, kind, _, t in members:
-                        stats[i, lo:hi] = derivative(kind, h, contact[t], grid)
-    _finite(stats, "bootstrap statistic")
+    for lo in range(0, replications, per_block):
+        hi = min(lo + per_block, replications)
+        gens = [g for b in range(lo, hi) for g in rng(b)]
+        if pairs is None:
+            weights = [np.stack([bootstrap.draw_weights(s.n, g[k]) for g in gens])
+                       for k, s in enumerate(samples)]
+        else:
+            w = np.stack([bootstrap.draw_weights(pairs.n, g[0]) for g in gens])
+            weights = [np.take(w, order, axis=1, out=work.array(name, w.shape, w.dtype))
+                       for name, order in (("left", pairs.left_order()),
+                                           ("right", pairs.right_order()))]
+        # Row (b, d) reweights dataset d: one shared sample, or the stack tiled.
+        rows = [SortedSample(s.values[0] if depth == 1 else np.tile(s.values, (hi - lo, 1)))
+                for s in samples]
+        for direction, tests in directions:
+            curves = [eval_block(x, w, m, direction, grid, work) for x, w in zip(rows, weights)]
+            for a, b, phi, root_t, members, contact in tests:
+                h = curves[b] - curves[a]
+                stacked = h.reshape(hi - lo, depth, -1)
+                stacked -= phi
+                stacked *= root_t
+                for i, kind, _, t in members:
+                    stats[i, :, lo:hi] = derivative(kind, h, contact[t], grid).reshape(
+                        hi - lo, depth).T
     return stats
 
 
 def _test_cells(samples, pairs, m, xi, fgrid, vgrid, plan, rng, replications):
     """The test's statistics for every cell of a :func:`_plan` over ``samples``.
 
+    Sample slot k is a :class:`SortedSample` holding a stack of D datasets
+    of one size, values of shape (D, n_k); dataset d of every slot makes up
+    one test problem, computed row by row exactly as if it were alone.
     Each test (ordered pair, direction) gets its phi-hat, sigma-hat,
     observed statistic per kind and contact set per bandwidth exactly as a
-    two-sample test of its pair would; one set of bootstrap draws,
-    replication b from ``rng(b)``, serves every cell.  ``pairs`` is the
+    two-sample test of its pair would; each sample's own variance is
+    computed once per direction and mixed per pair.  One set of bootstrap
+    draws, replication b of
+    dataset d from ``rng(b)[d]``, serves every cell.  ``pairs`` is the
     :class:`PairedSample` whose columns are ``samples`` under the matched
-    scheme, else None.  Returns each cell's observed statistic, its
-    bootstrap statistics (a row of a (cells, replications) array) and its
-    contact set.  A non-finite phi-hat, sigma-hat or statistic raises
-    DataError.
+    scheme (then D = 1), else None.  Returns each cell's observed
+    statistics (cells, D), its bootstrap statistics (cells, D,
+    replications) and its contact set (one membership row per dataset).
+    A non-finite phi-hat, sigma-hat or statistic raises DataError; the
+    guard runs once per call, whatever D.
     """
     cells, directions = plan
-    statistics, contact_sets = [0.0] * cells, [None] * cells
-    tests_by_direction, kernels = [], {}
+    statistics, contact_sets = [None] * cells, [None] * cells
+    tests_by_direction, kernels, variances = [], {}, {}
     with np.errstate(all="ignore"):  # an overflow shows as a non-finite value, checked here
         for direction, tests in directions:
             curves = [eval_on_grid(LambdaCurve(s, m, direction), fgrid) for s in samples]
@@ -282,28 +296,31 @@ def _test_cells(samples, pairs, m, xi, fgrid, vgrid, plan, rng, replications):
                 t_n = effective_size(samples[a].n, samples[b].n)
                 kernel = kernels.get((a, b))
                 if kernel is None:
-                    kernel = kernels[a, b] = (CovKernel.matched(pairs) if pairs is not None else
-                                              CovKernel.independent(samples[a], samples[b]))
+                    kernel = kernels[a, b] = (
+                        CovKernel.matched(pairs) if pairs is not None else
+                        CovKernel(Scheme.INDEPENDENT, samples[a], samples[b], memo=variances))
                 phi = curves[b] - curves[a]
-                _finite(phi, "curve difference")
-                vhat = sigma_curve(kernel, m, direction, vgrid, fgrid, xi)
-                _finite(vhat, "standard deviation")
+                # Matched pairs give one row of sigma-hat, independent stacks D rows.
+                vhat = np.atleast_2d(sigma_curve(kernel, m, direction, vgrid, fgrid, xi))
                 observed = [sqrt(t_n) * functional(kind, phi, fgrid) for kind in kinds]
+                _finite(phi, "curve difference")
+                _finite(vhat, "standard deviation")
                 _finite(observed, "test statistic")
                 contact = [estimate_contact_set(phi, vhat, t_n, tau, fgrid) for tau in taus]
                 for i, _, k, t in members:
                     statistics[i], contact_sets[i] = observed[k], contact[t]
                 evaluated.append((a, b, phi, sqrt(t_n), members, contact))
             tests_by_direction.append((direction, evaluated))
-    boot = _bootstrap_stats(samples, pairs, m, fgrid, (cells, tests_by_direction), rng,
-                            replications)
-    return statistics, boot, contact_sets
+        boot = _bootstrap_stats(samples, pairs, m, fgrid, (cells, tests_by_direction), rng,
+                                replications)
+    _finite(boot, "bootstrap statistic")
+    return np.array(statistics), boot, contact_sets
 
 
 def _test_streams(seed: int):
     """``run_test``'s generators: replication b draws both samples' weights,
     the first sample's then the second's, from one stream keyed by (seed, b)."""
-    return lambda b: (substream(seed, _BOOT_TAG, b),) * 2
+    return lambda b: [(substream(seed, _BOOT_TAG, b),) * 2]
 
 
 def run_test(sample1, sample2, config: TestConfig) -> TestResult:
@@ -316,10 +333,12 @@ def run_test(sample1, sample2, config: TestConfig) -> TestResult:
     """
     start = time.perf_counter()
     s1, s2, pairs = _resolve_layout(sample1, sample2, config.scheme)
-    [statistic], [stats], [cs] = _test_cells(
-        [s1, s2], pairs, config.m, config.xi, Grid.uniform(config.grid),
-        Grid.uniform(config.vgrid), _plan([(0, 1, config.direction, config.kind, config.tau)]),
+    [[statistic]], [[stats]], [cs] = _test_cells(
+        [SortedSample(s1.values[None]), SortedSample(s2.values[None])], pairs, config.m,
+        config.xi, Grid.uniform(config.grid), Grid.uniform(config.vgrid),
+        _plan([(0, 1, config.direction, config.kind, config.tau)]),
         _test_streams(config.seed), config.bootstrap)
+    statistic = float(statistic)
     chat = _critical(stats, config)
 
     elapsed_ms = (time.perf_counter() - start) * 1e3
@@ -328,7 +347,7 @@ def run_test(sample1, sample2, config: TestConfig) -> TestResult:
         critical_value=chat,
         p_value=p_value(stats, statistic),
         reject=bool(statistic > chat),
-        contact_fraction=cs.fraction,
+        contact_fraction=float(cs.fraction[0]),
         t_n=effective_size(s1.n, s2.n),
         grid=config.grid,
         vgrid=config.vgrid,
@@ -436,12 +455,14 @@ def pairwise_rank(datasets, config: TestConfig) -> RankingMatrix:
     tested = [(i, j) for i in range(k) for j in range(i + 1, k)]
     cell = (config.direction, config.kind, config.tau)
     statistics, stats, _ = _test_cells(
-        samples, None, config.m, config.xi, Grid.uniform(config.grid),
-        Grid.uniform(config.vgrid),
+        [SortedSample(s.values[None]) for s in samples], None, config.m, config.xi,
+        Grid.uniform(config.grid), Grid.uniform(config.vgrid),
         _plan([(a, b, *cell) for i, j in tested for a, b in ((i, j), (j, i))]),
-        lambda b: [substream(config.seed, _RANK_TAG, d, b) for d in range(k)],
+        lambda b: [[substream(config.seed, _RANK_TAG, d, b) for d in range(k)]],
         config.bootstrap)
-    reject = [statistic > _critical(row, config) for statistic, row in zip(statistics, stats)]
+    statistics, stats = statistics[:, 0], stats[:, 0]
+    reject = [bool(statistic > _critical(row, config))
+              for statistic, row in zip(statistics, stats)]
     p = [p_value(row, statistic) for statistic, row in zip(statistics, stats)]
     decisions = tuple(
         PairDecision(a=labels[i], b=labels[j],

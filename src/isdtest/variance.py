@@ -18,12 +18,16 @@ coefficients are prefix sums over the sample, and a constant for k > j.
 
 Independent samples: prefix sums of the coefficients and of their pairwise
 products give sum f and sum f^2 at every level, O((n + G) m^2) time and
-O(n m) memory for G levels.  The downward direction is the upward one
-applied to the reflected sample -X reversed at 1 - p; the reflection adds
-a term linear in X_(k) beyond j.  Each sample is shifted by its mean first
-(the variance is shift-invariant).  The worst error relative to
-max_p sigma^2(p), against exact rational arithmetic for n <= 40, is 1e-14
-at m = 3, 3e-14 at m = 4, 3e-12 at m = 6 and 2e-7 at m = 12.  The loss
+O(n m) memory for G levels.  Kernels that share a memo compute each
+sample's own term once, so the kernels of a ranking's pairs compute it once
+per sample, not once per pair.  A stack of D samples of one size, shape
+(D, n), is computed at once along a leading axis, each row exactly as that
+sample alone.  The downward direction is the upward one applied to the
+reflected sample -X reversed at 1 - p; the reflection adds a term linear
+in X_(k) beyond j.  Each sample is shifted by its mean first (the variance
+is shift-invariant).  The worst error relative to max_p sigma^2(p), against
+exact rational arithmetic for n <= 40, is 1e-14 at m = 3, 3e-14 at m = 4,
+3e-12 at m = 6 and 2e-7 at m = 12.  The loss
 grows with the degree upward only (downward it stays within 2e-12): it
 comes from sum f^2 - (sum f)^2 / n when f is nearly constant over k.  The
 variance enters the test only through the contact set.
@@ -76,49 +80,54 @@ def _frame(values: np.ndarray, m: int, direction: Direction, ps: np.ndarray):
         f_k = sum_r c_r e[r, k]      for k < j,
         f_k = tail + beta * z_k      for k >= j.
 
-    Returns ``(z, e, j, c, tail, beta)``; ``z`` (n + 1) and ``e``
-    (q + 1, n + 1) carry a trailing zero so that prefix sums over segments
-    may start at j = n.
+    Returns ``(z, e, j, c, tail, beta)``; ``z`` (..., n + 1) and ``e``
+    (..., q + 1, n + 1) carry a trailing zero so that prefix sums over
+    segments may start at j = n.  ``values`` is one sorted sample, shape
+    (n,), or a stack of them, shape (D, n); ``z``, ``e`` and ``tail`` then
+    carry the same leading axis.
     """
     q = m - 2
-    n = len(values)
+    n = values.shape[-1]
+    stack = values.shape[:-1]
     up = direction is Direction.UP
-    x = values - values.mean()
-    z = np.zeros(n + 1)
-    z[:n] = x if up else -x[::-1]
-    zn = z[:n]
+    x = values - values.mean(axis=-1, keepdims=True)
+    z = np.zeros(stack + (n + 1,))
+    z[..., :n] = x if up else -x[..., ::-1]
+    zn = z[..., :n]
     pf = ps if up else 1.0 - ps
     # prefix[r, j]: sum over i < j of z_i ((-a_i)^r - (-b_i)^r), interval i = [a_i, b_i].
-    prefix = np.zeros((q + 1, n + 1))
-    e = np.zeros((q + 1, n + 1))
+    prefix = np.zeros(stack + (q + 1, n + 1))
+    e = np.zeros(stack + (q + 1, n + 1))
     neg_a = -np.arange(n) / n
     neg_b = -np.arange(1, n + 1) / n
     pow_a = np.ones(n)
     pow_b = np.ones(n)
     for r in range(q + 1):
-        np.cumsum(zn * (pow_a - pow_b), out=prefix[r, 1:])
-        np.add(prefix[r, 1:], zn * pow_b, out=e[r, :n])
+        np.cumsum(zn * (pow_a - pow_b), axis=-1, out=prefix[..., r, 1:])
+        np.add(prefix[..., r, 1:], zn * pow_b, out=e[..., r, :n])
         pow_a *= neg_a
         pow_b *= neg_b
     if not up:
-        e[0, :n] -= zn
+        e[..., 0, :n] -= zn
     j = np.searchsorted(np.arange(n + 1) / n, pf, side="right") - 1
     c = np.array([comb(q, r) * pf ** (q - r) for r in range(q + 1)]) / factorial(q)
     # Integrated weight of the partial interval j times its value, plus the full ones.
-    tail = np.einsum("rg,rg->g", c, prefix[:, j]) + (pf - j / n) ** q / factorial(q) * z[j]
+    tail = (np.einsum("rg,...rg->...g", c, prefix[..., j])
+            + (pf - j / n) ** q / factorial(q) * z[..., j])
     beta = np.zeros_like(pf) if up else -pf ** q / factorial(q)
     return z, e, j, c, tail, beta
 
 
 def _variance_independent(values: np.ndarray, m: int, direction: Direction,
                           ps: np.ndarray) -> np.ndarray:
-    """Variance over k of f_p(X_(k)) from prefix moments, O((n + G) m^2).
+    """Variance over k of f_p(X_(k)) from prefix moments, O((n + G) m^2),
+    shape (G,), or (D, G) for a stack of D samples.
 
     Each product e_r e_s is reduced onto the segments between consecutive
     distinct j and summed over segments, so only n-vectors are held.
     """
     z, e, j, c, tail, beta = _frame(values, m, direction, ps)
-    n = len(values)
+    n = values.shape[-1]
     starts, inverse = np.unique(np.concatenate(([0], j)), return_inverse=True)
     at = inverse.ravel()[1:]
 
@@ -129,17 +138,17 @@ def _variance_independent(values: np.ndarray, m: int, direction: Direction,
         np.cumsum(seg[..., :-1], axis=-1, out=out[..., 1:])
         return out[..., at]
 
-    head = np.einsum("rg,rg->g", c, below_j(e))
-    head_sq = np.zeros(len(ps))
-    prod = np.zeros(n + 1)
+    head = np.einsum("rg,...rg->...g", c, below_j(e))
+    head_sq = np.zeros(tail.shape)
+    prod = np.zeros(z.shape)
     for r in range(len(c)):
         for s in range(r, len(c)):
-            np.multiply(e[r], e[s], out=prod)
+            np.multiply(e[..., r, :], e[..., s, :], out=prod)
             head_sq += (1.0 if r == s else 2.0) * c[r] * c[s] * below_j(prod)
     rest = n - j
     zz = z * z
-    z_tail = z.sum() - below_j(z)
-    zz_tail = zz.sum() - below_j(zz)
+    z_tail = z.sum(axis=-1, keepdims=True) - below_j(z)
+    zz_tail = zz.sum(axis=-1, keepdims=True) - below_j(zz)
     sum_f = head + rest * tail + beta * z_tail
     sum_f2 = head_sq + rest * tail ** 2 + 2.0 * beta * tail * z_tail + beta ** 2 * zz_tail
     return (sum_f2 - sum_f ** 2 / n) / (n - 1)
@@ -164,20 +173,39 @@ def _inverse(order: np.ndarray) -> np.ndarray:
     return pos
 
 
+def _sample_variance(sample: SortedSample, m: int, direction: Direction, ps: np.ndarray,
+                     memo: dict | None) -> np.ndarray:
+    """The sample's own variance term; with a ``memo`` that kernels over
+    common samples share, computed once per (sample, m, direction, levels)."""
+    if memo is None:
+        return _variance_independent(sample.values, m, direction, ps)
+    key = (id(sample), m, direction, ps.tobytes())
+    if key not in memo:  # the memo holds the sample, so its id stays its own
+        memo[key] = sample, _variance_independent(sample.values, m, direction, ps)
+    return memo[key][1]
+
+
 class CovKernel:
     """Covariance-kernel estimate for a two-sample layout.
 
-    Construct with :meth:`independent` or :meth:`matched`.  The kernel is
-    immutable after construction; evaluation is pure and thread-safe.
+    Construct with :meth:`independent` or :meth:`matched`.  Independent
+    samples may also be stacks of D samples of one size each, values of
+    shape (D, n1) and (D, n2), whose variances are computed row by row.
+    Independent kernels that share a ``memo`` dict compute each common
+    sample's own variance term once while the dict lives; the test's core
+    lends one dict to the kernels of one call.  The kernel is immutable
+    after construction; evaluation is pure.
     """
 
-    def __init__(self, scheme: Scheme, sorted1: np.ndarray, sorted2: np.ndarray,
-                 order1: np.ndarray | None = None, order2: np.ndarray | None = None):
+    def __init__(self, scheme: Scheme, sorted1: SortedSample, sorted2: SortedSample,
+                 order1: np.ndarray | None = None, order2: np.ndarray | None = None,
+                 memo: dict | None = None):
         self.scheme = scheme
-        self._x1 = sorted1
-        self._x2 = sorted2
-        self.n1 = len(sorted1)
-        self.n2 = len(sorted2)
+        self._memo = memo
+        self._s1 = sorted1
+        self._s2 = sorted2
+        self.n1 = sorted1.n
+        self.n2 = sorted2.n
         if min(self.n1, self.n2) < 2:
             raise DataError("kernel estimation requires at least two observations per sample")
         self.lam = self.n1 / (self.n1 + self.n2)
@@ -188,11 +216,11 @@ class CovKernel:
 
     @classmethod
     def independent(cls, sample1: SortedSample, sample2: SortedSample) -> "CovKernel":
-        return cls(Scheme.INDEPENDENT, sample1.values, sample2.values)
+        return cls(Scheme.INDEPENDENT, sample1, sample2)
 
     @classmethod
     def matched(cls, pairs: PairedSample) -> "CovKernel":
-        return cls(Scheme.MATCHED, pairs.left_sample().values, pairs.right_sample().values,
+        return cls(Scheme.MATCHED, pairs.left_sample(), pairs.right_sample(),
                    order1=pairs.left_order(), order2=pairs.right_order())
 
     def sigma_sq_many(self, m: int, direction: Direction, ps) -> np.ndarray:
@@ -200,7 +228,7 @@ class CovKernel:
 
         Independent samples cost O((n + G) m^2) for G levels; matched pairs
         cost O(G n m).  The value is clamped at 0 and is exactly 0 at
-        p = 0 upward and p = 1 downward.
+        p = 0 upward and p = 1 downward.  Shape (G,), or (D, G) for stacks.
         """
         if m < 3:
             raise ConfigError(f"variance of the curve difference requires degree >= 3, got {m}")
@@ -208,15 +236,15 @@ class CovKernel:
         if ps.ndim != 1 or not np.all((ps >= 0.0) & (ps <= 1.0)):
             raise ValueError("evaluation points must lie in [0, 1]")
         if self.scheme is Scheme.INDEPENDENT:
-            out = ((1.0 - self.lam) * _variance_independent(self._x1, m, direction, ps)
-                   + self.lam * _variance_independent(self._x2, m, direction, ps))
+            out = ((1.0 - self.lam) * _sample_variance(self._s1, m, direction, ps, self._memo)
+                   + self.lam * _sample_variance(self._s2, m, direction, ps, self._memo))
         else:
-            diff = _row_values(self._x1, m, direction, ps, self._pos1)
-            diff -= _row_values(self._x2, m, direction, ps, self._pos2)
+            diff = _row_values(self._s1.values, m, direction, ps, self._pos1)
+            diff -= _row_values(self._s2.values, m, direction, ps, self._pos2)
             diff -= diff.mean(axis=1, keepdims=True)
             out = np.einsum("gk,gk->g", diff, diff) / (2.0 * (self.n1 - 1))
         out = np.maximum(out, 0.0)
-        out[ps == (0.0 if direction is Direction.UP else 1.0)] = 0.0
+        out[..., ps == (0.0 if direction is Direction.UP else 1.0)] = 0.0
         return out
 
 
@@ -228,8 +256,10 @@ def sigma_curve(kernel: CovKernel, m: int, direction: Direction,
     abscissae, interpolated linearly onto the functional grid and floored
     at the trimming level ``xi`` before the square root.  It enters the
     test only through the contact set, so coarse resolution suffices.
+    Shape (F,), or (D, F) for a kernel over stacks of D samples.
     """
     if not xi > 0:
         raise ConfigError(f"trimming floor xi must be positive, got {xi!r}")
     sig_v = kernel.sigma_sq_many(m, direction, vgrid.points)
-    return np.sqrt(np.maximum(np.interp(fgrid.points, vgrid.points, sig_v), xi))
+    sig_f = [np.interp(fgrid.points, vgrid.points, row) for row in np.atleast_2d(sig_v)]
+    return np.sqrt(np.maximum(sig_f, xi)).reshape(sig_v.shape[:-1] + (len(fgrid),))

@@ -12,6 +12,7 @@ from isdtest import (
     Grid,
     LambdaCurve,
     Scheme,
+    SortedSample,
     TestConfig,
     critical_value,
     derivative,
@@ -152,8 +153,9 @@ class TestBlockRoute:
         """The test's block loop on one cell, with the given contact set."""
         test = (0, 1, phi, np.sqrt(t_n), [(0, cfg.kind, 0, 0)], [cs])
         return inference._bootstrap_stats(
-            [s1, s2], pairs, cfg.m, self.grid, (1, [(cfg.direction, [test])]),
-            inference._test_streams(cfg.seed), cfg.bootstrap)[0]
+            [SortedSample(s1.values[None]), SortedSample(s2.values[None])], pairs, cfg.m,
+            self.grid, (1, [(cfg.direction, [test])]), inference._test_streams(cfg.seed),
+            cfg.bootstrap)[0, 0]
 
     @pytest.mark.parametrize("bootstrap", [1, BLOCK_ROWS - 1, BLOCK_ROWS + 1])
     @pytest.mark.parametrize("m, direction, kind, scheme", BLOCK_COMBOS)
@@ -254,7 +256,8 @@ class TestBlockRoute:
         members = [(0, FunctionalKind.SUP, 0, 0), (1, FunctionalKind.INT, 0, 0)]
         test = (0, 1, np.zeros(len(g)), 1.0, members, [full])
         stats = inference._bootstrap_stats(
-            [pairs.left_sample(), pairs.right_sample()], pairs, 3, g,
+            [SortedSample(pairs.left_sample().values[None]),
+             SortedSample(pairs.right_sample().values[None])], pairs, 3, g,
             (2, [(Direction.UP, [test])]), inference._test_streams(8), 3)
         for b in range(3):
             w = draw_weights(15, substream(8, inference._BOOT_TAG, b))
@@ -263,7 +266,7 @@ class TestBlockRoute:
                 - eval_on_grid(LambdaCurve(make_sample(np.repeat(left, w)), 3, Direction.UP), g))
             for i, kind in enumerate(FunctionalKind):
                 want = derivative(kind, expanded, full, g)
-                assert stats[i, b] == pytest.approx(want, rel=1e-12, abs=1e-15)
+                assert stats[i, 0, b] == pytest.approx(want, rel=1e-12, abs=1e-15)
 
     def test_workspace_reuse_is_bit_exact(self):
         # One workspace lent to calls of changing n, rows, degree and

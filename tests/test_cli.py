@@ -180,6 +180,22 @@ class TestMainTest:
         assert main(["test", pair, "--matched", "--bootstrap", "19"]) == 2
         assert "at least two observations" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("single, paired", [
+        ("1.5\n2.5\n3.5\n".encode("utf-16"), "1,2\n3,4\n5,6\n".encode("utf-16")),
+        (b"1.5\n2.5\xff\n3.5\n", b"1,2\n3,4\xff\n5,6\n"),
+    ], ids=["utf16-bom", "stray-0xff"])
+    def test_not_utf8_exit_2(self, tmp_path, capsys, single, paired):
+        bad, pairs = tmp_path / "bad.csv", tmp_path / "pairs.csv"
+        bad.write_bytes(single)
+        pairs.write_bytes(paired)
+        many = write(tmp_path, "many.csv", "1\n2\n3\n")
+        assert main(["test", str(bad), many, "--bootstrap", "19"]) == 2
+        assert main(["rank", many, str(bad), "--bootstrap", "19"]) == 2
+        assert main(["test", str(pairs), "--matched", "--bootstrap", "19"]) == 2
+        err = capsys.readouterr().err
+        assert err.count(f"{bad} is not UTF-8 text") == 2
+        assert f"{pairs} is not UTF-8 text" in err
+
     def test_infinite_tau(self, tmp_path, capsysbinary):
         fa, fb = _two_sample_files(tmp_path)
         code = main(["test", fa, fb, "--tau", "inf", "--bootstrap", "49",
@@ -330,6 +346,30 @@ class TestMainSimulate:
         path.write_bytes(b"\xef\xbb\xbf" + text.encode())
         assert main(["simulate", "--spec", str(path)]) == 0
         assert len(json.loads(capsysbinary.readouterr().out)["result"]["cells"]) == 4
+
+    def test_not_utf8_spec_file_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "design.sim"
+        path.write_bytes(SPEC_TEXT.encode().replace(b"replications", b"replic\xffations"))
+        assert main(["simulate", "--spec", str(path)]) == 2
+        assert f"{path} is not UTF-8 text" in capsys.readouterr().err
+
+    def test_reports_do_not_depend_on_chunk_size(self, tmp_path, monkeypatch):
+        # Warp speed stacks a chunk of replications into one core call; the
+        # report is byte-identical (wall time aside) in one-row chunks and
+        # in chunks of two rows, which split three replications unevenly.
+        from isdtest import inference, montecarlo
+
+        payloads = []
+        for block_cells, rows in ((None, 3), (1, 1), (2 * 5 * (2000 + 1001), 2)):
+            if block_cells is not None:
+                monkeypatch.setattr(inference, "_BLOCK_CELLS", block_cells)
+            assert min(montecarlo._chunk_rows(2000, 1001), 3) == rows
+            out = tmp_path / "report.json"
+            assert main(["simulate", "--preset", "power_up", "--replications", "3",
+                         "--seed", "12", "--output", str(out)]) == 0
+            payloads.append(re.sub(r'"elapsed_ms": [0-9.e+-]+', '"elapsed_ms": 0',
+                                   out.read_text()))
+        assert payloads[0] == payloads[1] == payloads[2]
 
     def test_preset_gets_only_given_flags(self, tmp_path, capsysbinary, monkeypatch):
         # preset_specs owns its defaults; the command passes on what it was given.

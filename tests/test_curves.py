@@ -2,10 +2,14 @@ import numpy as np
 import pytest
 
 from isdtest import (
+    BlockWorkspace,
     ConfigError,
+    DataError,
     Direction,
     Grid,
     LambdaCurve,
+    SortedSample,
+    draw_weights,
     eval_block,
     eval_on_grid,
     make_sample,
@@ -215,3 +219,40 @@ class TestEvalOnGrid:
         y = eval_on_grid(curve([1, 2, 3], 3, UP), g)
         assert y[0] == 0.0
         assert y[1] == pytest.approx(7 / 9, rel=1e-12)
+
+
+class TestStackedBlock:
+    """A stack of samples of one size, one per row, evaluates each row
+    exactly as that sample alone."""
+
+    @staticmethod
+    def _stack(rng, depth=5, n=40):
+        return np.stack([np.sort(random_dp_values(rng, n)) for _ in range(depth)])
+
+    @pytest.mark.parametrize("m", [3, 4, 6])
+    @pytest.mark.parametrize("direction", [UP, DOWN], ids=lambda d: d.value)
+    def test_rows_match_own_sample(self, m, direction):
+        rng = np.random.default_rng(31)
+        stack = self._stack(rng)
+        w = np.stack([draw_weights(stack.shape[1], rng) for _ in stack])
+        g = Grid.uniform(57)
+        for work in (None, BlockWorkspace()):
+            got = eval_block(SortedSample(stack), w, m, direction, g, work)
+            for d, row in enumerate(stack):
+                want = eval_block(SortedSample(row), w[d:d + 1], m, direction, g)[0]
+                assert np.array_equal(got[d], want), d
+
+    @pytest.mark.parametrize("direction", [UP, DOWN], ids=lambda d: d.value)
+    def test_eval_on_grid_of_a_stack(self, direction):
+        stack = self._stack(np.random.default_rng(32), depth=3, n=25)
+        g = Grid.uniform(41)
+        got = eval_on_grid(LambdaCurve(SortedSample(stack), 4, direction), g)
+        assert got.shape == (3, 41)
+        for row, values in zip(got, stack):
+            assert np.array_equal(row, eval_on_grid(curve(values, 4, direction), g))
+
+    def test_stack_must_match_weights(self):
+        stack = self._stack(np.random.default_rng(33), depth=3, n=10)
+        with pytest.raises(DataError):
+            eval_block(SortedSample(stack), np.ones((2, 10), dtype=np.int64), 3, UP,
+                       Grid.uniform(11))

@@ -176,3 +176,40 @@ class TestDerivatives:
     def test_membership_alignment(self, grid):
         with pytest.raises(ConfigError):
             ContactSet(grid, [True, False])
+
+
+class TestPerRowContactSets:
+    """D membership rows: curve row i is measured on row i mod D, exactly
+    as that curve alone on its own set."""
+
+    @pytest.mark.parametrize("kind", [SUP, INT], ids=lambda k: k.value)
+    @pytest.mark.parametrize("groups", [1, 3])
+    def test_rows_match_each_own_set(self, kind, groups):
+        rng = np.random.default_rng(51)
+        g = Grid.uniform(101)
+        depth = 4
+        mask = rng.random((depth, 101)) < 0.6
+        mask[:, 0] = True
+        h = rng.normal(size=(groups * depth, 101))
+        got = derivative(kind, h, ContactSet(g, mask), g)
+        assert got.shape == (groups * depth,)
+        for i, row in enumerate(h):
+            assert got[i] == derivative(kind, row, ContactSet(g, mask[i % depth]), g), i
+
+    def test_contact_sets_of_a_stack(self):
+        rng = np.random.default_rng(52)
+        g = Grid.uniform(51)
+        phi, vhat = rng.normal(size=(3, 51)), rng.random((3, 51)) + 0.1
+        cs = estimate_contact_set(phi, vhat, 40.0, 3.0, g)
+        for d in range(3):
+            one = estimate_contact_set(phi[d], vhat[d], 40.0, 3.0, g)
+            assert np.array_equal(cs.membership[d], one.membership)
+            assert cs.fraction[d] == one.fraction
+
+    def test_misaligned_stack_rejected(self):
+        g = Grid.uniform(11)
+        cs = ContactSet(g, np.ones((3, 11), dtype=bool))
+        with pytest.raises(ConfigError):
+            derivative(SUP, np.zeros((4, 11)), cs, g)
+        with pytest.raises(ConfigError):
+            derivative(INT, np.zeros(11), cs, g)

@@ -3,7 +3,7 @@ from math import sqrt
 import numpy as np
 import pytest
 
-from isdtest import bootstrap, inference
+from isdtest import bootstrap, inference, variance
 from isdtest import (
     ConfigError,
     CovKernel,
@@ -274,6 +274,18 @@ class TestRankDraws:
         pairwise_rank(RANK_SETS, cfg)
         assert len(calls) == 3 * cfg.bootstrap
         assert sorted(calls) == sorted([s.n for _, s in RANK_SETS] * cfg.bootstrap)
+
+    def test_variance_once_per_dataset(self, monkeypatch):
+        # Each dataset's own variance term serves both nulls of its K - 1 pairs.
+        computed, original = [], variance._variance_independent
+
+        def counted(values, m, direction, ps):
+            computed.append(values.shape[-1])
+            return original(values, m, direction, ps)
+
+        monkeypatch.setattr(variance, "_variance_independent", counted)
+        pairwise_rank(RANK_SETS, rank_cfg())
+        assert sorted(computed) == sorted(s.n for _, s in RANK_SETS)
 
     @COMBOS
     def test_pinned_p_values(self, direction, kind):

@@ -4,13 +4,19 @@ import pytest
 from isdtest import (
     ConfigError,
     DoubleParetoParams,
+    Grid,
     Scheme,
     SimMode,
     SimSpec,
+    SortedSample,
     TestConfig,
+    derive_seed,
+    dp_sample,
     preset_specs,
     run_table,
+    substream,
 )
+from isdtest import inference, montecarlo
 
 DGP = DoubleParetoParams(3.0, 2.0)
 INF = float("inf")
@@ -159,6 +165,134 @@ class TestPinnedFull:
         for cell, res in zip(PINNED_FULL, run_table(specs)):
             assert res.rejections == cell[-1], cell
             assert np.isnan(res.critical_value)
+
+
+def _one_replication_at_a_time(specs):
+    """Warp-speed (rejections, critical value) of one group's cells, the core
+    called once per replication on that replication's own data and draws."""
+    base, cfg = specs[0], specs[0].config
+    key = montecarlo._dgp_key(base)
+    fgrid, vgrid = Grid.uniform(cfg.grid), Grid.uniform(cfg.vgrid)
+    plan = inference._plan([(0, 1, s.config.direction, s.config.kind, s.config.tau)
+                            for s in specs])
+    observed, boot = [], []
+    for r in range(base.replications):
+        rng = substream(cfg.seed, montecarlo._MC_DATA, *key, r)
+        x1, x2 = dp_sample(base.dgp1, base.n1, rng), dp_sample(base.dgp2, base.n2, rng)
+        wrng = substream(cfg.seed, montecarlo._MC_BOOT, *key, r)
+        statistic, stats, _ = inference._test_cells(
+            [SortedSample(x1.values[None]), SortedSample(x2.values[None])], None, cfg.m,
+            cfg.xi, fgrid, vgrid, plan, lambda b: [(wrng, wrng)], 1)
+        observed.append(statistic[:, 0])
+        boot.append(stats[:, 0, 0])
+    chats = [inference._critical(row, s.config) for row, s in zip(np.transpose(boot), specs)]
+    return [(int(np.count_nonzero(row > chat)), chat)
+            for row, chat in zip(np.transpose(observed), chats)]
+
+
+class TestChunkedWarpSpeed:
+    """Warp speed evaluates a chunk of replications' datasets in one core
+    call; every rejection count and critical value equals, bit for bit, the
+    one-replication-at-a-time route's."""
+
+    @staticmethod
+    def _specs(m):
+        cells = [(d, k, tau) for d in ("up", "down") for k in ("sup", "int")
+                 for tau in (1.0, 3.0, INF)]
+        return [SimSpec(DGP, DoubleParetoParams(3.5, 2.5), 60, 80,
+                        TestConfig(m=m, direction=d, kind=k, tau=tau, grid=201, vgrid=41,
+                                   seed=606), 11)
+                for d, k, tau in cells]
+
+    @pytest.mark.parametrize("rows", [None, 4, 2], ids=lambda r: f"rows={r}")
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_matches_one_replication_at_a_time(self, m, rows, monkeypatch):
+        specs = self._specs(m)
+        if rows is not None:  # None: the default chunk, all 11 at n = 80, 201 points
+            monkeypatch.setattr(montecarlo, "_chunk_rows", lambda n, grid: rows)
+        got = [(res.rejections, res.critical_value) for res in run_table(specs)]
+        assert got == _one_replication_at_a_time(specs)
+        assert len({rejections for rejections, _ in got}) > 1  # the cells differ
+
+    def test_default_chunk_is_one_call(self, monkeypatch):
+        calls = []
+
+        def counted(samples, *args):
+            calls.append(len(samples[0].values))
+            return inference._test_cells(samples, *args)
+
+        monkeypatch.setattr(montecarlo, "_test_cells", counted)
+        run_table(self._specs(3))
+        assert calls == [11]
+
+
+def _full_one_replication_at_a_time(specs):
+    """Full-mode core outputs of one group's cells, the core called once per
+    replication with ``run_test``'s generators under that replication's
+    derived seed: observed statistics (cells, reps), bootstrap statistics
+    (cells, reps, B) and each cell's rejection count."""
+    base, cfg = specs[0], specs[0].config
+    key = montecarlo._dgp_key(base)
+    fgrid, vgrid = Grid.uniform(cfg.grid), Grid.uniform(cfg.vgrid)
+    plan = inference._plan([(0, 1, s.config.direction, s.config.kind, s.config.tau)
+                            for s in specs])
+    observed, boot = [], []
+    for r in range(base.replications):
+        rng = substream(cfg.seed, montecarlo._MC_DATA, *key, r)
+        x1, x2 = dp_sample(base.dgp1, base.n1, rng), dp_sample(base.dgp2, base.n2, rng)
+        statistic, stats, _ = inference._test_cells(
+            [SortedSample(x1.values[None]), SortedSample(x2.values[None])], None, cfg.m,
+            cfg.xi, fgrid, vgrid, plan,
+            inference._test_streams(derive_seed(cfg.seed, montecarlo._MC_FULL, *key, r)),
+            cfg.bootstrap)
+        observed.append(statistic[:, 0])
+        boot.append(stats[:, 0])
+    observed, boot = np.stack(observed, axis=1), np.stack(boot, axis=1)
+    rejections = [sum(bool(o > inference._critical(draws, s.config)) for o, draws in zip(*row))
+                  for *row, s in zip(observed, boot, specs)]
+    return observed, boot, rejections
+
+
+class TestChunkedFull:
+    """Full mode stacks a chunk of replications too, each with its own B
+    draws; the core's statistics and every rejection count equal, bit for
+    bit, the one-replication-at-a-time route's."""
+
+    @staticmethod
+    def _specs(m):
+        cells = [(d, k, tau) for d in ("up", "down") for k in ("sup", "int")
+                 for tau in (1.0, 3.0, INF)]
+        return [SimSpec(DGP, DoubleParetoParams(3.5, 2.5), 60, 80,
+                        TestConfig(m=m, direction=d, kind=k, tau=tau, bootstrap=19, grid=201,
+                                   vgrid=41, seed=707), 7, SimMode.FULL)
+                for d, k, tau in cells]
+
+    # (chunk rows, block cells): the default chunk (all 7 at n = 80, 201
+    # points), an uneven split, one row, and an uneven split whose B = 19
+    # draws run in blocks of 4 replications.
+    @pytest.mark.parametrize("rows, cells", [(None, None), (3, None), (1, None), (3, 81 * 3 * 4)])
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_matches_one_replication_at_a_time(self, m, rows, cells, monkeypatch):
+        specs = self._specs(m)
+        if rows is not None:
+            monkeypatch.setattr(montecarlo, "_chunk_rows", lambda n, grid: rows)
+        if cells is not None:
+            monkeypatch.setattr(inference, "_BLOCK_CELLS", cells)
+        calls = []
+
+        def recorded(*args):
+            out = inference._test_cells(*args)
+            calls.append(out[:2])
+            return out
+
+        monkeypatch.setattr(montecarlo, "_test_cells", recorded)
+        got = [res.rejections for res in run_table(specs)]
+        observed, boot, rejections = _full_one_replication_at_a_time(specs)
+        assert len(calls) == -(-7 // (rows or 7))
+        assert np.array_equal(np.concatenate([o for o, _ in calls], axis=1), observed)
+        assert np.array_equal(np.concatenate([b for _, b in calls], axis=1), boot)
+        assert got == rejections
+        assert len(set(got)) > 1  # the cells differ
 
 
 class TestWarpSpeedAgainstFull:

@@ -9,10 +9,13 @@ from isdtest import (
     DataError,
     Direction,
     Grid,
+    Scheme,
+    SortedSample,
     make_paired,
     make_sample,
     sigma_curve,
 )
+from isdtest import variance
 from conftest import (
     centered_clips,
     dense_sigma_sq,
@@ -335,6 +338,60 @@ class TestSigmaCurve:
     def test_nonpositive_xi_rejected(self, xi):
         with pytest.raises(ConfigError):
             sigma_curve(self._kernel(16), 3, UP, Grid.uniform(11), Grid.uniform(21), xi)
+
+
+class TestStackedVariance:
+    """Stacks of D samples of one size give, row by row, exactly the
+    variance of each sample alone."""
+
+    @staticmethod
+    def _stacks(depth=4, n1=30, n2=45):
+        rng = np.random.default_rng(41)
+        return [np.stack([np.sort(random_dp_values(rng, n)) for _ in range(depth)])
+                for n in (n1, n2)]
+
+    @pytest.mark.parametrize("m", [3, 4, 6])
+    @pytest.mark.parametrize("direction", [UP, DOWN], ids=lambda d: d.value)
+    def test_sigma_curve_rows_match_each_pair(self, m, direction):
+        x1, x2 = self._stacks()
+        vgrid, fgrid = Grid.uniform(21), Grid.uniform(81)
+        stacked = CovKernel.independent(SortedSample(x1), SortedSample(x2))
+        # A floor far below the variance, so that every row's own values show.
+        got = sigma_curve(stacked, m, direction, vgrid, fgrid, 1e-30)
+        assert got.shape == (4, 81)
+        for d in range(4):
+            v = variance._variance_independent(x1[d], m, direction, vgrid.points)
+            assert np.array_equal(
+                variance._variance_independent(x1, m, direction, vgrid.points)[d], v)
+            pair = CovKernel.independent(SortedSample(x1[d]), SortedSample(x2[d]))
+            assert np.array_equal(got[d], sigma_curve(pair, m, direction, vgrid, fgrid, 1e-30))
+
+
+class TestSampleVariance:
+    """Kernels that share a memo compute each common sample's own variance
+    term once; kernels without one compute their own, to the same bits."""
+
+    def test_once_per_sample(self, monkeypatch):
+        rng = np.random.default_rng(42)
+        samples = [make_sample(random_dp_values(rng, n)) for n in (30, 40, 50)]
+        computed, original = [], variance._variance_independent
+
+        def counted(values, m, direction, ps):
+            computed.append(len(values))
+            return original(values, m, direction, ps)
+
+        monkeypatch.setattr(variance, "_variance_independent", counted)
+        vgrid, fgrid = Grid.uniform(21), Grid.uniform(81)
+        pairs = [(a, b) for a in range(3) for b in range(3) if a != b]
+        memo = {}
+        shared = [sigma_curve(CovKernel(Scheme.INDEPENDENT, samples[a], samples[b], memo=memo),
+                              4, DOWN, vgrid, fgrid, 1e-30) for a, b in pairs]
+        assert sorted(computed) == [30, 40, 50]
+        computed.clear()
+        alone = [sigma_curve(CovKernel.independent(samples[a], samples[b]), 4, DOWN, vgrid,
+                             fgrid, 1e-30) for a, b in pairs]
+        assert sorted(computed) == sorted([30, 40, 50] * 4)
+        assert all(np.array_equal(x, y) for x, y in zip(shared, alone))
 
 
 @pytest.mark.parametrize("make", [
