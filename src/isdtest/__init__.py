@@ -19,15 +19,7 @@ from .curves import (
     eval_on_grid,
 )
 from .dgp import DoubleParetoParams, dp_cdf, dp_mean, dp_pdf, dp_quantile, dp_sample
-from .empirical import (
-    PairedSample,
-    SortedSample,
-    ecdf,
-    make_paired,
-    make_sample,
-    mean,
-    quantile,
-)
+from .empirical import PairedSample, SortedSample, make_paired, make_sample
 from .errors import ConfigError, DataError
 from .functionals import (
     ContactSet,
@@ -59,7 +51,7 @@ __all__ = [
     "MAX_DEGREE", "BlockWorkspace", "Direction", "Grid", "LambdaCurve",
     "eval_block", "eval_on_grid",
     "DoubleParetoParams", "dp_cdf", "dp_mean", "dp_pdf", "dp_quantile", "dp_sample",
-    "PairedSample", "SortedSample", "ecdf", "make_paired", "make_sample", "mean", "quantile",
+    "PairedSample", "SortedSample", "make_paired", "make_sample",
     "ConfigError", "DataError",
     "ContactSet", "FunctionalKind", "derivative", "estimate_contact_set", "functional",
     "critical_value", "derive_seed", "draw_weights", "p_value", "substream",

@@ -11,22 +11,21 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
+from itertools import product
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .curves import Direction
 from .dgp import DoubleParetoParams
 from .empirical import PairedSample, SortedSample, make_paired, make_sample
 from .errors import ConfigError, DataError
-from .functionals import FunctionalKind
 from .inference import RankingMatrix, TestConfig, TestResult, pairwise_rank, run_test
-from .montecarlo import SimMode, SimResult, SimSpec, preset_specs, run_table
+from .montecarlo import SimResult, SimSpec, preset_specs, run_table
 from .variance import Scheme
 
-__all__ = ["Report", "load_csv", "save_csv", "emit_report", "main"]
+__all__ = ["Report", "load_csv", "emit_report", "main"]
 
 
 @dataclass
@@ -101,17 +100,6 @@ def load_csv(path, paired: bool = False) -> SortedSample | PairedSample:
     if paired:
         return make_paired(data[:, 0], data[:, 1])
     return make_sample(data[:, 0])
-
-
-def save_csv(sample: SortedSample | PairedSample, path) -> None:
-    """Write a sample back out with full round-trip precision."""
-    with open(path, "w", encoding="utf-8") as fh:
-        if isinstance(sample, PairedSample):
-            for a, b in zip(sample.left, sample.right):
-                fh.write(f"{float(a)!r},{float(b)!r}\n")
-        else:
-            for v in sample.values:
-                fh.write(f"{float(v)!r}\n")
 
 
 def _config_dict(cfg: TestConfig) -> dict:
@@ -278,29 +266,27 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _tau_value(text: str) -> float:
-    if text.strip().lower() in ("inf", "infinity"):
-        return float("inf")
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigError(f"tau must be a number or 'inf', got {text!r}") from None
+def _given(values: dict) -> dict:
+    """The entries that were given; the library applies its own default to the rest."""
+    return {k: v for k, v in values.items() if v is not None}
 
 
 def _add_test_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--m", type=int, default=3, help="dominance degree (default 3)")
-    p.add_argument("--direction", choices=["up", "down"], default="up")
-    p.add_argument("--functional", choices=["sup", "int"], default="sup")
-    p.add_argument("--alpha", type=float, default=0.05)
-    p.add_argument("--tau", type=_tau_value, default=3.0,
-                   help="contact-set bandwidth; a number or 'inf' (default 3)")
-    p.add_argument("--xi", type=float, default=1e-3)
-    p.add_argument("--eta", type=float, default=0.0)
-    p.add_argument("--bootstrap", type=int, default=999, metavar="B")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--grid", type=int, default=1001)
-    p.add_argument("--vgrid", type=int, default=101)
-    p.add_argument("--threads", type=int, default=1,
+    # One flag per TestConfig field but ``scheme``, named after it (``kind``
+    # is --functional); TestConfig checks every value.
+    p.add_argument("--m", type=int, help=f"dominance degree (default {TestConfig.m})")
+    p.add_argument("--direction")
+    p.add_argument("--functional", dest="kind")
+    p.add_argument("--alpha", type=float)
+    p.add_argument("--tau", type=float,
+                   help=f"contact-set bandwidth; a number or 'inf' (default {TestConfig.tau:g})")
+    p.add_argument("--xi", type=float)
+    p.add_argument("--eta", type=float)
+    p.add_argument("--bootstrap", type=int, metavar="B")
+    p.add_argument("--seed", type=int)
+    p.add_argument("--grid", type=int)
+    p.add_argument("--vgrid", type=int)
+    p.add_argument("--threads", type=int,
                    help="accepted only as 1: the bootstrap runs on one thread")
     p.add_argument("--format", choices=["json", "csv", "text"], default="json")
     p.add_argument("--output", default=None, help="write the report here instead of stdout")
@@ -323,50 +309,31 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("simulate", help="rejection-rate tables over synthetic designs")
     s.add_argument("--spec", default=None, help="key-value simulation spec file")
-    s.add_argument("--preset", default=None,
-                   choices=["size_up", "size_down", "power_up", "power_down",
-                            "table1", "table2", "table3", "table4"])
+    s.add_argument("--preset", default=None, help="name of a shipped design")
     s.add_argument("--replications", type=int, default=None)
     s.add_argument("--seed", type=int, default=None,
-                   help="master seed (default: the spec file's seed, or 0)")
+                   help="master seed, in place of the spec file's")
     s.add_argument("--format", choices=["json", "csv", "text"], default="json")
     s.add_argument("--output", default=None)
     return parser
 
 
 def _config_from_args(args, scheme: Scheme) -> TestConfig:
-    return TestConfig(
-        m=args.m,
-        direction=Direction(args.direction),
-        kind=FunctionalKind(args.functional),
-        alpha=args.alpha,
-        tau=args.tau,
-        xi=args.xi,
-        eta=args.eta,
-        bootstrap=args.bootstrap,
-        seed=args.seed,
-        grid=args.grid,
-        vgrid=args.vgrid,
-        scheme=scheme,
-        threads=args.threads,
-    )
+    return TestConfig(**_given({f.name: getattr(args, f.name, None) for f in fields(TestConfig)}),
+                      scheme=scheme)
 
 
 def _cmd_test(args) -> Report:
     start = time.perf_counter()
+    cfg = _config_from_args(args, Scheme.MATCHED if args.matched else Scheme.INDEPENDENT)
     if args.matched:
         if len(args.files) != 1:
             raise ConfigError("--matched takes exactly one two-column file")
-        pairs = load_csv(args.files[0], paired=True)
-        cfg = _config_from_args(args, Scheme.MATCHED)
-        result = run_test(pairs, None, cfg)
+        result = run_test(load_csv(args.files[0], paired=True), None, cfg)
     else:
         if len(args.files) != 2:
             raise ConfigError("test takes exactly two sample files (or one with --matched)")
-        s1 = load_csv(args.files[0])
-        s2 = load_csv(args.files[1])
-        cfg = _config_from_args(args, Scheme.INDEPENDENT)
-        result = run_test(s1, s2, cfg)
+        result = run_test(load_csv(args.files[0]), load_csv(args.files[1]), cfg)
     elapsed = (time.perf_counter() - start) * 1e3
     return Report("test", _config_dict(cfg), _test_result_dict(result),
                   cfg.seed, __version__, elapsed)
@@ -376,8 +343,8 @@ def _cmd_rank(args) -> Report:
     start = time.perf_counter()
     if len(args.files) < 2:
         raise ConfigError("rank takes at least two sample files")
-    datasets = [(Path(f).stem, load_csv(f)) for f in args.files]
     cfg = _config_from_args(args, Scheme.INDEPENDENT)
+    datasets = [(Path(f).stem, load_csv(f)) for f in args.files]
     matrix = pairwise_rank(datasets, cfg)
     elapsed = (time.perf_counter() - start) * 1e3
     return Report("rank", _config_dict(cfg), _rank_result_dict(matrix),
@@ -408,47 +375,45 @@ def _cast(cast, tokens, key):
         raise ConfigError(f"spec key {key!r}: cannot parse {tokens!r}") from None
 
 
+# Spec keys of TestConfig's scalar fields, each with the type TestConfig checks.
+_CONFIG_KEYS = {"m": int, "alpha": float, "xi": float, "eta": float, "grid": int,
+                "vgrid": int, "bootstrap": int, "seed": int}
 # Every key _specs_from_file reads; any other key is a configuration error.
 _SPEC_KEYS = frozenset({
-    "mode", "replications", "seed", "m", "alpha", "xi", "eta", "grid", "vgrid", "bootstrap",
-    "n", "direction", "functional", "tau", "dgp1.alpha", "dgp1.beta", "dgp1.scale",
-    "dgp2", "dgp2.alpha", "dgp2.beta", "dgp2.scale",
+    *_CONFIG_KEYS, "mode", "replications", "n", "direction", "functional", "tau",
+    "dgp1.alpha", "dgp1.beta", "dgp1.scale", "dgp2", "dgp2.alpha", "dgp2.beta", "dgp2.scale",
 })
 
 
-def _specs_from_file(path, seed_override, reps_override) -> list[SimSpec]:
+def _specs_from_file(path, overrides: dict) -> list[SimSpec]:
+    """The cells of a spec file; ``overrides`` (seed, replications) replace its keys.
+
+    A key that is not given is left out of the call to its owner
+    (TestConfig, SimSpec or DoubleParetoParams), which applies its own
+    default; only the sample size and the laws' shapes have defaults of
+    the file's own.
+    """
     kv = _parse_spec_file(path)
     unknown = sorted(set(kv) - _SPEC_KEYS)
     if unknown:
         raise ConfigError(f"unknown simulation spec key(s): {', '.join(map(repr, unknown))}")
+    kv.update({key: [str(value)] for key, value in overrides.items()})
 
-    def one(key, default=None, cast=str):
+    def one(key, cast=str):
+        """The key's single value, or None when it is not given."""
         if key not in kv:
-            if default is None:
-                raise ConfigError(f"simulation spec is missing required key {key!r}")
-            return default
+            return None
         if len(kv[key]) != 1:
             raise ConfigError(f"spec key {key!r} takes a single value")
         return _cast(cast, kv[key], key)[0]
 
-    mode = one("mode", SimMode.WARPSPEED, SimMode)
-    replications = reps_override if reps_override is not None else one("replications", 1000, int)
-    seed = seed_override if seed_override is not None else one("seed", 0, int)
-    m = one("m", 3, int)
-    alpha = one("alpha", 0.05, float)
-    xi = one("xi", 1e-3, float)
-    eta = one("eta", 0.0, float)
-    grid = one("grid", 1001, int)
-    vgrid = one("vgrid", 101, int)
-    bootstrap = one("bootstrap", 999, int)
+    def axis(key, cast=str, default=None):
+        """The key's values, or ``default`` when it is not given (None: its owner's)."""
+        return _cast(cast, kv[key], key) if key in kv else [default]
 
-    ns = _cast(int, kv.get("n", ["2000"]), "n")
-    directions = _cast(Direction, kv.get("direction", ["up"]), "direction")
-    kinds = _cast(FunctionalKind, kv.get("functional", ["sup"]), "functional")
-    taus = _cast(_tau_value, kv.get("tau", ["3"]), "tau")
-    a1s = _cast(float, kv.get("dgp1.alpha", ["3"]), "dgp1.alpha")
-    b1s = _cast(float, kv.get("dgp1.beta", ["2"]), "dgp1.beta")
-    scale1 = one("dgp1.scale", 1.0, float)
+    config = _given({key: one(key, cast) for key, cast in _CONFIG_KEYS.items()})
+    plan = _given({"mode": one("mode"), "replications": one("replications", int)})
+    scale1 = _given({"scale": one("dgp1.scale", float)})
     same = "dgp2" in kv
     if same and one("dgp2") != "same":
         raise ConfigError("spec key 'dgp2' takes only the value 'same'")
@@ -459,27 +424,17 @@ def _specs_from_file(path, seed_override, reps_override) -> list[SimSpec]:
     if same:
         a2s, b2s, scale2 = [None], [None], scale1
     else:
-        a2s = _cast(float, kv.get("dgp2.alpha", ["3"]), "dgp2.alpha")
-        b2s = _cast(float, kv.get("dgp2.beta", ["2"]), "dgp2.beta")
-        scale2 = one("dgp2.scale", 1.0, float)
+        a2s, b2s = axis("dgp2.alpha", float, 3.0), axis("dgp2.beta", float, 2.0)
+        scale2 = _given({"scale": one("dgp2.scale", float)})
 
     specs = []
-    for kind in kinds:
-        for direction in directions:
-            for a1 in a1s:
-                for b1 in b1s:
-                    dgp1 = DoubleParetoParams(a1, b1, scale1)
-                    for a2 in a2s:
-                        for b2 in b2s:
-                            dgp2 = dgp1 if same else DoubleParetoParams(a2, b2, scale2)
-                            for n in ns:
-                                for tau in taus:
-                                    cfg = TestConfig(
-                                        m=m, direction=direction, kind=kind, alpha=alpha,
-                                        tau=tau, xi=xi, eta=eta, bootstrap=bootstrap,
-                                        seed=seed, grid=grid, vgrid=vgrid)
-                                    specs.append(SimSpec(dgp1, dgp2, n, n, cfg,
-                                                         replications, mode))
+    for kind, direction, a1, b1, a2, b2, n, tau in product(
+            axis("functional"), axis("direction"), axis("dgp1.alpha", float, 3.0),
+            axis("dgp1.beta", float, 2.0), a2s, b2s, axis("n", int, 2000), axis("tau", float)):
+        dgp1 = DoubleParetoParams(a1, b1, **scale1)
+        dgp2 = dgp1 if same else DoubleParetoParams(a2, b2, **scale2)
+        cfg = TestConfig(**config, **_given({"kind": kind, "direction": direction, "tau": tau}))
+        specs.append(SimSpec(dgp1, dgp2, n, n, cfg, **plan))
     return specs
 
 
@@ -487,11 +442,11 @@ def _cmd_simulate(args) -> Report:
     start = time.perf_counter()
     if (args.spec is None) == (args.preset is None):
         raise ConfigError("simulate needs exactly one of --spec FILE or --preset NAME")
+    given = _given({"seed": args.seed, "replications": args.replications})
     if args.preset is not None:
-        given = {"seed": args.seed, "replications": args.replications}
-        specs = preset_specs(args.preset, **{k: v for k, v in given.items() if v is not None})
+        specs = preset_specs(args.preset, **given)
     else:
-        specs = _specs_from_file(args.spec, args.seed, args.replications)
+        specs = _specs_from_file(args.spec, given)
     results = run_table(specs)
     elapsed = (time.perf_counter() - start) * 1e3
     cfg = specs[0].config

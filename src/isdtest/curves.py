@@ -207,8 +207,9 @@ def eval_block(sample: SortedSample, weights, m: int, direction: Direction,
     bootstrap draw; all ones for the sample itself).  The cost is
     O(R (n + G) m) with no search per row.  Each row's values do not depend
     on the other rows of the block, bit for bit.  The boundary value (p = 0
-    upward, p = 1 downward) is exactly 0.  Temporaries come from ``work``
-    when one is given; the returned array is always new.
+    upward, p = 1 downward) is exactly 0.  Temporaries come from ``work``,
+    or from a fresh workspace when none is given; the returned array is
+    always new.
     """
     _check_degree(m, direction)
     values = sample.values
@@ -222,26 +223,25 @@ def eval_block(sample: SortedSample, weights, m: int, direction: Direction,
         raise DataError("weights must be nonnegative")
     rows, width = w.shape[0], n + 1
     plan = grid._plan(n, m, direction)
-    alloc = work.array if work is not None else (
-        lambda _, shape, dtype=np.float64: np.empty(shape, dtype))
+    work = work if work is not None else BlockWorkspace()
 
     # Knot i sits at lattice level S_i = w_1 + ... + w_i (S_0 = 0); offset
     # each row so that one bincount sums the jump sizes per level and row.
-    levels = alloc("levels", (rows, width), np.intp)
+    levels = work.array("levels", (rows, width), np.intp)
     levels[:, 0] = 0
     np.cumsum(w, axis=1, out=levels[:, 1:])
     if np.any(levels[:, -1] != n):
         raise DataError("weights must sum to the sample size")
     levels += np.arange(0, rows * width, width)[:, None]
-    tiled = alloc("tiled", (rows, width))
+    tiled = work.array("tiled", (rows, width))
     tiled[:] = _jumps(values)
     jumps = np.bincount(levels.ravel(), weights=tiled.ravel(),
                         minlength=rows * width).reshape(rows, width)
 
-    prefix = alloc("prefix", (rows, width + 1))
+    prefix = work.array("prefix", (rows, width + 1))
     prefix[:, 0] = 0.0
-    term = alloc("term", (rows, width))
-    part = alloc("part", (rows, len(grid)))
+    term = work.array("term", (rows, width))
+    part = work.array("part", (rows, len(grid)))
     out = np.zeros((rows, len(grid)))
     for r in range(m):
         np.multiply(jumps, plan.lattice[r], out=term)
@@ -253,7 +253,7 @@ def eval_block(sample: SortedSample, weights, m: int, direction: Direction,
         out += part
     out /= factorial(m - 1)
     if direction is Direction.DOWN:
-        weighted = np.multiply(w, values, out=alloc("weighted", (rows, n)))
+        weighted = np.multiply(w, values, out=work.array("weighted", (rows, n)))
         out += (np.sum(weighted, axis=1) / n)[:, None] * plan.mean_factor
         out[:, -1] = 0.0
     else:

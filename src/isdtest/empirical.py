@@ -1,8 +1,7 @@
-"""Empirical distribution primitives: sorted samples, ECDF, quantiles, moments.
+"""Sample containers: sorted samples and matched pairs, validated on construction.
 
-All sample containers are immutable after construction (their arrays are
-marked read-only), so every operation here is pure and safe to call from
-multiple threads.
+Both containers are immutable after construction (their arrays are marked
+read-only), so every computation that reads them is pure.
 """
 
 from __future__ import annotations
@@ -18,9 +17,6 @@ __all__ = [
     "PairedSample",
     "make_sample",
     "make_paired",
-    "ecdf",
-    "quantile",
-    "mean",
 ]
 
 
@@ -128,35 +124,3 @@ def make_sample(raw) -> SortedSample:
 def make_paired(left_raw, right_raw) -> PairedSample:
     """Validate two row-aligned columns into a :class:`PairedSample`."""
     return PairedSample(_numeric(left_raw, "left column"), _numeric(right_raw, "right column"))
-
-
-def ecdf(sample: SortedSample, x: float) -> float:
-    """Right-continuous empirical CDF at ``x``."""
-    if not np.isfinite(x):
-        raise ValueError("ecdf requires a finite argument")
-    return int(np.searchsorted(sample.values, x, side="right")) / sample.n
-
-
-def quantile(sample: SortedSample, p: float) -> float:
-    """Empirical quantile: the smallest observation with ECDF mass >= p.
-
-    For p in (0, 1] this is the ceil(n*p)-th order statistic.  At p = 0 the
-    minimum observation is returned, which keeps the curve integrals finite.
-    """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"quantile level must lie in [0, 1], got {p!r}")
-    values = sample.values
-    n = sample.n
-    if p == 0.0:
-        return float(values[0])
-    k = min(max(int(np.ceil(p * n)), 1), n)
-    while k > 1 and (k - 1) / n >= p:
-        k -= 1
-    while k < n and k / n < p:
-        k += 1
-    return float(values[k - 1])
-
-
-def mean(sample: SortedSample) -> float:
-    """Arithmetic mean; equals the integral of the quantile."""
-    return float(np.sum(sample.values)) / sample.n

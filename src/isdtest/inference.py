@@ -27,8 +27,9 @@ dataset's draws.  Both modes of the simulation harness
 per chunk of replications, their datasets stacked.
 
 The B bootstrap replications run in fixed blocks of R rows, R set by the
-largest sample size n under a fixed cell budget (R * (n + 1) <= 2**16, one
-row at least), so a block's arrays stay cache-sized.  The blocks run in
+larger of the largest sample size n and the grid size G under a fixed cell
+budget (R * (max(n, G) + 1) <= 2**16, one row at least), so a block's
+weights and curves stay cache-sized.  The blocks run in
 the calling thread, one after another, reusing one set of temporaries.
 Each replication's statistic depends only on its own weights, bit for bit,
 so the statistics are a pure function of (data, config, seed), whatever
@@ -74,8 +75,8 @@ __all__ = [
 
 _BOOT_TAG = 0xB0
 _RANK_TAG = 0x7A
-# Cells (rows x lattice levels) of one bootstrap block; a block of R rows
-# for samples of up to n observations keeps R * (n + 1) within it.
+# Cells of one bootstrap block; a block of R rows for samples of up to n
+# observations on a grid of G points keeps R * (max(n, G) + 1) within it.
 _BLOCK_CELLS = 1 << 16
 
 
@@ -160,7 +161,7 @@ class TestConfig:
 
 @dataclass(frozen=True)
 class TestResult:
-    """Full test verdict plus the diagnostics needed to re-derive it."""
+    """The test's verdict, with its contact fraction, effective size and wall time."""
 
     __test__ = False  # keep pytest from collecting the Test* name
 
@@ -170,9 +171,6 @@ class TestResult:
     reject: bool
     contact_fraction: float
     t_n: float
-    grid: int
-    vgrid: int
-    bootstrap: int
     elapsed_ms: float
 
 
@@ -236,7 +234,8 @@ def _bootstrap_stats(samples, pairs, m, grid, plan, rng, replications) -> np.nda
     """
     cells, directions = plan
     depth = len(samples[0].values)
-    per_block = max(1, _BLOCK_CELLS // (max(s.n for s in samples) + 1) // depth)
+    width = max(max(s.n for s in samples), len(grid)) + 1
+    per_block = max(1, _BLOCK_CELLS // width // depth)
     stats = np.empty((cells, depth, replications))
     work = BlockWorkspace()
     for lo in range(0, replications, per_block):
@@ -349,9 +348,6 @@ def run_test(sample1, sample2, config: TestConfig) -> TestResult:
         reject=bool(statistic > chat),
         contact_fraction=float(cs.fraction[0]),
         t_n=effective_size(s1.n, s2.n),
-        grid=config.grid,
-        vgrid=config.vgrid,
-        bootstrap=config.bootstrap,
         elapsed_ms=elapsed_ms,
     )
 

@@ -22,7 +22,6 @@ seed, m, grids, xi and B also share their draws.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from enum import Enum
 
@@ -82,7 +81,6 @@ class SimResult:
     rejection_rate: float
     rejections: int
     critical_value: float
-    elapsed_ms: float
 
 
 def _dgp_key(spec: SimSpec) -> tuple:
@@ -108,14 +106,13 @@ def _chunk_rows(n: int, grid: int) -> int:
     of the 2 to 40 rows tried and added at most 1.7 MB of peak memory,
     against 2 to 3 MB for twice the rows.  The bootstrap blocks of a
     full-mode chunk fill the block budget's rows even at small B, as one
-    replication's blocks do at large B (n = 200: about 20 MB more).
+    replication's blocks do at large B (n = 200: about 5 MB more).
     """
     return max(1, inference._BLOCK_CELLS // (5 * (n + grid)))
 
 
 def _run_group(specs: list[SimSpec]) -> list[SimResult]:
     """Cells of one group key, every replication's data and draws shared."""
-    start = time.perf_counter()
     base = specs[0]
     cfg = base.config
     reps = base.replications
@@ -155,9 +152,8 @@ def _run_group(specs: list[SimSpec]) -> list[SimResult]:
         reported = [_critical(row, s.config) for row, s in zip(boot, specs)]
         chats = np.array(reported)[:, None]
     rejections = np.count_nonzero(observed > chats, axis=1)
-    elapsed_ms = (time.perf_counter() - start) * 1e3
     return [SimResult(spec=s, rejection_rate=int(k) / reps, rejections=int(k),
-                      critical_value=chat, elapsed_ms=elapsed_ms)
+                      critical_value=chat)
             for s, k, chat in zip(specs, rejections, reported)]
 
 
@@ -194,8 +190,8 @@ def preset_specs(name: str, seed: int = 0, replications: int = 1000,
     """
     kinds = (FunctionalKind.SUP, FunctionalKind.INT)
     specs: list[SimSpec] = []
-    if name in ("size_up", "size_down", "table1", "table2"):
-        direction = Direction.UP if name in ("size_up", "table1") else Direction.DOWN
+    if name in ("size_up", "size_down"):
+        direction = Direction.UP if name == "size_up" else Direction.DOWN
         n = 2000 if sizes is None else sizes[0]
         taus = (1.0, 2.0, 3.0, 4.0, float("inf"))
         for kind in kinds:
@@ -206,7 +202,7 @@ def preset_specs(name: str, seed: int = 0, replications: int = 1000,
                         dgp = DoubleParetoParams(alpha=a, beta=float(b))
                         specs.append(SimSpec(dgp, dgp, n, n, cfg, replications))
         return specs
-    if name in ("power_up", "table3"):
+    if name == "power_up":
         betas = [round(2.91 + 0.01 * i, 2) for i in range(10)]
         for kind in kinds:
             for n in (sizes or _POWER_SIZES):
@@ -215,7 +211,7 @@ def preset_specs(name: str, seed: int = 0, replications: int = 1000,
                     specs.append(SimSpec(DoubleParetoParams(2.1, 1.5),
                                          DoubleParetoParams(100.0, b), n, n, cfg, replications))
         return specs
-    if name in ("power_down", "table4"):
+    if name == "power_down":
         for kind in kinds:
             for n in (sizes or _POWER_SIZES):
                 for a in range(10, 101, 10):

@@ -12,7 +12,18 @@ from math import factorial
 import numpy as np
 import scipy.integrate
 
-from isdtest import Direction, DoubleParetoParams, dp_quantile
+from isdtest import Direction, DoubleParetoParams, PairedSample, dp_quantile
+
+
+def save_csv(sample, path):
+    """Write a sample as the command line reads it, with full round-trip precision."""
+    with open(path, "w", encoding="utf-8") as fh:
+        if isinstance(sample, PairedSample):
+            for a, b in zip(sample.left, sample.right):
+                fh.write(f"{float(a)!r},{float(b)!r}\n")
+        else:
+            for v in sample.values:
+                fh.write(f"{float(v)!r}\n")
 
 
 def rel_err(got, want, floor=1e-300):

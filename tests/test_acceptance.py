@@ -36,9 +36,9 @@ from isdtest import (
     run_test,
     substream,
 )
-from isdtest.cli import main, save_csv
+from isdtest.cli import main
 
-from conftest import fine_kernel, nested_sigma_oracle, quad_lambda_grids
+from conftest import fine_kernel, nested_sigma_oracle, quad_lambda_grids, save_csv
 
 UP, DOWN = Direction.UP, Direction.DOWN
 CURVE_COMBOS = ((2, UP), (3, UP), (4, UP), (3, DOWN), (4, DOWN))

@@ -8,9 +8,9 @@ PUBLIC = [
     "LambdaCurve", "MAX_DEGREE", "PairDecision", "PairedSample", "RankingMatrix", "Relation",
     "Scheme", "SimMode", "SimResult", "SimSpec", "SortedSample", "TestConfig",
     "TestResult", "critical_value", "derivative", "derive_seed", "dp_cdf", "dp_mean", "dp_pdf",
-    "dp_quantile", "dp_sample", "draw_weights", "ecdf", "effective_size",
+    "dp_quantile", "dp_sample", "draw_weights", "effective_size",
     "estimate_contact_set", "eval_block", "eval_on_grid", "functional", "make_paired",
-    "make_sample", "mean", "p_value", "pairwise_rank", "preset_specs", "quantile", "run_table",
+    "make_sample", "p_value", "pairwise_rank", "preset_specs", "run_table",
     "run_test", "sigma_curve", "substream",
 ]
 

@@ -162,7 +162,8 @@ class TestBlockRoute:
     def test_block_stats_match_single_draws(self, m, direction, kind, scheme, bootstrap,
                                             monkeypatch):
         s1, s2, pairs, phi, cs, t_n, cfg = self._setup(m, direction, kind, scheme, bootstrap)
-        monkeypatch.setattr(inference, "_BLOCK_CELLS", BLOCK_ROWS * (max(s1.n, s2.n) + 1))
+        monkeypatch.setattr(inference, "_BLOCK_CELLS",
+                            BLOCK_ROWS * (max(s1.n, s2.n, len(self.grid)) + 1))
         got = self._block_stats(s1, s2, pairs, phi, cs, t_n, cfg)
         want = []
         for b in range(bootstrap):
@@ -234,8 +235,9 @@ class TestBlockRoute:
             return w
 
         monkeypatch.setattr(bootstrap, "draw_weights", recorded)
-        monkeypatch.setattr(inference, "_BLOCK_CELLS", BLOCK_ROWS * (max(s1.n, s2.n) + 1))
         cfg = TestConfig(scheme=scheme, bootstrap=2 * BLOCK_ROWS + 1, seed=3, grid=101, vgrid=11)
+        monkeypatch.setattr(inference, "_BLOCK_CELLS",
+                            BLOCK_ROWS * (max(s1.n, s2.n, cfg.grid) + 1))
         run_test(*((pairs, None) if pairs is not None else (s1, s2)), cfg)
         want = []
         for b in range(cfg.bootstrap):
@@ -244,6 +246,32 @@ class TestBlockRoute:
             if pairs is None:
                 want.append(draw_weights(s2.n, rng).tobytes())
         assert sorted(drawn) == sorted(want)
+
+    @pytest.mark.parametrize("scheme", list(Scheme), ids=lambda scheme: scheme.value)
+    def test_block_budget_covers_the_grid(self, scheme, monkeypatch):
+        # At n = 200 on 1001 grid points a block's curves, rows x G, are its
+        # largest arrays: the grid, not n, bounds the rows (n alone allows 326).
+        s1, s2, pairs = _layout(scheme, 200, 200)
+        cfg = TestConfig(scheme=scheme, bootstrap=399, seed=11, grid=1001, vgrid=26)
+        rows, stats = [], []
+
+        def recorded_block(sample, weights, *args):
+            rows.append(len(weights))
+            return eval_block(sample, weights, *args)
+
+        def recorded_derivative(*args):
+            stats.append(derivative(*args))
+            return stats[-1]
+
+        monkeypatch.setattr(inference, "eval_block", recorded_block)
+        monkeypatch.setattr(inference, "derivative", recorded_derivative)
+        run_test(*((pairs, None) if pairs is not None else (s1, s2)), cfg)
+        assert max(rows) * (cfg.grid + 1) <= 1 << 16 and sum(rows) == 2 * cfg.bootstrap
+        default, rows[:], stats[:] = np.concatenate(stats), [], []
+        monkeypatch.setattr(inference, "_BLOCK_CELLS", 1)
+        run_test(*((pairs, None) if pairs is not None else (s1, s2)), cfg)
+        assert set(rows) == {1}
+        assert np.array_equal(np.concatenate(stats), default)
 
     def test_matched_rows_match_expanded_pairs(self):
         # A matched replication reweights whole rows: its curves are those of

@@ -1,14 +1,24 @@
 import json
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from isdtest import DataError, PairedSample, make_paired, make_sample, substream
+from isdtest import (
+    DataError,
+    PairedSample,
+    SimResult,
+    SimSpec,
+    TestConfig,
+    make_paired,
+    make_sample,
+    substream,
+)
 from isdtest import cli
-from isdtest.cli import Report, emit_report, load_csv, main, save_csv
+from isdtest.cli import Report, emit_report, load_csv, main
 
-from conftest import random_dp_values
+from conftest import random_dp_values, save_csv
 
 
 def write(tmp_path, name, text):
@@ -167,6 +177,10 @@ class TestMainTest:
         assert main(["test", fa, fb, "--direction", "sideways"]) == 3
         assert main(["test", fa]) == 3
         assert main(["test", fa, fb, "--tau", "bogus"]) == 3
+        # A bad value is a config error before any file is read.
+        missing = str(tmp_path / "none.csv")
+        assert main(["test", missing, missing, "--direction", "sideways"]) == 3
+        assert main(["rank", missing, missing, "--functional", "max"]) == 3
         assert main(["test", fa, fb, "--threads", "2"]) == 3
         assert main(["rank", fa, fb, "--threads", "2"]) == 3
         assert b"one thread" in capsysbinary.readouterr().err
@@ -204,6 +218,41 @@ class TestMainTest:
         payload = json.loads(capsysbinary.readouterr().out)
         assert payload["config"]["tau"] == "inf"
         assert payload["result"]["contact_fraction"] == 1.0
+
+
+# A value other than TestConfig's default for every field that has a flag.
+GIVEN = {"m": 4, "direction": "down", "kind": "int", "alpha": 0.1, "tau": 2.0, "xi": 0.002,
+         "eta": 0.01, "bootstrap": 49, "seed": 5, "grid": 101, "vgrid": 26}
+
+
+class TestConfigFlags:
+    """test and rank take every default from TestConfig and pass on only
+    the flags that were given."""
+
+    @pytest.mark.parametrize("command", ["test", "rank", "matched"])
+    def test_no_flags_echo_the_library_defaults(self, tmp_path, capsysbinary, command):
+        if command == "matched":
+            path = tmp_path / "pairs.csv"
+            save_csv(make_paired(random_dp_values(substream(2, 2), 60),
+                                 random_dp_values(substream(2, 3), 60)), path)
+            argv, want = ["test", str(path), "--matched"], TestConfig(scheme="matched")
+        else:
+            argv, want = [command, *_two_sample_files(tmp_path, n=60)], TestConfig()
+        assert main(argv) == 0
+        payload = json.loads(capsysbinary.readouterr().out)
+        assert payload["config"] == cli._config_dict(want)
+        assert payload["seed"] == want.seed
+
+    @pytest.mark.parametrize("command", ["test", "rank"])
+    def test_every_config_field_has_a_flag(self, tmp_path, capsysbinary, command):
+        assert set(GIVEN) == {f.name for f in fields(TestConfig)} - {"threads", "scheme"}
+        given, default = TestConfig(**GIVEN), TestConfig()
+        assert all(getattr(given, name) != getattr(default, name) for name in GIVEN)
+        flags = [token for name, value in GIVEN.items()
+                 for token in ("--functional" if name == "kind" else f"--{name}", str(value))]
+        fa, fb = _two_sample_files(tmp_path, n=60)
+        assert main([command, fa, fb, *flags]) == 0
+        assert json.loads(capsysbinary.readouterr().out)["config"] == cli._config_dict(given)
 
 
 class TestMainRank:
@@ -375,7 +424,7 @@ class TestMainSimulate:
         # preset_specs owns its defaults; the command passes on what it was given.
         path = tmp_path / "design.sim"
         path.write_text(SPEC_TEXT, encoding="utf-8")
-        small = cli._specs_from_file(str(path), None, None)[:1]
+        small = cli._specs_from_file(str(path), {})[:1]
         calls = []
 
         def recorded(name, **kwargs):
@@ -388,6 +437,27 @@ class TestMainSimulate:
             capsysbinary.readouterr()
         assert calls == [("size_up", {}), ("size_up", {"seed": 9}),
                          ("size_up", {"seed": 0, "replications": 3})]
+
+    @pytest.mark.parametrize("name", ["table1", "nope"])
+    def test_unknown_preset_is_config_error(self, capsys, name):
+        assert main(["simulate", "--preset", name, "--replications", "1"]) == 3
+        assert f"unknown preset {name!r}" in capsys.readouterr().err
+
+    def test_spec_without_scalar_keys_echoes_the_library_defaults(self, tmp_path,
+                                                                  capsysbinary, monkeypatch):
+        # Only the cells' axes are given; the run is stubbed, as only the echo is checked.
+        path = tmp_path / "design.sim"
+        path.write_text("n = 60\ntau = 2 inf\ndgp2 = same\n", encoding="utf-8")
+        monkeypatch.setattr(cli, "run_table",
+                            lambda specs: [SimResult(s, 0.0, 0, 0.0) for s in specs])
+        assert main(["simulate", "--spec", str(path)]) == 0
+        payload = json.loads(capsysbinary.readouterr().out)
+        assert payload["config"] == cli._config_dict(TestConfig(tau=2.0))
+        assert payload["seed"] == TestConfig().seed
+        defaults = {f.name: f.default for f in fields(SimSpec)}
+        for cell in payload["result"]["cells"]:
+            assert cell["mode"] == defaults["mode"].value
+            assert cell["replications"] == defaults["replications"]
 
     def test_missing_spec_file(self, tmp_path):
         assert main(["simulate", "--spec", str(tmp_path / "none.sim")]) == 2

@@ -1,17 +1,7 @@
 import numpy as np
 import pytest
 
-from isdtest import (
-    DataError,
-    SortedSample,
-    ecdf,
-    make_paired,
-    make_sample,
-    mean,
-    quantile,
-)
-
-from conftest import random_dp_values
+from isdtest import DataError, make_paired, make_sample
 
 
 class TestMakeSample:
@@ -52,67 +42,6 @@ class TestMakeSample:
         s = make_sample([1, 2])
         with pytest.raises(ValueError):
             s.values[0] = 7.0
-
-
-class TestEcdf:
-    def test_basic(self):
-        s = make_sample([1, 2, 3])
-        assert ecdf(s, 2.0) == pytest.approx(2 / 3)
-        assert ecdf(s, 0.5) == 0.0
-        assert ecdf(s, 3.0) == 1.0
-
-    def test_right_continuous(self):
-        s = make_sample([1, 2, 3])
-        assert ecdf(s, 2.0) == ecdf(s, 2.0 + 1e-12) == pytest.approx(2 / 3)
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            ecdf(make_sample([1]), np.nan)
-
-
-class TestQuantile:
-    def test_order_statistic_convention(self):
-        s = make_sample([1, 2, 3])
-        assert quantile(s, 0.5) == 2.0
-        assert quantile(s, 1.0) == 3.0
-        assert quantile(s, 1 / 3) == 1.0
-        assert quantile(s, 0.0) == 1.0
-
-    def test_out_of_range(self):
-        s = make_sample([1])
-        with pytest.raises(ValueError):
-            quantile(s, -0.1)
-        with pytest.raises(ValueError):
-            quantile(s, 1.1)
-
-    def test_galois_consistency(self):
-        rng = np.random.default_rng(11)
-        s = make_sample(random_dp_values(rng, 41))
-        for p in rng.random(50):
-            assert ecdf(s, quantile(s, p)) >= p
-        for x in s.values:
-            assert quantile(s, ecdf(s, x)) <= x
-
-    def test_scale_equivariance(self):
-        rng = np.random.default_rng(3)
-        raw = random_dp_values(rng, 19)
-        s = make_sample(raw)
-        sc = make_sample(1000.0 * raw)
-        for p in np.linspace(0, 1, 17):
-            assert quantile(sc, p) == pytest.approx(1000.0 * quantile(s, p), rel=1e-15)
-
-
-class TestMean:
-    def test_basic(self):
-        assert mean(make_sample([1, 2, 3])) == 2.0
-        assert mean(make_sample([4, 4, 4])) == 4.0
-
-    def test_equals_quantile_integral(self):
-        rng = np.random.default_rng(8)
-        s = make_sample(random_dp_values(rng, 101))
-        widths = np.diff(np.arange(s.n + 1) / s.n)
-        step_integral = float(np.sum(widths * s.values))
-        assert step_integral == pytest.approx(mean(s), rel=1e-14)
 
 
 class TestPairedSample:

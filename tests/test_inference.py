@@ -254,8 +254,8 @@ class TestRankDraws:
 
     @COMBOS
     def test_reference(self, direction, kind, monkeypatch):
-        # Small blocks, so that the replications span many of them.
-        monkeypatch.setattr(inference, "_BLOCK_CELLS", 7 * 81)
+        # Blocks of 7 rows (101 grid points), so that the replications span many of them.
+        monkeypatch.setattr(inference, "_BLOCK_CELLS", 7 * 102)
         cfg = rank_cfg(direction=direction, kind=kind)
         matrix = pairwise_rank(RANK_SETS, cfg)
         got = [(d.reject_a_dominates, d.p_a_dominates, d.reject_b_dominates, d.p_b_dominates)

@@ -269,8 +269,8 @@ class TestChunkedFull:
 
     # (chunk rows, block cells): the default chunk (all 7 at n = 80, 201
     # points), an uneven split, one row, and an uneven split whose B = 19
-    # draws run in blocks of 4 replications.
-    @pytest.mark.parametrize("rows, cells", [(None, None), (3, None), (1, None), (3, 81 * 3 * 4)])
+    # draws run in blocks of 4 replications (a block's rows are 202 cells wide).
+    @pytest.mark.parametrize("rows, cells", [(None, None), (3, None), (1, None), (3, 202 * 3 * 4)])
     @pytest.mark.parametrize("m", [3, 4])
     def test_matches_one_replication_at_a_time(self, m, rows, cells, monkeypatch):
         specs = self._specs(m)
