@@ -21,7 +21,9 @@ from . import __version__
 from .dgp import DoubleParetoParams
 from .empirical import PairedSample, SortedSample, make_paired, make_sample
 from .errors import ConfigError, DataError
-from .inference import RankingMatrix, TestConfig, TestResult, pairwise_rank, run_test
+from .functionals import FunctionalKind
+from .inference import (RankingMatrix, TestConfig, TestResult, _coerce, pairwise_rank,
+                        run_test)
 from .montecarlo import SimResult, SimSpec, preset_specs, run_table
 from .variance import Scheme
 
@@ -61,14 +63,48 @@ def _is_float(token: str) -> bool:
     return True
 
 
-def _lines(p: Path):
-    """(line number, line) pairs of a UTF-8 text file; a leading BOM is
-    dropped, and bytes that are not UTF-8 are an input error naming the file."""
+def _lines(path) -> list[str]:
+    """The lines of a UTF-8 text file, line k at index k - 1, read whole.
+
+    A leading BOM is dropped, and CRLF and lone CR end lines as LF does;
+    no other character does.  A missing file or bytes that are not UTF-8
+    are an input error naming the file.
+    """
+    p = Path(path)
+    if not p.exists():
+        raise DataError(f"file not found: {p}")
     try:
         with open(p, encoding="utf-8-sig") as fh:
-            yield from enumerate(fh, start=1)
+            return fh.read().split("\n")
     except UnicodeDecodeError:
         raise DataError(f"{p} is not UTF-8 text") from None
+
+
+def _fields(raw: str, paired: bool) -> list[str]:
+    """A line's fields, stripped; none for a blank line."""
+    line = raw.strip()
+    if not line:
+        return []
+    return [f.strip() for f in line.split(",")] if paired else [line]
+
+
+def _first_error(lines: list[str], paired: bool) -> DataError | None:
+    """The error of the first line that is not a valid row: a wrong column
+    count, or a field that does not parse, is not finite or is negative."""
+    for line_no, raw in enumerate(lines, start=1):
+        fields = _fields(raw, paired)
+        if not fields:
+            continue
+        if paired and len(fields) != 2:
+            return DataError(f"line {line_no}: expected two comma-separated columns")
+        if line_no == 1 and not all(_is_float(f) for f in fields):
+            continue  # header row
+        try:
+            for f in fields:
+                _parse_number(f, line_no)
+        except DataError as exc:
+            return exc
+    return None
 
 
 def load_csv(path, paired: bool = False) -> SortedSample | PairedSample:
@@ -78,25 +114,27 @@ def load_csv(path, paired: bool = False) -> SortedSample | PairedSample:
     yields a PairedSample with the row pairing preserved.  A first row with
     a field that does not parse as a number is treated as a header and
     skipped; a first row of numbers (``-5``, ``nan`` and ``inf`` included)
-    is data and is validated like every other row.
+    is data and is validated like every other row.  Blank lines are
+    skipped.  The rows are parsed all at once; only a file with an invalid
+    row is walked line by line, to name its first invalid line.
     """
-    p = Path(path)
-    if not p.exists():
-        raise DataError(f"file not found: {p}")
-    rows = []
-    for line_no, raw in _lines(p):
-        line = raw.strip()
-        if not line:
-            continue
-        fields = [f.strip() for f in line.split(",")] if paired else [line]
-        if paired and len(fields) != 2:
-            raise DataError(f"line {line_no}: expected two comma-separated columns")
-        if line_no == 1 and not all(_is_float(f) for f in fields):
-            continue  # header row
-        rows.append([_parse_number(f, line_no) for f in fields])
+    lines = _lines(path)
+    width = 2 if paired else 1
+    head = _fields(lines[0], paired)
+    header = len(head) == width and not all(_is_float(f) for f in head)
+    rows = [line for line in lines[header:] if line and not line.isspace()]
     if not rows:
-        raise DataError(f"no data rows in {p}")
-    data = np.asarray(rows, dtype=float)
+        raise DataError(f"no data rows in {Path(path)}")
+    try:
+        if paired:
+            if any(line.count(",") != 1 for line in rows):
+                raise ValueError
+            rows = ",".join(rows).split(",")
+        data = np.fromiter(map(float, map(str.strip, rows)), float, len(rows)).reshape(-1, width)
+        if not (np.isfinite(data).all() and (data >= 0).all()):
+            raise ValueError
+    except ValueError:
+        raise _first_error(lines, paired) from None
     if paired:
         return make_paired(data[:, 0], data[:, 1])
     return make_sample(data[:, 0])
@@ -318,9 +356,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _functional(value, name: str) -> FunctionalKind | None:
+    """The functional named by a flag or spec key, which TestConfig calls
+    ``kind``; an unknown one is a ConfigError naming ``name``."""
+    return None if value is None else _coerce(value, FunctionalKind, name)
+
+
 def _config_from_args(args, scheme: Scheme) -> TestConfig:
-    return TestConfig(**_given({f.name: getattr(args, f.name, None) for f in fields(TestConfig)}),
-                      scheme=scheme)
+    values = {f.name: getattr(args, f.name, None) for f in fields(TestConfig)}
+    values["kind"] = _functional(values["kind"], "--functional")
+    return TestConfig(**_given(values), scheme=scheme)
 
 
 def _cmd_test(args) -> Report:
@@ -352,11 +397,8 @@ def _cmd_rank(args) -> Report:
 
 
 def _parse_spec_file(path) -> dict:
-    p = Path(path)
-    if not p.exists():
-        raise DataError(f"file not found: {p}")
     values: dict[str, list[str]] = {}
-    for line_no, raw in _lines(p):
+    for line_no, raw in enumerate(_lines(path), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -429,7 +471,8 @@ def _specs_from_file(path, overrides: dict) -> list[SimSpec]:
 
     specs = []
     for kind, direction, a1, b1, a2, b2, n, tau in product(
-            axis("functional"), axis("direction"), axis("dgp1.alpha", float, 3.0),
+            [_functional(kind, "spec key 'functional'") for kind in axis("functional")],
+            axis("direction"), axis("dgp1.alpha", float, 3.0),
             axis("dgp1.beta", float, 2.0), a2s, b2s, axis("n", int, 2000), axis("tau", float)):
         dgp1 = DoubleParetoParams(a1, b1, **scale1)
         dgp2 = dgp1 if same else DoubleParetoParams(a2, b2, **scale2)

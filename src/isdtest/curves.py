@@ -244,12 +244,14 @@ def eval_block(sample: SortedSample, weights, m: int, direction: Direction,
     part = work.array("part", (rows, len(grid)))
     out = np.zeros((rows, len(grid)))
     for r in range(m):
-        np.multiply(jumps, plan.lattice[r], out=term)
-        np.cumsum(term, axis=1, out=prefix[:, 1:])
+        # lattice[m - 1] and powers[0] are exact ones: skip those products.
+        scaled = jumps if r == m - 1 else np.multiply(jumps, plan.lattice[r], out=term)
+        np.cumsum(scaled, axis=1, out=prefix[:, 1:])
         np.take(prefix, plan.cut, axis=1, out=part)
         if direction is Direction.DOWN:
             np.subtract(prefix[:, -1:], part, out=part)
-        part *= plan.powers[r]
+        if r:
+            part *= plan.powers[r]
         out += part
     out /= factorial(m - 1)
     if direction is Direction.DOWN:

@@ -9,22 +9,26 @@ This orientation is the single most error-prone convention of the tool.
 
 The test's recipe is written once, in a private core that takes a list of
 sample slots, a list of cells (ordered pair (a, b), direction, functional,
-contact-set bandwidth) and, per bootstrap replication, one generator per
-sample.  Each slot holds a stack of D datasets of one size, and dataset d
-of every slot is one test problem, computed row by row exactly as if it
-were alone.  Each test, an ordered pair in one direction, evaluates phi-hat
-and sigma-hat once and the contact set once per bandwidth, exactly as a
-two-sample test of that pair would; each sample's own variance is computed
-once per direction and mixed per pair.  A block of replications draws
-every sample once and evaluates it once per direction; each test's
-bootstrap curves are row differences of those.  ``run_test`` is the
-one-cell call on two samples (D = 1), whose weights both come from one
-generator keyed by (seed, b).  ``pairwise_rank`` is one call over all its
-datasets (D = 1) with both nulls of every pair; dataset k draws from a
-generator keyed by (seed, k, b), so the tests of one ranking share each
-dataset's draws.  Both modes of the simulation harness
-(:mod:`isdtest.montecarlo`) run their cells through the core too, once
-per chunk of replications, their datasets stacked.
+contact-set bandwidth) and the keys of the bootstrap streams, with a map
+from each sample slot to its stream.  Each slot holds a stack of D
+datasets of one size, and dataset d of every slot is one test problem,
+computed row by row exactly as if it were alone.  Each test, an ordered
+pair in one direction, evaluates phi-hat and sigma-hat once and the
+contact set once per bandwidth, exactly as a two-sample test of that pair
+would; each sample's own variance is computed once per direction and
+mixed per pair.  A block of replications draws every sample once and
+evaluates it once per direction; each test's bootstrap curves are row
+differences of those.  ``run_test`` is the one-cell call on two samples
+(D = 1), whose weights both come from one stream keyed by (seed, b).
+``pairwise_rank`` is one call over all its datasets (D = 1) with both
+nulls of every pair; dataset k draws from a stream keyed by (seed, k, b),
+so the tests of one ranking share each dataset's draws.  Both modes of the
+simulation harness (:mod:`isdtest.montecarlo`) run their cells through the
+core too, once per chunk of replications, their datasets stacked.  Every
+key of a call is derived in one vectorised pass before the first block,
+and one generator, re-keyed in place for every row, draws every stream;
+the streams, and so the results, are bit for bit those of one generator
+built per replication.
 
 The B bootstrap replications run in fixed blocks of R rows, R set by the
 larger of the largest sample size n and the grid size G under a fixed cell
@@ -49,7 +53,7 @@ from numbers import Real
 import numpy as np
 
 from . import bootstrap
-from .bootstrap import critical_value, p_value, substream
+from .bootstrap import _generate_state, critical_value, p_value
 from .curves import (
     MAX_DEGREE,
     BlockWorkspace,
@@ -221,31 +225,44 @@ def _plan(cells) -> tuple:
                         for direction, tests in directions.items()]
 
 
-def _bootstrap_stats(samples, pairs, m, grid, plan, rng, replications) -> np.ndarray:
+def _bootstrap_stats(samples, pairs, m, grid, plan, keys, streams) -> np.ndarray:
     """Bootstrap statistics of every cell, shape (cells, D, replications).
 
     ``plan`` lists each direction with its tests (a, b, phi-hat,
-    sqrt(T_n), members, contact sets).  Replication b of dataset d draws
-    sample k's weights from ``rng(b)[d][k]`` (matched pairs: one draw from
-    ``rng(b)[0][0]``, routed through each column's sort order).  A block
-    holds whole replications, row (b, d) for every dataset d of the stack,
-    and draws and evaluates every sample once per direction; each test's
-    curves are row differences of those.
+    sqrt(T_n), members, contact sets).  ``keys`` holds the Philox keys of
+    the bootstrap streams, shape (replications, D, streams, 2): replication
+    b of dataset d draws sample k's weights from the stream of
+    ``keys[b, d, streams[k]]``, from its start, the samples of one stream
+    in slot order (matched pairs: one draw from the first slot's stream,
+    routed through each column's sort order).  One generator, re-keyed
+    for every row and stream, draws them all.  A block holds whole
+    replications, row (b, d) for every dataset d of the stack, and draws
+    and evaluates every sample once per direction; each test's curves are
+    row differences of those.
     """
     cells, directions = plan
-    depth = len(samples[0].values)
+    replications, depth = keys.shape[:2]
     width = max(max(s.n for s in samples), len(grid)) + 1
     per_block = max(1, _BLOCK_CELLS // width // depth)
     stats = np.empty((cells, depth, replications))
     work = BlockWorkspace()
+    sizes = [s.n for s in samples] if pairs is None else [pairs.n]
+    draws: dict = {}  # stream -> the slots it draws, in slot order
+    for k, stream in enumerate(streams[:len(sizes)]):
+        draws.setdefault(stream, []).append(k)
+    gen = np.random.Generator(np.random.Philox(key=0))
     for lo in range(0, replications, per_block):
         hi = min(lo + per_block, replications)
-        gens = [g for b in range(lo, hi) for g in rng(b)]
-        if pairs is None:
-            weights = [np.stack([bootstrap.draw_weights(s.n, g[k]) for g in gens])
-                       for k, s in enumerate(samples)]
-        else:
-            w = np.stack([bootstrap.draw_weights(pairs.n, g[0]) for g in gens])
+        block = keys[lo:hi].reshape(-1, *keys.shape[2:])
+        weights = [work.array(f"weights{k}", (len(block), n), np.int64)
+                   for k, n in enumerate(sizes)]
+        for row, row_keys in enumerate(block):
+            for stream, slots in draws.items():
+                bootstrap._restart(gen, row_keys[stream])
+                for k in slots:
+                    weights[k][row] = bootstrap.draw_weights(sizes[k], gen)
+        if pairs is not None:
+            w = weights[0]
             weights = [np.take(w, order, axis=1, out=work.array(name, w.shape, w.dtype))
                        for name, order in (("left", pairs.left_order()),
                                            ("right", pairs.right_order()))]
@@ -265,7 +282,7 @@ def _bootstrap_stats(samples, pairs, m, grid, plan, rng, replications) -> np.nda
     return stats
 
 
-def _test_cells(samples, pairs, m, xi, fgrid, vgrid, plan, rng, replications):
+def _test_cells(samples, pairs, m, xi, fgrid, vgrid, plan, keys, streams):
     """The test's statistics for every cell of a :func:`_plan` over ``samples``.
 
     Sample slot k is a :class:`SortedSample` holding a stack of D datasets
@@ -275,8 +292,9 @@ def _test_cells(samples, pairs, m, xi, fgrid, vgrid, plan, rng, replications):
     observed statistic per kind and contact set per bandwidth exactly as a
     two-sample test of its pair would; each sample's own variance is
     computed once per direction and mixed per pair.  One set of bootstrap
-    draws, replication b of
-    dataset d from ``rng(b)[d]``, serves every cell.  ``pairs`` is the
+    draws, replication b of dataset d from the streams keyed by
+    ``keys[b, d]`` (see :func:`_bootstrap_stats`), serves every cell;
+    there are ``len(keys)`` replications.  ``pairs`` is the
     :class:`PairedSample` whose columns are ``samples`` under the matched
     scheme (then D = 1), else None.  Returns each cell's observed
     statistics (cells, D), its bootstrap statistics (cells, D,
@@ -310,16 +328,19 @@ def _test_cells(samples, pairs, m, xi, fgrid, vgrid, plan, rng, replications):
                     statistics[i], contact_sets[i] = observed[k], contact[t]
                 evaluated.append((a, b, phi, sqrt(t_n), members, contact))
             tests_by_direction.append((direction, evaluated))
-        boot = _bootstrap_stats(samples, pairs, m, fgrid, (cells, tests_by_direction), rng,
-                                replications)
+        boot = _bootstrap_stats(samples, pairs, m, fgrid, (cells, tests_by_direction), keys,
+                                streams)
     _finite(boot, "bootstrap statistic")
     return np.array(statistics), boot, contact_sets
 
 
-def _test_streams(seed: int):
-    """``run_test``'s generators: replication b draws both samples' weights,
-    the first sample's then the second's, from one stream keyed by (seed, b)."""
-    return lambda b: [(substream(seed, _BOOT_TAG, b),) * 2]
+def _test_keys(seed, replications: int) -> np.ndarray:
+    """``run_test``'s stream keys, shape (replications, D, 1, 2): replication
+    b draws both samples' weights, the first sample's then the second's
+    (stream map (0, 0)), from one stream keyed by (seed, b).  ``seed`` is an
+    int (D = 1) or a uint64 array of D seeds."""
+    keys = _generate_state(seed, (_BOOT_TAG, np.arange(replications)[:, None]), 2, np.uint64)
+    return keys[:, :, None]
 
 
 def run_test(sample1, sample2, config: TestConfig) -> TestResult:
@@ -336,7 +357,7 @@ def run_test(sample1, sample2, config: TestConfig) -> TestResult:
         [SortedSample(s1.values[None]), SortedSample(s2.values[None])], pairs, config.m,
         config.xi, Grid.uniform(config.grid), Grid.uniform(config.vgrid),
         _plan([(0, 1, config.direction, config.kind, config.tau)]),
-        _test_streams(config.seed), config.bootstrap)
+        _test_keys(config.seed, config.bootstrap), (0, 0))
     statistic = float(statistic)
     chat = _critical(stats, config)
 
@@ -450,12 +471,14 @@ def pairwise_rank(datasets, config: TestConfig) -> RankingMatrix:
     k = len(samples)
     tested = [(i, j) for i in range(k) for j in range(i + 1, k)]
     cell = (config.direction, config.kind, config.tau)
+    # Replication b of dataset d draws from stream d of keys[b, 0], keyed by (seed, d, b).
+    replication = np.arange(config.bootstrap)[:, None]
+    keys = _generate_state(config.seed, (_RANK_TAG, np.arange(k), replication), 2, np.uint64)
     statistics, stats, _ = _test_cells(
         [SortedSample(s.values[None]) for s in samples], None, config.m, config.xi,
         Grid.uniform(config.grid), Grid.uniform(config.vgrid),
         _plan([(a, b, *cell) for i, j in tested for a, b in ((i, j), (j, i))]),
-        lambda b: [[substream(config.seed, _RANK_TAG, d, b) for d in range(k)]],
-        config.bootstrap)
+        keys[:, None], range(k))
     statistics, stats = statistics[:, 0], stats[:, 0]
     reject = [bool(statistic > _critical(row, config))
               for statistic, row in zip(statistics, stats)]

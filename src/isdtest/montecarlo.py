@@ -15,9 +15,11 @@ parameters, replication index) only, so cells that differ merely in the
 contact-set bandwidth, functional, direction, level or critical-value
 floor see identical draws -- the bandwidth-monotonicity of rejection rates
 then holds exactly, and tables are reproducible under any grouping.  A
-full-mode replication's B generators are the ones ``run_test`` draws from
+full-mode replication's B streams are the ones ``run_test`` draws from
 under that replication's derived seed, so full-mode cells that share data,
-seed, m, grids, xi and B also share their draws.
+seed, m, grids, xi and B also share their draws.  A group derives all its
+replications' keys in one vectorised pass, and one re-keyed generator
+draws every replication's data.
 """
 
 from __future__ import annotations
@@ -28,13 +30,13 @@ from enum import Enum
 import numpy as np
 
 from . import inference
-from .bootstrap import derive_seed, substream
+from .bootstrap import _generate_state, _restart, derive_seed
 from .curves import Direction, Grid
 from .dgp import DoubleParetoParams, dp_sample
 from .empirical import SortedSample
 from .errors import ConfigError
 from .functionals import FunctionalKind
-from .inference import TestConfig, _coerce, _count, _critical, _plan, _test_cells, _test_streams
+from .inference import TestConfig, _coerce, _count, _critical, _plan, _test_cells, _test_keys
 from .variance import Scheme
 
 __all__ = ["SimMode", "SimSpec", "SimResult", "run_table", "preset_specs"]
@@ -127,22 +129,25 @@ def _run_group(specs: list[SimSpec]) -> list[SimResult]:
     # one bootstrap statistic of each replication, pooled below.
     boot = np.empty((len(specs), reps))
     chunk = _chunk_rows(max(base.n1, base.n2), cfg.grid)
+    # Every replication's stream keys, derived at once: data, then the
+    # bootstrap (full mode: run_test's under the replication's derived seed).
+    index = np.arange(reps)
+    data_keys = _generate_state(cfg.seed, (_MC_DATA, *key, index), 2, np.uint64)
+    if full:
+        seeds = derive_seed(cfg.seed, _MC_FULL, *key, index)
+    else:  # one draw, both samples' weights from the replication's stream
+        boot_keys = _generate_state(cfg.seed, (_MC_BOOT, *key, index), 2, np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=0))
     for lo in range(0, reps, chunk):
         hi = min(lo + chunk, reps)
-        data, streams = [], []
+        data = []
         for r in range(lo, hi):
-            rng = substream(cfg.seed, _MC_DATA, *key, r)
+            _restart(rng, data_keys[r])
             data.append((dp_sample(base.dgp1, base.n1, rng), dp_sample(base.dgp2, base.n2, rng)))
-            if full:  # run_test's generators under the replication's derived seed
-                streams.append(_test_streams(derive_seed(cfg.seed, _MC_FULL, *key, r)))
-            else:  # one draw, both samples' weights from the replication's stream
-                wrng = substream(cfg.seed, _MC_BOOT, *key, r)
-                streams.append(lambda b, wrng=wrng: [(wrng, wrng)])
         stacks = [SortedSample(np.stack([x.values for x in column])) for column in zip(*data)]
+        keys = _test_keys(seeds[lo:hi], cfg.bootstrap) if full else boot_keys[None, lo:hi, None]
         observed[:, lo:hi], stats, _ = _test_cells(
-            stacks, None, cfg.m, cfg.xi, fgrid, vgrid, plan,
-            lambda b: [g for draws in streams for g in draws(b)],
-            cfg.bootstrap if full else 1)
+            stacks, None, cfg.m, cfg.xi, fgrid, vgrid, plan, keys, (0, 0))
         boot[:, lo:hi] = ([[_critical(draws, s.config) for draws in rows]
                            for rows, s in zip(stats, specs)] if full else stats[:, :, 0])
 

@@ -26,6 +26,23 @@ def save_csv(sample, path):
                 fh.write(f"{float(v)!r}\n")
 
 
+def seed_sequence(seed, *key) -> np.random.SeedSequence:
+    """numpy's own SeedSequence behind the stream keyed by (seed, *key): the
+    seed mod 2**64, each key part as two 32-bit words (high first), a float
+    by its bits and an int mod 2**64."""
+    words = []
+    for part in key:
+        bits = (int(np.float64(part).view(np.uint64)) if isinstance(part, float)
+                else int(part) % 2**64)
+        words += [bits >> 32, bits % 2**32]
+    return np.random.SeedSequence(entropy=int(seed) % 2**64, spawn_key=words)
+
+
+def philox_key(seed, *key) -> np.ndarray:
+    """The Philox key of the stream keyed by (seed, *key), derived by numpy."""
+    return seed_sequence(seed, *key).generate_state(2, np.uint64)
+
+
 def rel_err(got, want, floor=1e-300):
     return abs(got - want) / max(abs(want), floor)
 

@@ -28,7 +28,7 @@ from isdtest import (
 )
 from isdtest import bootstrap, inference
 
-from conftest import point_lambda, random_dp_values
+from conftest import point_lambda, random_dp_values, seed_sequence
 
 
 class TestSubstream:
@@ -55,6 +55,88 @@ class TestSubstream:
     def test_derive_seed_stable(self):
         assert derive_seed(9, 1, 2) == derive_seed(9, 1, 2)
         assert derive_seed(9, 1, 2) != derive_seed(9, 2, 1)
+
+
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 - 1, -1, -2**40, 2**64, 2**64 + 5, 2**70 + 3]
+# Key parts as the package uses them: tags, counters, sizes and the double
+# Pareto parameters of a simulation cell (floats, keyed by their bits).
+PARTS = [0xB0, 7, 2**40 + 3, 3.0, 2.5, 0.1, 100.0, 2**64 - 1, -5, 1e-300]
+
+
+class TestStreamKeys:
+    """One vectorised hash derives every stream key, bit for bit as numpy's
+    SeedSequence does."""
+
+    @pytest.mark.parametrize("count", range(1, 9))
+    @pytest.mark.parametrize("words, dtype", [(2, np.uint64), (2, np.uint32), (5, np.uint32),
+                                              (3, np.uint64)])
+    def test_matches_seed_sequence(self, count, words, dtype):
+        for shift, seed in enumerate(SEEDS):
+            key = tuple(PARTS[(shift + i) % len(PARTS)] for i in range(count))
+            want = seed_sequence(seed, *key).generate_state(words, dtype)
+            got = bootstrap._generate_state(seed, key, words, dtype)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (seed, key)
+
+    def test_empty_key(self):
+        for seed in SEEDS:
+            want = seed_sequence(seed).generate_state(2, np.uint64)
+            assert np.array_equal(bootstrap._generate_state(seed, (), 2, np.uint64), want)
+
+    def test_broadcasts_over_seeds_and_key_parts(self):
+        seeds = np.array([0, 2**32, 2**64 - 1, 12345], dtype=np.uint64)
+        replication = np.arange(37)[:, None]
+        got = bootstrap._generate_state(seeds, (0xD2, 2.5, replication), 2, np.uint64)
+        assert got.shape == (37, 4, 2)
+        for b in range(37):
+            for d, seed in enumerate(seeds):
+                want = seed_sequence(int(seed), 0xD2, 2.5, b).generate_state(2, np.uint64)
+                assert np.array_equal(got[b, d], want)
+        floats = np.array([0.5, 3.0, 1e-300])
+        got = bootstrap._generate_state(7, (1, floats), 2)
+        for i, x in enumerate(floats):
+            assert np.array_equal(got[i], seed_sequence(7, 1, float(x)).generate_state(2))
+
+    def test_substream_is_numpys_stream(self):
+        for seed in SEEDS[:5]:
+            want = np.random.Generator(np.random.Philox(seed_sequence(seed, 3, 2.5)))
+            got = substream(seed, 3, 2.5)
+            assert np.array_equal(got.integers(0, 1000, 50), want.integers(0, 1000, 50))
+            assert np.array_equal(got.random(7), want.random(7))
+
+    def test_derive_seed_is_numpys_state(self):
+        hi, lo = seed_sequence(9, 1, 2.5).generate_state(2)
+        assert derive_seed(9, 1, 2.5) == int(hi) << 32 | int(lo)
+        seeds = derive_seed(9, 1, 2.5, np.arange(5))
+        assert seeds.dtype == np.uint64
+        assert [int(s) for s in seeds] == [derive_seed(9, 1, 2.5, r) for r in range(5)]
+
+    def test_restart_draws_a_fresh_stream(self):
+        # Re-keying one generator, mid-stream and with a half-used 32-bit
+        # buffer, draws what a newly built generator of that key draws.
+        gen = substream(1, 0)
+        for seed, key in [(5, (1, 2)), (6, (0xB0, 3)), (5, (1, 2))]:
+            gen.integers(0, 7, size=3)
+            bootstrap._restart(gen, bootstrap._generate_state(seed, key, 2, np.uint64))
+            fresh = substream(seed, *key)
+            assert np.array_equal(gen.integers(0, 500, 9), fresh.integers(0, 500, 9))
+            assert np.array_equal(gen.random(4), fresh.random(4))
+
+    @pytest.mark.parametrize("scheme", list(Scheme), ids=lambda scheme: scheme.value)
+    def test_generators_built_per_call_not_per_replication(self, scheme, monkeypatch):
+        s1, s2, pairs = _layout(scheme)
+        args = (pairs, None) if pairs is not None else (s1, s2)
+        built = []
+        for name in ("Philox", "SeedSequence"):
+            real = getattr(np.random, name)
+            monkeypatch.setattr(np.random, name,
+                                lambda *a, real=real, name=name, **k: built.append(name)
+                                or real(*a, **k))
+        counts = []
+        for b in (19, 199):
+            built.clear()
+            run_test(*args, TestConfig(scheme=scheme, bootstrap=b, seed=2, grid=101, vgrid=11))
+            counts.append(len(built))
+        assert counts[0] == counts[1] <= 2
 
 
 class TestDrawWeights:
@@ -154,8 +236,8 @@ class TestBlockRoute:
         test = (0, 1, phi, np.sqrt(t_n), [(0, cfg.kind, 0, 0)], [cs])
         return inference._bootstrap_stats(
             [SortedSample(s1.values[None]), SortedSample(s2.values[None])], pairs, cfg.m,
-            self.grid, (1, [(cfg.direction, [test])]), inference._test_streams(cfg.seed),
-            cfg.bootstrap)[0, 0]
+            self.grid, (1, [(cfg.direction, [test])]),
+            inference._test_keys(cfg.seed, cfg.bootstrap), (0, 0))[0, 0]
 
     @pytest.mark.parametrize("bootstrap", [1, BLOCK_ROWS - 1, BLOCK_ROWS + 1])
     @pytest.mark.parametrize("m, direction, kind, scheme", BLOCK_COMBOS)
@@ -286,7 +368,7 @@ class TestBlockRoute:
         stats = inference._bootstrap_stats(
             [SortedSample(pairs.left_sample().values[None]),
              SortedSample(pairs.right_sample().values[None])], pairs, 3, g,
-            (2, [(Direction.UP, [test])]), inference._test_streams(8), 3)
+            (2, [(Direction.UP, [test])]), inference._test_keys(8, 3), (0, 0))
         for b in range(3):
             w = draw_weights(15, substream(8, inference._BOOT_TAG, b))
             expanded = (

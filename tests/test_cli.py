@@ -96,6 +96,110 @@ class TestLoadCsv:
         assert np.array_equal(back.right, p.right)
 
 
+def _per_line(path, paired=False):
+    """Reference reader: each line of the file read and validated on its own."""
+    rows = []
+    with open(path, encoding="utf-8-sig") as fh:
+        for line_no, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            fields = [f.strip() for f in line.split(",")] if paired else [line]
+            if paired and len(fields) != 2:
+                raise DataError(f"line {line_no}: expected two comma-separated columns")
+            try:
+                values = [float(f) for f in fields]
+            except ValueError:
+                if line_no == 1:
+                    continue  # header row
+                raise DataError(f"line {line_no}: cannot parse") from None
+            if not all(0 <= v < float("inf") for v in values):
+                raise DataError(f"line {line_no}: invalid value")
+            rows.append(values)
+    return np.array(rows)
+
+
+class TestLoadCsvWhole:
+    """The file is parsed at once; the first invalid line still names the error."""
+
+    @pytest.mark.parametrize("text, match", [
+        ("1\n2\n-3\n4\nbogus\n", "line 3: negative value '-3'"),
+        ("1\n2\nbogus\n4\n-5\n", "line 3: cannot parse 'bogus'"),
+        ("1\n2\nnan\n4\nbogus\n", "line 3: non-finite value 'nan'"),
+        ("1\n2\nbogus\n4\ninf\n", "line 3: cannot parse 'bogus'"),
+        ("1\n2\n-inf\n4\n-5\n", "line 3: non-finite value '-inf'"),
+    ])
+    def test_first_invalid_line_wins(self, tmp_path, text, match):
+        with pytest.raises(DataError, match=match):
+            load_csv(write(tmp_path, "a.csv", text))
+
+    @pytest.mark.parametrize("text, match", [
+        ("x,y\n1,2\n3,-4\n5\n", "line 3: negative value '-4'"),
+        ("x,y\n1,2\n3\n5,-6\n", "line 3: expected two comma-separated columns"),
+        ("1,2\n3,4,5\n6,x\n", "line 2: expected two comma-separated columns"),
+        ("1,2\n3, \n6,7,8\n", "line 2: cannot parse ''"),
+        ("a,b,c\n1,2\n", "line 1: expected two comma-separated columns"),
+        ("1,2\n ,1\n", "line 2: cannot parse ''"),
+    ])
+    def test_paired_first_invalid_line_wins(self, tmp_path, text, match):
+        with pytest.raises(DataError, match=match):
+            load_csv(write(tmp_path, "a.csv", text), paired=True)
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_crlf_and_lone_cr(self, tmp_path, newline):
+        path = tmp_path / "a.csv"
+        path.write_bytes(newline.join(["income", "1.5", "", "2.5", "3.5", ""]).encode())
+        assert list(load_csv(str(path)).values) == [1.5, 2.5, 3.5]
+        path.write_bytes(newline.join(["income", "1.5", "", "bogus", ""]).encode())
+        with pytest.raises(DataError, match="line 4: cannot parse 'bogus'"):
+            load_csv(str(path))
+        path.write_bytes(newline.join(["1,2", "3,4", "5", ""]).encode())
+        with pytest.raises(DataError, match="line 3: expected two"):
+            load_csv(str(path), paired=True)
+
+    def test_form_feed_does_not_end_a_line(self, tmp_path):
+        # Only LF, CRLF and CR end a line; str.splitlines would also split
+        # at \x0c (and \x1c-\x1e, \x85, \u2028, \u2029) and shift the numbers.
+        text = "1\n2\x0c\n\x0c3\n4\x1c\u2028\n\x85bogus\n"
+        with pytest.raises(DataError, match="line 5: cannot parse 'bogus'"):
+            load_csv(write(tmp_path, "a.csv", text))
+        assert list(load_csv(write(tmp_path, "b.csv", text[:-7])).values) == [1, 2, 3, 4]
+
+    def test_blank_lines_between_values(self, tmp_path):
+        text = "income\n\n1.5\n  \n\t\n2.5\n\n\n3.5\n\n"
+        assert list(load_csv(write(tmp_path, "a.csv", text)).values) == [1.5, 2.5, 3.5]
+        with pytest.raises(DataError, match="line 7: negative"):
+            load_csv(write(tmp_path, "b.csv", "1\n\n \n2\n\n\n-3\n"))
+
+    def test_header_only_has_no_rows(self, tmp_path):
+        for paired, text in ((False, "income\n\n"), (True, "x,y\n \n")):
+            with pytest.raises(DataError, match="no data rows"):
+                load_csv(write(tmp_path, "a.csv", text), paired=paired)
+
+    @pytest.mark.parametrize("paired", [False, True], ids=["single", "paired"])
+    def test_matches_per_line_reader(self, tmp_path, paired):
+        # 1e4 rows in assorted spellings: repr, short and long exponents,
+        # padding of any whitespace, signs and zeros.
+        rng = np.random.default_rng(12)
+        values = random_dp_values(rng, 20000 if paired else 10000)
+        spellings = [repr, "{:.3e}".format, "{:.17g}".format, " {!r}\t".format,
+                     "+{!r}".format, "\x1c{!r}\u3000".format, "{:f}".format]
+        tokens = [spellings[i % len(spellings)](float(v)) for i, v in enumerate(values)]
+        tokens[1000:1006] = ["0", "-0.0", "0e0", "1_000.5", "  7  ", "\x0c1e-300"]
+        if paired:
+            lines = [f"{a},{b}" for a, b in zip(tokens[0::2], tokens[1::2])]
+        else:
+            lines = tokens
+        lines[100:100] = ["", "   "]
+        path = write(tmp_path, "a.csv", "value,other\n" * paired + "\n".join(lines) + "\n")
+        want = _per_line(path, paired)
+        got = load_csv(path, paired=paired)
+        if paired:
+            assert np.array_equal(got.left, want[:, 0]) and np.array_equal(got.right, want[:, 1])
+        else:
+            assert np.array_equal(got.values, np.sort(want[:, 0]))
+
+
 class TestEmitReport:
     def test_deterministic_bytes(self):
         r = Report("test", {"m": 3}, {"statistic": 0.0, "reject": False}, 1, "0.1.0", 12.0)
@@ -184,6 +288,14 @@ class TestMainTest:
         assert main(["test", fa, fb, "--threads", "2"]) == 3
         assert main(["rank", fa, fb, "--threads", "2"]) == 3
         assert b"one thread" in capsysbinary.readouterr().err
+
+    def test_unknown_functional_names_the_flag(self, tmp_path, capsys):
+        fa, fb = _two_sample_files(tmp_path)
+        for command in ("test", "rank"):
+            assert main([command, fa, fb, "--functional", "max"]) == 3
+            err = capsys.readouterr().err
+            assert "config error: --functional must be one of sup, int, got 'max'" in err
+            assert "kind" not in err
 
     def test_one_observation_exit_2(self, tmp_path, capsys):
         one = write(tmp_path, "one.csv", "1.5\n")
@@ -478,6 +590,14 @@ class TestMainSimulate:
         path = tmp_path / "design.sim"
         path.write_text(SPEC_TEXT + line + "\n", encoding="utf-8")
         assert main(["simulate", "--spec", str(path)]) == 3
+
+    def test_unknown_functional_names_the_spec_key(self, tmp_path, capsys):
+        path = tmp_path / "design.sim"
+        path.write_text(SPEC_TEXT + "functional = sup max\n", encoding="utf-8")
+        assert main(["simulate", "--spec", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert "config error: spec key 'functional' must be one of sup, int, got 'max'" in err
+        assert "kind" not in err
 
     @pytest.mark.parametrize("line", [
         "functionl = int", "replication = 8", "dgp3.alpha = 2", "threads = 2",

@@ -18,6 +18,8 @@ from isdtest import (
 )
 from isdtest import inference, montecarlo
 
+from conftest import philox_key
+
 DGP = DoubleParetoParams(3.0, 2.0)
 INF = float("inf")
 
@@ -179,10 +181,10 @@ def _one_replication_at_a_time(specs):
     for r in range(base.replications):
         rng = substream(cfg.seed, montecarlo._MC_DATA, *key, r)
         x1, x2 = dp_sample(base.dgp1, base.n1, rng), dp_sample(base.dgp2, base.n2, rng)
-        wrng = substream(cfg.seed, montecarlo._MC_BOOT, *key, r)
+        keys = philox_key(cfg.seed, montecarlo._MC_BOOT, *key, r)
         statistic, stats, _ = inference._test_cells(
             [SortedSample(x1.values[None]), SortedSample(x2.values[None])], None, cfg.m,
-            cfg.xi, fgrid, vgrid, plan, lambda b: [(wrng, wrng)], 1)
+            cfg.xi, fgrid, vgrid, plan, keys[None, None, None], (0, 0))
         observed.append(statistic[:, 0])
         boot.append(stats[:, 0, 0])
     chats = [inference._critical(row, s.config) for row, s in zip(np.transpose(boot), specs)]
@@ -243,8 +245,8 @@ def _full_one_replication_at_a_time(specs):
         statistic, stats, _ = inference._test_cells(
             [SortedSample(x1.values[None]), SortedSample(x2.values[None])], None, cfg.m,
             cfg.xi, fgrid, vgrid, plan,
-            inference._test_streams(derive_seed(cfg.seed, montecarlo._MC_FULL, *key, r)),
-            cfg.bootstrap)
+            inference._test_keys(derive_seed(cfg.seed, montecarlo._MC_FULL, *key, r),
+                                 cfg.bootstrap), (0, 0))
         observed.append(statistic[:, 0])
         boot.append(stats[:, 0])
     observed, boot = np.stack(observed, axis=1), np.stack(boot, axis=1)
