@@ -18,23 +18,11 @@ from .curves import (
     eval_block,
     eval_on_grid,
 )
-from .dgp import DoubleParetoParams, dp_cdf, dp_mean, dp_pdf, dp_quantile, dp_sample
+from .dgp import DoubleParetoParams, dp_quantile, dp_sample
 from .empirical import PairedSample, SortedSample, make_paired, make_sample
 from .errors import ConfigError, DataError
-from .functionals import (
-    ContactSet,
-    FunctionalKind,
-    derivative,
-    estimate_contact_set,
-    functional,
-)
-from .bootstrap import (
-    critical_value,
-    derive_seed,
-    draw_weights,
-    p_value,
-    substream,
-)
+from .functionals import FunctionalKind, derivative, estimate_contact_set, functional
+from .bootstrap import critical_value, derive_seed, draw_weights, p_value
 from .inference import (
     PairDecision,
     RankingMatrix,
@@ -50,11 +38,11 @@ from .variance import CovKernel, Scheme, effective_size, sigma_curve
 __all__ = [
     "MAX_DEGREE", "BlockWorkspace", "Direction", "Grid", "LambdaCurve",
     "eval_block", "eval_on_grid",
-    "DoubleParetoParams", "dp_cdf", "dp_mean", "dp_pdf", "dp_quantile", "dp_sample",
+    "DoubleParetoParams", "dp_quantile", "dp_sample",
     "PairedSample", "SortedSample", "make_paired", "make_sample",
     "ConfigError", "DataError",
-    "ContactSet", "FunctionalKind", "derivative", "estimate_contact_set", "functional",
-    "critical_value", "derive_seed", "draw_weights", "p_value", "substream",
+    "FunctionalKind", "derivative", "estimate_contact_set", "functional",
+    "critical_value", "derive_seed", "draw_weights", "p_value",
     "PairDecision", "RankingMatrix", "Relation", "TestConfig", "TestResult", "pairwise_rank",
     "run_test",
     "SimMode", "SimResult", "SimSpec", "preset_specs", "run_table",

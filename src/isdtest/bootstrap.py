@@ -1,16 +1,17 @@
 """Multinomial bootstrap: weights, critical values and p-values.
 
-Randomness is organized as counter-based substreams: every replication
+Randomness is organized as counter-based streams: every replication
 draws from its own Philox stream, keyed by the master seed and an integer
 key, so the full list of bootstrap statistics is a pure function of (data,
-config, seed) regardless of execution order or block size.  A stream's
-Philox key is numpy's ``SeedSequence(seed mod 2**64, key words)`` state,
-which :func:`_generate_state` computes for a whole array of keys in one
-vectorised pass; the test derives all of a call's keys at once, and one
-generator, re-keyed in place by :func:`_restart` for every row, draws
-them all.  Each stream is bit for bit the generator :func:`substream`
-returns for its key, so the streams, and every result, are those of one
-generator built per replication.
+config, seed) regardless of execution order or block size.  The stream
+keyed by (seed, key) is ``Generator(Philox(key=k))`` with k numpy's
+``SeedSequence(seed mod 2**64, key words).generate_state(2, uint64)``:
+each key part gives two 32-bit words, high first, an int taken mod 2**64
+and a float by its bits.  :func:`_generate_state` computes that state for
+a whole array of keys in one vectorised pass; the test derives all of a
+call's keys at once, and one generator, re-keyed in place by
+:func:`_restart` for every row, draws them all.  The streams, and every
+result, are bit for bit those of one generator built per replication.
 
 A replication reweights each sample by :func:`draw_weights`, a
 multinomial draw of n categories.  The test stacks the weights of R
@@ -31,7 +32,6 @@ import numpy as np
 from .errors import ConfigError
 
 __all__ = [
-    "substream",
     "derive_seed",
     "draw_weights",
     "critical_value",
@@ -130,11 +130,6 @@ def _restart(gen: np.random.Generator, key) -> None:
     gen.bit_generator.state = {
         "bit_generator": "Philox", "state": {"counter": _ZEROS, "key": key},
         "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
-
-
-def substream(seed: int, *key) -> np.random.Generator:
-    """Counter-based generator for (seed, key); independent of call order."""
-    return np.random.Generator(np.random.Philox(key=_generate_state(seed, key, 2, np.uint64)))
 
 
 def derive_seed(seed: int, *key) -> int:

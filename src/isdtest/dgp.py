@@ -1,8 +1,9 @@
-"""Double Pareto distribution: density, CDF, quantile, moments, sampling.
+"""Double Pareto distribution: parameters, quantile function and sampling.
 
 The density is a power law x^(beta-1) below the scale point and a Pareto
 tail x^(-alpha-1) above it; incomes are well approximated by this family.
-Sampling is by inversion, so a draw is a pure function of its generator.
+Sampling is by inversion of the quantile function, so a draw is a pure
+function of its generator.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from .empirical import SortedSample, make_sample
 from .errors import ConfigError
 
-__all__ = ["DoubleParetoParams", "dp_pdf", "dp_cdf", "dp_quantile", "dp_mean", "dp_sample"]
+__all__ = ["DoubleParetoParams", "dp_quantile", "dp_sample"]
 
 
 @dataclass(frozen=True)
@@ -50,42 +51,11 @@ class DoubleParetoParams:
         return self.alpha / (self.alpha + self.beta)
 
 
-def dp_pdf(params: DoubleParetoParams, x):
-    """Density; zero for x < 0."""
-    x = np.asarray(x, dtype=float)
-    a, b, m = params.alpha, params.beta, params.scale
-    norm = a * b / (a + b)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lower = norm * m ** (-b) * x ** (b - 1.0)
-        upper = norm * m ** a * x ** (-a - 1.0)
-    out = np.where(x >= m, upper, lower)
-    out = np.where(x < 0, 0.0, out)
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
-
-
-def dp_cdf(params: DoubleParetoParams, x):
-    """Distribution function on [0, inf)."""
-    x = np.asarray(x, dtype=float)
-    if np.any(x < 0):
-        raise ValueError("double Pareto support is [0, inf)")
-    a, b, m = params.alpha, params.beta, params.scale
-    split = params.lower_mass
-    lower = split * (x / m) ** b
-    with np.errstate(divide="ignore"):
-        upper = split + (1.0 - split) * (1.0 - (m / np.maximum(x, m)) ** a)
-    out = np.where(x < m, lower, upper)
-    if np.ndim(x) == 0:
-        return float(out)
-    return out
-
-
 def dp_quantile(params: DoubleParetoParams, u):
     """Inverse CDF; defined on [0, 1) since u = 1 maps to infinity."""
     u = np.asarray(u, dtype=float)
     if np.any((u < 0) | (u >= 1)):
-        raise ValueError("quantile levels must lie in [0, 1)")
+        raise ConfigError("quantile levels must lie in [0, 1)")
     a, b, m = params.alpha, params.beta, params.scale
     split = params.lower_mass
     lower = m * (u * (a + b) / a) ** (1.0 / b)
@@ -94,14 +64,6 @@ def dp_quantile(params: DoubleParetoParams, u):
     if np.ndim(u) == 0:
         return float(out)
     return out
-
-
-def dp_mean(params: DoubleParetoParams) -> float:
-    """Closed-form mean alpha*beta*scale/((alpha-1)(beta+1)); infinite for alpha <= 1."""
-    a, b, m = params.alpha, params.beta, params.scale
-    if a <= 1:
-        return float("inf")
-    return a * b * m / ((a - 1.0) * (b + 1.0))
 
 
 def dp_sample(params: DoubleParetoParams, n: int, rng: np.random.Generator) -> SortedSample:

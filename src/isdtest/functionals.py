@@ -3,19 +3,19 @@
 Two functionals measure the positive part of a curve difference h on [0, 1]:
 the supremum and the integral of max(h, 0).  Their estimated directional
 derivatives restrict the same measurements to the contact region where the
-two curves are statistically indistinguishable from touching.
-:func:`derivative` picks the sup or the integral variant by
+two curves are statistically indistinguishable from touching.  The
+contact set is a boolean mask over the grid points, shape (G,), or (D, G)
+with one row per dataset of a stack; :func:`estimate_contact_set` returns
+it.  :func:`derivative` picks the sup or the integral variant by
 :class:`FunctionalKind` and reduces along the last axis, so a stack of R
-curves, shape (R, G), yields R values at once; :func:`functional` is the
-derivative over the whole grid.  A contact set may hold one membership row
-per dataset of a stack (shape (D, G)), and then curve row i is measured on
-membership row i mod D.  The test and the simulation harness both go
-through these two functions.
+curves, shape (R, G), yields R values at once; with D mask rows, curve row
+i is measured on mask row i mod D.  :func:`functional` is the derivative
+over the whole grid.  The test and the simulation harness both go through
+these two functions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -25,7 +25,6 @@ from .errors import ConfigError
 
 __all__ = [
     "FunctionalKind",
-    "ContactSet",
     "estimate_contact_set",
     "functional",
     "derivative",
@@ -35,34 +34,6 @@ __all__ = [
 class FunctionalKind(Enum):
     SUP = "sup"
     INT = "int"
-
-
-@dataclass(frozen=True)
-class ContactSet:
-    """Grid membership of the estimated contact region.
-
-    A point belongs to the set when the studentized curve difference is
-    within ``tau`` estimated standard deviations of zero.  The endpoint
-    where the difference vanishes by construction (p = 0 upward, p = 1
-    downward) is always a member because the trimmed deviation is positive.
-    ``membership`` has shape (G,), or (D, G) for the sets of D datasets.
-    """
-
-    grid: Grid
-    membership: np.ndarray
-
-    def __post_init__(self):
-        mask = np.asarray(self.membership, dtype=bool)
-        if mask.ndim not in (1, 2) or mask.shape[-1] != len(self.grid):
-            raise ConfigError("membership length does not match the grid")
-        mask = mask.copy()
-        mask.flags.writeable = False
-        object.__setattr__(self, "membership", mask)
-
-    @property
-    def fraction(self):
-        """Share of grid points inside the set (per row for D sets)."""
-        return _reduced(np.count_nonzero(self.membership, axis=-1) / len(self.grid))
 
 
 def _stacked(values, grid: Grid) -> np.ndarray:
@@ -77,11 +48,14 @@ def _reduced(values: np.ndarray):
     return float(values) if values.ndim == 0 else values
 
 
-def estimate_contact_set(phi, vhat, t_n: float, tau_n: float, grid: Grid) -> ContactSet:
-    """Points where |sqrt(T_n) * phi| <= tau_n * vhat (per row for D curves).
+def estimate_contact_set(phi, vhat, t_n: float, tau_n: float, grid: Grid) -> np.ndarray:
+    """The mask of grid points where |sqrt(T_n) * phi| <= tau_n * vhat,
+    shape (G,), or (D, G) for D curves.
 
     ``tau_n = inf`` yields full membership (the conservative variant that
-    uses the whole interval).
+    uses the whole interval).  The endpoint where the difference vanishes
+    by construction (p = 0 upward, p = 1 downward) is always a member
+    because the trimmed deviation is positive.
     """
     phi = _stacked(phi, grid)
     v = _stacked(vhat, grid)
@@ -91,26 +65,27 @@ def estimate_contact_set(phi, vhat, t_n: float, tau_n: float, grid: Grid) -> Con
         raise ConfigError("effective sample size must be positive")
     if not tau_n > 0:
         raise ConfigError("contact-set bandwidth tau must be positive (or inf)")
-    membership = np.abs(np.sqrt(t_n) * phi) <= tau_n * v
-    return ContactSet(grid, membership)
+    return np.abs(np.sqrt(t_n) * phi) <= tau_n * v
 
 
-def derivative(kind: FunctionalKind, h, cs: ContactSet, grid: Grid):
+def derivative(kind: FunctionalKind, h, contact, grid: Grid):
     """The ``kind`` functional of h restricted to the contact set (per row
     for a stack of curves).
 
     The sup takes the maximum over the member points.  The integral is the
     trapezoidal integral of max(h, 0) over the subintervals with both
     endpoints in the set, so the set is measured as a union of grid
-    intervals and isolated member points carry zero measure.  With D
-    membership rows, curve row i is measured on row i mod D, so h holds a
-    whole number of D-row groups.
+    intervals and isolated member points carry zero measure.  ``contact``
+    is the set's boolean mask, shape (G,) or (D, G); with D rows, curve row
+    i is measured on mask row i mod D, so h holds a whole number of D-row
+    groups.
     """
     h = _stacked(h, grid)
-    mask = np.atleast_2d(cs.membership)
-    depth = len(mask)
-    if mask.shape[-1] != len(grid) or h.size % (depth * len(grid)):
+    mask = np.asarray(contact, dtype=bool)
+    if mask.ndim not in (1, 2) or mask.shape[-1] != len(grid) or h.size % mask.size:
         raise ConfigError("contact set is not aligned with the grid")
+    mask = np.atleast_2d(mask)
+    depth = len(mask)
     if kind is FunctionalKind.SUP:
         if not mask.any(axis=-1).all():
             raise ConfigError("contact set is empty; the grid is malformed")
@@ -131,4 +106,4 @@ def derivative(kind: FunctionalKind, h, cs: ContactSet, grid: Grid):
 def functional(kind: FunctionalKind, h, grid: Grid) -> float:
     """The ``kind`` functional of h over the whole grid: the sup of h, or
     the trapezoidal integral of max(h, 0) over [0, 1]."""
-    return derivative(kind, h, ContactSet(grid, np.ones(len(grid), dtype=bool)), grid)
+    return derivative(kind, h, np.ones(len(grid), dtype=bool), grid)

@@ -47,6 +47,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from math import sqrt
 from numbers import Real
 
@@ -185,6 +186,8 @@ def _resolve_layout(sample1, sample2, scheme: Scheme):
         return sample1.left_sample(), sample1.right_sample(), sample1
     if not isinstance(sample1, SortedSample) or not isinstance(sample2, SortedSample):
         raise ConfigError("independent scheme requires two SortedSample inputs")
+    if np.ndim(sample1.values) != 1 or np.ndim(sample2.values) != 1:
+        raise ConfigError("each argument must be one sample, with values of shape (n,)")
     return sample1, sample2, None
 
 
@@ -298,7 +301,7 @@ def _test_cells(samples, pairs, m, xi, fgrid, vgrid, plan, keys, streams):
     :class:`PairedSample` whose columns are ``samples`` under the matched
     scheme (then D = 1), else None.  Returns each cell's observed
     statistics (cells, D), its bootstrap statistics (cells, D,
-    replications) and its contact set (one membership row per dataset).
+    replications) and its contact-set mask (one row per dataset).
     A non-finite phi-hat, sigma-hat or statistic raises DataError; the
     guard runs once per call, whatever D.
     """
@@ -353,7 +356,7 @@ def run_test(sample1, sample2, config: TestConfig) -> TestResult:
     """
     start = time.perf_counter()
     s1, s2, pairs = _resolve_layout(sample1, sample2, config.scheme)
-    [[statistic]], [[stats]], [cs] = _test_cells(
+    [[statistic]], [[stats]], [contact] = _test_cells(
         [SortedSample(s1.values[None]), SortedSample(s2.values[None])], pairs, config.m,
         config.xi, Grid.uniform(config.grid), Grid.uniform(config.vgrid),
         _plan([(0, 1, config.direction, config.kind, config.tau)]),
@@ -367,7 +370,7 @@ def run_test(sample1, sample2, config: TestConfig) -> TestResult:
         critical_value=chat,
         p_value=p_value(stats, statistic),
         reject=bool(statistic > chat),
-        contact_fraction=float(cs.fraction[0]),
+        contact_fraction=np.count_nonzero(contact[0]) / config.grid,
         t_n=effective_size(s1.n, s2.n),
         elapsed_ms=elapsed_ms,
     )
@@ -401,6 +404,10 @@ class PairDecision:
         return Relation.NONE
 
 
+_REVERSED = {Relation.LESS: Relation.GREATER, Relation.GREATER: Relation.LESS,
+             Relation.NONE: Relation.NONE}
+
+
 @dataclass(frozen=True)
 class RankingMatrix:
     """Antisymmetric strict-dominance relations among named datasets.
@@ -412,26 +419,20 @@ class RankingMatrix:
     labels: tuple
     decisions: tuple
 
+    @cached_property
+    def _by_pair(self) -> dict:
+        return {(d.a, d.b): d for d in self.decisions}
+
     def relation(self, a: str, b: str) -> Relation:
-        ia, ib = self.labels.index(a), self.labels.index(b)
-        if ia == ib:
+        """The relation of a to b; an unknown label is a ConfigError."""
+        for label in (a, b):
+            if label not in self.labels:
+                raise ConfigError(f"unknown dataset label {label!r}")
+        if a == b:
             return Relation.NONE
-        flip = ia > ib
-        if flip:
-            ia, ib = ib, ia
-        for d in self.decisions:
-            if d.a == self.labels[ia] and d.b == self.labels[ib]:
-                rel = d.relation
-                break
-        else:  # pragma: no cover - construction guarantees presence
-            raise KeyError((a, b))
-        if not flip:
-            return rel
-        if rel is Relation.LESS:
-            return Relation.GREATER
-        if rel is Relation.GREATER:
-            return Relation.LESS
-        return Relation.NONE
+        if (a, b) in self._by_pair:
+            return self._by_pair[a, b].relation
+        return _REVERSED[self._by_pair[b, a].relation]
 
     def to_table(self) -> list:
         """Upper-triangle glyph rows in label order."""
@@ -467,6 +468,8 @@ def pairwise_rank(datasets, config: TestConfig) -> RankingMatrix:
     samples = [sample for _, sample in datasets]
     if not all(isinstance(s, SortedSample) for s in samples):
         raise ConfigError("ranking requires SortedSample datasets")
+    if any(np.ndim(s.values) != 1 for s in samples):
+        raise ConfigError("each dataset must be one sample, with values of shape (n,)")
 
     k = len(samples)
     tested = [(i, j) for i in range(k) for j in range(i + 1, k)]

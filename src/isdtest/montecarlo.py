@@ -184,8 +184,7 @@ def run_table(specs) -> list[SimResult]:
 _POWER_SIZES = (200, 500, 1000, 2000)
 
 
-def preset_specs(name: str, seed: int = 0, replications: int = 1000,
-                 sizes=None) -> list[SimSpec]:
+def preset_specs(name: str, seed: int = 0, replications: int = 1000) -> list[SimSpec]:
     """Shipped simulation designs.
 
     ``size_up`` / ``size_down``: both samples from the same double Pareto
@@ -197,7 +196,6 @@ def preset_specs(name: str, seed: int = 0, replications: int = 1000,
     specs: list[SimSpec] = []
     if name in ("size_up", "size_down"):
         direction = Direction.UP if name == "size_up" else Direction.DOWN
-        n = 2000 if sizes is None else sizes[0]
         taus = (1.0, 2.0, 3.0, 4.0, float("inf"))
         for kind in kinds:
             for a in (2.0, 3.0, 4.0, 5.0):
@@ -205,12 +203,12 @@ def preset_specs(name: str, seed: int = 0, replications: int = 1000,
                     for b in range(1, 9):
                         cfg = TestConfig(direction=direction, kind=kind, tau=tau, seed=seed)
                         dgp = DoubleParetoParams(alpha=a, beta=float(b))
-                        specs.append(SimSpec(dgp, dgp, n, n, cfg, replications))
+                        specs.append(SimSpec(dgp, dgp, 2000, 2000, cfg, replications))
         return specs
     if name == "power_up":
         betas = [round(2.91 + 0.01 * i, 2) for i in range(10)]
         for kind in kinds:
-            for n in (sizes or _POWER_SIZES):
+            for n in _POWER_SIZES:
                 for b in betas:
                     cfg = TestConfig(direction=Direction.UP, kind=kind, tau=3.0, seed=seed)
                     specs.append(SimSpec(DoubleParetoParams(2.1, 1.5),
@@ -218,7 +216,7 @@ def preset_specs(name: str, seed: int = 0, replications: int = 1000,
         return specs
     if name == "power_down":
         for kind in kinds:
-            for n in (sizes or _POWER_SIZES):
+            for n in _POWER_SIZES:
                 for a in range(10, 101, 10):
                     cfg = TestConfig(direction=Direction.DOWN, kind=kind, tau=3.0, seed=seed)
                     specs.append(SimSpec(DoubleParetoParams(2.1, 1.5),

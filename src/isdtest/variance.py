@@ -234,7 +234,7 @@ class CovKernel:
             raise ConfigError(f"variance of the curve difference requires degree >= 3, got {m}")
         ps = np.atleast_1d(np.asarray(ps, dtype=float))
         if ps.ndim != 1 or not np.all((ps >= 0.0) & (ps <= 1.0)):
-            raise ValueError("evaluation points must lie in [0, 1]")
+            raise ConfigError("evaluation points must lie in [0, 1]")
         if self.scheme is Scheme.INDEPENDENT:
             out = ((1.0 - self.lam) * _sample_variance(self._s1, m, direction, ps, self._memo)
                    + self.lam * _sample_variance(self._s2, m, direction, ps, self._memo))

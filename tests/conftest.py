@@ -2,7 +2,9 @@
 
 These helpers recompute the package's quantities through independent
 routes (point-by-point closed form, adaptive quadrature, nested cumulative
-integration) and must not import the evaluation paths they check.
+integration, numpy's own SeedSequence for the streams, the double Pareto
+density, distribution function and mean in closed form) and must not
+import the evaluation paths they check.
 """
 
 from bisect import bisect_left
@@ -41,6 +43,48 @@ def seed_sequence(seed, *key) -> np.random.SeedSequence:
 def philox_key(seed, *key) -> np.ndarray:
     """The Philox key of the stream keyed by (seed, *key), derived by numpy."""
     return seed_sequence(seed, *key).generate_state(2, np.uint64)
+
+
+def substream(seed, *key) -> np.random.Generator:
+    """The counter-based stream keyed by (seed, *key), built by numpy."""
+    return np.random.Generator(np.random.Philox(seed_sequence(seed, *key)))
+
+
+def dp_pdf(params, x):
+    """Double Pareto density; zero for x < 0."""
+    x = np.asarray(x, dtype=float)
+    a, b, m = params.alpha, params.beta, params.scale
+    norm = a * b / (a + b)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lower = norm * m ** (-b) * x ** (b - 1.0)
+        upper = norm * m ** a * x ** (-a - 1.0)
+    out = np.where(x >= m, upper, lower)
+    out = np.where(x < 0, 0.0, out)
+    if np.ndim(x) == 0:
+        return float(out)
+    return out
+
+
+def dp_cdf(params, x):
+    """Double Pareto distribution function on [0, inf)."""
+    x = np.asarray(x, dtype=float)
+    a, b, m = params.alpha, params.beta, params.scale
+    split = params.lower_mass
+    lower = split * (x / m) ** b
+    with np.errstate(divide="ignore"):
+        upper = split + (1.0 - split) * (1.0 - (m / np.maximum(x, m)) ** a)
+    out = np.where(x < m, lower, upper)
+    if np.ndim(x) == 0:
+        return float(out)
+    return out
+
+
+def dp_mean(params) -> float:
+    """Closed-form mean alpha*beta*scale/((alpha-1)(beta+1)); infinite for alpha <= 1."""
+    a, b, m = params.alpha, params.beta, params.scale
+    if a <= 1:
+        return float("inf")
+    return a * b * m / ((a - 1.0) * (b + 1.0))
 
 
 def rel_err(got, want, floor=1e-300):

@@ -24,9 +24,6 @@ from isdtest import (
     SimMode,
     SimSpec,
     TestConfig,
-    dp_cdf,
-    dp_mean,
-    dp_pdf,
     dp_quantile,
     dp_sample,
     eval_on_grid,
@@ -34,11 +31,19 @@ from isdtest import (
     pairwise_rank,
     run_table,
     run_test,
-    substream,
 )
 from isdtest.cli import main
 
-from conftest import fine_kernel, nested_sigma_oracle, quad_lambda_grids, save_csv
+from conftest import (
+    dp_cdf,
+    dp_mean,
+    dp_pdf,
+    fine_kernel,
+    nested_sigma_oracle,
+    quad_lambda_grids,
+    save_csv,
+    substream,
+)
 
 UP, DOWN = Direction.UP, Direction.DOWN
 CURVE_COMBOS = ((2, UP), (3, UP), (4, UP), (3, DOWN), (4, DOWN))

@@ -13,12 +13,11 @@ from isdtest import (
     TestConfig,
     make_paired,
     make_sample,
-    substream,
 )
 from isdtest import cli
 from isdtest.cli import Report, emit_report, load_csv, main
 
-from conftest import random_dp_values, save_csv
+from conftest import random_dp_values, save_csv, substream
 
 
 def write(tmp_path, name, text):

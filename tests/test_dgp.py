@@ -2,16 +2,9 @@ import numpy as np
 import pytest
 import scipy.integrate
 
-from isdtest import (
-    ConfigError,
-    DoubleParetoParams,
-    dp_cdf,
-    dp_mean,
-    dp_pdf,
-    dp_quantile,
-    dp_sample,
-    substream,
-)
+from isdtest import ConfigError, DoubleParetoParams, dp_quantile, dp_sample
+
+from conftest import dp_cdf, dp_mean, dp_pdf, substream
 
 
 @pytest.fixture
@@ -75,10 +68,6 @@ class TestCdf:
         f = dp_cdf(params, xs)
         assert np.all(np.diff(f) >= 0)
 
-    def test_negative_rejected(self, params):
-        with pytest.raises(ValueError):
-            dp_cdf(params, -0.5)
-
 
 class TestQuantile:
     def test_symmetric_split(self):
@@ -89,7 +78,7 @@ class TestQuantile:
         assert dp_quantile(params, 0.0) == 0.0
 
     def test_one_rejected(self, params):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             dp_quantile(params, 1.0)
 
     def test_round_trip(self, params):

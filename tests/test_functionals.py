@@ -3,7 +3,6 @@ import pytest
 
 from isdtest import (
     ConfigError,
-    ContactSet,
     FunctionalKind,
     Grid,
     derivative,
@@ -88,13 +87,13 @@ class TestHomogeneityAndMonotonicity:
 class TestContactSet:
     def test_zero_difference_full_membership(self, grid):
         cs = estimate_contact_set(np.zeros(len(grid)), np.full(len(grid), 0.05), 50.0, 3.0, grid)
-        assert cs.membership.all()
-        assert cs.fraction == 1.0
+        assert cs.dtype == bool and cs.shape == (len(grid),)
+        assert cs.all()
 
     def test_infinite_tau_full_membership(self, grid):
         phi = np.linspace(0, 5.0, len(grid))
         cs = estimate_contact_set(phi, np.full(len(grid), 0.0316), 1e4, float("inf"), grid)
-        assert cs.membership.all()
+        assert cs.all()
 
     def test_large_deviation_excluded(self, grid):
         # |sqrt(T_n) phi| = 100 at one point against tau * vhat ~ 0.095.
@@ -102,8 +101,8 @@ class TestContactSet:
         phi[300] = 1.0
         vhat = np.full(len(grid), np.sqrt(0.001))
         cs = estimate_contact_set(phi, vhat, 1e4, 3.0, grid)
-        assert not cs.membership[300]
-        assert cs.membership[0] and cs.membership[-1]
+        assert not cs[300]
+        assert cs[0] and cs[-1]
 
     def test_tau_monotone_membership(self, grid):
         rng = np.random.default_rng(12)
@@ -113,7 +112,7 @@ class TestContactSet:
         for tau in (1.0, 2.0, 3.0, 4.0, float("inf")):
             cs = estimate_contact_set(phi, vhat, 400.0, tau, grid)
             if prev is not None:
-                assert np.all(prev.membership <= cs.membership)
+                assert np.all(prev <= cs)
             prev = cs
 
     def test_validation(self, grid):
@@ -129,20 +128,18 @@ class TestContactSet:
 class TestDerivatives:
     def test_single_member(self):
         g = Grid(np.array([0.0, 0.5, 1.0]))
-        cs = ContactSet(g, [False, True, False])
-        assert derivative(SUP, [1.0, 7.0, -2.0], cs, g) == 7.0
+        assert derivative(SUP, [1.0, 7.0, -2.0], [False, True, False], g) == 7.0
 
     def test_full_grid_equals_functionals_exactly(self, grid):
         rng = np.random.default_rng(3)
         h = rng.normal(size=len(grid))
-        cs = ContactSet(grid, np.ones(len(grid), dtype=bool))
+        cs = np.ones(len(grid), dtype=bool)
         assert derivative(SUP, h, cs, grid) == np.max(h)
         assert derivative(INT, h, cs, grid) == trapezoid(np.maximum(h, 0.0), grid.points)
 
     def test_kind_switch(self, grid):
         h = np.random.default_rng(4).normal(size=len(grid))
-        cs = ContactSet(grid, grid.points <= 0.5)
-        inside = grid.points <= 0.5
+        cs = inside = grid.points <= 0.5
         assert functional(SUP, h, grid) == np.max(h)
         assert functional(INT, h, grid) == trapezoid(np.maximum(h, 0.0), grid.points)
         assert derivative(SUP, h, cs, grid) == np.max(h[inside])
@@ -151,31 +148,30 @@ class TestDerivatives:
 
     def test_nonpositive_with_zero(self):
         g = Grid(np.array([0.0, 0.5, 1.0]))
-        cs = ContactSet(g, [True, True, True])
-        assert derivative(SUP, [0.0, -1.0, -3.0], cs, g) == 0.0
+        assert derivative(SUP, [0.0, -1.0, -3.0], [True, True, True], g) == 0.0
 
     def test_isolated_endpoint_zero_measure(self, grid):
         # Only p = 0 in the set: the integral derivative sees no interval.
-        membership = np.zeros(len(grid), dtype=bool)
-        membership[0] = True
-        cs = ContactSet(grid, membership)
+        cs = np.zeros(len(grid), dtype=bool)
+        cs[0] = True
         h = np.ones(len(grid))
         assert derivative(INT, h, cs, grid) == 0.0
         assert derivative(SUP, h, cs, grid) == 1.0
 
     def test_interval_measure(self, grid):
-        membership = grid.points <= 0.5
-        cs = ContactSet(grid, membership)
+        cs = grid.points <= 0.5
         assert derivative(INT, np.ones(len(grid)), cs, grid) == pytest.approx(0.5, rel=1e-12)
 
     def test_empty_contact_set_rejected(self, grid):
-        cs = ContactSet(grid, np.zeros(len(grid), dtype=bool))
+        cs = np.zeros(len(grid), dtype=bool)
         with pytest.raises(ConfigError, match="empty"):
             derivative(SUP, np.ones(len(grid)), cs, grid)
 
     def test_membership_alignment(self, grid):
-        with pytest.raises(ConfigError):
-            ContactSet(grid, [True, False])
+        h = np.ones(len(grid))
+        for cs in ([True, False], np.ones((1, 1, len(grid)), dtype=bool), True):
+            with pytest.raises(ConfigError):
+                derivative(SUP, h, cs, grid)
 
 
 class TestPerRowContactSets:
@@ -191,24 +187,23 @@ class TestPerRowContactSets:
         mask = rng.random((depth, 101)) < 0.6
         mask[:, 0] = True
         h = rng.normal(size=(groups * depth, 101))
-        got = derivative(kind, h, ContactSet(g, mask), g)
+        got = derivative(kind, h, mask, g)
         assert got.shape == (groups * depth,)
         for i, row in enumerate(h):
-            assert got[i] == derivative(kind, row, ContactSet(g, mask[i % depth]), g), i
+            assert got[i] == derivative(kind, row, mask[i % depth], g), i
 
     def test_contact_sets_of_a_stack(self):
         rng = np.random.default_rng(52)
         g = Grid.uniform(51)
         phi, vhat = rng.normal(size=(3, 51)), rng.random((3, 51)) + 0.1
         cs = estimate_contact_set(phi, vhat, 40.0, 3.0, g)
+        assert cs.shape == (3, 51)
         for d in range(3):
-            one = estimate_contact_set(phi[d], vhat[d], 40.0, 3.0, g)
-            assert np.array_equal(cs.membership[d], one.membership)
-            assert cs.fraction[d] == one.fraction
+            assert np.array_equal(cs[d], estimate_contact_set(phi[d], vhat[d], 40.0, 3.0, g))
 
     def test_misaligned_stack_rejected(self):
         g = Grid.uniform(11)
-        cs = ContactSet(g, np.ones((3, 11), dtype=bool))
+        cs = np.ones((3, 11), dtype=bool)
         with pytest.raises(ConfigError):
             derivative(SUP, np.zeros((4, 11)), cs, g)
         with pytest.raises(ConfigError):

@@ -13,9 +13,12 @@ from isdtest import (
     FunctionalKind,
     Grid,
     LambdaCurve,
+    PairDecision,
+    RankingMatrix,
     Relation,
     Scheme,
     SimSpec,
+    SortedSample,
     TestConfig,
     critical_value,
     derivative,
@@ -32,10 +35,9 @@ from isdtest import (
     run_table,
     run_test,
     sigma_curve,
-    substream,
 )
 
-from conftest import random_dp_values
+from conftest import random_dp_values, substream
 
 
 def quick_cfg(**kw):
@@ -137,6 +139,15 @@ class TestRunTest:
         with pytest.raises(ConfigError):
             run_test(pairs, None, quick_cfg())  # independent scheme wants two samples
 
+    def test_stacked_sample_rejected(self):
+        # A (D, n) stack is the core's layout; each argument is one sample.
+        rng = np.random.default_rng(9)
+        one = make_sample(random_dp_values(rng, 50))
+        stack = SortedSample(np.sort(random_dp_values(rng, (2, 50)), axis=1))
+        for args in ((stack, one), (one, stack)):
+            with pytest.raises(ConfigError, match=r"one sample, with values of shape \(n,\)"):
+                run_test(*args, quick_cfg())
+
     def test_matched_runs(self):
         rng = np.random.default_rng(7)
         base = random_dp_values(rng, 120)
@@ -193,6 +204,52 @@ class TestPairwiseRank:
         s = make_sample(random_dp_values(rng, 10))
         with pytest.raises(ConfigError):
             pairwise_rank([("x", s), ("x", s)], quick_cfg())
+
+    def test_stacked_dataset_rejected(self):
+        rng = np.random.default_rng(12)
+        one = make_sample(random_dp_values(rng, 50))
+        stack = SortedSample(np.sort(random_dp_values(rng, (2, 50)), axis=1))
+        with pytest.raises(ConfigError, match=r"one sample, with values of shape \(n,\)"):
+            pairwise_rank([("x", one), ("y", stack)], quick_cfg())
+
+
+class TestRankingMatrix:
+    """Relations read off a hand-built matrix of four labels."""
+
+    LESS, GREATER, NONE = Relation.LESS, Relation.GREATER, Relation.NONE
+    # (a, b, reject "a dominates b", reject "b dominates a", relation of a to b)
+    PAIRS = [("w", "x", True, False, LESS), ("w", "y", False, True, GREATER),
+             ("w", "z", False, False, NONE), ("x", "y", True, True, NONE),
+             ("x", "z", True, False, LESS), ("y", "z", False, True, GREATER)]
+    REVERSED = {LESS: GREATER, GREATER: LESS, NONE: NONE}
+
+    def matrix(self):
+        return RankingMatrix(labels=("w", "x", "y", "z"), decisions=tuple(
+            PairDecision(a, b, ab, ba, 0.01 if ab else 0.5, 0.01 if ba else 0.5)
+            for a, b, ab, ba, _ in self.PAIRS))
+
+    def test_ordered_pairs_are_antisymmetric(self):
+        matrix = self.matrix()
+        for decision, (a, b, _, _, want) in zip(matrix.decisions, self.PAIRS):
+            assert decision.relation is want
+            assert matrix.relation(a, b) is want
+            assert matrix.relation(b, a) is self.REVERSED[want]
+
+    def test_diagonal_is_none(self):
+        matrix = self.matrix()
+        assert all(matrix.relation(a, a) is Relation.NONE for a in matrix.labels)
+
+    def test_table(self):
+        assert self.matrix().to_table() == [["", "<", ">", ""],
+                                            ["", "", "", "<"],
+                                            ["", "", "", ">"],
+                                            ["", "", "", ""]]
+
+    def test_unknown_label(self):
+        matrix = self.matrix()
+        for a, b in (("v", "w"), ("w", "v"), ("v", "v")):
+            with pytest.raises(ConfigError, match="'v'"):
+                matrix.relation(a, b)
 
 
 def _rank_sets():

@@ -253,9 +253,9 @@ class TestSigmaSq:
         rng = np.random.default_rng(4)
         k = CovKernel.independent(make_sample(random_dp_values(rng, 10)),
                                   make_sample(random_dp_values(rng, 10)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             k.sigma_sq_many(3, UP, [0.5, bad])
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             k.sigma_sq_many(3, DOWN, [bad])
 
     def test_degree_validation(self):
