@@ -19,7 +19,10 @@ uses this to evaluate R reweighted copies of one sample at once, or R
 reweighted samples of one size, one per row: the jump sizes are binned
 onto lattice levels, prefix sums over the lattice carry the binomial
 expansion in powers of p, and a lattice-to-grid index shared by every row
-reads the sums off at the grid points.  :func:`eval_on_grid` evaluates an
+reads the sums off at the grid points.  A prefix sum is a chain of
+dependent additions, so rows 2q and 2q + 1 run as the real and imaginary
+lanes of one complex128 array: one complex addition adds both rows, each
+lane exactly as a float row alone.  :func:`eval_on_grid` evaluates an
 unweighted sample, or a stack of them, as one block.
 """
 
@@ -144,7 +147,10 @@ class _LatticePlan:
     ``cut[g]`` counts the lattice levels j/n that enter grid point g: those
     at or below it upward, those below it downward (whose complement
     enters).  ``lattice[r]`` and ``powers[r]`` are the level and grid
-    factors of the r-th term of the binomial expansion.
+    factors of the r-th term of the binomial expansion, each factor
+    repeated for the two lanes of a pair (see :func:`eval_block`), so that
+    one product scales both lanes.  The level factor of the last term is
+    all ones and not stored.  Every array is read-only.
     """
 
     cut: np.ndarray
@@ -159,10 +165,14 @@ class _LatticePlan:
         up = direction is Direction.UP
         cut = np.searchsorted(levels, points, side="right" if up else "left")
         base = -levels if up else levels
-        lattice = np.array([comb(k, r) * base ** (k - r) for r in range(k + 1)])
+        lattice = np.repeat([comb(k, r) * base ** (k - r) for r in range(k)], 2, axis=1)
         step = points if up else -points
-        powers = np.cumprod(np.vstack([np.ones_like(points)] + [step] * k), axis=0)
+        powers = np.repeat(np.cumprod(np.vstack([np.ones_like(points)] + [step] * k), axis=0),
+                           2, axis=1)
         mean_factor = None if up else (1.0 - points) ** (m - 2) / factorial(m - 2)
+        for array in (cut, lattice, powers, mean_factor):
+            if array is not None:
+                array.flags.writeable = False
         return cls(cut, lattice, powers, mean_factor)
 
 
@@ -205,11 +215,15 @@ def eval_block(sample: SortedSample, weights, m: int, direction: Direction,
     b of ``weights`` holds that row's nonnegative integer multiplicities,
     aligned with the sorted values and summing to n (a multinomial
     bootstrap draw; all ones for the sample itself).  The cost is
-    O(R (n + G) m) with no search per row.  Each row's values do not depend
-    on the other rows of the block, bit for bit.  The boundary value (p = 0
-    upward, p = 1 downward) is exactly 0.  Temporaries come from ``work``,
-    or from a fresh workspace when none is given; the returned array is
-    always new.
+    O(R (n + G) m) with no search per row.  Rows 2q and 2q + 1 are summed
+    as the two lanes of one complex row, so the m prefix sums cost about
+    half as much as R float rows; an odd R leaves the last pair's second
+    lane empty.  Each row's values do not depend on the other rows of the
+    block, bit for bit: every step adds or scales each lane on its own, so
+    a row that overflows leaves its partner alone.  The boundary value
+    (p = 0 upward, p = 1 downward) is exactly 0.  Temporaries come from
+    ``work``, or from a fresh workspace when none is given; the returned
+    array is always new.
     """
     _check_degree(m, direction)
     values = sample.values
@@ -219,40 +233,61 @@ def eval_block(sample: SortedSample, weights, m: int, direction: Direction,
         raise DataError("weights length does not match the sample size")
     if values.ndim != 1 and values.shape != w.shape:
         raise DataError("per-row samples do not match the weights' shape")
-    if np.any(w < 0):
-        raise DataError("weights must be nonnegative")
+    # Viewed as unsigned, a negative weight is huge: one comparison checks
+    # 0 <= w <= n, so that the prefix sums of a row cannot wrap around.
+    if np.any(w.view(np.uint64) > n):
+        raise DataError("weights must be integers in [0, n]")
     rows, width = w.shape[0], n + 1
+    pairs, size = (rows + 1) // 2, len(grid)
     plan = grid._plan(n, m, direction)
     work = work if work is not None else BlockWorkspace()
 
-    # Knot i sits at lattice level S_i = w_1 + ... + w_i (S_0 = 0); offset
-    # each row so that one bincount sums the jump sizes per level and row.
+    # Knot i sits at lattice level S_i = w_1 + ... + w_i (S_0 = 0).  Rows
+    # 2q and 2q + 1 are the real and imaginary lanes of pair q: one
+    # bincount sums the jump sizes of row 2q + lane at index
+    # q * 2 * width + lane + 2 * S_i, the interleaved layout of complex128,
+    # which one prefix sum per row builds from the row's offset and 2 w.
+    row = np.arange(rows)
+    offset = row // 2 * (2 * width) + row % 2
     levels = work.array("levels", (rows, width), np.intp)
-    levels[:, 0] = 0
-    np.cumsum(w, axis=1, out=levels[:, 1:])
-    if np.any(levels[:, -1] != n):
+    levels[:, 0] = offset
+    np.multiply(w, 2, out=levels[:, 1:])
+    np.cumsum(levels, axis=1, out=levels)
+    if np.any(levels[:, -1] != offset + 2 * n):
         raise DataError("weights must sum to the sample size")
-    levels += np.arange(0, rows * width, width)[:, None]
     tiled = work.array("tiled", (rows, width))
     tiled[:] = _jumps(values)
-    jumps = np.bincount(levels.ravel(), weights=tiled.ravel(),
-                        minlength=rows * width).reshape(rows, width)
+    jumps = np.bincount(levels.ravel(), weights=tiled.ravel(), minlength=pairs * 2 * width)
+    jumps = jumps.view(np.complex128).reshape(pairs, width)
 
-    prefix = work.array("prefix", (rows, width + 1))
+    # Complex addition adds each lane on its own, in the same order, so
+    # every prefix sum carries two rows at once and each row's bits are
+    # those of a float row alone.  Products take the float view against
+    # the lane-repeated factors: a complex product would mix the lanes.
+    prefix = work.array("prefix", (pairs, width + 1), np.complex128)
     prefix[:, 0] = 0.0
-    term = work.array("term", (rows, width))
-    part = work.array("part", (rows, len(grid)))
-    out = np.zeros((rows, len(grid)))
+    term = work.array("term", (pairs, width), np.complex128)
+    part = work.array("part", (pairs, size), np.complex128)
+    acc = work.array("acc", (pairs, size), np.complex128)
+    acc.fill(0.0)
     for r in range(m):
-        # lattice[m - 1] and powers[0] are exact ones: skip those products.
-        scaled = jumps if r == m - 1 else np.multiply(jumps, plan.lattice[r], out=term)
+        # The last term's level factor and powers[0] are exact ones: skip
+        # those products.
+        scaled = jumps
+        if r != m - 1:
+            np.multiply(jumps.view(np.float64), plan.lattice[r], out=term.view(np.float64))
+            scaled = term
         np.cumsum(scaled, axis=1, out=prefix[:, 1:])
         np.take(prefix, plan.cut, axis=1, out=part)
         if direction is Direction.DOWN:
             np.subtract(prefix[:, -1:], part, out=part)
         if r:
-            part *= plan.powers[r]
-        out += part
+            np.multiply(part.view(np.float64), plan.powers[r], out=part.view(np.float64))
+        acc += part
+    lanes = acc.view(np.float64).reshape(pairs, size, 2)
+    out = np.empty((rows, size))
+    out[0::2] = lanes[:, :, 0]
+    out[1::2] = lanes[:rows // 2, :, 1]
     out /= factorial(m - 1)
     if direction is Direction.DOWN:
         weighted = np.multiply(w, values, out=work.array("weighted", (rows, n)))

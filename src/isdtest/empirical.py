@@ -36,6 +36,10 @@ def _numeric(raw, what: str = "sample") -> np.ndarray:
 def _validate_column(values: np.ndarray, what: str = "sample") -> None:
     if values.ndim != 1 or values.size == 0:
         raise DataError(f"{what} must be a nonempty one-dimensional collection")
+    _validate_values(values, what)
+
+
+def _validate_values(values: np.ndarray, what: str) -> None:
     if not np.all(np.isfinite(values)):
         raise DataError(f"{what} contains non-finite values")
     if np.any(values < 0):
@@ -119,6 +123,13 @@ def make_sample(raw) -> SortedSample:
     values = _numeric(raw)
     _validate_column(values)
     return SortedSample(_frozen_array(np.sort(values)))
+
+
+def _sorted_rows(values: np.ndarray) -> SortedSample:
+    """A stack of samples of one size, values of shape (D, n), validated and
+    sorted row by row at once: each row as :func:`make_sample` makes it."""
+    _validate_values(values, "sample")
+    return SortedSample(_frozen_array(np.sort(values, axis=-1)))
 
 
 def make_paired(left_raw, right_raw) -> PairedSample:

@@ -32,9 +32,11 @@ built per replication.
 
 The B bootstrap replications run in fixed blocks of R rows, R set by the
 larger of the largest sample size n and the grid size G under a fixed cell
-budget (R * (max(n, G) + 1) <= 2**16, one row at least), so a block's
-weights and curves stay cache-sized.  The blocks run in
-the calling thread, one after another, reusing one set of temporaries.
+budget (R * (max(n, G) + 1) <= 2**16), rounded down to an even count, two
+at least, so a block's weights and curves stay cache-sized and
+:func:`~isdtest.curves.eval_block` fills both lanes of each pair of rows.
+The blocks run in the calling thread, one after another, reusing one set
+of temporaries.
 Each replication's statistic depends only on its own weights, bit for bit,
 so the statistics are a pure function of (data, config, seed), whatever
 the block size or the number of stacked datasets.  A phi-hat, sigma-hat or
@@ -81,7 +83,8 @@ __all__ = [
 _BOOT_TAG = 0xB0
 _RANK_TAG = 0x7A
 # Cells of one bootstrap block; a block of R rows for samples of up to n
-# observations on a grid of G points keeps R * (max(n, G) + 1) within it.
+# observations on a grid of G points keeps R * (max(n, G) + 1) within it
+# (R even and two at least: see _block_replications).
 _BLOCK_CELLS = 1 << 16
 
 
@@ -228,6 +231,18 @@ def _plan(cells) -> tuple:
                         for direction, tests in directions.items()]
 
 
+def _block_replications(width: int, depth: int) -> int:
+    """Replications per bootstrap block for rows of ``width`` cells, ``depth``
+    rows per replication.
+
+    A block's rows, depth per replication, fill the cell budget rounded down
+    to an even count, two at least, so that :func:`eval_block` runs them
+    as whole pairs of lanes.
+    """
+    step = 2 if depth % 2 else 1
+    return max(step, _BLOCK_CELLS // width // depth // step * step)
+
+
 def _bootstrap_stats(samples, pairs, m, grid, plan, keys, streams) -> np.ndarray:
     """Bootstrap statistics of every cell, shape (cells, D, replications).
 
@@ -245,8 +260,7 @@ def _bootstrap_stats(samples, pairs, m, grid, plan, keys, streams) -> np.ndarray
     """
     cells, directions = plan
     replications, depth = keys.shape[:2]
-    width = max(max(s.n for s in samples), len(grid)) + 1
-    per_block = max(1, _BLOCK_CELLS // width // depth)
+    per_block = _block_replications(max(max(s.n for s in samples), len(grid)) + 1, depth)
     stats = np.empty((cells, depth, replications))
     work = BlockWorkspace()
     sizes = [s.n for s in samples] if pairs is None else [pairs.n]
@@ -418,6 +432,28 @@ class RankingMatrix:
 
     labels: tuple
     decisions: tuple
+
+    def __post_init__(self):
+        """Exactly one decision per unordered pair of distinct known labels,
+        else a ConfigError."""
+        known = set(self.labels)
+        if len(known) != len(self.labels):
+            raise ConfigError("dataset labels must be unique")
+        seen = set()
+        for d in self.decisions:
+            for label in (d.a, d.b):
+                if label not in known:
+                    raise ConfigError(f"a decision names the unknown dataset label {label!r}")
+            if d.a == d.b:
+                raise ConfigError(f"a decision pairs {d.a!r} with itself")
+            pair = frozenset((d.a, d.b))
+            if pair in seen:
+                raise ConfigError(f"more than one decision for the pair {d.a!r}, {d.b!r}")
+            seen.add(pair)
+        for i, a in enumerate(self.labels):
+            for b in self.labels[i + 1:]:
+                if frozenset((a, b)) not in seen:
+                    raise ConfigError(f"no decision for the pair {a!r}, {b!r}")
 
     @cached_property
     def _by_pair(self) -> dict:

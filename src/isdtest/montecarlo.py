@@ -5,10 +5,11 @@ R of them into a single critical value; FULL mode runs the complete
 B-draw bootstrap test inside every replication.  Both modes run the
 test's own core (the one :func:`~isdtest.inference.run_test` calls) for
 every cell that shares the replication's data; the index plan of those
-cells is built once per group.  Both draw a chunk of replications' data,
-each from its own substreams, stack their samples and call it once per
-chunk; each stacked dataset, with its own bootstrap draws, is computed
-exactly as it would be alone, so results do not depend on the chunk size.
+cells is built once per group.  Both draw a chunk of replications'
+uniforms, each from its own substreams, turn the stacked uniforms into
+sorted double Pareto samples at once and call the core once per chunk;
+each stacked dataset, with its own bootstrap draws, is computed exactly as
+it would be alone, so results do not depend on the chunk size.
 
 Data and bootstrap substreams are keyed by (seed, sample sizes, DGP
 parameters, replication index) only, so cells that differ merely in the
@@ -32,8 +33,8 @@ import numpy as np
 from . import inference
 from .bootstrap import _generate_state, _restart, derive_seed
 from .curves import Direction, Grid
-from .dgp import DoubleParetoParams, dp_sample
-from .empirical import SortedSample
+from .dgp import DoubleParetoParams, dp_quantile
+from .empirical import _sorted_rows
 from .errors import ConfigError
 from .functionals import FunctionalKind
 from .inference import TestConfig, _coerce, _count, _critical, _plan, _test_cells, _test_keys
@@ -140,11 +141,17 @@ def _run_group(specs: list[SimSpec]) -> list[SimResult]:
     rng = np.random.Generator(np.random.Philox(key=0))
     for lo in range(0, reps, chunk):
         hi = min(lo + chunk, reps)
-        data = []
-        for r in range(lo, hi):
+        # Each replication's uniforms from its own stream, the first sample's
+        # then the second's; the quantile, the checks and the sort run once
+        # on the stacks, each row bit for bit as dp_sample makes it alone.
+        uniforms = [np.empty((hi - lo, base.n1)), np.empty((hi - lo, base.n2))]
+        for row, r in enumerate(range(lo, hi)):
             _restart(rng, data_keys[r])
-            data.append((dp_sample(base.dgp1, base.n1, rng), dp_sample(base.dgp2, base.n2, rng)))
-        stacks = [SortedSample(np.stack([x.values for x in column])) for column in zip(*data)]
+            for u in uniforms:
+                rng.random(out=u[row])
+        with np.errstate(over="ignore"):  # an overflow shows as inf, a DataError here
+            stacks = [_sorted_rows(dp_quantile(dgp, u))
+                      for dgp, u in zip((base.dgp1, base.dgp2), uniforms)]
         keys = _test_keys(seeds[lo:hi], cfg.bootstrap) if full else boot_keys[None, lo:hi, None]
         observed[:, lo:hi], stats, _ = _test_cells(
             stacks, None, cfg.m, cfg.xi, fgrid, vgrid, plan, keys, (0, 0))

@@ -2,14 +2,15 @@
 
 These helpers recompute the package's quantities through independent
 routes (point-by-point closed form, adaptive quadrature, nested cumulative
-integration, numpy's own SeedSequence for the streams, the double Pareto
-density, distribution function and mean in closed form) and must not
-import the evaluation paths they check.
+integration, the block expansion one float row at a time, numpy's own
+SeedSequence for the streams, the double Pareto density, distribution
+function and mean in closed form) and must not import the evaluation paths
+they check.
 """
 
 from bisect import bisect_left
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import numpy as np
 import scipy.integrate
@@ -130,6 +131,46 @@ def point_lambda(values, cumprobs, m, direction, p):
     if direction is Direction.DOWN:
         out = float(np.sum(np.diff(c) * x)) * (1.0 - p) ** (m - 2) / factorial(m - 2) + out
     return float(out) if out.ndim == 0 else out
+
+
+def expansion_rows(values, weights, m, direction, points):
+    """Block curves row by row in float64: each row's own bincount onto the
+    lattice, then the binomial expansion with one float prefix sum per term.
+
+    ``values`` holds one sorted sample that every row of ``weights``
+    reweights, or one sorted sample per row.  Every operation is the one
+    ``eval_block`` applies to that row, in the same order, so the rows
+    agree bit for bit.
+    """
+    w = np.asarray(weights, dtype=np.int64)
+    rows, n = w.shape
+    stack = np.broadcast_to(np.asarray(values, dtype=float), (rows, n))
+    points = np.asarray(points, dtype=float)
+    k, up = m - 1, direction is Direction.UP
+    levels = np.arange(n + 1) / n
+    cut = np.searchsorted(levels, points, side="right" if up else "left")
+    base = -levels if up else levels
+    lattice = np.array([comb(k, r) * base ** (k - r) for r in range(k + 1)])
+    step = points if up else -points
+    powers = np.cumprod(np.vstack([np.ones_like(points)] + [step] * k), axis=0)
+    out = np.empty((rows, len(points)))
+    for b, (x, wb) in enumerate(zip(stack, w)):
+        d = np.concatenate(([x[0]], np.diff(x), [-x[-1]]))
+        jumps = np.bincount(np.concatenate(([0], np.cumsum(wb))), weights=d, minlength=n + 1)
+        curve = np.zeros(len(points))
+        for r in range(m):
+            scaled = jumps if r == m - 1 else jumps * lattice[r]
+            prefix = np.concatenate(([0.0], np.cumsum(scaled)))
+            part = prefix[cut] if up else prefix[-1] - prefix[cut]
+            curve += part * powers[r] if r else part
+        curve /= factorial(m - 1)
+        if up:
+            curve[0] = 0.0
+        else:
+            curve += np.sum(wb * x) / n * ((1.0 - points) ** (m - 2) / factorial(m - 2))
+            curve[-1] = 0.0
+        out[b] = curve
+    return out
 
 
 def _interior_points(breaks, lo, hi):

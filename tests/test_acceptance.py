@@ -248,9 +248,9 @@ def test_acceptance_8_scale_equivariance():
 
 def test_acceptance_9_block_determinism(tmp_path, monkeypatch):
     """The same (data, config, seed) yields byte-identical JSON reports on a
-    rerun and with the bootstrap run in one-row blocks (the wall-time field,
-    which measures the hardware rather than the computation, is normalized
-    before comparing)."""
+    rerun and with the bootstrap run in its smallest, two-row blocks (the
+    wall-time field, which measures the hardware rather than the
+    computation, is normalized before comparing)."""
     start = time.perf_counter()
     rng = substream(MASTER, 9)
     fa, fb = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -268,7 +268,7 @@ def test_acceptance_9_block_determinism(tmp_path, monkeypatch):
         payloads.append(re.sub(r'"elapsed_ms": [0-9.e+-]+', '"elapsed_ms": 0', raw))
     ok = payloads[0] == payloads[1] == payloads[2]
     elapsed = time.perf_counter() - start
-    _finish(9, ok, "reports identical on a rerun and in one-row blocks", elapsed, 120)
+    _finish(9, ok, "reports identical on a rerun and in two-row blocks", elapsed, 120)
 
 
 def test_acceptance_10_dgp_validation():

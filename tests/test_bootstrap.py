@@ -251,7 +251,7 @@ class TestBlockRoute:
         assert np.max(np.abs(got - want)) <= 1e-10 * max(np.max(np.abs(want)), scale)
 
     @pytest.mark.parametrize("m, direction, kind, scheme", BLOCK_COMBOS)
-    def test_one_row_blocks_match_default(self, m, direction, kind, scheme, monkeypatch):
+    def test_smallest_blocks_match_default(self, m, direction, kind, scheme, monkeypatch):
         # A row's statistic does not depend on the rows it shares a block
         # with, so the block size leaves every bit of the statistics alone.
         s1, s2, pairs, phi, cs, t_n, cfg = self._setup(m, direction, kind, scheme, 150)
@@ -341,7 +341,8 @@ class TestBlockRoute:
         default, rows[:], stats[:] = np.concatenate(stats), [], []
         monkeypatch.setattr(inference, "_BLOCK_CELLS", 1)
         run_test(*((pairs, None) if pairs is not None else (s1, s2)), cfg)
-        assert set(rows) == {1}
+        # The smallest blocks hold one pair of lanes; B = 399 leaves one row.
+        assert rows == [2] * (cfg.bootstrap - 1) + [1, 1]
         assert np.array_equal(np.concatenate(stats), default)
 
     def test_matched_rows_match_expanded_pairs(self):
@@ -385,8 +386,10 @@ class TestBlockRoute:
         g = Grid.uniform(5)
         good = np.array([[3, 0, 0], [1, 1, 1]])
         assert eval_block(s, good, 3, Direction.UP, g).shape == (2, 5)
+        # In the last case the second row's int64 prefix sums wrap around to 3 = n.
         for bad in (np.array([1, 1, 1]), np.array([[1, 1, 1, 0]]),
-                    np.array([[1, 1, 1], [4, -1, 0]]), np.array([[1, 1, 1], [1, 1, 0]])):
+                    np.array([[1, 1, 1], [4, -1, 0]]), np.array([[1, 1, 1], [1, 1, 0]]),
+                    np.array([[1, 1, 1], [2**63 - 1, 2**63 - 1, 5]])):
             with pytest.raises(DataError):
                 eval_block(s, bad, 3, Direction.UP, g)
 

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -9,13 +11,16 @@ from isdtest import (
     Grid,
     LambdaCurve,
     SortedSample,
+    TestConfig,
     draw_weights,
     eval_block,
     eval_on_grid,
+    inference,
     make_sample,
+    run_test,
 )
 
-from conftest import point_lambda, quad_lambda, random_dp_values, rel_err
+from conftest import expansion_rows, point_lambda, quad_lambda, random_dp_values, rel_err
 
 UP, DOWN = Direction.UP, Direction.DOWN
 
@@ -256,3 +261,108 @@ class TestStackedBlock:
         with pytest.raises(DataError):
             eval_block(SortedSample(stack), np.ones((2, 10), dtype=np.int64), 3, UP,
                        Grid.uniform(11))
+
+
+class TestPairLanes:
+    """Rows 2q and 2q + 1 of a block share one complex row; each is still
+    bit for bit the float row that the row-by-row expansion computes."""
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("m", [3, 4, 12])
+    @pytest.mark.parametrize("direction", [UP, DOWN], ids=lambda d: d.value)
+    @pytest.mark.parametrize("stacked", [False, True], ids=["shared", "stacked"])
+    def test_rows_match_float_rows(self, rows, m, direction, stacked):
+        rng = np.random.default_rng(100 * rows + m)
+        n, g = 37, Grid.uniform(41)
+        values = (np.sort(random_dp_values(rng, n * rows).reshape(rows, n), axis=1)
+                  if stacked else np.sort(random_dp_values(rng, n)))
+        w = np.stack([draw_weights(n, rng) for _ in range(rows)])
+        got = eval_block(SortedSample(values), w, m, direction, g)
+        assert got.shape == (rows, len(g))
+        assert np.array_equal(got, expansion_rows(values, w, m, direction, g.points))
+
+    @pytest.mark.parametrize("bad", [0, 1])
+    @pytest.mark.parametrize("direction", [UP, DOWN], ids=lambda d: d.value)
+    def test_overflow_stays_in_its_lane(self, bad, direction):
+        # One row's largest value has overflowed to inf, so its curve is inf
+        # and NaN; the other lane of its pair keeps its solo bits.
+        rng = np.random.default_rng(41)
+        stack = np.sort(random_dp_values(rng, 2 * 30).reshape(2, 30), axis=1)
+        stack[bad, -1] = np.inf
+        w = np.stack([draw_weights(30, rng) for _ in range(2)])
+        g = Grid.uniform(31)
+        with np.errstate(all="ignore"):
+            got = eval_block(SortedSample(stack), w, 5, direction, g)
+        good = 1 - bad
+        assert not np.isfinite(got[bad]).all()
+        assert np.array_equal(got[good],
+                              eval_block(SortedSample(stack[good]), w[good:good + 1], 5,
+                                         direction, g)[0])
+
+    def test_plan_arrays_are_read_only(self):
+        g = Grid.uniform(21)
+        for direction in (UP, DOWN):
+            plan = g._plan(15, 4, direction)
+            assert g._plan(15, 4, direction) is plan
+            assert plan.lattice.shape == (3, 2 * 16) and plan.powers.shape == (4, 2 * 21)
+            arrays = [plan.cut, plan.lattice, plan.powers]
+            arrays += [plan.mean_factor] if direction is DOWN else []
+            for array in arrays:
+                with pytest.raises(ValueError):
+                    array[0] = 0
+
+    def test_odd_last_block(self, monkeypatch):
+        # B = 7 in blocks of two replications: the last block has one row,
+        # and every block's rows equal the float rows bit for bit.
+        rng = np.random.default_rng(42)
+        s1, s2 = (make_sample(random_dp_values(rng, n)) for n in (40, 50))
+        cfg = TestConfig(bootstrap=7, seed=5, grid=61, vgrid=11)
+        rows = []
+
+        def checked(sample, weights, m, direction, grid, work=None):
+            got = eval_block(sample, weights, m, direction, grid, work)
+            assert np.array_equal(
+                got, expansion_rows(sample.values, weights, m, direction, grid.points))
+            rows.append(len(weights))
+            return got
+
+        default = run_test(s1, s2, cfg)
+        monkeypatch.setattr(inference, "eval_block", checked)
+        monkeypatch.setattr(inference, "_BLOCK_CELLS", 2 * (max(50, 61) + 1))
+        result = run_test(s1, s2, cfg)
+        assert rows == [2] * 6 + [1] * 2
+        assert (result.statistic, result.critical_value, result.p_value) == (
+            default.statistic, default.critical_value, default.p_value)
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5, 8])
+    def test_block_rows_even(self, depth):
+        # Every block but a last one holds an even number of rows, two at
+        # least, within the cell budget whenever the budget holds two.
+        budget, step = inference._BLOCK_CELLS, 1 + depth % 2
+        for width in [*range(2, 3000, 7), *range(3000, 300000, 997), 65536, 65537, 10**6]:
+            per_block = inference._block_replications(width, depth)
+            rows = per_block * depth
+            assert rows % 2 == 0 and rows >= 2, width
+            if step * depth * width <= budget:  # as many even rows as fit
+                assert rows * width <= budget < (per_block + step) * depth * width, width
+
+
+class TestGoldenBits:
+    """The block kernel's exact bits on one fixed block (n = 37, R = 5,
+    G = 41), recorded from the row-by-row float kernel; any change to the
+    kernel that moves a bit fails here."""
+
+    DIGESTS = {
+        (3, UP): "fbc6221c559a3624cb12e2f3ed5eb28e3316c86e9ce1c4ff15d69b590f86f692",
+        (3, DOWN): "579bb1a53d6c510df724b0cf6d852670a067a44db8680e3dae0abec439e1c41a",
+        (5, UP): "756ce5f400f9f2db2fc15d72c694593931e03957d201a630d5b2e23fba55db1f",
+        (5, DOWN): "690b0c9b34141f39eba98bbf9462c763e5fe523eb512e1ad7fdc0d1e51eaf3f5",
+    }
+
+    @pytest.mark.parametrize("m, direction", list(DIGESTS), ids=["3-up", "3-down", "5-up", "5-down"])
+    def test_digest(self, m, direction):
+        rng = np.random.default_rng(37)
+        values = np.sort(rng.random(37) * 8.0)
+        weights = rng.multinomial(37, np.full(37, 1 / 37), size=5)
+        out = eval_block(SortedSample(values), weights, m, direction, Grid.uniform(41))
+        assert hashlib.sha256(out.tobytes()).hexdigest() == self.DIGESTS[m, direction]

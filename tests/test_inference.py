@@ -251,6 +251,22 @@ class TestRankingMatrix:
             with pytest.raises(ConfigError, match="'v'"):
                 matrix.relation(a, b)
 
+    @pytest.mark.parametrize("labels, pairs, match", [
+        (("a", "b", "c"), [("a", "b")], "no decision for the pair 'a', 'c'"),
+        (("a", "b"), [("a", "b"), ("b", "a")], "more than one decision"),
+        (("a", "b"), [("a", "b"), ("a", "b")], "more than one decision"),
+        (("a", "b"), [("a", "a"), ("a", "b")], "with itself"),
+        (("a", "b"), [("a", "c")], "unknown dataset label 'c'"),
+        (("a", "a"), [("a", "b")], "unique"),
+    ], ids=["missing", "reversed", "repeated", "self", "unknown", "duplicate-label"])
+    def test_decisions_validated(self, labels, pairs, match):
+        # One decision per unordered pair of distinct known labels: a missing
+        # pair made to_table raise a bare KeyError, and (a, b) beside (b, a)
+        # gave contradictory relations.
+        decisions = tuple(PairDecision(a, b, True, False, 0.01, 0.5) for a, b in pairs)
+        with pytest.raises(ConfigError, match=match):
+            RankingMatrix(labels=labels, decisions=decisions)
+
 
 def _rank_sets():
     rng = substream(8, 0)

@@ -3,6 +3,7 @@ import pytest
 
 from isdtest import (
     ConfigError,
+    DataError,
     DoubleParetoParams,
     Grid,
     Scheme,
@@ -294,6 +295,39 @@ class TestChunkedFull:
         assert np.array_equal(np.concatenate([b for _, b in calls], axis=1), boot)
         assert got == rejections
         assert len(set(got)) > 1  # the cells differ
+
+
+class TestChunkData:
+    """A chunk's data come from stacked uniforms, transformed, checked and
+    sorted at once; each row equals, bit for bit, ``dp_sample`` on that
+    replication's own stream."""
+
+    @pytest.mark.parametrize("n1, n2, reps", [(500, 200, 8), (2000, 80, 4), (7, 3, 12)])
+    def test_rows_match_dp_sample(self, n1, n2, reps, monkeypatch):
+        dgp2 = DoubleParetoParams(2.1, 1.5)
+        cell = SimSpec(DGP, dgp2, n1, n2, TestConfig(grid=101, vgrid=11, seed=9), reps)
+        stacks = []
+
+        def recorded(samples, *args):
+            stacks.append([s.values for s in samples])
+            return inference._test_cells(samples, *args)
+
+        monkeypatch.setattr(montecarlo, "_test_cells", recorded)
+        run_table([cell])
+        key = montecarlo._dgp_key(cell)
+        got = [np.concatenate(column) for column in zip(*stacks)]
+        for r in range(reps):
+            rng = substream(9, montecarlo._MC_DATA, *key, r)
+            assert np.array_equal(got[0][r], dp_sample(DGP, n1, rng).values)
+            assert np.array_equal(got[1][r], dp_sample(dgp2, n2, rng).values)
+
+    @pytest.mark.filterwarnings("ignore:upper-tail shape")
+    def test_non_finite_draws_are_data_error(self):
+        # alpha = 0.01 sends the top uniforms' quantiles past the double range.
+        cell = SimSpec(DoubleParetoParams(0.01, 1.0), DGP, 2000, 50,
+                       TestConfig(grid=101, vgrid=11, seed=9), 3)
+        with pytest.raises(DataError, match="non-finite"):
+            run_table([cell])
 
 
 class TestWarpSpeedAgainstFull:
