@@ -22,8 +22,11 @@ expansion in powers of p, and a lattice-to-grid index shared by every row
 reads the sums off at the grid points.  A prefix sum is a chain of
 dependent additions, so rows 2q and 2q + 1 run as the real and imaginary
 lanes of one complex128 array: one complex addition adds both rows, each
-lane exactly as a float row alone.  :func:`eval_on_grid` evaluates an
-unweighted sample, or a stack of them, as one block.
+lane exactly as a float row alone.  A block may be read off at a sorted
+subset of the grid's columns only, bit for bit the full evaluation's
+values there: upward, whose sums then stop at the last lattice level that
+subset reads.  :func:`eval_on_grid` evaluates an unweighted sample, or a
+stack of them, as one block.
 """
 
 from __future__ import annotations
@@ -92,6 +95,18 @@ class Grid:
         if key not in self._plans:
             self._plans[key] = _LatticePlan.build(self.points, n, m, direction)
         return self._plans[key]
+
+
+def _columns(grid: Grid, columns) -> np.ndarray | None:
+    """``columns`` as a strictly increasing index array into ``grid``, or
+    None (the whole grid) for None.  Anything else is a ConfigError."""
+    if columns is None:
+        return None
+    cols = np.asarray(columns)
+    if (cols.ndim != 1 or not len(cols) or cols.dtype.kind not in "iu"
+            or cols[0] < 0 or cols[-1] >= len(grid) or np.any(cols[1:] <= cols[:-1])):
+        raise ConfigError("columns must be strictly increasing indices of grid points")
+    return cols
 
 
 def _check_degree(m: int, direction: Direction) -> None:
@@ -175,6 +190,16 @@ class _LatticePlan:
                 array.flags.writeable = False
         return cls(cut, lattice, powers, mean_factor)
 
+    def at(self, columns):
+        """``cut``, ``powers`` and ``mean_factor`` at the grid columns
+        ``columns`` (an index array), or over the whole grid when None."""
+        if columns is None:
+            return self.cut, self.powers, self.mean_factor
+        m = len(self.powers)
+        powers = np.take(self.powers.reshape(m, -1, 2), columns, axis=1).reshape(m, -1)
+        return (self.cut[columns], powers,
+                None if self.mean_factor is None else self.mean_factor[columns])
+
 
 class BlockWorkspace:
     """Scratch arrays that :func:`eval_block` reuses from one call to the next.
@@ -207,23 +232,31 @@ class BlockWorkspace:
 
 
 def eval_block(sample: SortedSample, weights, m: int, direction: Direction,
-               grid: Grid, work: BlockWorkspace | None = None) -> np.ndarray:
-    """Curves of R reweighted samples over a grid, shape (R, G).
+               grid: Grid, work: BlockWorkspace | None = None, columns=None) -> np.ndarray:
+    """Curves of R reweighted samples at the grid columns ``columns``,
+    shape (R, C), or over the whole grid, shape (R, G).
 
     ``sample`` is one :class:`SortedSample` that every row reweights, or a
     stack of R samples of size n, values of shape (R, n), one per row.  Row
     b of ``weights`` holds that row's nonnegative integer multiplicities,
     aligned with the sorted values and summing to n (a multinomial
-    bootstrap draw; all ones for the sample itself).  The cost is
-    O(R (n + G) m) with no search per row.  Rows 2q and 2q + 1 are summed
-    as the two lanes of one complex row, so the m prefix sums cost about
-    half as much as R float rows; an odd R leaves the last pair's second
-    lane empty.  Each row's values do not depend on the other rows of the
-    block, bit for bit: every step adds or scales each lane on its own, so
-    a row that overflows leaves its partner alone.  The boundary value
-    (p = 0 upward, p = 1 downward) is exactly 0.  Temporaries come from
-    ``work``, or from a fresh workspace when none is given; the returned
-    array is always new.
+    bootstrap draw; all ones for the sample itself).  ``columns`` holds
+    strictly increasing indices of grid points (default: all of them), and
+    each row's values there are bit for bit those of the whole grid.  The
+    cost is O(R (n + C) m) with no search per row.  Upward, a prefix sum's
+    first k terms do not depend on the terms that follow, so the m level
+    products and prefix sums stop at the last lattice level the columns
+    read: the cost follows how far along p the columns reach.  Downward,
+    each value subtracts a prefix from the full sum, which must stay the
+    sequential sum over every level to keep its bits, so only the read-off
+    shrinks.  Rows 2q and 2q + 1 are summed as the two lanes of one
+    complex row, so the m prefix sums cost about half as much as R float
+    rows; an odd R leaves the last pair's second lane empty.  Each row's
+    values do not depend on the other rows of the block, bit for bit:
+    every step adds or scales each lane on its own, so a row that
+    overflows leaves its partner alone.  The boundary value (p = 0 upward,
+    p = 1 downward) is exactly 0.  Temporaries come from ``work``, or from
+    a fresh workspace when none is given; the returned array is always new.
     """
     _check_degree(m, direction)
     values = sample.values
@@ -237,9 +270,14 @@ def eval_block(sample: SortedSample, weights, m: int, direction: Direction,
     # 0 <= w <= n, so that the prefix sums of a row cannot wrap around.
     if np.any(w.view(np.uint64) > n):
         raise DataError("weights must be integers in [0, n]")
-    rows, width = w.shape[0], n + 1
-    pairs, size = (rows + 1) // 2, len(grid)
+    cols = _columns(grid, columns)
     plan = grid._plan(n, m, direction)
+    cut, powers, mean_factor = plan.at(cols)
+    rows, width = w.shape[0], n + 1
+    pairs, size, up = (rows + 1) // 2, len(cut), direction is Direction.UP
+    # Upward the columns read prefix sums up to level cut[-1] only (cut
+    # rises with p); downward they read the full sum.
+    stop = int(cut[-1]) if up else width
     work = work if work is not None else BlockWorkspace()
 
     # Knot i sits at lattice level S_i = w_1 + ... + w_i (S_0 = 0).  Rows
@@ -258,15 +296,15 @@ def eval_block(sample: SortedSample, weights, m: int, direction: Direction,
     tiled = work.array("tiled", (rows, width))
     tiled[:] = _jumps(values)
     jumps = np.bincount(levels.ravel(), weights=tiled.ravel(), minlength=pairs * 2 * width)
-    jumps = jumps.view(np.complex128).reshape(pairs, width)
+    jumps = jumps.view(np.complex128).reshape(pairs, width)[:, :stop]
 
     # Complex addition adds each lane on its own, in the same order, so
     # every prefix sum carries two rows at once and each row's bits are
     # those of a float row alone.  Products take the float view against
     # the lane-repeated factors: a complex product would mix the lanes.
-    prefix = work.array("prefix", (pairs, width + 1), np.complex128)
+    prefix = work.array("prefix", (pairs, stop + 1), np.complex128)
     prefix[:, 0] = 0.0
-    term = work.array("term", (pairs, width), np.complex128)
+    term = work.array("term", (pairs, stop), np.complex128)
     part = work.array("part", (pairs, size), np.complex128)
     acc = work.array("acc", (pairs, size), np.complex128)
     acc.fill(0.0)
@@ -275,24 +313,27 @@ def eval_block(sample: SortedSample, weights, m: int, direction: Direction,
         # those products.
         scaled = jumps
         if r != m - 1:
-            np.multiply(jumps.view(np.float64), plan.lattice[r], out=term.view(np.float64))
+            np.multiply(jumps.view(np.float64), plan.lattice[r, :2 * stop],
+                        out=term.view(np.float64))
             scaled = term
         np.cumsum(scaled, axis=1, out=prefix[:, 1:])
-        np.take(prefix, plan.cut, axis=1, out=part)
-        if direction is Direction.DOWN:
+        np.take(prefix, cut, axis=1, out=part)
+        if not up:
             np.subtract(prefix[:, -1:], part, out=part)
         if r:
-            np.multiply(part.view(np.float64), plan.powers[r], out=part.view(np.float64))
+            np.multiply(part.view(np.float64), powers[r], out=part.view(np.float64))
         acc += part
     lanes = acc.view(np.float64).reshape(pairs, size, 2)
     out = np.empty((rows, size))
     out[0::2] = lanes[:, :, 0]
     out[1::2] = lanes[:rows // 2, :, 1]
     out /= factorial(m - 1)
-    if direction is Direction.DOWN:
-        weighted = np.multiply(w, values, out=work.array("weighted", (rows, n)))
-        out += (np.sum(weighted, axis=1) / n)[:, None] * plan.mean_factor
-        out[:, -1] = 0.0
+    if up:
+        if cols is None or cols[0] == 0:
+            out[:, 0] = 0.0
     else:
-        out[:, 0] = 0.0
+        weighted = np.multiply(w, values, out=work.array("weighted", (rows, n)))
+        out += (np.sum(weighted, axis=1) / n)[:, None] * mean_factor
+        if cols is None or cols[-1] == len(grid) - 1:
+            out[:, -1] = 0.0
     return out

@@ -52,14 +52,20 @@ class DoubleParetoParams:
 
 
 def dp_quantile(params: DoubleParetoParams, u):
-    """Inverse CDF; defined on [0, 1) since u = 1 maps to infinity."""
+    """Inverse CDF; defined on [0, 1) since u = 1 maps to infinity.
+
+    A level whose quantile passes the double range maps to inf, without a
+    warning: :func:`~isdtest.empirical.make_sample` turns it into a
+    DataError.
+    """
     u = np.asarray(u, dtype=float)
     if np.any((u < 0) | (u >= 1)):
         raise ConfigError("quantile levels must lie in [0, 1)")
     a, b, m = params.alpha, params.beta, params.scale
     split = params.lower_mass
-    lower = m * (u * (a + b) / a) ** (1.0 / b)
-    upper = m * (np.maximum(1.0 - u, 1e-300) * (a + b) / b) ** (-1.0 / a)
+    with np.errstate(over="ignore"):
+        lower = m * (u * (a + b) / a) ** (1.0 / b)
+        upper = m * (np.maximum(1.0 - u, 1e-300) * (a + b) / b) ** (-1.0 / a)
     out = np.where(u <= split, lower, upper)
     if np.ndim(u) == 0:
         return float(out)

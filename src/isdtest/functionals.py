@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .curves import Grid
+from .curves import Grid, _columns
 from .errors import ConfigError
 
 __all__ = [
@@ -68,7 +68,7 @@ def estimate_contact_set(phi, vhat, t_n: float, tau_n: float, grid: Grid) -> np.
     return np.abs(np.sqrt(t_n) * phi) <= tau_n * v
 
 
-def derivative(kind: FunctionalKind, h, contact, grid: Grid):
+def derivative(kind: FunctionalKind, h, contact, grid: Grid, columns=None):
     """The ``kind`` functional of h restricted to the contact set (per row
     for a stack of curves).
 
@@ -78,11 +78,20 @@ def derivative(kind: FunctionalKind, h, contact, grid: Grid):
     intervals and isolated member points carry zero measure.  ``contact``
     is the set's boolean mask, shape (G,) or (D, G); with D rows, curve row
     i is measured on mask row i mod D, so h holds a whole number of D-row
-    groups.
+    groups.  With ``columns``, strictly increasing indices of grid points,
+    h and the mask hold those points only, shape (..., C): two neighbouring
+    columns bound a subinterval only if they are neighbours on the grid.
+    When every member of the set is among the columns, the value is bit for
+    bit that of the whole grid, since the members, and the subintervals
+    kept, are the same and in the same order.
     """
-    h = _stacked(h, grid)
+    cols = _columns(grid, columns)
+    size = len(grid) if cols is None else len(cols)
+    h = np.asarray(h, dtype=float)
+    if h.ndim not in (1, 2) or h.shape[-1] != size:
+        raise ConfigError("values are not aligned with the grid")
     mask = np.asarray(contact, dtype=bool)
-    if mask.ndim not in (1, 2) or mask.shape[-1] != len(grid) or h.size % mask.size:
+    if mask.ndim not in (1, 2) or mask.shape[-1] != size or h.size % mask.size:
         raise ConfigError("contact set is not aligned with the grid")
     mask = np.atleast_2d(mask)
     depth = len(mask)
@@ -90,16 +99,20 @@ def derivative(kind: FunctionalKind, h, contact, grid: Grid):
         if not mask.any(axis=-1).all():
             raise ConfigError("contact set is empty; the grid is malformed")
         # A maximum does not depend on the order of the members.
-        out = np.max(np.where(mask, h.reshape(-1, depth, h.shape[-1]), -np.inf), axis=-1)
+        out = np.max(np.where(mask, h.reshape(-1, depth, size), -np.inf), axis=-1)
     else:
         g = np.maximum(h, 0.0)
-        values = np.diff(grid.points) * (g[..., :-1] + g[..., 1:]) / 2.0
-        rows = values.reshape(-1, depth, values.shape[-1])
+        widths = np.diff(grid.points) if cols is None else np.diff(grid.points)[cols[:-1]]
+        values = widths * (g[..., :-1] + g[..., 1:]) / 2.0
+        rows = values.reshape(h.size // mask.size, depth, -1)
         # np.compress keeps each row's members contiguous (boolean indexing
         # does not), so a row sums in the same order as a single curve would.
         out = np.empty(rows.shape[:-1])
-        for d, keep in enumerate(mask[:, :-1] & mask[:, 1:]):
-            np.sum(np.compress(keep, rows[:, d], axis=-1), axis=-1, out=out[:, d])
+        keep = mask[:, :-1] & mask[:, 1:]
+        if cols is not None:  # two columns bound a subinterval only as grid neighbours
+            keep &= cols[1:] == cols[:-1] + 1
+        for d, row_keep in enumerate(keep):
+            np.sum(np.compress(row_keep, rows[:, d], axis=-1), axis=-1, out=out[:, d])
     return _reduced(out.reshape(h.shape[:-1]))
 
 

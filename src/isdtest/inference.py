@@ -36,7 +36,12 @@ budget (R * (max(n, G) + 1) <= 2**16), rounded down to an even count, two
 at least, so a block's weights and curves stay cache-sized and
 :func:`~isdtest.curves.eval_block` fills both lanes of each pair of rows.
 The blocks run in the calling thread, one after another, reusing one set
-of temporaries.
+of temporaries.  A block evaluates each direction's curves only at the
+union of that direction's contact sets, where the statistics read them, so
+the bootstrap's cost follows the contact sets' extent: upward prefix sums
+stop at the last level the union reads, downward ones stay full-width to
+keep their bits, and a test near its null (full contact) costs a
+whole-grid evaluation.
 Each replication's statistic depends only on its own weights, bit for bit,
 so the statistics are a pure function of (data, config, seed), whatever
 the block size or the number of stacked datasets.  A phi-hat, sigma-hat or
@@ -257,6 +262,14 @@ def _bootstrap_stats(samples, pairs, m, grid, plan, keys, streams) -> np.ndarray
     replications, row (b, d) for every dataset d of the stack, and draws
     and evaluates every sample once per direction; each test's curves are
     row differences of those.
+
+    Each statistic reads its curves only on its contact set, so every
+    sample is evaluated, per direction, only at the union of the contact
+    sets of that direction's tests (all datasets, all bandwidths), and the
+    differences, their centring and scaling and the derivatives run on
+    those columns: every statistic keeps its bits, and the cost follows
+    how far the contact sets reach along p.  A test near its null, whose
+    contact set spans the grid, costs what a whole-grid evaluation does.
     """
     cells, directions = plan
     replications, depth = keys.shape[:2]
@@ -267,6 +280,17 @@ def _bootstrap_stats(samples, pairs, m, grid, plan, keys, streams) -> np.ndarray
     draws: dict = {}  # stream -> the slots it draws, in slot order
     for k, stream in enumerate(streams[:len(sizes)]):
         draws.setdefault(stream, []).append(k)
+    read = []  # per direction: its columns, and its tests on those columns
+    for direction, tests in directions:
+        masks = [np.reshape(mask, (-1, len(grid))) for *_, contact in tests for mask in contact]
+        union = np.vstack(masks).any(axis=0)
+        if union.all():  # every column is read: the whole grid as it is
+            read.append((direction, None, tests))
+            continue
+        columns = np.flatnonzero(union)
+        read.append((direction, columns, [
+            (a, b, phi[..., columns], root_t, members, [mask[..., columns] for mask in contact])
+            for a, b, phi, root_t, members, contact in tests]))
     gen = np.random.Generator(np.random.Philox(key=0))
     for lo in range(0, replications, per_block):
         hi = min(lo + per_block, replications)
@@ -286,15 +310,19 @@ def _bootstrap_stats(samples, pairs, m, grid, plan, keys, streams) -> np.ndarray
         # Row (b, d) reweights dataset d: one shared sample, or the stack tiled.
         rows = [SortedSample(s.values[0] if depth == 1 else np.tile(s.values, (hi - lo, 1)))
                 for s in samples]
-        for direction, tests in directions:
-            curves = [eval_block(x, w, m, direction, grid, work) for x, w in zip(rows, weights)]
+        for direction, columns, tests in read:
+            curves = [eval_block(x, w, m, direction, grid, work, columns)
+                      for x, w in zip(rows, weights)]
             for a, b, phi, root_t, members, contact in tests:
-                h = curves[b] - curves[a]
+                # In the workspace: a fresh difference per test and block
+                # fragments the heap and raises peak memory.
+                h = np.subtract(curves[b], curves[a],
+                                out=work.array("difference", curves[a].shape))
                 stacked = h.reshape(hi - lo, depth, -1)
                 stacked -= phi
                 stacked *= root_t
                 for i, kind, _, t in members:
-                    stats[i, :, lo:hi] = derivative(kind, h, contact[t], grid).reshape(
+                    stats[i, :, lo:hi] = derivative(kind, h, contact[t], grid, columns).reshape(
                         hi - lo, depth).T
     return stats
 

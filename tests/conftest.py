@@ -5,7 +5,9 @@ routes (point-by-point closed form, adaptive quadrature, nested cumulative
 integration, the block expansion one float row at a time, numpy's own
 SeedSequence for the streams, the double Pareto density, distribution
 function and mean in closed form) and must not import the evaluation paths
-they check.
+they check.  ``full_grid_bootstrap_stats`` is the exception: it checks
+where the bootstrap evaluates its curves, not how, so it evaluates them
+with the package's kernel, on the whole grid, one replication at a time.
 """
 
 from bisect import bisect_left
@@ -15,7 +17,16 @@ from math import comb, factorial
 import numpy as np
 import scipy.integrate
 
-from isdtest import Direction, DoubleParetoParams, PairedSample, dp_quantile
+from isdtest import (
+    Direction,
+    DoubleParetoParams,
+    PairedSample,
+    SortedSample,
+    derivative,
+    dp_quantile,
+    draw_weights,
+    eval_block,
+)
 
 
 def save_csv(sample, path):
@@ -171,6 +182,36 @@ def expansion_rows(values, weights, m, direction, points):
             curve[-1] = 0.0
         out[b] = curve
     return out
+
+
+def full_grid_bootstrap_stats(samples, pairs, m, grid, plan, keys, streams):
+    """``inference._bootstrap_stats`` with every bootstrap curve evaluated on
+    the whole grid: one replication of one dataset at a time, each sample's
+    weights drawn from a new generator on its stream, and each statistic
+    the derivative of the whole-grid difference on its contact set.  Same
+    arguments and result, shape (cells, D, replications)."""
+    cells, directions = plan
+    replications, depth = keys.shape[:2]
+    sizes = [s.n for s in samples] if pairs is None else [pairs.n]
+    stats = np.empty((cells, depth, replications))
+    for b in range(replications):
+        for d in range(depth):
+            weights, gens = [], {}
+            for k, n in enumerate(sizes):
+                stream = streams[k]
+                if stream not in gens:
+                    gens[stream] = np.random.Generator(np.random.Philox(key=keys[b, d, stream]))
+                weights.append(draw_weights(n, gens[stream]))
+            if pairs is not None:
+                weights = [weights[0][pairs.left_order()], weights[0][pairs.right_order()]]
+            for direction, tests in directions:
+                curves = [eval_block(SortedSample(s.values[d]), w[None], m, direction, grid)[0]
+                          for s, w in zip(samples, weights)]
+                for a, c, phi, root_t, members, contact in tests:
+                    h = (curves[c] - curves[a] - np.atleast_2d(phi)[d]) * root_t
+                    for i, kind, _, t in members:
+                        stats[i, d, b] = derivative(kind, h, np.atleast_2d(contact[t])[d], grid)
+    return stats
 
 
 def _interior_points(breaks, lo, hi):

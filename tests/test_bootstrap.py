@@ -326,9 +326,9 @@ class TestBlockRoute:
         cfg = TestConfig(scheme=scheme, bootstrap=399, seed=11, grid=1001, vgrid=26)
         rows, stats = [], []
 
-        def recorded_block(sample, weights, *args):
+        def recorded_block(sample, weights, *args, **kwargs):
             rows.append(len(weights))
-            return eval_block(sample, weights, *args)
+            return eval_block(sample, weights, *args, **kwargs)
 
         def recorded_derivative(*args):
             stats.append(derivative(*args))

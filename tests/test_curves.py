@@ -319,10 +319,10 @@ class TestPairLanes:
         cfg = TestConfig(bootstrap=7, seed=5, grid=61, vgrid=11)
         rows = []
 
-        def checked(sample, weights, m, direction, grid, work=None):
-            got = eval_block(sample, weights, m, direction, grid, work)
-            assert np.array_equal(
-                got, expansion_rows(sample.values, weights, m, direction, grid.points))
+        def checked(sample, weights, m, direction, grid, work=None, columns=None):
+            got = eval_block(sample, weights, m, direction, grid, work, columns)
+            full = expansion_rows(sample.values, weights, m, direction, grid.points)
+            assert np.array_equal(got, full if columns is None else full[:, columns])
             rows.append(len(weights))
             return got
 
@@ -345,6 +345,68 @@ class TestPairLanes:
             assert rows % 2 == 0 and rows >= 2, width
             if step * depth * width <= budget:  # as many even rows as fit
                 assert rows * width <= budget < (per_block + step) * depth * width, width
+
+
+def _column_sets(size):
+    """Named column sets of a grid of ``size`` points."""
+    third = size // 3
+    return {
+        "first": [0],
+        "last": [size - 1],
+        "prefix": list(range(third)),
+        "suffix": list(range(2 * third, size)),
+        "two-intervals": [*range(0, 4), *range(third, 2 * third)],
+        "scattered": [2, 5, 11, third + 1, size - 3],
+        "every": list(range(size)),
+    }
+
+
+class TestColumns:
+    """A block read off at some grid columns equals, bit for bit, the whole
+    grid's block at those columns, whichever columns and however far the
+    upward prefix sums stop."""
+
+    @pytest.mark.parametrize("name", list(_column_sets(41)))
+    @pytest.mark.parametrize("m", [3, 4, 12])
+    @pytest.mark.parametrize("direction", [UP, DOWN], ids=lambda d: d.value)
+    @pytest.mark.parametrize("stacked", [False, True], ids=["shared", "stacked"])
+    @pytest.mark.parametrize("rows", [4, 5])
+    def test_columns_match_whole_grid(self, name, m, direction, stacked, rows):
+        rng = np.random.default_rng(7 * m + len(name) + rows)
+        n, g = 37, Grid.uniform(41)
+        values = (np.sort(random_dp_values(rng, n * rows).reshape(rows, n), axis=1)
+                  if stacked else np.sort(random_dp_values(rng, n)))
+        w = np.stack([draw_weights(n, rng) for _ in range(rows)])
+        columns = np.array(_column_sets(len(g))[name])
+        full = eval_block(SortedSample(values), w, m, direction, g)
+        assert np.array_equal(full, expansion_rows(values, w, m, direction, g.points))
+        work = BlockWorkspace()
+        for _ in range(2):  # a second call reuses the workspace's views
+            got = eval_block(SortedSample(values), w, m, direction, g, work, columns)
+            assert got.shape == (rows, len(columns))
+            assert got.tobytes() == np.ascontiguousarray(full[:, columns]).tobytes()
+
+    @pytest.mark.parametrize("direction", [UP, DOWN], ids=lambda d: d.value)
+    def test_prefix_ending_on_a_level(self, direction):
+        # G = n + 1 puts every grid point on a lattice level: a prefix of
+        # columns 0..j stops upward at level j exactly, and the column at
+        # p = 1 takes the sums to level n, the whole lattice.
+        rng = np.random.default_rng(8)
+        n, rows = 24, 3
+        g = Grid.uniform(n + 1)
+        values = np.sort(random_dp_values(rng, n))
+        w = np.stack([draw_weights(n, rng) for _ in range(rows)])
+        full = eval_block(SortedSample(values), w, 4, direction, g)
+        for columns in ([0], list(range(7)), list(range(n)), [3, n], list(range(n + 1))):
+            got = eval_block(SortedSample(values), w, 4, direction, g, columns=columns)
+            assert got.tobytes() == np.ascontiguousarray(full[:, columns]).tobytes(), columns
+
+    @pytest.mark.parametrize("columns", [[], [3, 2], [1, 1], [-1], [41], [[0, 1]], [0.0, 1.0]])
+    def test_bad_columns(self, columns):
+        values = np.sort(random_dp_values(np.random.default_rng(9), 10))
+        with pytest.raises(ConfigError):
+            eval_block(SortedSample(values), np.ones((1, 10), dtype=np.int64), 3, UP,
+                       Grid.uniform(41), columns=columns)
 
 
 class TestGoldenBits:

@@ -1,8 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.integrate
 
-from isdtest import ConfigError, DoubleParetoParams, dp_quantile, dp_sample
+from isdtest import ConfigError, DataError, DoubleParetoParams, dp_quantile, dp_sample
 
 from conftest import dp_cdf, dp_mean, dp_pdf, substream
 
@@ -125,6 +127,18 @@ class TestSampling:
         i = np.arange(1, n + 1)
         d = max(np.max(i / n - f), np.max(f - (i - 1) / n))
         assert d < 1.628 / np.sqrt(n)  # 1% critical value
+
+    @pytest.mark.filterwarnings("ignore:upper-tail shape")
+    def test_overflow_is_data_error(self):
+        # alpha = 0.01 sends the quantiles of uniforms above about 0.9992
+        # past the double range (20 000 draws hold some): inf, then a
+        # DataError, and no RuntimeWarning on the way.
+        params = DoubleParetoParams(0.01, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert np.isinf(dp_quantile(params, 1.0 - 2.0**-53))
+            with pytest.raises(DataError, match="non-finite"):
+                dp_sample(params, 20_000, substream(7, 5))
 
     def test_mean_mc(self, params):
         n = 1_000_000

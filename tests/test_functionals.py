@@ -208,3 +208,39 @@ class TestPerRowContactSets:
             derivative(SUP, np.zeros((4, 11)), cs, g)
         with pytest.raises(ConfigError):
             derivative(INT, np.zeros(11), cs, g)
+
+
+class TestColumns:
+    """Curves and sets held at some grid columns measure as on the whole
+    grid whenever every member is among the columns: two columns bound a
+    subinterval only if they are neighbours on the grid."""
+
+    @pytest.mark.parametrize("kind", [SUP, INT], ids=lambda k: k.value)
+    @pytest.mark.parametrize("depth", [1, 3])
+    def test_members_among_columns(self, kind, depth):
+        rng = np.random.default_rng(53)
+        g = Grid(np.concatenate(([0.0], np.sort(rng.random(99)), [1.0])))
+        mask = np.zeros((depth, 101), dtype=bool)
+        mask[:, 0] = True
+        mask[:, 10:30] = rng.random((depth, 20)) < 0.7
+        mask[:, 60:64] = True
+        h = rng.normal(size=(2 * depth, 101))
+        union = mask.any(axis=0)
+        for extra in ([], [31, 32, 59, 100], list(range(101))):
+            union[extra] = True
+            columns = np.flatnonzero(union)
+            got = derivative(kind, h[:, columns], mask[:, columns], g, columns)
+            assert got.tobytes() == derivative(kind, h, mask, g).tobytes(), extra
+
+    def test_gap_is_not_a_subinterval(self):
+        # Columns 2 and 5 are neighbours among the columns, not on the grid.
+        g = Grid.uniform(11)
+        h = np.ones(3)
+        assert derivative(INT, h, np.ones(3, dtype=bool), g, [1, 2, 5]) == pytest.approx(0.1)
+        assert derivative(INT, h, np.ones(3, dtype=bool), g, [1, 2, 3]) == pytest.approx(0.2)
+
+    def test_misaligned_columns(self):
+        g = Grid.uniform(11)
+        for columns in ([2, 1, 3], [0, 0, 1], [0, 1, 11], [0, 1]):
+            with pytest.raises(ConfigError):
+                derivative(SUP, np.ones(3), np.ones(3, dtype=bool), g, columns)

@@ -17,6 +17,7 @@ from isdtest import (
     RankingMatrix,
     Relation,
     Scheme,
+    SimMode,
     SimSpec,
     SortedSample,
     TestConfig,
@@ -37,7 +38,7 @@ from isdtest import (
     sigma_curve,
 )
 
-from conftest import random_dp_values, substream
+from conftest import full_grid_bootstrap_stats, random_dp_values, substream
 
 
 def quick_cfg(**kw):
@@ -405,3 +406,108 @@ class TestNonFinite:
         spec = SimSpec(dgp, dgp, 50, 50, quick_cfg(), 3)
         with pytest.raises(DataError, match="overflows"):
             run_table([spec])
+
+
+CONTACT_CELLS = [(d, k, tau) for d in Direction for k in FunctionalKind for tau in (1.0, 3.0)]
+
+
+def _columns_spy(monkeypatch):
+    """Check that every bootstrap curve is evaluated at the union of its
+    direction's contact sets (all tests, datasets and bandwidths), passed
+    as None when it is the whole grid; returns the (direction, column
+    count, grid size) of every evaluation."""
+    seen, union = [], {}
+    stats, block = inference._bootstrap_stats, inference.eval_block
+
+    def spied_stats(samples, pairs, m, grid, plan, *args):
+        for direction, tests in plan[1]:
+            masks = [np.reshape(mask, (-1, len(grid))) for *_, contact in tests for mask in contact]
+            union[direction] = np.flatnonzero(np.vstack(masks).any(axis=0))
+        return stats(samples, pairs, m, grid, plan, *args)
+
+    def spied_block(sample, weights, m, direction, grid, work=None, columns=None):
+        want = union[direction]
+        if columns is None:
+            assert len(want) == len(grid)
+        else:
+            assert len(want) < len(grid) and np.array_equal(columns, want)
+        seen.append((direction, len(want), len(grid)))
+        return block(sample, weights, m, direction, grid, work, columns)
+
+    monkeypatch.setattr(inference, "_bootstrap_stats", spied_stats)
+    monkeypatch.setattr(inference, "eval_block", spied_block)
+    return seen
+
+
+def _whole_grid(monkeypatch, call):
+    """``call()`` with every bootstrap curve evaluated on the whole grid."""
+    with monkeypatch.context() as patch:
+        patch.setattr(inference, "_bootstrap_stats", full_grid_bootstrap_stats)
+        return call()
+
+
+def _fields(result):
+    return [getattr(result, name) for name in
+            ("statistic", "critical_value", "p_value", "reject", "contact_fraction", "t_n")]
+
+
+class TestContactColumns:
+    """The bootstrap evaluates its curves only where its statistics read
+    them, the union of each direction's contact sets, and every result is
+    bit for bit that of the whole-grid evaluation.  The samples are far
+    enough apart that the union leaves out part of the grid."""
+
+    CFG = dict(bootstrap=19, grid=101, vgrid=11, seed=13)
+
+    @staticmethod
+    def _strict(seen):
+        # Both directions evaluated somewhere short of the whole grid.
+        assert {d for d, columns, size in seen if columns < size} == set(Direction)
+
+    @pytest.mark.parametrize("matched", [False, True], ids=["independent", "matched"])
+    def test_run_test(self, matched, monkeypatch):
+        rng = np.random.default_rng(61)
+        x = random_dp_values(rng, 150)
+        if matched:
+            args = [(make_paired(x, 1.4 * x + rng.random(150)), None),
+                    (make_paired(1.4 * x + rng.random(150), x), None)]
+        else:
+            s1, s2 = make_sample(x), make_sample(1.4 * random_dp_values(rng, 120))
+            args = [(s1, s2), (s2, s1)]
+        scheme = Scheme.MATCHED if matched else Scheme.INDEPENDENT
+        seen = _columns_spy(monkeypatch)
+        for direction, kind, tau in CONTACT_CELLS:
+            cfg = TestConfig(direction=direction, kind=kind, tau=tau, scheme=scheme, **self.CFG)
+            for a, b in args:
+                got = run_test(a, b, cfg)
+                want = _whole_grid(monkeypatch, lambda: run_test(a, b, cfg))
+                assert _fields(got) == _fields(want), (direction, kind, tau)
+        self._strict(seen)
+
+    def test_pairwise_rank(self, monkeypatch):
+        rng = np.random.default_rng(62)
+        datasets = [(f"d{k}", make_sample((1 + 0.4 * k) * random_dp_values(rng, 100 + 20 * k)))
+                    for k in range(3)]
+        seen = _columns_spy(monkeypatch)
+        for direction, kind, tau in CONTACT_CELLS:
+            cfg = TestConfig(direction=direction, kind=kind, tau=tau, **self.CFG)
+            got = pairwise_rank(datasets, cfg)
+            assert got == _whole_grid(monkeypatch, lambda: pairwise_rank(datasets, cfg))
+        self._strict(seen)
+
+    @pytest.mark.parametrize("mode", list(SimMode), ids=lambda mode: mode.value)
+    def test_run_table(self, mode, monkeypatch):
+        # One group of 8 cells; each core call stacks its chunk's datasets.
+        dgp1, dgp2 = DoubleParetoParams(3.0, 2.0), DoubleParetoParams(3.0, 2.0, 3.0)
+        specs = [SimSpec(dgp1, dgp2, 80, 100,
+                         TestConfig(direction=direction, kind=kind, tau=tau, **self.CFG),
+                         6 if mode is SimMode.FULL else 12, mode)
+                 for direction, kind, tau in CONTACT_CELLS]
+        seen = _columns_spy(monkeypatch)
+
+        def table():  # full mode reports no pooled critical value: NaN, compared by text
+            return [(r.rejections, r.rejection_rate, repr(r.critical_value))
+                    for r in run_table(specs)]
+
+        assert table() == _whole_grid(monkeypatch, table)
+        self._strict(seen)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -326,8 +328,10 @@ class TestChunkData:
         # alpha = 0.01 sends the top uniforms' quantiles past the double range.
         cell = SimSpec(DoubleParetoParams(0.01, 1.0), DGP, 2000, 50,
                        TestConfig(grid=101, vgrid=11, seed=9), 3)
-        with pytest.raises(DataError, match="non-finite"):
-            run_table([cell])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DataError, match="non-finite"):
+                run_table([cell])
 
 
 class TestWarpSpeedAgainstFull:
