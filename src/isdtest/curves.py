@@ -18,15 +18,19 @@ its step breakpoints on the lattice j/n, j = 0..n.  :func:`eval_block`
 uses this to evaluate R reweighted copies of one sample at once, or R
 reweighted samples of one size, one per row: the jump sizes are binned
 onto lattice levels, prefix sums over the lattice carry the binomial
-expansion in powers of p, and a lattice-to-grid index shared by every row
-reads the sums off at the grid points.  A prefix sum is a chain of
-dependent additions, so rows 2q and 2q + 1 run as the real and imaginary
-lanes of one complex128 array: one complex addition adds both rows, each
-lane exactly as a float row alone.  A block may be read off at a sorted
-subset of the grid's columns only, bit for bit the full evaluation's
-values there: upward, whose sums then stop at the last lattice level that
-subset reads.  :func:`eval_on_grid` evaluates an unweighted sample, or a
-stack of them, as one block.
+expansion, and a lattice-to-grid index shared by every row reads the sums
+off at the grid points.  Upward the sums run from p = 0 and expand in
+powers of p; downward they are suffix sums from p = 1 that expand in
+powers of 1 - p, whose terms stay small near p = 1, where the downward
+curves are small.  A prefix sum is a chain of dependent additions, so
+rows 2q and 2q + 1 run as the real and imaginary lanes of one complex128
+array: one complex addition adds both rows, each lane exactly as a float
+row alone.  A block may be read off at a sorted subset of the grid's
+columns only, bit for bit the full evaluation's values there, and in both
+directions its binning and its sums then stop at the last lattice level
+that subset reads, so the cost follows how far the subset reaches from the
+direction's own end of p.  :func:`eval_on_grid` evaluates an unweighted
+sample, or a stack of them, as one block.
 """
 
 from __future__ import annotations
@@ -130,20 +134,28 @@ class LambdaCurve:
         _check_degree(self.m, self.direction)
 
 
-def _jumps(values: np.ndarray) -> np.ndarray:
-    """Jump sizes (X_(1), diff(X), -X_(n)) at the n + 1 breakpoints, per
-    sample of a stack.
+def _jumps(values: np.ndarray, first: int, out: np.ndarray) -> None:
+    """Jump sizes (X_(1), diff(X), -X_(n)) at the breakpoints ``first``,
+    ``first`` + 1, ... of the n + 1, as many as a row of ``out`` holds,
+    written into every row of ``out``: one sample's values, shape (n,), for
+    all rows, or one sample per row, shape (R, n).
 
     The step quantile equals X_(i) on (c_{i-1}, c_i]; writing the curve
     integrals by parts collapses them to sums of d_k * ((p - c_k)_+)^(m-1)
     over the breakpoints c_k with these jump sizes d_k.
     """
     n = values.shape[-1]
-    d = np.empty(values.shape[:-1] + (n + 1,))
-    d[..., 0] = values[..., 0]
-    d[..., 1:n] = np.diff(values, axis=-1)
-    d[..., n] = -values[..., -1]
-    return d
+    target = out if values.ndim > 1 else out[:1]
+    end = first + out.shape[-1]
+    lo, hi = max(first, 1), min(end, n)  # the breakpoints between two values
+    if first == 0:
+        target[..., 0] = values[..., 0]
+    np.subtract(values[..., lo:hi], values[..., lo - 1:hi - 1],
+                out=target[..., lo - first:hi - first])
+    if end == n + 1:
+        target[..., -1] = -values[..., -1]
+    if values.ndim == 1:
+        out[1:] = target
 
 
 def eval_on_grid(curve: LambdaCurve, grid: Grid) -> np.ndarray:
@@ -159,13 +171,22 @@ def eval_on_grid(curve: LambdaCurve, grid: Grid) -> np.ndarray:
 class _LatticePlan:
     """Everything of a block evaluation that depends only on (n, m, direction, grid).
 
-    ``cut[g]`` counts the lattice levels j/n that enter grid point g: those
-    at or below it upward, those below it downward (whose complement
-    enters).  ``lattice[r]`` and ``powers[r]`` are the level and grid
-    factors of the r-th term of the binomial expansion, each factor
-    repeated for the two lanes of a pair (see :func:`eval_block`), so that
-    one product scales both lanes.  The level factor of the last term is
-    all ones and not stored.  Every array is read-only.
+    The lattice levels c = j/n are summed from p = 0 upward and from p = 1
+    downward, and ``cut[g]`` counts the levels, in that order, that enter
+    grid point g: those at or below it upward, those at or above it
+    downward.  Up to the factorial (and downward the mean term), the curve
+    at p sums the binned jumps at those levels times (p - c)^k upward and
+    (c - p)^k downward, k = m - 1, and the binomial expansion splits it
+    into m prefix sums over the levels, read at ``cut``.  Upward it runs in
+    powers of p, (p - c)^k = sum_r C(k, r) (-c)^(k-r) p^r.  Downward it
+    runs in powers of 1 - p, (c - p)^k = sum_r C(k, r) (c - 1)^(k-r)
+    (1 - p)^r: near p = 1, where downward curves are small, so are the
+    terms, which do not cancel.  ``lattice[r]`` holds the r-th term's level
+    factors in summation order (top-down downward, built once here), and
+    ``powers[r]`` its grid factors, each repeated for the two lanes of a
+    pair (see :func:`eval_block`), so that one product scales both lanes.
+    The level factor of the last term is all ones and not stored.  Every
+    array is read-only.
     """
 
     cut: np.ndarray
@@ -177,14 +198,16 @@ class _LatticePlan:
     def build(cls, points: np.ndarray, n: int, m: int, direction: Direction) -> "_LatticePlan":
         k = m - 1
         levels = np.arange(n + 1) / n
-        up = direction is Direction.UP
-        cut = np.searchsorted(levels, points, side="right" if up else "left")
-        base = -levels if up else levels
+        if direction is Direction.UP:
+            cut = np.searchsorted(levels, points, side="right")
+            base, step, mean_factor = -levels, points, None
+        else:
+            cut = n + 1 - np.searchsorted(levels, points, side="left")
+            base, step = (levels - 1.0)[::-1], 1.0 - points
+            mean_factor = (1.0 - points) ** (m - 2) / factorial(m - 2)
         lattice = np.repeat([comb(k, r) * base ** (k - r) for r in range(k)], 2, axis=1)
-        step = points if up else -points
         powers = np.repeat(np.cumprod(np.vstack([np.ones_like(points)] + [step] * k), axis=0),
                            2, axis=1)
-        mean_factor = None if up else (1.0 - points) ** (m - 2) / factorial(m - 2)
         for array in (cut, lattice, powers, mean_factor):
             if array is not None:
                 array.flags.writeable = False
@@ -231,6 +254,12 @@ class BlockWorkspace:
         return view
 
 
+def _margin(n: int) -> int:
+    """Knots that :func:`eval_block` bins beyond the last level it reads: a
+    bootstrap draw's knot i sits within a few sqrt(n) levels of level i."""
+    return int(8 * n ** 0.5) + 16
+
+
 def eval_block(sample: SortedSample, weights, m: int, direction: Direction,
                grid: Grid, work: BlockWorkspace | None = None, columns=None) -> np.ndarray:
     """Curves of R reweighted samples at the grid columns ``columns``,
@@ -243,20 +272,21 @@ def eval_block(sample: SortedSample, weights, m: int, direction: Direction,
     bootstrap draw; all ones for the sample itself).  ``columns`` holds
     strictly increasing indices of grid points (default: all of them), and
     each row's values there are bit for bit those of the whole grid.  The
-    cost is O(R (n + C) m) with no search per row.  Upward, a prefix sum's
-    first k terms do not depend on the terms that follow, so the m level
-    products and prefix sums stop at the last lattice level the columns
-    read: the cost follows how far along p the columns reach.  Downward,
-    each value subtracts a prefix from the full sum, which must stay the
-    sequential sum over every level to keep its bits, so only the read-off
-    shrinks.  Rows 2q and 2q + 1 are summed as the two lanes of one
-    complex row, so the m prefix sums cost about half as much as R float
-    rows; an odd R leaves the last pair's second lane empty.  Each row's
-    values do not depend on the other rows of the block, bit for bit:
-    every step adds or scales each lane on its own, so a row that
-    overflows leaves its partner alone.  The boundary value (p = 0 upward,
-    p = 1 downward) is exactly 0.  Temporaries come from ``work``, or from
-    a fresh workspace when none is given; the returned array is always new.
+    cost is O(R (n + C) m) with no search per row.  The lattice levels are
+    summed from p = 0 upward and from p = 1 downward (suffix sums, expanded
+    about p = 1; see :class:`_LatticePlan`), and a prefix sum's first k
+    terms do not depend on the terms that follow, so in both directions
+    the knots binned, the m level products and the prefix sums stop at the
+    last level the columns read: the cost follows how far along p the
+    columns reach from the direction's own end.  Rows 2q and 2q + 1 are
+    summed as the two lanes of one complex row, so the m prefix sums cost
+    about half as much as R float rows; an odd R leaves the last pair's
+    second lane empty.  Each row's values do not depend on the other rows
+    of the block, bit for bit: every step adds or scales each lane on its
+    own, so a row that overflows leaves its partner alone.  The boundary
+    value (p = 0 upward, p = 1 downward) is exactly 0.  Temporaries come
+    from ``work``, or from a fresh workspace when none is given; the
+    returned array is always new.
     """
     _check_degree(m, direction)
     values = sample.values
@@ -267,36 +297,57 @@ def eval_block(sample: SortedSample, weights, m: int, direction: Direction,
     if values.ndim != 1 and values.shape != w.shape:
         raise DataError("per-row samples do not match the weights' shape")
     # Viewed as unsigned, a negative weight is huge: one comparison checks
-    # 0 <= w <= n, so that the prefix sums of a row cannot wrap around.
+    # 0 <= w <= n, so that the sums of a row cannot wrap around.
     if np.any(w.view(np.uint64) > n):
         raise DataError("weights must be integers in [0, n]")
+    if np.any(w.sum(axis=1) != n):
+        raise DataError("weights must sum to the sample size")
     cols = _columns(grid, columns)
     plan = grid._plan(n, m, direction)
     cut, powers, mean_factor = plan.at(cols)
     rows, width = w.shape[0], n + 1
     pairs, size, up = (rows + 1) // 2, len(cut), direction is Direction.UP
-    # Upward the columns read prefix sums up to level cut[-1] only (cut
-    # rises with p); downward they read the full sum.
-    stop = int(cut[-1]) if up else width
+    # The columns read the first `stop` levels in summation order (cut
+    # rises with p upward and falls downward).
+    stop = int(cut[-1] if up else cut[0])
     work = work if work is not None else BlockWorkspace()
 
-    # Knot i sits at lattice level S_i = w_1 + ... + w_i (S_0 = 0).  Rows
-    # 2q and 2q + 1 are the real and imaginary lanes of pair q: one
+    # Knot i sits at level S_i = w_1 + ... + w_i (S_0 = 0), which is level
+    # S_i upward and n - S_i downward in summation order.  Only the knots
+    # below `stop` in that order are read: a leading range of knots upward
+    # and a trailing one downward, each binned in knot order.  The range
+    # runs `_margin` knots past `stop`; where a row's knot at the range's
+    # far end still lies below `stop`, the range is every knot.
+    span = min(width, stop + _margin(n))
+    first = 0 if up else width - span
+    far = n  # the level of the range's far knot, in summation order
+    if span < width:
+        far = (w[:, :span - 1] if up else w[:, first:]).sum(axis=1)
+        if np.any(far < stop):
+            span, first, far = width, 0, n
+    # Rows 2q and 2q + 1 are the real and imaginary lanes of pair q: one
     # bincount sums the jump sizes of row 2q + lane at index
-    # q * 2 * width + lane + 2 * S_i, the interleaved layout of complex128,
-    # which one prefix sum per row builds from the row's offset and 2 w.
+    # q * 2 * (stop + 1) + lane + 2 * level, the interleaved layout of
+    # complex128, which one prefix sum per row builds from the row's
+    # offset (plus 2 n downward) and +-2 w.  A knot at or past `stop` goes
+    # to its row's slot `stop`, which is never read.
     row = np.arange(rows)
-    offset = row // 2 * (2 * width) + row % 2
-    levels = work.array("levels", (rows, width), np.intp)
-    levels[:, 0] = offset
-    np.multiply(w, 2, out=levels[:, 1:])
+    offset = row // 2 * (2 * (stop + 1)) + row % 2
+    levels = work.array("levels", (rows, span), np.intp)
+    if up:
+        levels[:, 0] = offset
+        np.multiply(w[:, :span - 1], 2, out=levels[:, 1:])
+    else:
+        levels[:, 0] = offset + 2 * far
+        np.multiply(w[:, first:], -2, out=levels[:, 1:])
     np.cumsum(levels, axis=1, out=levels)
-    if np.any(levels[:, -1] != offset + 2 * n):
-        raise DataError("weights must sum to the sample size")
-    tiled = work.array("tiled", (rows, width))
-    tiled[:] = _jumps(values)
-    jumps = np.bincount(levels.ravel(), weights=tiled.ravel(), minlength=pairs * 2 * width)
-    jumps = jumps.view(np.complex128).reshape(pairs, width)[:, :stop]
+    if stop < width:
+        np.minimum(levels, (offset + 2 * stop)[:, None], out=levels)
+    tiled = work.array("tiled", (rows, span))
+    _jumps(values, first, tiled)
+    jumps = np.bincount(levels.ravel(), weights=tiled.ravel(),
+                        minlength=pairs * 2 * (stop + 1))
+    jumps = jumps.view(np.complex128).reshape(pairs, stop + 1)[:, :stop]
 
     # Complex addition adds each lane on its own, in the same order, so
     # every prefix sum carries two rows at once and each row's bits are
@@ -318,8 +369,6 @@ def eval_block(sample: SortedSample, weights, m: int, direction: Direction,
             scaled = term
         np.cumsum(scaled, axis=1, out=prefix[:, 1:])
         np.take(prefix, cut, axis=1, out=part)
-        if not up:
-            np.subtract(prefix[:, -1:], part, out=part)
         if r:
             np.multiply(part.view(np.float64), powers[r], out=part.view(np.float64))
         acc += part
@@ -333,7 +382,8 @@ def eval_block(sample: SortedSample, weights, m: int, direction: Direction,
             out[:, 0] = 0.0
     else:
         weighted = np.multiply(w, values, out=work.array("weighted", (rows, n)))
-        out += (np.sum(weighted, axis=1) / n)[:, None] * mean_factor
+        mean = np.sum(weighted, axis=1) / n
+        out += np.multiply(mean[:, None], mean_factor, out=work.array("mean", (rows, size)))
         if cols is None or cols[-1] == len(grid) - 1:
             out[:, -1] = 0.0
     return out

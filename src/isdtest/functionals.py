@@ -20,7 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .curves import Grid, _columns
+from .curves import BlockWorkspace, Grid, _columns
 from .errors import ConfigError
 
 __all__ = [
@@ -68,7 +68,8 @@ def estimate_contact_set(phi, vhat, t_n: float, tau_n: float, grid: Grid) -> np.
     return np.abs(np.sqrt(t_n) * phi) <= tau_n * v
 
 
-def derivative(kind: FunctionalKind, h, contact, grid: Grid, columns=None):
+def derivative(kind: FunctionalKind, h, contact, grid: Grid, columns=None,
+               work: BlockWorkspace | None = None):
     """The ``kind`` functional of h restricted to the contact set (per row
     for a stack of curves).
 
@@ -83,7 +84,11 @@ def derivative(kind: FunctionalKind, h, contact, grid: Grid, columns=None):
     columns bound a subinterval only if they are neighbours on the grid.
     When every member of the set is among the columns, the value is bit for
     bit that of the whole grid, since the members, and the subintervals
-    kept, are the same and in the same order.
+    kept, are the same and in the same order.  The sup's masked copy of h
+    comes from ``work`` (see :class:`~isdtest.curves.BlockWorkspace`), or
+    from a fresh workspace when none is given.  The integral's temporaries
+    stay fresh arrays: held in a workspace for the whole bootstrap call,
+    they made the allocator hand memory back and fault it in again.
     """
     cols = _columns(grid, columns)
     size = len(grid) if cols is None else len(cols)
@@ -99,7 +104,12 @@ def derivative(kind: FunctionalKind, h, contact, grid: Grid, columns=None):
         if not mask.any(axis=-1).all():
             raise ConfigError("contact set is empty; the grid is malformed")
         # A maximum does not depend on the order of the members.
-        out = np.max(np.where(mask, h.reshape(-1, depth, size), -np.inf), axis=-1)
+        stack = h.reshape(-1, depth, size)
+        work = work if work is not None else BlockWorkspace()
+        members = work.array("members", stack.shape)
+        members.fill(-np.inf)
+        np.copyto(members, stack, where=mask)
+        out = np.max(members, axis=-1)
     else:
         g = np.maximum(h, 0.0)
         widths = np.diff(grid.points) if cols is None else np.diff(grid.points)[cols[:-1]]

@@ -38,10 +38,10 @@ at least, so a block's weights and curves stay cache-sized and
 The blocks run in the calling thread, one after another, reusing one set
 of temporaries.  A block evaluates each direction's curves only at the
 union of that direction's contact sets, where the statistics read them, so
-the bootstrap's cost follows the contact sets' extent: upward prefix sums
-stop at the last level the union reads, downward ones stay full-width to
-keep their bits, and a test near its null (full contact) costs a
-whole-grid evaluation.
+the bootstrap's cost follows the contact sets' extent in both directions:
+upward prefix sums and downward suffix sums (from p = 1) bin and sum only
+up to the last level the union reads, and a test near its null (full
+contact) costs a whole-grid evaluation.
 Each replication's statistic depends only on its own weights, bit for bit,
 so the statistics are a pure function of (data, config, seed), whatever
 the block size or the number of stacked datasets.  A phi-hat, sigma-hat or
@@ -268,8 +268,11 @@ def _bootstrap_stats(samples, pairs, m, grid, plan, keys, streams) -> np.ndarray
     sets of that direction's tests (all datasets, all bandwidths), and the
     differences, their centring and scaling and the derivatives run on
     those columns: every statistic keeps its bits, and the cost follows
-    how far the contact sets reach along p.  A test near its null, whose
-    contact set spans the grid, costs what a whole-grid evaluation does.
+    how far the contact sets reach along p from the direction's own end,
+    p = 0 upward and p = 1 downward, where the curves' sums start.  A test
+    near its null, whose contact set spans the grid, costs what a
+    whole-grid evaluation does.  The curves' temporaries, the differences
+    and the sup's masked copies come from one workspace per call.
     """
     cells, directions = plan
     replications, depth = keys.shape[:2]
@@ -322,8 +325,8 @@ def _bootstrap_stats(samples, pairs, m, grid, plan, keys, streams) -> np.ndarray
                 stacked -= phi
                 stacked *= root_t
                 for i, kind, _, t in members:
-                    stats[i, :, lo:hi] = derivative(kind, h, contact[t], grid, columns).reshape(
-                        hi - lo, depth).T
+                    stats[i, :, lo:hi] = derivative(kind, h, contact[t], grid, columns,
+                                                    work).reshape(hi - lo, depth).T
     return stats
 
 

@@ -163,6 +163,7 @@ def _row_values(values: np.ndarray, m: int, direction: Direction, ps: np.ndarray
     rows = c.T @ e[:, :n]
     tails = np.stack((tail, beta), axis=1) @ np.stack((np.ones(n), z[:n]))
     np.copyto(rows, tails, where=np.arange(n) >= j[:, None])
+    del tails  # the gather below is the call's peak: hold two (G, n) arrays, not three
     return np.take(rows, pos if direction is Direction.UP else n - 1 - pos, axis=1)
 
 
@@ -229,20 +230,28 @@ class CovKernel:
         Independent samples cost O((n + G) m^2) for G levels; matched pairs
         cost O(G n m).  The value is clamped at 0 and is exactly 0 at
         p = 0 upward and p = 1 downward.  Shape (G,), or (D, G) for stacks.
+        A value that overflows (data near the top of the double range) is a
+        DataError, not a clamped 0.
         """
         if m < 3:
             raise ConfigError(f"variance of the curve difference requires degree >= 3, got {m}")
         ps = np.atleast_1d(np.asarray(ps, dtype=float))
         if ps.ndim != 1 or not np.all((ps >= 0.0) & (ps <= 1.0)):
             raise ConfigError("evaluation points must lie in [0, 1]")
-        if self.scheme is Scheme.INDEPENDENT:
-            out = ((1.0 - self.lam) * _sample_variance(self._s1, m, direction, ps, self._memo)
-                   + self.lam * _sample_variance(self._s2, m, direction, ps, self._memo))
-        else:
-            diff = _row_values(self._s1.values, m, direction, ps, self._pos1)
-            diff -= _row_values(self._s2.values, m, direction, ps, self._pos2)
-            diff -= diff.mean(axis=1, keepdims=True)
-            out = np.einsum("gk,gk->g", diff, diff) / (2.0 * (self.n1 - 1))
+        # An overflow shows as a non-finite value, checked here.
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.scheme is Scheme.INDEPENDENT:
+                out = ((1.0 - self.lam) * _sample_variance(self._s1, m, direction, ps, self._memo)
+                       + self.lam * _sample_variance(self._s2, m, direction, ps, self._memo))
+            else:
+                diff = _row_values(self._s1.values, m, direction, ps, self._pos1)
+                diff -= _row_values(self._s2.values, m, direction, ps, self._pos2)
+                diff -= diff.mean(axis=1, keepdims=True)
+                out = np.einsum("gk,gk->g", diff, diff) / (2.0 * (self.n1 - 1))
+        # Clamped, an overflowed -inf would read as 0 and shrink the contact set.
+        if not np.isfinite(out).all():
+            raise DataError("the variance overflows double precision: "
+                            "the data are too large in magnitude")
         out = np.maximum(out, 0.0)
         out[..., ps == (0.0 if direction is Direction.UP else 1.0)] = 0.0
         return out

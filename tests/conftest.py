@@ -2,7 +2,8 @@
 
 These helpers recompute the package's quantities through independent
 routes (point-by-point closed form, adaptive quadrature, nested cumulative
-integration, the block expansion one float row at a time, numpy's own
+integration, the curves interval by interval in rational arithmetic, the
+block expansion one float row at a time, numpy's own
 SeedSequence for the streams, the double Pareto density, distribution
 function and mean in closed form) and must not import the evaluation paths
 they check.  ``full_grid_bootstrap_stats`` is the exception: it checks
@@ -148,6 +149,9 @@ def expansion_rows(values, weights, m, direction, points):
     """Block curves row by row in float64: each row's own bincount onto the
     lattice, then the binomial expansion with one float prefix sum per term.
 
+    Upward the levels are summed from p = 0 and the expansion is in powers
+    of p; downward they are summed from p = 1 (level n first) and the
+    expansion is in powers of 1 - p, with level factors (c - 1)^(k - r).
     ``values`` holds one sorted sample that every row of ``weights``
     reweights, or one sorted sample per row.  Every operation is the one
     ``eval_block`` applies to that row, in the same order, so the rows
@@ -159,20 +163,23 @@ def expansion_rows(values, weights, m, direction, points):
     points = np.asarray(points, dtype=float)
     k, up = m - 1, direction is Direction.UP
     levels = np.arange(n + 1) / n
-    cut = np.searchsorted(levels, points, side="right" if up else "left")
-    base = -levels if up else levels
+    if up:
+        cut = np.searchsorted(levels, points, side="right")
+        base, step = -levels, points
+    else:
+        cut = n + 1 - np.searchsorted(levels, points, side="left")
+        base, step = (levels - 1.0)[::-1], 1.0 - points
     lattice = np.array([comb(k, r) * base ** (k - r) for r in range(k + 1)])
-    step = points if up else -points
     powers = np.cumprod(np.vstack([np.ones_like(points)] + [step] * k), axis=0)
     out = np.empty((rows, len(points)))
     for b, (x, wb) in enumerate(zip(stack, w)):
         d = np.concatenate(([x[0]], np.diff(x), [-x[-1]]))
-        jumps = np.bincount(np.concatenate(([0], np.cumsum(wb))), weights=d, minlength=n + 1)
+        knots = np.concatenate(([0], np.cumsum(wb)))
+        jumps = np.bincount(knots if up else n - knots, weights=d, minlength=n + 1)
         curve = np.zeros(len(points))
         for r in range(m):
             scaled = jumps if r == m - 1 else jumps * lattice[r]
-            prefix = np.concatenate(([0.0], np.cumsum(scaled)))
-            part = prefix[cut] if up else prefix[-1] - prefix[cut]
+            part = np.concatenate(([0.0], np.cumsum(scaled)))[cut]
             curve += part * powers[r] if r else part
         curve /= factorial(m - 1)
         if up:
@@ -181,6 +188,44 @@ def expansion_rows(values, weights, m, direction, points):
             curve += np.sum(wb * x) / n * ((1.0 - points) ** (m - 2) / factorial(m - 2))
             curve[-1] = 0.0
         out[b] = curve
+    return out
+
+
+def fraction_curves(values, weights, m, direction, points):
+    """Exact curves of reweighted step quantiles, one row per row of
+    ``weights``, as lists of ``Fraction``.
+
+    Row b's quantile equals its value X_(i) on the interval (S_i, S_i+1]/n,
+    S_i the sum of the row's first i weights, so each curve is the
+    definition integrated interval by interval in rational arithmetic:
+
+        L_m(p)  = sum_i X_(i) [(p - a_i)_+^(m-1) - (p - b_i)_+^(m-1)] / (m-1)!,
+        Ld_m(p) = (1 - p)^(m-2) mu / (m-2)!
+                  - sum_i X_(i) [(b_i - p)_+^(m-1) - (a_i - p)_+^(m-1)] / (m-1)!,
+
+    with mu = sum_i X_(i) (b_i - a_i).  Every float input is taken exactly.
+    ``values`` is one sorted sample for all rows, or one per row.
+    """
+    w = np.asarray(weights, dtype=np.int64)
+    rows, n = w.shape
+    stack = np.broadcast_to(np.asarray(values, dtype=float), (rows, n))
+    ps = [Fraction(float(p)) for p in points]
+    k, up = m - 1, direction is Direction.UP
+    out = []
+    for x, wb in zip(stack, w):
+        edges = np.concatenate(([0], np.cumsum(wb))).tolist()
+        steps = [(Fraction(float(v)), Fraction(a, n), Fraction(b, n))
+                 for v, a, b in zip(x, edges, edges[1:]) if b > a]
+        mu = sum(v * (b - a) for v, a, b in steps)
+        row = []
+        for p in ps:
+            if up:
+                total = sum(v * (max(p - a, 0) ** k - max(p - b, 0) ** k) for v, a, b in steps)
+                row.append(total / factorial(k))
+            else:
+                total = sum(v * (max(b - p, 0) ** k - max(a - p, 0) ** k) for v, a, b in steps)
+                row.append((1 - p) ** (m - 2) * mu / factorial(m - 2) - total / factorial(k))
+        out.append(row)
     return out
 
 

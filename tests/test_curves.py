@@ -1,4 +1,6 @@
 import hashlib
+from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from isdtest import (
     LambdaCurve,
     SortedSample,
     TestConfig,
+    curves,
     draw_weights,
     eval_block,
     eval_on_grid,
@@ -20,7 +23,14 @@ from isdtest import (
     run_test,
 )
 
-from conftest import expansion_rows, point_lambda, quad_lambda, random_dp_values, rel_err
+from conftest import (
+    expansion_rows,
+    fraction_curves,
+    point_lambda,
+    quad_lambda,
+    random_dp_values,
+    rel_err,
+)
 
 UP, DOWN = Direction.UP, Direction.DOWN
 
@@ -371,9 +381,13 @@ class TestColumns:
     @pytest.mark.parametrize("direction", [UP, DOWN], ids=lambda d: d.value)
     @pytest.mark.parametrize("stacked", [False, True], ids=["shared", "stacked"])
     @pytest.mark.parametrize("rows", [4, 5])
-    def test_columns_match_whole_grid(self, name, m, direction, stacked, rows):
-        rng = np.random.default_rng(7 * m + len(name) + rows)
-        n, g = 37, Grid.uniform(41)
+    @pytest.mark.parametrize("n", [37, 300])
+    def test_columns_match_whole_grid(self, name, m, direction, stacked, rows, n):
+        # At n = 37 every knot is binned; at n = 300 a set of columns that
+        # stops short of the far end of p bins a leading (upward) or
+        # trailing (downward) range of knots.
+        rng = np.random.default_rng(7 * m + len(name) + rows + n)
+        g = Grid.uniform(41)
         values = (np.sort(random_dp_values(rng, n * rows).reshape(rows, n), axis=1)
                   if stacked else np.sort(random_dp_values(rng, n)))
         w = np.stack([draw_weights(n, rng) for _ in range(rows)])
@@ -401,12 +415,110 @@ class TestColumns:
             got = eval_block(SortedSample(values), w, 4, direction, g, columns=columns)
             assert got.tobytes() == np.ascontiguousarray(full[:, columns]).tobytes(), columns
 
+    @pytest.mark.parametrize("margin", [0, 1, 10**9])
+    @pytest.mark.parametrize("direction", [UP, DOWN], ids=lambda d: d.value)
+    def test_binned_range_changes_no_bit(self, monkeypatch, margin, direction):
+        # However far past the last level read the binned range of knots
+        # runs (none: nearly every block falls back to all knots; one; all
+        # of them), every value keeps its bits.
+        rng = np.random.default_rng(11)
+        n, g, rows = 300, Grid.uniform(41), 6
+        values = np.sort(random_dp_values(rng, n))
+        w = np.stack([draw_weights(n, rng) for _ in range(rows)])
+        full = expansion_rows(values, w, 5, direction, g.points)
+        monkeypatch.setattr(curves, "_margin", lambda n: margin)
+        for columns in _column_sets(len(g)).values():
+            got = eval_block(SortedSample(values), w, 5, direction, g, columns=columns)
+            assert got.tobytes() == np.ascontiguousarray(full[:, columns]).tobytes(), columns
+
+    @pytest.mark.parametrize("end", ["first", "last", "both"])
+    @pytest.mark.parametrize("direction", [UP, DOWN], ids=lambda d: d.value)
+    def test_weight_at_one_end(self, end, direction):
+        # All weight on the first observation puts every knot but the first
+        # at level n: a downward suffix's range of knots then holds no
+        # level it reads and falls back to all knots.  All weight on the
+        # last observation does the same to an upward prefix.
+        rng = np.random.default_rng(12)
+        n, g = 300, Grid.uniform(41)
+        values = np.sort(random_dp_values(rng, n))
+        first, last = np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+        first[0] = last[-1] = n
+        w = np.stack({"first": [first] * 3, "last": [last] * 3,
+                      "both": [first, last, draw_weights(n, rng)]}[end])
+        full = expansion_rows(values, w, 4, direction, g.points)
+        exact = fraction_curves(values, w, 4, direction, g.points)
+        for columns in ([0, 1, 2], list(range(12)), list(range(30, 41)), [38, 39, 40], None):
+            got = eval_block(SortedSample(values), w, 4, direction, g, columns=columns)
+            want = full if columns is None else full[:, columns]
+            assert got.tobytes() == np.ascontiguousarray(want).tobytes(), columns
+            picked = range(len(g)) if columns is None else columns
+            for row, exact_row in zip(got, exact):
+                for value, j in zip(row, picked):
+                    assert abs(Fraction(float(value)) - exact_row[j]) <= 1e-12 * abs(exact_row[j])
+
+    @pytest.mark.parametrize("direction", [UP, DOWN], ids=lambda d: d.value)
+    def test_bad_weights_beyond_the_range(self, direction):
+        # Weights past the knots a block bins are still checked: a wrong
+        # sum, a negative weight, or weights whose sums wrap around.
+        rng = np.random.default_rng(13)
+        n, g = 300, Grid.uniform(41)
+        values = np.sort(random_dp_values(rng, n))
+        columns = [0, 1, 2] if direction is UP else [38, 39, 40]
+        far = -1 if direction is UP else 0  # the end no read level reaches
+        good = np.stack([draw_weights(n, rng) for _ in range(2)])
+        eval_block(SortedSample(values), good, 3, direction, g, columns=columns)
+        heavy, negative, wrapped = good.copy(), good.copy(), good.copy()
+        heavy[1, far] += 1
+        for bad, shift in ((negative, good[1, far] + 1), (wrapped, -2**62)):
+            bad[1, far] -= shift  # the row still sums to n
+            bad[1, n // 2] += shift
+        for bad in (heavy, negative, wrapped):
+            with pytest.raises(DataError):
+                eval_block(SortedSample(values), bad, 3, direction, g, columns=columns)
+
     @pytest.mark.parametrize("columns", [[], [3, 2], [1, 1], [-1], [41], [[0, 1]], [0.0, 1.0]])
     def test_bad_columns(self, columns):
         values = np.sort(random_dp_values(np.random.default_rng(9), 10))
         with pytest.raises(ConfigError):
             eval_block(SortedSample(values), np.ones((1, 10), dtype=np.int64), 3, UP,
                        Grid.uniform(41), columns=columns)
+
+
+@lru_cache(maxsize=None)
+def _exact_case(m, direction, stacked):
+    """A block of four reweighted samples of 200 values, its weights and its
+    exact curves on a grid of 41 points."""
+    rng = np.random.default_rng(200 + m)
+    n, rows = 200, 4
+    values = (np.sort(random_dp_values(rng, n * rows).reshape(rows, n), axis=1)
+              if stacked else np.sort(random_dp_values(rng, n)))
+    w = rng.multinomial(n, np.full(n, 1 / n), size=rows)
+    return values, w, fraction_curves(values, w, m, direction, Grid.uniform(41).points)
+
+
+class TestExactOracle:
+    """Curves against exact rational arithmetic: within 1e-12 of the exact
+    value, relatively, wherever it is not 0, up to the largest degree and in
+    both directions.  Downward the expansion about p = 1 keeps its terms
+    small where the curve is small; in powers of p, they cancelled to a
+    relative error of 3.6e-7 at m = 7 and 8.6e+2 at m = 12 near p = 1.  Upward
+    the expansion in powers of p cancels mildly at p = 1 and m = 12, up to
+    1.9e-12 on these data, which the bound for that case states."""
+
+    BOUND = {(UP, 12): 1e-11}
+
+    @pytest.mark.parametrize("name", ["every", "prefix", "suffix", "two-intervals", "scattered"])
+    @pytest.mark.parametrize("m", [3, 7, 12])
+    @pytest.mark.parametrize("direction", [UP, DOWN], ids=lambda d: d.value)
+    @pytest.mark.parametrize("stacked", [False, True], ids=["shared", "stacked"])
+    def test_relative_error(self, name, m, direction, stacked):
+        values, w, exact = _exact_case(m, direction, stacked)
+        g = Grid.uniform(41)
+        columns = _column_sets(len(g))[name]
+        got = eval_block(SortedSample(values), w, m, direction, g, columns=columns)
+        worst = max(abs(Fraction(float(got[b, i])) - exact[b][j]) / abs(exact[b][j])
+                    for b in range(len(w)) for i, j in enumerate(columns) if exact[b][j])
+        assert worst <= self.BOUND.get((direction, m), 1e-12)
 
 
 class TestGoldenBits:
@@ -416,9 +528,9 @@ class TestGoldenBits:
 
     DIGESTS = {
         (3, UP): "fbc6221c559a3624cb12e2f3ed5eb28e3316c86e9ce1c4ff15d69b590f86f692",
-        (3, DOWN): "579bb1a53d6c510df724b0cf6d852670a067a44db8680e3dae0abec439e1c41a",
+        (3, DOWN): "4af20b6b20e11b58b4cfc2322003b1bac2a4230810ea17418df96bc5b257ceed",
         (5, UP): "756ce5f400f9f2db2fc15d72c694593931e03957d201a630d5b2e23fba55db1f",
-        (5, DOWN): "690b0c9b34141f39eba98bbf9462c763e5fe523eb512e1ad7fdc0d1e51eaf3f5",
+        (5, DOWN): "ed92efacde92c3b688597cf9dc5a985ab91383a2d7d795ad81693da736457e4f",
     }
 
     @pytest.mark.parametrize("m, direction", list(DIGESTS), ids=["3-up", "3-down", "5-up", "5-down"])

@@ -1,14 +1,16 @@
-"""One digest of the package's results on a small grid of tests, recorded
-from a known-good build: any change that moves a single result bit fails
-here.  The data are built without vectorised transcendental functions
-(scaled uniforms; simulated laws whose quantile powers are 1 and -1; degrees
-whose powers are squares at most), so the bits do not hang on a host's
-SIMD dispatch."""
+"""One digest per direction of the package's results on a small grid of
+tests, recorded from a known-good build: any change that moves a single
+result bit fails here, and the digest that fails names the direction of the
+cells it moved.  The data are built without vectorised transcendental
+functions (scaled uniforms; simulated laws whose quantile powers are 1 and
+-1; degrees whose powers are squares at most), so the bits do not hang on a
+host's SIMD dispatch."""
 
 import hashlib
 import warnings
 
 import numpy as np
+import pytest
 
 from isdtest import (
     Direction,
@@ -24,7 +26,10 @@ from isdtest import (
     run_test,
 )
 
-DIGEST = "0b640cd7ba5052548d7d8b10653966647fa44450f3acf42d730b61427730e1ba"
+DIGESTS = {
+    Direction.UP: "dbafb26c909731ce5510627436703cbb78c7cad1aa16dcedb489aaef185d72ed",
+    Direction.DOWN: "a2d5ca3977a371e9c3e9549b00c6f3da94e09ee321f4c1e09cb6ecb669a809cf",
+}
 
 SMALL = dict(bootstrap=19, grid=101, vgrid=11, seed=21)
 CELLS = [(d, k) for d in Direction for k in FunctionalKind]
@@ -35,8 +40,8 @@ def _hex(*values):
 
 
 def results_lines() -> list:
-    """One line per result: every TestResult field but the elapsed time,
-    every ranking decision, every simulation cell."""
+    """One (direction, line) per result: every TestResult field but the
+    elapsed time, every ranking decision, every simulation cell."""
     rng = np.random.default_rng(2024)
     near = make_sample(8.0 * rng.random(60)), make_sample(8.0 * rng.random(80))
     apart = near[0], make_sample(3.0 + 16.0 * rng.random(70))
@@ -50,17 +55,17 @@ def results_lines() -> list:
                 runs = [*near, *apart, *apart[::-1]]
                 for a, b in zip(runs[::2], runs[1::2]):
                     r = run_test(a, b, cfg)
-                    lines.append(_hex(r.statistic, r.critical_value, r.p_value, r.reject,
-                                      r.contact_fraction, r.t_n))
+                    lines.append((direction, _hex(r.statistic, r.critical_value, r.p_value,
+                                                  r.reject, r.contact_fraction, r.t_n)))
             matched = TestConfig(m=m, direction=direction, kind=kind, scheme="matched", **SMALL)
             r = run_test(pairs, None, matched)
-            lines.append(_hex(r.statistic, r.critical_value, r.p_value, r.reject,
-                              r.contact_fraction, r.t_n))
+            lines.append((direction, _hex(r.statistic, r.critical_value, r.p_value, r.reject,
+                                          r.contact_fraction, r.t_n)))
     datasets = [("a", near[0]), ("b", near[1]), ("c", apart[1])]
     for direction, kind in CELLS:
         ranking = pairwise_rank(datasets, TestConfig(direction=direction, kind=kind, **SMALL))
-        lines += [f"{d.a} {d.b} {d.reject_a_dominates} {d.reject_b_dominates} "
-                  + _hex(d.p_a_dominates, d.p_b_dominates) for d in ranking.decisions]
+        lines += [(direction, f"{d.a} {d.b} {d.reject_a_dominates} {d.reject_b_dominates} "
+                   + _hex(d.p_a_dominates, d.p_b_dominates)) for d in ranking.decisions]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # alpha = 1: infinite mean
         laws = DoubleParetoParams(1.0, 1.0), DoubleParetoParams(1.0, 1.0, 2.0)
@@ -68,11 +73,18 @@ def results_lines() -> list:
         specs = [SimSpec(laws[0], law, 60, 70,
                          TestConfig(direction=direction, kind=kind, tau=tau, **SMALL), reps, mode)
                  for law in laws for direction, kind in CELLS for tau in (1.0, float("inf"))]
-        lines += [f"{r.rejections} " + _hex(r.rejection_rate, r.critical_value)
-                  for r in run_table(specs)]
+        lines += [(spec.config.direction, f"{r.rejections} "
+                   + _hex(r.rejection_rate, r.critical_value))
+                  for spec, r in zip(specs, run_table(specs))]
     return lines
 
 
-def test_results_digest():
-    text = "\n".join(results_lines())
-    assert hashlib.sha256(text.encode()).hexdigest() == DIGEST
+@pytest.fixture(scope="module")
+def lines():
+    return results_lines()
+
+
+@pytest.mark.parametrize("direction", list(DIGESTS), ids=lambda d: d.value)
+def test_results_digest(lines, direction):
+    text = "\n".join(line for d, line in lines if d is direction)
+    assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS[direction]

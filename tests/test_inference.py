@@ -391,6 +391,35 @@ class TestNonFinite:
         res = run_test(make_sample(a * 2.0 ** 500), make_sample(b * 2.0 ** 500), quick_cfg())
         assert np.isfinite(res.statistic) and np.isfinite(res.critical_value)
 
+    @staticmethod
+    def _window_samples(k):
+        rng = np.random.default_rng(3)
+        x = rng.uniform(1.0, 2.0, 200)
+        y = rng.uniform(1.0, 2.2, 300)
+        return make_sample(x * 2.0 ** k), make_sample(y * 2.0 ** k)
+
+    def test_variance_below_overflow_scales(self):
+        # At 2^506 every variance is finite: the verdict is the unscaled
+        # one, and the statistics scale by 2^506 exactly.
+        cfg = TestConfig(bootstrap=49)
+        base, scaled = (run_test(*self._window_samples(k), cfg) for k in (0, 506))
+        assert scaled.statistic == base.statistic * 2.0 ** 506
+        assert scaled.critical_value == base.critical_value * 2.0 ** 506
+        assert (scaled.p_value, scaled.reject, scaled.contact_fraction) == (
+            base.p_value, base.reject, base.contact_fraction) == (5 / 49, False, 1.0)
+
+    @pytest.mark.parametrize("k", [507, 508])
+    def test_variance_overflow_is_data_error(self, k):
+        # The larger sample's sum f^2 overflows while its curves and
+        # statistics stay finite: clamped to 0, its variance would shrink
+        # the contact set and turn the verdict into a rejection.
+        with pytest.raises(DataError, match="variance overflows"):
+            run_test(*self._window_samples(k), TestConfig(bootstrap=49))
+        x, y = self._window_samples(k)
+        kernel = CovKernel.independent(x, y)
+        with pytest.raises(DataError, match="variance overflows"):
+            kernel.sigma_sq_many(3, Direction.UP, np.linspace(0.0, 1.0, 101))
+
     def test_matched(self):
         rng = np.random.default_rng(14)
         a, b = random_dp_values(rng, 80), random_dp_values(rng, 80)
