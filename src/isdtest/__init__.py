@@ -9,20 +9,11 @@ estimated contact set.
 
 __version__ = "0.1.0"
 
-from .curves import (
-    MAX_DEGREE,
-    BlockWorkspace,
-    Direction,
-    Grid,
-    LambdaCurve,
-    eval_block,
-    eval_on_grid,
-)
-from .dgp import DoubleParetoParams, dp_quantile, dp_sample
+from .curves import Direction
+from .dgp import DoubleParetoParams, dp_sample
 from .empirical import PairedSample, SortedSample, make_paired, make_sample
 from .errors import ConfigError, DataError
-from .functionals import FunctionalKind, derivative, estimate_contact_set, functional
-from .bootstrap import critical_value, derive_seed, draw_weights, p_value
+from .functionals import FunctionalKind
 from .inference import (
     PairDecision,
     RankingMatrix,
@@ -33,18 +24,16 @@ from .inference import (
     run_test,
 )
 from .montecarlo import SimMode, SimResult, SimSpec, preset_specs, run_table
-from .variance import CovKernel, Scheme, effective_size, sigma_curve
+from .variance import Scheme
 
+# The user's calls, results and inputs.  The kernels behind them stay in
+# their layer modules, which are internal: they take arguments that these
+# names have checked, and do not check them again.
 __all__ = [
-    "MAX_DEGREE", "BlockWorkspace", "Direction", "Grid", "LambdaCurve",
-    "eval_block", "eval_on_grid",
-    "DoubleParetoParams", "dp_quantile", "dp_sample",
-    "PairedSample", "SortedSample", "make_paired", "make_sample",
-    "ConfigError", "DataError",
-    "FunctionalKind", "derivative", "estimate_contact_set", "functional",
-    "critical_value", "derive_seed", "draw_weights", "p_value",
-    "PairDecision", "RankingMatrix", "Relation", "TestConfig", "TestResult", "pairwise_rank",
-    "run_test",
-    "SimMode", "SimResult", "SimSpec", "preset_specs", "run_table",
-    "CovKernel", "Scheme", "effective_size", "sigma_curve",
+    "TestConfig", "TestResult", "run_test", "pairwise_rank", "RankingMatrix",
+    "PairDecision", "Relation",
+    "SimSpec", "SimMode", "SimResult", "run_table", "preset_specs",
+    "make_sample", "make_paired", "SortedSample", "PairedSample",
+    "Direction", "FunctionalKind", "Scheme", "ConfigError", "DataError",
+    "DoubleParetoParams", "dp_sample",
 ]

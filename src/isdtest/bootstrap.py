@@ -29,8 +29,6 @@ from math import ceil
 
 import numpy as np
 
-from .errors import ConfigError
-
 __all__ = [
     "derive_seed",
     "draw_weights",
@@ -145,8 +143,6 @@ def derive_seed(seed: int, *key) -> int:
 
 def draw_weights(n: int, rng: np.random.Generator) -> np.ndarray:
     """Multinomial(n; 1/n, ..., 1/n) sample via n uniform category draws."""
-    if n < 1:
-        raise ConfigError("weight vectors require at least one category")
     return np.bincount(rng.integers(0, n, size=n), minlength=n)
 
 
@@ -154,10 +150,6 @@ def critical_value(stats, alpha: float) -> float:
     """Left-continuous empirical (1 - alpha) quantile: the ceil((1-alpha)B)-th
     smallest of the B bootstrap statistics."""
     stats = np.asarray(stats, dtype=float)
-    if stats.size == 0:
-        raise ConfigError("critical value of an empty statistic list")
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError(f"significance level must lie in (0, 1), got {alpha!r}")
     b = stats.size
     k = min(max(ceil((1.0 - alpha) * b), 1), b)
     return float(np.partition(stats, k - 1)[k - 1])
@@ -166,6 +158,4 @@ def critical_value(stats, alpha: float) -> float:
 def p_value(stats, observed: float) -> float:
     """Share of bootstrap statistics at or above the observed statistic."""
     stats = np.asarray(stats, dtype=float)
-    if stats.size == 0:
-        raise ConfigError("p-value of an empty statistic list")
     return float(np.count_nonzero(stats >= observed)) / stats.size

@@ -8,6 +8,8 @@ exit code), 2 = input error, 3 = configuration error.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
 import time
@@ -217,10 +219,14 @@ def _emit_csv(report: Report) -> str:
         lines.append(f"version,{report.version}")
         lines.append(f"elapsed_ms,{report.elapsed_ms}")
     elif report.command == "rank":
+        # Labels are file stems: one that holds a comma or a quote is quoted,
+        # and any other keeps its bytes.
+        table = io.StringIO()
+        writer = csv.writer(table, lineterminator="\n")
         labels = report.result["labels"]
-        lines.append("," + ",".join(labels))
-        for label, row in zip(labels, report.result["relation"]):
-            lines.append(label + "," + ",".join(row))
+        writer.writerow(["", *labels])
+        writer.writerows([label, *row] for label, row in zip(labels, report.result["relation"]))
+        return table.getvalue()
     else:
         lines.extend(_simulate_csv(report.result["cells"]))
     return "\n".join(lines) + "\n"

@@ -42,7 +42,7 @@ from math import comb, factorial, prod
 import numpy as np
 
 from .empirical import SortedSample
-from .errors import ConfigError, DataError
+from .errors import ConfigError
 
 __all__ = [
     "MAX_DEGREE",
@@ -101,27 +101,6 @@ class Grid:
         return self._plans[key]
 
 
-def _columns(grid: Grid, columns) -> np.ndarray | None:
-    """``columns`` as a strictly increasing index array into ``grid``, or
-    None (the whole grid) for None.  Anything else is a ConfigError."""
-    if columns is None:
-        return None
-    cols = np.asarray(columns)
-    if (cols.ndim != 1 or not len(cols) or cols.dtype.kind not in "iu"
-            or cols[0] < 0 or cols[-1] >= len(grid) or np.any(cols[1:] <= cols[:-1])):
-        raise ConfigError("columns must be strictly increasing indices of grid points")
-    return cols
-
-
-def _check_degree(m: int, direction: Direction) -> None:
-    if m < 2 or m != int(m):
-        raise ConfigError(f"curve degree must be an integer >= 2, got {m!r}")
-    if m > MAX_DEGREE:
-        raise ConfigError(f"curve degree capped at {MAX_DEGREE}, got {m}")
-    if direction is Direction.DOWN and m < 3:
-        raise ConfigError("downward curves require degree >= 3 (m = 2 is degenerate)")
-
-
 @dataclass(frozen=True)
 class LambdaCurve:
     """One sample's dominance curve of degree ``m``, evaluated by :func:`eval_on_grid`."""
@@ -129,9 +108,6 @@ class LambdaCurve:
     sample: SortedSample
     m: int
     direction: Direction
-
-    def __post_init__(self):
-        _check_degree(self.m, self.direction)
 
 
 def _jumps(values: np.ndarray, first: int, out: np.ndarray) -> None:
@@ -272,7 +248,8 @@ def eval_block(sample: SortedSample, weights, m: int, direction: Direction,
     bootstrap draw; all ones for the sample itself).  ``columns`` holds
     strictly increasing indices of grid points (default: all of them), and
     each row's values there are bit for bit those of the whole grid.  The
-    cost is O(R (n + C) m) with no search per row.  The lattice levels are
+    core builds both so, and neither is checked here.  The cost is
+    O(R (n + C) m) with no search per row.  The lattice levels are
     summed from p = 0 upward and from p = 1 downward (suffix sums, expanded
     about p = 1; see :class:`_LatticePlan`), and a prefix sum's first k
     terms do not depend on the terms that follow, so in both directions
@@ -288,21 +265,10 @@ def eval_block(sample: SortedSample, weights, m: int, direction: Direction,
     from ``work``, or from a fresh workspace when none is given; the
     returned array is always new.
     """
-    _check_degree(m, direction)
     values = sample.values
     n = values.shape[-1]
     w = np.ascontiguousarray(weights, dtype=np.int64)
-    if w.ndim != 2 or w.shape[1] != n:
-        raise DataError("weights length does not match the sample size")
-    if values.ndim != 1 and values.shape != w.shape:
-        raise DataError("per-row samples do not match the weights' shape")
-    # Viewed as unsigned, a negative weight is huge: one comparison checks
-    # 0 <= w <= n, so that the sums of a row cannot wrap around.
-    if np.any(w.view(np.uint64) > n):
-        raise DataError("weights must be integers in [0, n]")
-    if np.any(w.sum(axis=1) != n):
-        raise DataError("weights must sum to the sample size")
-    cols = _columns(grid, columns)
+    cols = None if columns is None else np.asarray(columns)
     plan = grid._plan(n, m, direction)
     cut, powers, mean_factor = plan.at(cols)
     rows, width = w.shape[0], n + 1

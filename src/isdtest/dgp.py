@@ -59,8 +59,6 @@ def dp_quantile(params: DoubleParetoParams, u):
     DataError.
     """
     u = np.asarray(u, dtype=float)
-    if np.any((u < 0) | (u >= 1)):
-        raise ConfigError("quantile levels must lie in [0, 1)")
     a, b, m = params.alpha, params.beta, params.scale
     split = params.lower_mass
     with np.errstate(over="ignore"):

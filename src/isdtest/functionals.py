@@ -20,8 +20,7 @@ from enum import Enum
 
 import numpy as np
 
-from .curves import BlockWorkspace, Grid, _columns
-from .errors import ConfigError
+from .curves import BlockWorkspace, Grid
 
 __all__ = [
     "FunctionalKind",
@@ -34,13 +33,6 @@ __all__ = [
 class FunctionalKind(Enum):
     SUP = "sup"
     INT = "int"
-
-
-def _stacked(values, grid: Grid) -> np.ndarray:
-    h = np.asarray(values, dtype=float)
-    if h.ndim not in (1, 2) or h.shape[-1] != len(grid):
-        raise ConfigError("values are not aligned with the grid")
-    return h
 
 
 def _reduced(values: np.ndarray):
@@ -57,15 +49,7 @@ def estimate_contact_set(phi, vhat, t_n: float, tau_n: float, grid: Grid) -> np.
     by construction (p = 0 upward, p = 1 downward) is always a member
     because the trimmed deviation is positive.
     """
-    phi = _stacked(phi, grid)
-    v = _stacked(vhat, grid)
-    if phi.shape != v.shape:
-        raise ConfigError("curve and deviation shapes differ")
-    if t_n <= 0:
-        raise ConfigError("effective sample size must be positive")
-    if not tau_n > 0:
-        raise ConfigError("contact-set bandwidth tau must be positive (or inf)")
-    return np.abs(np.sqrt(t_n) * phi) <= tau_n * v
+    return np.abs(np.sqrt(t_n) * phi) <= tau_n * vhat
 
 
 def derivative(kind: FunctionalKind, h, contact, grid: Grid, columns=None,
@@ -90,19 +74,11 @@ def derivative(kind: FunctionalKind, h, contact, grid: Grid, columns=None,
     stay fresh arrays: held in a workspace for the whole bootstrap call,
     they made the allocator hand memory back and fault it in again.
     """
-    cols = _columns(grid, columns)
-    size = len(grid) if cols is None else len(cols)
+    cols = None if columns is None else np.asarray(columns)
     h = np.asarray(h, dtype=float)
-    if h.ndim not in (1, 2) or h.shape[-1] != size:
-        raise ConfigError("values are not aligned with the grid")
-    mask = np.asarray(contact, dtype=bool)
-    if mask.ndim not in (1, 2) or mask.shape[-1] != size or h.size % mask.size:
-        raise ConfigError("contact set is not aligned with the grid")
-    mask = np.atleast_2d(mask)
-    depth = len(mask)
+    mask = np.atleast_2d(np.asarray(contact, dtype=bool))
+    depth, size = mask.shape
     if kind is FunctionalKind.SUP:
-        if not mask.any(axis=-1).all():
-            raise ConfigError("contact set is empty; the grid is malformed")
         # A maximum does not depend on the order of the members.
         stack = h.reshape(-1, depth, size)
         work = work if work is not None else BlockWorkspace()

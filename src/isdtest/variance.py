@@ -47,7 +47,7 @@ import numpy as np
 
 from .curves import Direction, Grid
 from .empirical import PairedSample, SortedSample
-from .errors import ConfigError, DataError
+from .errors import DataError
 
 __all__ = [
     "Scheme",
@@ -233,11 +233,7 @@ class CovKernel:
         A value that overflows (data near the top of the double range) is a
         DataError, not a clamped 0.
         """
-        if m < 3:
-            raise ConfigError(f"variance of the curve difference requires degree >= 3, got {m}")
         ps = np.atleast_1d(np.asarray(ps, dtype=float))
-        if ps.ndim != 1 or not np.all((ps >= 0.0) & (ps <= 1.0)):
-            raise ConfigError("evaluation points must lie in [0, 1]")
         # An overflow shows as a non-finite value, checked here.
         with np.errstate(over="ignore", invalid="ignore"):
             if self.scheme is Scheme.INDEPENDENT:
@@ -267,8 +263,6 @@ def sigma_curve(kernel: CovKernel, m: int, direction: Direction,
     test only through the contact set, so coarse resolution suffices.
     Shape (F,), or (D, F) for a kernel over stacks of D samples.
     """
-    if not xi > 0:
-        raise ConfigError(f"trimming floor xi must be positive, got {xi!r}")
     sig_v = kernel.sigma_sq_many(m, direction, vgrid.points)
     sig_f = [np.interp(fgrid.points, vgrid.points, row) for row in np.atleast_2d(sig_v)]
     return np.sqrt(np.maximum(sig_f, xi)).reshape(sig_v.shape[:-1] + (len(fgrid),))

@@ -18,16 +18,11 @@ from math import comb, factorial
 import numpy as np
 import scipy.integrate
 
-from isdtest import (
-    Direction,
-    DoubleParetoParams,
-    PairedSample,
-    SortedSample,
-    derivative,
-    dp_quantile,
-    draw_weights,
-    eval_block,
-)
+from isdtest import Direction, DoubleParetoParams, PairedSample, SortedSample
+from isdtest.bootstrap import draw_weights
+from isdtest.curves import eval_block
+from isdtest.dgp import dp_quantile
+from isdtest.functionals import derivative
 
 
 def save_csv(sample, path):

@@ -14,25 +14,24 @@ import pytest
 
 import isdtest
 from isdtest import (
-    CovKernel,
     Direction,
     DoubleParetoParams,
     FunctionalKind,
-    Grid,
-    LambdaCurve,
     Relation,
     SimMode,
     SimSpec,
     TestConfig,
-    dp_quantile,
     dp_sample,
-    eval_on_grid,
     make_sample,
     pairwise_rank,
     run_table,
     run_test,
 )
+from isdtest.bootstrap import derive_seed
 from isdtest.cli import main
+from isdtest.curves import Grid, LambdaCurve, eval_on_grid
+from isdtest.dgp import dp_quantile
+from isdtest.variance import CovKernel
 
 from conftest import (
     dp_cdf,
@@ -318,7 +317,7 @@ def _rank_seed_worker(seed_index):
     for direction in (UP, DOWN):
         for kind in FunctionalKind:
             cfg = TestConfig(direction=direction, kind=kind, bootstrap=199,
-                             seed=isdtest.derive_seed(MASTER, 11, seed_index))
+                             seed=derive_seed(MASTER, 11, seed_index))
             matrix = pairwise_rank([("a", a), ("b", b), ("c", c)], cfg)
             ordered = (matrix.relation("a", "b") is Relation.LESS
                        and matrix.relation("a", "c") is Relation.LESS

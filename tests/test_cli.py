@@ -1,3 +1,4 @@
+import csv
 import json
 import re
 from dataclasses import fields
@@ -410,6 +411,29 @@ class TestMainRank:
             reports.append(re.sub(rb'"elapsed_ms": [0-9.eE+-]+', b'"elapsed_ms": 0', out))
         assert reports[0] == reports[1] == reports[2]
         assert json.loads(reports[0])["command"] == "rank"
+
+    def test_csv_labels_round_trip(self, tmp_path, capsysbinary):
+        # Stems with a comma or a quote are quoted, so every line keeps one
+        # field per column; plain stems are written as they are.
+        rng = substream(24, 0)
+        labels = ["a,b", 'say "hi"', "c"]
+        paths = []
+        for i, label in enumerate(labels):
+            path = tmp_path / f"{label}.csv"
+            save_csv(make_sample(random_dp_values(rng, 150) + 0.5 * i), path)
+            paths.append(str(path))
+        flags = ["--bootstrap", "49", "--grid", "101", "--vgrid", "21", "--seed", "3"]
+        reports = {}
+        for fmt in ("json", "csv"):
+            assert main(["rank", *paths, *flags, "--format", fmt]) == 0
+            reports[fmt] = capsysbinary.readouterr().out.decode()
+        relation = json.loads(reports["json"])["result"]["relation"]
+        table = list(csv.reader(reports["csv"].splitlines()))
+        assert table[0] == ["", *labels]
+        assert [row[0] for row in table[1:]] == labels
+        assert [row[1:] for row in table[1:]] == relation
+        assert "<" in relation[0] + relation[1]
+        assert reports["csv"].splitlines()[3] == "c,,,"
 
     def test_overflowing_data_is_data_error(self, tmp_path):
         rng = substream(23, 0)

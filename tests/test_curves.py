@@ -6,22 +6,17 @@ import numpy as np
 import pytest
 
 from isdtest import (
-    BlockWorkspace,
     ConfigError,
-    DataError,
     Direction,
-    Grid,
-    LambdaCurve,
     SortedSample,
     TestConfig,
     curves,
-    draw_weights,
-    eval_block,
-    eval_on_grid,
     inference,
     make_sample,
     run_test,
 )
+from isdtest.bootstrap import draw_weights
+from isdtest.curves import BlockWorkspace, Grid, LambdaCurve, eval_block, eval_on_grid
 
 from conftest import (
     expansion_rows,
@@ -88,15 +83,6 @@ class TestLambdaEval:
             for m in (3, 4, 5):
                 assert at(curve(vals, m, DOWN), 1.0) == 0.0
                 assert at(curve(vals, m, UP), 0.0) == 0.0
-
-    def test_degree_validation(self):
-        s = make_sample([1, 2])
-        with pytest.raises(ConfigError):
-            LambdaCurve(s, 2, DOWN)
-        with pytest.raises(ConfigError):
-            LambdaCurve(s, 1, UP)
-        with pytest.raises(ConfigError):
-            LambdaCurve(s, 13, UP)
 
     def test_matches_quadrature_oracle(self):
         rng = np.random.default_rng(17)
@@ -265,12 +251,6 @@ class TestStackedBlock:
         assert got.shape == (3, 41)
         for row, values in zip(got, stack):
             assert np.array_equal(row, eval_on_grid(curve(values, 4, direction), g))
-
-    def test_stack_must_match_weights(self):
-        stack = self._stack(np.random.default_rng(33), depth=3, n=10)
-        with pytest.raises(DataError):
-            eval_block(SortedSample(stack), np.ones((2, 10), dtype=np.int64), 3, UP,
-                       Grid.uniform(11))
 
 
 class TestPairLanes:
@@ -455,33 +435,6 @@ class TestColumns:
             for row, exact_row in zip(got, exact):
                 for value, j in zip(row, picked):
                     assert abs(Fraction(float(value)) - exact_row[j]) <= 1e-12 * abs(exact_row[j])
-
-    @pytest.mark.parametrize("direction", [UP, DOWN], ids=lambda d: d.value)
-    def test_bad_weights_beyond_the_range(self, direction):
-        # Weights past the knots a block bins are still checked: a wrong
-        # sum, a negative weight, or weights whose sums wrap around.
-        rng = np.random.default_rng(13)
-        n, g = 300, Grid.uniform(41)
-        values = np.sort(random_dp_values(rng, n))
-        columns = [0, 1, 2] if direction is UP else [38, 39, 40]
-        far = -1 if direction is UP else 0  # the end no read level reaches
-        good = np.stack([draw_weights(n, rng) for _ in range(2)])
-        eval_block(SortedSample(values), good, 3, direction, g, columns=columns)
-        heavy, negative, wrapped = good.copy(), good.copy(), good.copy()
-        heavy[1, far] += 1
-        for bad, shift in ((negative, good[1, far] + 1), (wrapped, -2**62)):
-            bad[1, far] -= shift  # the row still sums to n
-            bad[1, n // 2] += shift
-        for bad in (heavy, negative, wrapped):
-            with pytest.raises(DataError):
-                eval_block(SortedSample(values), bad, 3, direction, g, columns=columns)
-
-    @pytest.mark.parametrize("columns", [[], [3, 2], [1, 1], [-1], [41], [[0, 1]], [0.0, 1.0]])
-    def test_bad_columns(self, columns):
-        values = np.sort(random_dp_values(np.random.default_rng(9), 10))
-        with pytest.raises(ConfigError):
-            eval_block(SortedSample(values), np.ones((1, 10), dtype=np.int64), 3, UP,
-                       Grid.uniform(41), columns=columns)
 
 
 @lru_cache(maxsize=None)

@@ -6,13 +6,10 @@ import pytest
 from isdtest import bootstrap, inference, variance
 from isdtest import (
     ConfigError,
-    CovKernel,
     DataError,
     Direction,
     DoubleParetoParams,
     FunctionalKind,
-    Grid,
-    LambdaCurve,
     PairDecision,
     RankingMatrix,
     Relation,
@@ -21,22 +18,17 @@ from isdtest import (
     SimSpec,
     SortedSample,
     TestConfig,
-    critical_value,
-    derivative,
     dp_sample,
-    draw_weights,
-    estimate_contact_set,
-    eval_block,
-    eval_on_grid,
-    functional,
     make_paired,
     make_sample,
-    p_value,
     pairwise_rank,
     run_table,
     run_test,
-    sigma_curve,
 )
+from isdtest.bootstrap import critical_value, draw_weights, p_value
+from isdtest.curves import Grid, LambdaCurve, eval_block, eval_on_grid
+from isdtest.functionals import derivative, estimate_contact_set, functional
+from isdtest.variance import CovKernel, sigma_curve
 
 from conftest import full_grid_bootstrap_stats, random_dp_values, substream
 

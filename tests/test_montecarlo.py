@@ -7,18 +7,18 @@ from isdtest import (
     ConfigError,
     DataError,
     DoubleParetoParams,
-    Grid,
     Scheme,
     SimMode,
     SimSpec,
     SortedSample,
     TestConfig,
-    derive_seed,
     dp_sample,
     preset_specs,
     run_table,
 )
 from isdtest import inference, montecarlo
+from isdtest.bootstrap import derive_seed
+from isdtest.curves import Grid
 
 from conftest import philox_key, substream
 

@@ -4,18 +4,16 @@ import numpy as np
 import pytest
 
 from isdtest import (
-    ConfigError,
-    CovKernel,
     DataError,
     Direction,
-    Grid,
     Scheme,
     SortedSample,
     make_paired,
     make_sample,
-    sigma_curve,
 )
 from isdtest import variance
+from isdtest.curves import Grid
+from isdtest.variance import CovKernel, sigma_curve
 from conftest import (
     centered_clips,
     dense_sigma_sq,
@@ -248,23 +246,6 @@ class TestSigmaSq:
             for direction in (UP, DOWN):
                 assert np.all(k.sigma_sq_many(m, direction, ps) >= 0.0)
 
-    @pytest.mark.parametrize("bad", [-0.1, 1.0 + 1e-12, np.nan, np.inf])
-    def test_levels_validated(self, bad):
-        rng = np.random.default_rng(4)
-        k = CovKernel.independent(make_sample(random_dp_values(rng, 10)),
-                                  make_sample(random_dp_values(rng, 10)))
-        with pytest.raises(ConfigError):
-            k.sigma_sq_many(3, UP, [0.5, bad])
-        with pytest.raises(ConfigError):
-            k.sigma_sq_many(3, DOWN, [bad])
-
-    def test_degree_validation(self):
-        rng = np.random.default_rng(1)
-        k = CovKernel.independent(make_sample(random_dp_values(rng, 10)),
-                                  make_sample(random_dp_values(rng, 10)))
-        with pytest.raises(ConfigError):
-            k.sigma_sq_many(2, UP, [0.5])
-
     def test_matches_nested_oracle_independent(self):
         # Sample sizes divide the fine-cell count, so the oracle's midpoint
         # sums integrate the step kernel without discretization error.
@@ -333,11 +314,6 @@ class TestSigmaCurve:
         k = CovKernel.independent(make_sample([2.0] * 10), make_sample([3.0] * 12))
         got = sigma_curve(k, 4, DOWN, Grid.uniform(11), Grid.uniform(31), 0.001)
         assert np.array_equal(got, np.full(31, np.sqrt(0.001)))
-
-    @pytest.mark.parametrize("xi", [0.0, -1.0, np.nan])
-    def test_nonpositive_xi_rejected(self, xi):
-        with pytest.raises(ConfigError):
-            sigma_curve(self._kernel(16), 3, UP, Grid.uniform(11), Grid.uniform(21), xi)
 
 
 class TestStackedVariance:
