@@ -79,7 +79,7 @@ class Grid:
             raise ConfigError("grid needs at least the two endpoints 0 and 1")
         if pts[0] != 0.0 or pts[-1] != 1.0:
             raise ConfigError("grid must start at 0 and end at 1")
-        if np.any(np.diff(pts) <= 0):
+        if not np.all(np.diff(pts) > 0):  # NaN compares false both ways
             raise ConfigError("grid points must be strictly increasing")
         pts = pts.copy()
         pts.flags.writeable = False

@@ -9,20 +9,44 @@ function and mean in closed form) and must not import the evaluation paths
 they check.  ``full_grid_bootstrap_stats`` is the exception: it checks
 where the bootstrap evaluates its curves, not how, so it evaluates them
 with the package's kernel, on the whole grid, one replication at a time.
+``core_calls`` is not an oracle: it records what the public calls pass to
+the kernels, which no longer re-check the arguments that the boundary
+(``TestConfig``, ``SimSpec``, ``make_sample``, ``make_paired``) and the
+core already hold in range.
 """
 
+import inspect
 from bisect import bisect_left
 from fractions import Fraction
+from functools import lru_cache
 from math import comb, factorial
 
 import numpy as np
 import scipy.integrate
 
-from isdtest import Direction, DoubleParetoParams, PairedSample, SortedSample
+from isdtest import (
+    Direction,
+    DoubleParetoParams,
+    FunctionalKind,
+    PairedSample,
+    Scheme,
+    SimSpec,
+    SortedSample,
+    TestConfig,
+    dgp,
+    inference,
+    make_paired,
+    make_sample,
+    montecarlo,
+    pairwise_rank,
+    run_table,
+    run_test,
+)
 from isdtest.bootstrap import draw_weights
 from isdtest.curves import eval_block
 from isdtest.dgp import dp_quantile
 from isdtest.functionals import derivative
+from isdtest.variance import CovKernel
 
 
 def save_csv(sample, path):
@@ -34,6 +58,76 @@ def save_csv(sample, path):
         else:
             for v in sample.values:
                 fh.write(f"{float(v)!r}\n")
+
+
+def _copied(value):
+    return value.copy() if isinstance(value, np.ndarray) else value
+
+
+@lru_cache(maxsize=None)
+def core_calls():
+    """Every call the public entry points make to the kernels whose argument
+    checks were dropped, by kernel name: the arguments bound by name (arrays
+    copied, since the core reuses its workspace) and the result.
+
+    The runs: run_test, independent and matched, in both directions, with
+    both functionals and with tau = 1 and inf, at sizes where the contact
+    sets' columns stop short of the far end of p; a three-dataset
+    pairwise_rank; a warp-speed run_table cell per direction, whose
+    bootstrap reweights stacks of datasets.
+    """
+    targets = [(inference, name) for name in (
+        "LambdaCurve", "eval_block", "derivative", "functional", "estimate_contact_set",
+        "sigma_curve", "critical_value", "p_value")]
+    targets += [(CovKernel, "sigma_sq_many"), (montecarlo, "dp_quantile"),
+                (dgp, "dp_quantile")]
+    calls = {}
+
+    def spy(owner, name, original):
+        signature = inspect.signature(original)
+        key = f"{owner.__name__.rpartition('.')[2]}.{name}"
+
+        def recorded(*args, **kwargs):
+            result = original(*args, **kwargs)
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            calls.setdefault(key, []).append(
+                ({k: _copied(v) for k, v in bound.arguments.items()}, _copied(result)))
+            return result
+        return recorded
+
+    originals = [(owner, name, getattr(owner, name)) for owner, name in targets]
+    for owner, name, original in originals:
+        setattr(owner, name, spy(owner, name, original))
+    try:
+        rng = np.random.default_rng(20)
+        x, y = random_dp_values(rng, 300), 1.3 * random_dp_values(rng, 340)
+        small = dict(bootstrap=19, grid=41, vgrid=11, seed=5)
+        for direction in Direction:
+            for m, kind in ((3, FunctionalKind.SUP), (5, FunctionalKind.INT)):
+                for tau in (1.0, float("inf")):
+                    cfg = dict(small, m=m, direction=direction, kind=kind, tau=tau)
+                    run_test(make_sample(x), make_sample(y), TestConfig(**cfg))
+                    run_test(make_paired(x, y[:300]), None,
+                             TestConfig(**cfg, scheme=Scheme.MATCHED))
+            pairwise_rank([(label, dgp.dp_sample(DoubleParetoParams(a, 2.0), 120, rng))
+                           for label, a in (("a", 2.5), ("b", 3.0), ("c", 4.0))],
+                          TestConfig(**small, direction=direction))
+            run_table([SimSpec(DoubleParetoParams(3.0, 2.0), DoubleParetoParams(2.5, 2.0),
+                               30, 40, TestConfig(**small, direction=direction), 3)])
+    finally:
+        for owner, name, original in originals:
+            setattr(owner, name, original)
+    return calls
+
+
+def grid_columns(columns, size) -> bool:
+    """Whether ``columns`` are what the core passes as columns: a nonempty,
+    strictly increasing run of integer indices of a grid of ``size`` points."""
+    columns = np.asarray(columns)
+    return (columns.ndim == 1 and len(columns) > 0 and columns.dtype.kind in "iu"
+            and bool(np.all(np.diff(columns) > 0)) and columns[0] >= 0
+            and columns[-1] < size)
 
 
 def seed_sequence(seed, *key) -> np.random.SeedSequence:

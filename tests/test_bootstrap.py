@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from isdtest import (
+    ConfigError,
     Direction,
     FunctionalKind,
     Scheme,
@@ -17,7 +18,7 @@ from isdtest.bootstrap import critical_value, derive_seed, draw_weights, p_value
 from isdtest.curves import BlockWorkspace, Grid, LambdaCurve, eval_block, eval_on_grid
 from isdtest.functionals import derivative
 
-from conftest import point_lambda, random_dp_values, seed_sequence, substream
+from conftest import core_calls, point_lambda, random_dp_values, seed_sequence, substream
 
 
 def stream_key(seed, *key):
@@ -372,6 +373,18 @@ class TestBlockRoute:
             assert np.array_equal(eval_block(s, w, m, direction, g, work),
                                   eval_block(s, w, m, direction, g))
 
+    def test_block_weight_checks(self):
+        # eval_block does not check its weights: the core passes draw_weights
+        # rows, multinomial counts of n, one per row of the sample or stack.
+        s = make_sample([1.0, 2.0, 4.0])
+        g = Grid.uniform(5)
+        good = np.array([[3, 0, 0], [1, 1, 1]])
+        assert eval_block(s, good, 3, Direction.UP, g).shape == (2, 5)
+        for args, _ in core_calls()["inference.eval_block"]:
+            w, n = args["weights"], args["sample"].values.shape[-1]
+            assert w.dtype == np.int64 and w.ndim == 2 and w.shape[1] == n
+            assert np.all(w >= 0) and np.all(w.sum(axis=1) == n)
+
 
 class TestBootstrapStatistic:
     def setup_method(self):
@@ -419,6 +432,16 @@ class TestCriticalValue:
             assert stats.min() <= c <= stats.max()
             prev = c
 
+    def test_validation(self):
+        # critical_value does not check its arguments: the core passes B >= 1
+        # statistics and the config's alpha, and TestConfig rejects the rest.
+        for args, _ in core_calls()["inference.critical_value"]:
+            assert len(args["stats"]) >= 1 and 0.0 < args["alpha"] < 1.0
+        with pytest.raises(ConfigError):
+            TestConfig(bootstrap=0)
+        with pytest.raises(ConfigError):
+            TestConfig(alpha=1.5)
+
 
 class TestPValue:
     def test_counting(self):
@@ -426,3 +449,11 @@ class TestPValue:
         assert p_value(stats, 0.25) == 0.5
         assert p_value(stats, 99.0) == 0.0
         assert p_value(stats, -np.inf) == 1.0
+
+    def test_empty_rejected(self):
+        # p_value does not check that it has statistics: the core passes
+        # B >= 1 of them, and TestConfig rejects bootstrap = 0.
+        for args, p in core_calls()["inference.p_value"]:
+            assert len(args["stats"]) >= 1 and 0.0 <= p <= 1.0
+        with pytest.raises(ConfigError):
+            TestConfig(bootstrap=0)

@@ -16,11 +16,20 @@ from isdtest import (
     run_test,
 )
 from isdtest.bootstrap import draw_weights
-from isdtest.curves import BlockWorkspace, Grid, LambdaCurve, eval_block, eval_on_grid
+from isdtest.curves import (
+    MAX_DEGREE,
+    BlockWorkspace,
+    Grid,
+    LambdaCurve,
+    eval_block,
+    eval_on_grid,
+)
 
 from conftest import (
+    core_calls,
     expansion_rows,
     fraction_curves,
+    grid_columns,
     point_lambda,
     quad_lambda,
     random_dp_values,
@@ -83,6 +92,16 @@ class TestLambdaEval:
             for m in (3, 4, 5):
                 assert at(curve(vals, m, DOWN), 1.0) == 0.0
                 assert at(curve(vals, m, UP), 0.0) == 0.0
+
+    def test_degree_validation(self):
+        # LambdaCurve and eval_block do not check the degree: the core passes
+        # the config's m, and TestConfig holds it in [3, MAX_DEGREE].
+        calls = core_calls()
+        for name in ("inference.LambdaCurve", "inference.eval_block"):
+            assert {args["m"] for args, _ in calls[name]} == {3, 5}
+        for m in (1, 2, MAX_DEGREE + 1):
+            with pytest.raises(ConfigError):
+                TestConfig(m=m)
 
     def test_matches_quadrature_oracle(self):
         rng = np.random.default_rng(17)
@@ -251,6 +270,15 @@ class TestStackedBlock:
         assert got.shape == (3, 41)
         for row, values in zip(got, stack):
             assert np.array_equal(row, eval_on_grid(curve(values, 4, direction), g))
+
+    def test_stack_must_match_weights(self):
+        # eval_block does not check a stack against its weights: the core
+        # tiles each stack to its block's rows.
+        stacked = [args for args, _ in core_calls()["inference.eval_block"]
+                   if args["sample"].values.ndim == 2]
+        assert stacked
+        for args in stacked:
+            assert args["sample"].values.shape == args["weights"].shape
 
 
 class TestPairLanes:
@@ -435,6 +463,33 @@ class TestColumns:
             for row, exact_row in zip(got, exact):
                 for value, j in zip(row, picked):
                     assert abs(Fraction(float(value)) - exact_row[j]) <= 1e-12 * abs(exact_row[j])
+
+    @pytest.mark.parametrize("direction", [UP, DOWN], ids=lambda d: d.value)
+    def test_bad_weights_beyond_the_range(self, direction):
+        # Weights past the knots a block bins are not checked: the core's
+        # weights are multinomial counts of n at every knot, and where its
+        # columns stop short of the far end of p the block reads what the
+        # whole grid gives.
+        short = [(args, got) for args, got in core_calls()["inference.eval_block"]
+                 if args["direction"] is direction and args["columns"] is not None
+                 and (args["columns"][-1] < len(args["grid"]) - 1 if direction is UP
+                      else args["columns"][0] > 0)]
+        assert short
+        for args, got in short:
+            w = args["weights"]
+            assert np.all(w >= 0) and np.all(w.sum(axis=1) == w.shape[1])
+            full = eval_block(args["sample"], w, args["m"], direction, args["grid"])
+            assert got.tobytes() == np.ascontiguousarray(full[:, args["columns"]]).tobytes()
+
+    @pytest.mark.parametrize("columns", [[], [3, 2], [1, 1], [-1], [41], [[0, 1]], [0.0, 1.0]])
+    def test_bad_columns(self, columns):
+        # eval_block does not check its columns: the core passes
+        # np.flatnonzero of a contact-set union, which always holds the
+        # endpoint, and never a set like these.
+        assert not grid_columns(columns, 41)
+        for args, _ in core_calls()["inference.eval_block"]:
+            if args["columns"] is not None:
+                assert grid_columns(args["columns"], len(args["grid"]))
 
 
 @lru_cache(maxsize=None)

@@ -7,7 +7,7 @@ import scipy.integrate
 from isdtest import ConfigError, DataError, DoubleParetoParams, dp_sample
 from isdtest.dgp import dp_quantile
 
-from conftest import dp_cdf, dp_mean, dp_pdf, substream
+from conftest import core_calls, dp_cdf, dp_mean, dp_pdf, substream
 
 
 @pytest.fixture
@@ -79,6 +79,18 @@ class TestQuantile:
 
     def test_zero(self, params):
         assert dp_quantile(params, 0.0) == 0.0
+
+    def test_one_rejected(self, params):
+        # dp_quantile does not check its levels: they come from
+        # Generator.random, in [0, 1), and its largest value still maps to a
+        # finite draw.
+        calls = core_calls()
+        for name in ("dgp.dp_quantile", "montecarlo.dp_quantile"):
+            assert calls[name]
+            for args, _ in calls[name]:
+                assert np.all((0.0 <= args["u"]) & (args["u"] < 1.0))
+        top = dp_quantile(params, np.nextafter(1.0, 0.0))
+        assert np.isfinite(top) and top > dp_quantile(params, 0.999)
 
     def test_round_trip(self, params):
         rng = substream(11, 0)

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from isdtest import FunctionalKind
+from isdtest import ConfigError, FunctionalKind, TestConfig
 from isdtest.curves import Grid
 from isdtest.functionals import derivative, estimate_contact_set, functional
+
+from conftest import core_calls, grid_columns
 
 SUP, INT = FunctionalKind.SUP, FunctionalKind.INT
 
@@ -31,6 +33,17 @@ class TestSupFunctional:
     def test_zero(self, grid):
         assert functional(SUP, np.zeros(len(grid)), grid) == 0.0
 
+    def test_empty_rejected(self):
+        # functional does not check that h is nonempty: the core passes
+        # phi-hat on the test's grid, which TestConfig gives two points at
+        # least.
+        calls = [args for args, _ in core_calls()["inference.functional"] if args["kind"] is SUP]
+        assert calls
+        for args in calls:
+            assert np.shape(args["h"])[-1] == len(args["grid"]) >= 2
+        with pytest.raises(ConfigError):
+            TestConfig(grid=1)
+
 
 class TestIntFunctional:
     def test_triangle(self, grid):
@@ -42,6 +55,14 @@ class TestIntFunctional:
 
     def test_constant_one(self, grid):
         assert functional(INT, np.ones(len(grid)), grid) == pytest.approx(1.0, rel=1e-12)
+
+    def test_misaligned(self):
+        # functional does not check h against the grid: the core evaluates
+        # phi-hat on the grid it measures it on.
+        calls = [args for args, _ in core_calls()["inference.functional"] if args["kind"] is INT]
+        assert calls
+        for args in calls:
+            assert np.shape(args["h"])[-1] == len(args["grid"])
 
 
 class TestHomogeneityAndMonotonicity:
@@ -102,6 +123,19 @@ class TestContactSet:
                 assert np.all(prev <= cs)
             prev = cs
 
+    def test_validation(self):
+        # estimate_contact_set does not check its arguments: the core passes
+        # phi-hat and sigma-hat on one grid, the effective size of two
+        # nonempty samples and the config's tau, which TestConfig holds
+        # positive.
+        for args, cs in core_calls()["inference.estimate_contact_set"]:
+            size = len(args["grid"])
+            assert np.shape(args["phi"])[-1] == np.shape(args["vhat"])[-1] == size
+            assert 0.0 < args["t_n"] < np.inf and args["tau_n"] > 0.0
+            assert cs.shape[-1] == size
+        with pytest.raises(ConfigError):
+            TestConfig(tau=0.0)
+
 
 class TestDerivatives:
     def test_single_member(self):
@@ -140,6 +174,26 @@ class TestDerivatives:
         cs = grid.points <= 0.5
         assert derivative(INT, np.ones(len(grid)), cs, grid) == pytest.approx(0.5, rel=1e-12)
 
+    def test_empty_contact_set_rejected(self):
+        # derivative does not check that the set is nonempty: the endpoint
+        # where phi-hat vanishes is always a member, because sigma-hat is at
+        # least sqrt(xi) and TestConfig holds xi positive.
+        for args, cs in core_calls()["inference.estimate_contact_set"]:
+            zero = np.broadcast_to(args["phi"] == 0.0, cs.shape)
+            assert np.all(zero.any(axis=-1)) and np.all(cs[zero])
+        for args, _ in core_calls()["inference.derivative"]:
+            assert np.all(np.atleast_2d(args["contact"]).any(axis=-1))
+        with pytest.raises(ConfigError):
+            TestConfig(xi=0.0)
+
+    def test_membership_alignment(self):
+        # derivative does not check the mask against h: the core builds both
+        # at the same columns of one grid.
+        for args, _ in core_calls()["inference.derivative"]:
+            contact, h = args["contact"], args["h"]
+            assert contact.dtype == bool and contact.ndim in (1, 2)
+            assert contact.shape[-1] == h.shape[-1]
+
 
 class TestPerRowContactSets:
     """D membership rows: curve row i is measured on row i mod D, exactly
@@ -167,6 +221,15 @@ class TestPerRowContactSets:
         assert cs.shape == (3, 51)
         for d in range(3):
             assert np.array_equal(cs[d], estimate_contact_set(phi[d], vhat[d], 40.0, 3.0, g))
+
+    def test_misaligned_stack_rejected(self):
+        # derivative does not check that h holds whole groups of D rows: the
+        # core's block holds D rows, one per dataset, for each replication.
+        stacks = [args for args, _ in core_calls()["inference.derivative"]
+                  if args["contact"].ndim == 2]
+        assert any(len(args["contact"]) > 1 for args in stacks)
+        for args in stacks:
+            assert len(args["h"]) % len(args["contact"]) == 0
 
 
 class TestColumns:
@@ -197,3 +260,13 @@ class TestColumns:
         h = np.ones(3)
         assert derivative(INT, h, np.ones(3, dtype=bool), g, [1, 2, 5]) == pytest.approx(0.1)
         assert derivative(INT, h, np.ones(3, dtype=bool), g, [1, 2, 3]) == pytest.approx(0.2)
+
+    def test_misaligned_columns(self):
+        # derivative does not check its columns: the core passes grid
+        # indices, one per point of h, or none for the whole grid.
+        for args, _ in core_calls()["inference.derivative"]:
+            columns, size = args["columns"], len(args["grid"])
+            if columns is None:
+                assert args["h"].shape[-1] == size
+            else:
+                assert grid_columns(columns, size) and len(columns) == args["h"].shape[-1]

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from isdtest import (
+    ConfigError,
     DataError,
     Direction,
     Scheme,
     SortedSample,
+    TestConfig,
     make_paired,
     make_sample,
 )
@@ -16,6 +18,7 @@ from isdtest.curves import Grid
 from isdtest.variance import CovKernel, sigma_curve
 from conftest import (
     centered_clips,
+    core_calls,
     dense_sigma_sq,
     fine_kernel,
     fraction_sigma_sq,
@@ -246,6 +249,22 @@ class TestSigmaSq:
             for direction in (UP, DOWN):
                 assert np.all(k.sigma_sq_many(m, direction, ps) >= 0.0)
 
+    @pytest.mark.parametrize("bad", [-0.1, 1.0 + 1e-12, np.nan, np.inf])
+    def test_levels_validated(self, bad):
+        # sigma_sq_many does not check its levels: the core passes the points
+        # of the test's variance grid, and a Grid holds no level outside [0, 1].
+        with pytest.raises(ConfigError):
+            Grid(np.array([0.0, bad, 1.0]))
+        for args, _ in core_calls()["CovKernel.sigma_sq_many"]:
+            assert np.all((0.0 <= args["ps"]) & (args["ps"] <= 1.0))
+
+    def test_degree_validation(self):
+        # sigma_sq_many does not check the degree: the core passes the
+        # config's m, and TestConfig holds it at 3 or more.
+        assert {args["m"] for args, _ in core_calls()["CovKernel.sigma_sq_many"]} == {3, 5}
+        with pytest.raises(ConfigError):
+            TestConfig(m=2)
+
     def test_matches_nested_oracle_independent(self):
         # Sample sizes divide the fine-cell count, so the oracle's midpoint
         # sums integrate the step kernel without discretization error.
@@ -314,6 +333,15 @@ class TestSigmaCurve:
         k = CovKernel.independent(make_sample([2.0] * 10), make_sample([3.0] * 12))
         got = sigma_curve(k, 4, DOWN, Grid.uniform(11), Grid.uniform(31), 0.001)
         assert np.array_equal(got, np.full(31, np.sqrt(0.001)))
+
+    @pytest.mark.parametrize("xi", [0.0, -1.0, np.nan])
+    def test_nonpositive_xi_rejected(self, xi):
+        # sigma_curve does not check xi: the core passes the config's xi,
+        # which TestConfig holds positive, so sigma-hat is at least sqrt(xi).
+        with pytest.raises(ConfigError):
+            TestConfig(xi=xi)
+        for args, sigma in core_calls()["inference.sigma_curve"]:
+            assert 0.0 < args["xi"] < np.inf and np.all(sigma >= np.sqrt(args["xi"]))
 
 
 class TestStackedVariance:
