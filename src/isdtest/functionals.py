@@ -40,9 +40,9 @@ def _reduced(values: np.ndarray):
     return float(values) if values.ndim == 0 else values
 
 
-def estimate_contact_set(phi, vhat, t_n: float, tau_n: float, grid: Grid) -> np.ndarray:
+def estimate_contact_set(phi, vhat, t_n: float, tau_n: float) -> np.ndarray:
     """The mask of grid points where |sqrt(T_n) * phi| <= tau_n * vhat,
-    shape (G,), or (D, G) for D curves.
+    shape (G,), or (D, G) for D curves on a grid of G points.
 
     ``tau_n = inf`` yields full membership (the conservative variant that
     uses the whole interval).  The endpoint where the difference vanishes

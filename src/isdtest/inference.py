@@ -371,7 +371,7 @@ def _test_cells(samples, pairs, m, xi, fgrid, vgrid, plan, keys, streams):
                 _finite(phi, "curve difference")
                 _finite(vhat, "standard deviation")
                 _finite(observed, "test statistic")
-                contact = [estimate_contact_set(phi, vhat, t_n, tau, fgrid) for tau in taus]
+                contact = [estimate_contact_set(phi, vhat, t_n, tau) for tau in taus]
                 for i, _, k, t in members:
                     statistics[i], contact_sets[i] = observed[k], contact[t]
                 evaluated.append((a, b, phi, sqrt(t_n), members, contact))

@@ -102,16 +102,19 @@ def _chunk_rows(n: int, grid: int) -> int:
     a functional grid of ``grid`` points.
 
     A chunk of D replications holds a few dozen arrays of D rows of n or
-    ``grid`` values at once; D * 5 (n + grid) cells stay within the
-    bootstrap block budget.  With 1001 grid points that is 12 rows at
-    n = 80, 10 at n = 200, 8 at n = 500 and 4 at n = 2000.  Measured in
-    warp speed (2 vCPU, one process), each was within 8 % of the fastest
-    of the 2 to 40 rows tried and added at most 1.7 MB of peak memory,
-    against 2 to 3 MB for twice the rows.  The bootstrap blocks of a
-    full-mode chunk fill the block budget's rows even at small B, as one
-    replication's blocks do at large B (n = 200: about 5 MB more).
+    ``grid`` values at once; D * 5 (n + grid) cells stay within twice the
+    bootstrap block budget.  With 1001 grid points that is 24 rows at
+    n = 80, 21 at n = 200, 17 at n = 500 and 8 at n = 2000.  A warp-speed
+    core call costs about 2 ms besides 0.3 to 0.5 ms per replication at
+    n = 500, so warp speed gains from fewer calls: at n = 500 and 50
+    replications a group makes 3 calls instead of 7 (at 8 rows), for about
+    20 % less time and 1.5 MB more traced peak memory (2.9 MB in all;
+    2 vCPU, one BLAS thread).  One call of all 50 rows peaked at 7.8 MB.
+    The bootstrap blocks of a full-mode chunk fill the block budget's rows
+    even at small B, as one replication's blocks do at large B, so full
+    mode's time and peak memory did not move with these rows.
     """
-    return max(1, inference._BLOCK_CELLS // (5 * (n + grid)))
+    return max(1, 2 * inference._BLOCK_CELLS // (5 * (n + grid)))
 
 
 def _run_group(specs: list[SimSpec]) -> list[SimResult]:

@@ -81,7 +81,7 @@ class TestHomogeneityAndMonotonicity:
         h2 = h + np.abs(rng.normal(size=len(grid)))
         assert functional(SUP, h2, grid) >= functional(SUP, h, grid)
         assert functional(INT, h2, grid) >= functional(INT, h, grid)
-        cs = estimate_contact_set(np.zeros(len(grid)), np.full(len(grid), 0.1), 100.0, 3.0, grid)
+        cs = estimate_contact_set(np.zeros(len(grid)), np.full(len(grid), 0.1), 100.0, 3.0)
         assert derivative(SUP, h2, cs, grid) >= derivative(SUP, h, cs, grid)
         assert derivative(INT, h2, cs, grid) >= derivative(INT, h, cs, grid)
 
@@ -94,13 +94,13 @@ class TestHomogeneityAndMonotonicity:
 
 class TestContactSet:
     def test_zero_difference_full_membership(self, grid):
-        cs = estimate_contact_set(np.zeros(len(grid)), np.full(len(grid), 0.05), 50.0, 3.0, grid)
+        cs = estimate_contact_set(np.zeros(len(grid)), np.full(len(grid), 0.05), 50.0, 3.0)
         assert cs.dtype == bool and cs.shape == (len(grid),)
         assert cs.all()
 
     def test_infinite_tau_full_membership(self, grid):
         phi = np.linspace(0, 5.0, len(grid))
-        cs = estimate_contact_set(phi, np.full(len(grid), 0.0316), 1e4, float("inf"), grid)
+        cs = estimate_contact_set(phi, np.full(len(grid), 0.0316), 1e4, float("inf"))
         assert cs.all()
 
     def test_large_deviation_excluded(self, grid):
@@ -108,7 +108,7 @@ class TestContactSet:
         phi = np.zeros(len(grid))
         phi[300] = 1.0
         vhat = np.full(len(grid), np.sqrt(0.001))
-        cs = estimate_contact_set(phi, vhat, 1e4, 3.0, grid)
+        cs = estimate_contact_set(phi, vhat, 1e4, 3.0)
         assert not cs[300]
         assert cs[0] and cs[-1]
 
@@ -118,7 +118,7 @@ class TestContactSet:
         vhat = np.full(len(grid), np.sqrt(0.001))
         prev = None
         for tau in (1.0, 2.0, 3.0, 4.0, float("inf")):
-            cs = estimate_contact_set(phi, vhat, 400.0, tau, grid)
+            cs = estimate_contact_set(phi, vhat, 400.0, tau)
             if prev is not None:
                 assert np.all(prev <= cs)
             prev = cs
@@ -127,12 +127,11 @@ class TestContactSet:
         # estimate_contact_set does not check its arguments: the core passes
         # phi-hat and sigma-hat on one grid, the effective size of two
         # nonempty samples and the config's tau, which TestConfig holds
-        # positive.
+        # positive; the mask lies on that grid too.
         for args, cs in core_calls()["inference.estimate_contact_set"]:
-            size = len(args["grid"])
-            assert np.shape(args["phi"])[-1] == np.shape(args["vhat"])[-1] == size
+            size = np.shape(args["phi"])[-1]
+            assert np.shape(args["vhat"])[-1] == cs.shape[-1] == size
             assert 0.0 < args["t_n"] < np.inf and args["tau_n"] > 0.0
-            assert cs.shape[-1] == size
         with pytest.raises(ConfigError):
             TestConfig(tau=0.0)
 
@@ -215,12 +214,11 @@ class TestPerRowContactSets:
 
     def test_contact_sets_of_a_stack(self):
         rng = np.random.default_rng(52)
-        g = Grid.uniform(51)
         phi, vhat = rng.normal(size=(3, 51)), rng.random((3, 51)) + 0.1
-        cs = estimate_contact_set(phi, vhat, 40.0, 3.0, g)
+        cs = estimate_contact_set(phi, vhat, 40.0, 3.0)
         assert cs.shape == (3, 51)
         for d in range(3):
-            assert np.array_equal(cs[d], estimate_contact_set(phi[d], vhat[d], 40.0, 3.0, g))
+            assert np.array_equal(cs[d], estimate_contact_set(phi[d], vhat[d], 40.0, 3.0))
 
     def test_misaligned_stack_rejected(self):
         # derivative does not check that h holds whole groups of D rows: the

@@ -301,7 +301,7 @@ def _rank_reference(samples, cfg):
         phi = curves[b] - curves[a]
         vhat = sigma_curve(CovKernel.independent(samples[a], samples[b]), m, direction,
                            vgrid, fgrid, cfg.xi)
-        cs = estimate_contact_set(phi, vhat, t_n, cfg.tau, fgrid)
+        cs = estimate_contact_set(phi, vhat, t_n, cfg.tau)
         statistic = sqrt(t_n) * functional(kind, phi, fgrid)
         stats = derivative(kind, sqrt(t_n) * (boot[b] - boot[a] - phi), cs, fgrid)
         return bool(statistic > critical_value(stats, cfg.alpha)), p_value(stats, statistic)

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -228,6 +229,28 @@ class TestChunkedWarpSpeed:
         monkeypatch.setattr(montecarlo, "_test_cells", counted)
         run_table(self._specs(3))
         assert calls == [11]
+
+    @pytest.mark.parametrize("n, rows", [(80, 24), (200, 21), (500, 17), (2000, 8)])
+    def test_default_rows(self, n, rows):
+        # README quotes these rows per core call at G = 1001.
+        assert montecarlo._chunk_rows(n, 1001) == rows
+
+    def test_memory_of_a_group(self):
+        # One group at the benchmark's warp-speed shape: n = 500, G = 1001,
+        # 50 replications, 10 cells, so three core calls of up to 17 rows.
+        # Measured traced peak: 2.9 MB, against 1.4 MB in 8-row chunks and
+        # 7.8 MB in one 50-row call.
+        specs = [SimSpec(DoubleParetoParams(2.1, 1.5), DoubleParetoParams(100.0, 3.0), 500, 500,
+                         TestConfig(kind=kind, tau=tau, seed=3), 50)
+                 for kind in ("sup", "int") for tau in (1.0, 2.0, 3.0, 4.0, INF)]
+        run_table(specs)  # first-call costs outside the measurement
+        tracemalloc.start()
+        try:
+            run_table(specs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.25 * 2 ** 20
 
 
 def _full_one_replication_at_a_time(specs):
