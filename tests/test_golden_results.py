@@ -1,7 +1,7 @@
-"""One digest per direction of the package's results on a small grid of
-tests, recorded from a known-good build: any change that moves a single
-result bit fails here, and the digest that fails names the direction of the
-cells it moved.  The data are built without vectorised transcendental
+"""One digest per (direction, functional) of the package's results on a
+small grid of tests, recorded from a known-good build: any change that moves
+a single result bit fails here, and the digest that fails names the
+direction and the functional of the cells it moved.  The data are built without vectorised transcendental
 functions (scaled uniforms; simulated laws whose quantile powers are 1 and
 -1; degrees whose powers are squares at most), so the bits do not hang on a
 host's SIMD dispatch."""
@@ -26,9 +26,12 @@ from isdtest import (
     run_test,
 )
 
+UP, DOWN, SUP, INT = Direction.UP, Direction.DOWN, FunctionalKind.SUP, FunctionalKind.INT
 DIGESTS = {
-    Direction.UP: "dbafb26c909731ce5510627436703cbb78c7cad1aa16dcedb489aaef185d72ed",
-    Direction.DOWN: "a2d5ca3977a371e9c3e9549b00c6f3da94e09ee321f4c1e09cb6ecb669a809cf",
+    (UP, SUP): "5e4f92b8efd5368574912856216f6cd6df998667bfcd42c68fb13d47ac083857",
+    (UP, INT): "e77f892c08885c626e731debeaf839a0e2e5e1300e6077f1276ba00fcee6e9d5",
+    (DOWN, SUP): "b36c2b65c183e213ab173024962be661ca46dca372fef71fe1229aaaf4ddbfc1",
+    (DOWN, INT): "7d0467d17d9d8832c54ac41dd92c8dc3b19506367685a3c5987bb79f5dd71364",
 }
 
 SMALL = dict(bootstrap=19, grid=101, vgrid=11, seed=21)
@@ -40,8 +43,8 @@ def _hex(*values):
 
 
 def results_lines() -> list:
-    """One (direction, line) per result: every TestResult field but the
-    elapsed time, every ranking decision, every simulation cell."""
+    """One ((direction, kind), line) per result: every TestResult field but
+    the elapsed time, every ranking decision, every simulation cell."""
     rng = np.random.default_rng(2024)
     near = make_sample(8.0 * rng.random(60)), make_sample(8.0 * rng.random(80))
     apart = near[0], make_sample(3.0 + 16.0 * rng.random(70))
@@ -55,16 +58,16 @@ def results_lines() -> list:
                 runs = [*near, *apart, *apart[::-1]]
                 for a, b in zip(runs[::2], runs[1::2]):
                     r = run_test(a, b, cfg)
-                    lines.append((direction, _hex(r.statistic, r.critical_value, r.p_value,
+                    lines.append(((direction, kind), _hex(r.statistic, r.critical_value, r.p_value,
                                                   r.reject, r.contact_fraction, r.t_n)))
             matched = TestConfig(m=m, direction=direction, kind=kind, scheme="matched", **SMALL)
             r = run_test(pairs, None, matched)
-            lines.append((direction, _hex(r.statistic, r.critical_value, r.p_value, r.reject,
+            lines.append(((direction, kind), _hex(r.statistic, r.critical_value, r.p_value, r.reject,
                                           r.contact_fraction, r.t_n)))
     datasets = [("a", near[0]), ("b", near[1]), ("c", apart[1])]
     for direction, kind in CELLS:
         ranking = pairwise_rank(datasets, TestConfig(direction=direction, kind=kind, **SMALL))
-        lines += [(direction, f"{d.a} {d.b} {d.reject_a_dominates} {d.reject_b_dominates} "
+        lines += [((direction, kind), f"{d.a} {d.b} {d.reject_a_dominates} {d.reject_b_dominates} "
                    + _hex(d.p_a_dominates, d.p_b_dominates)) for d in ranking.decisions]
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)  # alpha = 1: infinite mean
@@ -73,7 +76,7 @@ def results_lines() -> list:
         specs = [SimSpec(laws[0], law, 60, 70,
                          TestConfig(direction=direction, kind=kind, tau=tau, **SMALL), reps, mode)
                  for law in laws for direction, kind in CELLS for tau in (1.0, float("inf"))]
-        lines += [(spec.config.direction, f"{r.rejections} "
+        lines += [((spec.config.direction, spec.config.kind), f"{r.rejections} "
                    + _hex(r.rejection_rate, r.critical_value))
                   for spec, r in zip(specs, run_table(specs))]
     return lines
@@ -84,7 +87,7 @@ def lines():
     return results_lines()
 
 
-@pytest.mark.parametrize("direction", list(DIGESTS), ids=lambda d: d.value)
-def test_results_digest(lines, direction):
-    text = "\n".join(line for d, line in lines if d is direction)
-    assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS[direction]
+@pytest.mark.parametrize("cell", list(DIGESTS), ids=lambda c: f"{c[0].value}-{c[1].value}")
+def test_results_digest(lines, cell):
+    text = "\n".join(line for c, line in lines if c == cell)
+    assert hashlib.sha256(text.encode()).hexdigest() == DIGESTS[cell]
