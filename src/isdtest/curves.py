@@ -210,7 +210,9 @@ class BlockWorkspace:
     are views of one flat buffer per name and dtype, which grows to the
     largest size asked for, so samples of different sizes share it; the
     views are kept by shape.  The bootstrap builds one per call and runs its
-    blocks through it in turn.
+    blocks through it in turn.  :func:`~isdtest.functionals.derivative`
+    borrows the float buffers "part" and "acc", whose contents no call of
+    :func:`eval_block` reads once it has returned.
     """
 
     def __init__(self):
@@ -322,8 +324,9 @@ def eval_block(sample: SortedSample, weights, m: int, direction: Direction,
     prefix = work.array("prefix", (pairs, stop + 1), np.complex128)
     prefix[:, 0] = 0.0
     term = work.array("term", (pairs, stop), np.complex128)
-    part = work.array("part", (pairs, size), np.complex128)
-    acc = work.array("acc", (pairs, size), np.complex128)
+    # Float buffers, which the integral's derivative borrows between calls.
+    part = work.array("part", (pairs, 2 * size)).view(np.complex128)
+    acc = work.array("acc", (pairs, 2 * size)).view(np.complex128)
     acc.fill(0.0)
     for r in range(m):
         # The last term's level factor and powers[0] are exact ones: skip

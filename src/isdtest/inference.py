@@ -248,6 +248,16 @@ def _block_replications(width: int, depth: int) -> int:
     return max(step, _BLOCK_CELLS // width // depth // step * step)
 
 
+def _by_kind(members, contact) -> list:
+    """A test's cells by kind: each kind's contact sets stacked, shape (T, D,
+    C), one per bandwidth that the kind reads, and the cells that read each."""
+    kinds: dict = {}
+    for i, kind, _, t in members:
+        kinds.setdefault(kind, {}).setdefault(t, []).append(i)
+    return [(kind, np.stack([np.atleast_2d(contact[t]) for t in bands]), list(bands.values()))
+            for kind, bands in kinds.items()]
+
+
 def _bootstrap_stats(samples, pairs, m, grid, plan, keys, streams) -> np.ndarray:
     """Bootstrap statistics of every cell, shape (cells, D, replications).
 
@@ -287,12 +297,10 @@ def _bootstrap_stats(samples, pairs, m, grid, plan, keys, streams) -> np.ndarray
     for direction, tests in directions:
         masks = [np.reshape(mask, (-1, len(grid))) for *_, contact in tests for mask in contact]
         union = np.vstack(masks).any(axis=0)
-        if union.all():  # every column is read: the whole grid as it is
-            read.append((direction, None, tests))
-            continue
-        columns = np.flatnonzero(union)
+        columns = None if union.all() else np.flatnonzero(union)  # None: the whole grid
+        at = slice(None) if columns is None else columns
         read.append((direction, columns, [
-            (a, b, phi[..., columns], root_t, members, [mask[..., columns] for mask in contact])
+            (a, b, phi[..., at], root_t, _by_kind(members, [mask[..., at] for mask in contact]))
             for a, b, phi, root_t, members, contact in tests]))
     gen = np.random.Generator(np.random.Philox(key=0))
     for lo in range(0, replications, per_block):
@@ -316,7 +324,7 @@ def _bootstrap_stats(samples, pairs, m, grid, plan, keys, streams) -> np.ndarray
         for direction, columns, tests in read:
             curves = [eval_block(x, w, m, direction, grid, work, columns)
                       for x, w in zip(rows, weights)]
-            for a, b, phi, root_t, members, contact in tests:
+            for a, b, phi, root_t, kinds in tests:
                 # In the workspace: a fresh difference per test and block
                 # fragments the heap and raises peak memory.
                 h = np.subtract(curves[b], curves[a],
@@ -324,9 +332,13 @@ def _bootstrap_stats(samples, pairs, m, grid, plan, keys, streams) -> np.ndarray
                 stacked = h.reshape(hi - lo, depth, -1)
                 stacked -= phi
                 stacked *= root_t
-                for i, kind, _, t in members:
-                    stats[i, :, lo:hi] = derivative(kind, h, contact[t], grid, columns,
-                                                    work).reshape(hi - lo, depth).T
+                # All of a kind's bandwidths in one call, as many as fit the budget.
+                step = max(1, _BLOCK_CELLS // h.size)
+                for kind, sets, cells in kinds:
+                    for j in range(0, len(sets), step):
+                        values = derivative(kind, h, sets[j:j + step], grid, columns, work)
+                        for band, i in zip(values, cells[j:j + step]):
+                            stats[i, :, lo:hi] = band.reshape(hi - lo, depth).T
     return stats
 
 

@@ -330,12 +330,12 @@ class TestBlockRoute:
         monkeypatch.setattr(inference, "derivative", recorded_derivative)
         run_test(*((pairs, None) if pairs is not None else (s1, s2)), cfg)
         assert max(rows) * (cfg.grid + 1) <= 1 << 16 and sum(rows) == 2 * cfg.bootstrap
-        default, rows[:], stats[:] = np.concatenate(stats), [], []
+        default, rows[:], stats[:] = np.concatenate(stats, axis=-1), [], []
         monkeypatch.setattr(inference, "_BLOCK_CELLS", 1)
         run_test(*((pairs, None) if pairs is not None else (s1, s2)), cfg)
         # The smallest blocks hold one pair of lanes; B = 399 leaves one row.
         assert rows == [2] * (cfg.bootstrap - 1) + [1, 1]
-        assert np.array_equal(np.concatenate(stats), default)
+        assert np.array_equal(np.concatenate(stats, axis=-1), default)
 
     def test_matched_rows_match_expanded_pairs(self):
         # A matched replication reweights whole rows: its curves are those of

@@ -1,5 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isdtest import ConfigError, FunctionalKind, TestConfig
 from isdtest.curves import Grid
@@ -11,8 +15,8 @@ SUP, INT = FunctionalKind.SUP, FunctionalKind.INT
 
 
 def trapezoid(g, points):
-    """Plain trapezoid rule on the grid."""
-    return np.sum(np.diff(points) * (g[:-1] + g[1:]) / 2.0)
+    """Plain trapezoid rule on the grid, summed from left to right."""
+    return np.cumsum(np.diff(points) * (g[:-1] + g[1:]) / 2.0)[-1]
 
 
 @pytest.fixture
@@ -190,7 +194,7 @@ class TestDerivatives:
         # at the same columns of one grid.
         for args, _ in core_calls()["inference.derivative"]:
             contact, h = args["contact"], args["h"]
-            assert contact.dtype == bool and contact.ndim in (1, 2)
+            assert contact.dtype == bool and contact.ndim == 3
             assert contact.shape[-1] == h.shape[-1]
 
 
@@ -223,11 +227,11 @@ class TestPerRowContactSets:
     def test_misaligned_stack_rejected(self):
         # derivative does not check that h holds whole groups of D rows: the
         # core's block holds D rows, one per dataset, for each replication.
-        stacks = [args for args, _ in core_calls()["inference.derivative"]
-                  if args["contact"].ndim == 2]
-        assert any(len(args["contact"]) > 1 for args in stacks)
+        # The core passes a stack of (D, G) sets, one per bandwidth.
+        stacks = [args for args, _ in core_calls()["inference.derivative"]]
+        assert any(args["contact"].shape[-2] > 1 for args in stacks)
         for args in stacks:
-            assert len(args["h"]) % len(args["contact"]) == 0
+            assert len(args["h"]) % args["contact"].shape[-2] == 0
 
 
 class TestColumns:
@@ -268,3 +272,70 @@ class TestColumns:
                 assert args["h"].shape[-1] == size
             else:
                 assert grid_columns(columns, size) and len(columns) == args["h"].shape[-1]
+
+
+def exact_integral(h, mask, points, columns):
+    """The sum, in rational arithmetic, of the trapezoids of max(h, 0) over
+    the subintervals with both endpoints in the set: their widths and
+    values are the floats given, with nothing rounded."""
+    p = [Fraction(float(points[c])) for c in columns]
+    g = [Fraction(max(float(v), 0.0)) for v in h]
+    return sum(((p[j + 1] - p[j]) * (g[j] + g[j + 1]) / 2
+                for j in range(len(h) - 1)
+                if mask[j] and mask[j + 1] and columns[j + 1] == columns[j] + 1), Fraction(0))
+
+
+class TestLeftToRightIntegral:
+    """The integral adds the grid-ordered trapezoids from left to right, those
+    outside the set as +0.0."""
+
+    @pytest.mark.parametrize("depth", [1, 3])
+    @pytest.mark.parametrize("with_columns", [False, True], ids=["grid", "columns"])
+    def test_exact_sum_of_the_kept_trapezoids(self, depth, with_columns):
+        # Each trapezoid is within 3 roundings of its exact value, and a
+        # running sum of C - 1 nonnegative terms within C - 2 more.
+        rng = np.random.default_rng(61)
+        g = Grid(np.concatenate(([0.0], np.sort(rng.random(199)), [1.0])))
+        columns = (np.flatnonzero(rng.random(len(g)) < 0.8) if with_columns
+                   else np.arange(len(g)))
+        size = len(columns)
+        mask = rng.random((depth, size)) < 0.85
+        h = rng.normal(size=(2 * depth, size)) * 10.0 ** rng.uniform(-3, 3, size=(2 * depth, size))
+        got = derivative(INT, h, mask, g, columns if with_columns else None)
+        for i, row in enumerate(h):
+            exact = exact_integral(row, mask[i % depth], g.points, columns)
+            assert exact > 0
+            assert abs(Fraction(float(got[i])) - exact) <= (size - 1) * Fraction(2) ** -52 * exact
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_nested_sets_are_ordered(self, data):
+        size = data.draw(st.integers(2, 40))
+        values = st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=True)
+        h = np.array(data.draw(st.lists(values, min_size=size, max_size=size)))
+        outer = np.array(data.draw(st.lists(st.booleans(), min_size=size, max_size=size)))
+        inner = outer & np.array(data.draw(st.lists(st.booleans(), min_size=size,
+                                                    max_size=size)))
+        g = Grid.uniform(size)
+        small, large = derivative(INT, h, inner, g), derivative(INT, h, outer, g)
+        assert small <= large
+        both = derivative(INT, np.stack([h, -h]), np.stack([inner, outer])[:, None], g)
+        assert both[0, 0] == small and both[1, 0] == large
+
+    @pytest.mark.parametrize("with_columns", [False, True], ids=["grid", "columns"])
+    def test_alone_in_a_stack_or_beside_other_bandwidths(self, with_columns):
+        rng = np.random.default_rng(62)
+        g = Grid.uniform(301)
+        columns = np.flatnonzero(rng.random(301) < 0.7) if with_columns else None
+        size = 301 if columns is None else len(columns)
+        depth, bands = 3, 4
+        sets = rng.random((bands, depth, size)) < 0.75
+        h = rng.normal(size=(5 * depth, size))
+        stacked = derivative(INT, h, sets, g, columns)
+        assert stacked.shape == (bands, 5 * depth)
+        for t in range(bands):
+            rows = derivative(INT, h, sets[t], g, columns)
+            assert rows.tobytes() == stacked[t].tobytes()
+            for i in (0, 4, 5 * depth - 1):
+                alone = derivative(INT, h[i], sets[t, i % depth], g, columns)
+                assert np.float64(alone).tobytes() == stacked[t, i].tobytes()

@@ -29,9 +29,9 @@ from isdtest import (
 UP, DOWN, SUP, INT = Direction.UP, Direction.DOWN, FunctionalKind.SUP, FunctionalKind.INT
 DIGESTS = {
     (UP, SUP): "5e4f92b8efd5368574912856216f6cd6df998667bfcd42c68fb13d47ac083857",
-    (UP, INT): "e77f892c08885c626e731debeaf839a0e2e5e1300e6077f1276ba00fcee6e9d5",
+    (UP, INT): "c31ef142419fea717ef0af84d308ebca8be93b4ba27ae2b508a5a4f3f99a436e",
     (DOWN, SUP): "b36c2b65c183e213ab173024962be661ca46dca372fef71fe1229aaaf4ddbfc1",
-    (DOWN, INT): "7d0467d17d9d8832c54ac41dd92c8dc3b19506367685a3c5987bb79f5dd71364",
+    (DOWN, INT): "559e105941b34e6b0073005f48d147bb42e3147030bc6cb66fb58ebff6deb88b",
 }
 
 SMALL = dict(bootstrap=19, grid=101, vgrid=11, seed=21)

@@ -20,6 +20,7 @@ from isdtest import (
 from isdtest import inference, montecarlo
 from isdtest.bootstrap import derive_seed
 from isdtest.curves import Grid
+from isdtest.functionals import derivative
 
 from conftest import philox_key, substream
 
@@ -251,6 +252,36 @@ class TestChunkedWarpSpeed:
         finally:
             tracemalloc.stop()
         assert peak < 4.25 * 2 ** 20
+
+    def test_memory_of_a_full_integral_group(self, monkeypatch):
+        # One full-mode group with five integral bandwidths: n = 500,
+        # G = 1001, B = 99 and 20 replications, so chunks of 17 and 3 rows
+        # whose bootstrap blocks hold 34 and 60 rows, the widest lanes of
+        # the integral's reduction.  A call's lanes stay within the block
+        # budget, unless one bandwidth alone exceeds it.  The traced peak
+        # was 6.00 MB when each dataset's integral was summed on its own;
+        # the bound is 1.1 times that.
+        specs = [SimSpec(DoubleParetoParams(2.1, 1.5), DoubleParetoParams(100.0, 3.0), 500, 500,
+                         TestConfig(kind="int", tau=tau, seed=3, bootstrap=99), 20, SimMode.FULL)
+                 for tau in (1.0, 2.0, 3.0, 4.0, INF)]
+        lanes = []
+
+        def recorded(kind, h, contact, *args):
+            lanes.append((len(contact), len(contact) * h.size))
+            return derivative(kind, h, contact, *args)
+
+        monkeypatch.setattr(inference, "derivative", recorded)
+        run_table(specs)  # first-call costs outside the measurement
+        monkeypatch.undo()
+        assert max(bands for bands, _ in lanes) > 1
+        assert all(cells <= inference._BLOCK_CELLS or bands == 1 for bands, cells in lanes)
+        tracemalloc.start()
+        try:
+            run_table(specs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * 6.00 * 2 ** 20
 
 
 def _full_one_replication_at_a_time(specs):
