@@ -95,7 +95,7 @@ def derivative(kind: FunctionalKind, h, contact, grid: Grid, columns=None,
     """
     h = np.asarray(h, dtype=float)
     masks = np.asarray(contact, dtype=bool)
-    mask = masks.reshape(-1, *np.atleast_2d(masks).shape[-2:])
+    mask = masks.reshape(-1, *masks.shape[-2:]) if masks.ndim > 1 else masks[None, None]
     bands, depth, size = mask.shape
     stack = h.reshape(-1, depth, size)
     work = work if work is not None else BlockWorkspace()
@@ -103,10 +103,10 @@ def derivative(kind: FunctionalKind, h, contact, grid: Grid, columns=None,
         # A maximum does not depend on the order of the members.
         members = work.array("members", stack.shape)
         out = np.empty((bands, *stack.shape[:-1]))
-        for band, row in zip(mask, out):
+        for t in range(bands):
             members.fill(-np.inf)
-            np.copyto(members, stack, where=band)
-            np.max(members, axis=-1, out=row)
+            np.copyto(members, stack, where=mask[t])
+            np.max(members, axis=-1, out=out[t])
     else:
         keep = mask[..., :-1] & mask[..., 1:]
         widths = np.diff(grid.points)

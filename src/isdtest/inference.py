@@ -258,7 +258,7 @@ def _by_kind(members, contact) -> list:
             for kind, bands in kinds.items()]
 
 
-def _bootstrap_stats(samples, pairs, m, grid, plan, keys, streams) -> np.ndarray:
+def _bootstrap_stats(samples, pairs, m, grid, plan, keys, streams, work=None) -> np.ndarray:
     """Bootstrap statistics of every cell, shape (cells, D, replications).
 
     ``plan`` lists each direction with its tests (a, b, phi-hat,
@@ -281,14 +281,20 @@ def _bootstrap_stats(samples, pairs, m, grid, plan, keys, streams) -> np.ndarray
     how far the contact sets reach along p from the direction's own end,
     p = 0 upward and p = 1 downward, where the curves' sums start.  A test
     near its null, whose contact set spans the grid, costs what a
-    whole-grid evaluation does.  The curves' temporaries, the differences
-    and the sup's masked copies come from one workspace per call.
+    whole-grid evaluation does.  Each test passes all the contact sets that
+    one kind reads, every bandwidth's, to one :func:`derivative` call per
+    block, so the integrals of every bandwidth, dataset and row are one
+    reduction; a call holds as many bandwidths as keep its lanes, rows
+    times columns per bandwidth, within the block budget, and one at
+    least.  The curves' temporaries, the differences and the derivatives'
+    scratch arrays come from ``work``, or from a workspace of the call's
+    own when none is given.
     """
     cells, directions = plan
     replications, depth = keys.shape[:2]
     per_block = _block_replications(max(max(s.n for s in samples), len(grid)) + 1, depth)
     stats = np.empty((cells, depth, replications))
-    work = BlockWorkspace()
+    work = work if work is not None else BlockWorkspace()
     sizes = [s.n for s in samples] if pairs is None else [pairs.n]
     draws: dict = {}  # stream -> the slots it draws, in slot order
     for k, stream in enumerate(streams[:len(sizes)]):
@@ -332,17 +338,18 @@ def _bootstrap_stats(samples, pairs, m, grid, plan, keys, streams) -> np.ndarray
                 stacked = h.reshape(hi - lo, depth, -1)
                 stacked -= phi
                 stacked *= root_t
-                # All of a kind's bandwidths in one call, as many as fit the budget.
-                step = max(1, _BLOCK_CELLS // h.size)
+                step = max(1, _BLOCK_CELLS // h.size)  # bandwidths per call
                 for kind, sets, cells in kinds:
                     for j in range(0, len(sets), step):
                         values = derivative(kind, h, sets[j:j + step], grid, columns, work)
-                        for band, i in zip(values, cells[j:j + step]):
-                            stats[i, :, lo:hi] = band.reshape(hi - lo, depth).T
+                        for band, band_cells in zip(values.reshape(-1, hi - lo, depth),
+                                                    cells[j:j + step]):
+                            for i in band_cells:
+                                stats[i, :, lo:hi] = band.T
     return stats
 
 
-def _test_cells(samples, pairs, m, xi, fgrid, vgrid, plan, keys, streams):
+def _test_cells(samples, pairs, m, xi, fgrid, vgrid, plan, keys, streams, work=None):
     """The test's statistics for every cell of a :func:`_plan` over ``samples``.
 
     Sample slot k is a :class:`SortedSample` holding a stack of D datasets
@@ -359,6 +366,9 @@ def _test_cells(samples, pairs, m, xi, fgrid, vgrid, plan, keys, streams):
     scheme (then D = 1), else None.  Returns each cell's observed
     statistics (cells, D), its bootstrap statistics (cells, D,
     replications) and its contact-set mask (one row per dataset).
+    ``work`` is the bootstrap's :class:`BlockWorkspace`; a caller that makes
+    many calls of one shape lends them one, so that its buffers are not
+    allocated and faulted in again in every call.
     A non-finite phi-hat, sigma-hat or statistic raises DataError; the
     guard runs once per call, whatever D.
     """
@@ -389,7 +399,7 @@ def _test_cells(samples, pairs, m, xi, fgrid, vgrid, plan, keys, streams):
                 evaluated.append((a, b, phi, sqrt(t_n), members, contact))
             tests_by_direction.append((direction, evaluated))
         boot = _bootstrap_stats(samples, pairs, m, fgrid, (cells, tests_by_direction), keys,
-                                streams)
+                                streams, work)
     _finite(boot, "bootstrap statistic")
     return np.array(statistics), boot, contact_sets
 

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import inference
 from .bootstrap import _generate_state, _restart, derive_seed
-from .curves import Direction, Grid
+from .curves import BlockWorkspace, Direction, Grid
 from .dgp import DoubleParetoParams, dp_quantile
 from .empirical import _sorted_rows
 from .errors import ConfigError
@@ -142,6 +142,9 @@ def _run_group(specs: list[SimSpec]) -> list[SimResult]:
     else:  # one draw, both samples' weights from the replication's stream
         boot_keys = _generate_state(cfg.seed, (_MC_BOOT, *key, index), 2, np.uint64)
     rng = np.random.Generator(np.random.Philox(key=0))
+    # One workspace for every chunk: a warp-speed call runs one bootstrap
+    # block, and a workspace of its own would fault its pages in each call.
+    work = BlockWorkspace()
     for lo in range(0, reps, chunk):
         hi = min(lo + chunk, reps)
         # Each replication's uniforms from its own stream, the first sample's
@@ -156,7 +159,7 @@ def _run_group(specs: list[SimSpec]) -> list[SimResult]:
                   for dgp, u in zip((base.dgp1, base.dgp2), uniforms)]
         keys = _test_keys(seeds[lo:hi], cfg.bootstrap) if full else boot_keys[None, lo:hi, None]
         observed[:, lo:hi], stats, _ = _test_cells(
-            stacks, None, cfg.m, cfg.xi, fgrid, vgrid, plan, keys, (0, 0))
+            stacks, None, cfg.m, cfg.xi, fgrid, vgrid, plan, keys, (0, 0), work)
         boot[:, lo:hi] = ([[_critical(draws, s.config) for draws in rows]
                            for rows, s in zip(stats, specs)] if full else stats[:, :, 0])
 

@@ -318,12 +318,13 @@ def fraction_curves(values, weights, m, direction, points):
     return out
 
 
-def full_grid_bootstrap_stats(samples, pairs, m, grid, plan, keys, streams):
+def full_grid_bootstrap_stats(samples, pairs, m, grid, plan, keys, streams, work=None):
     """``inference._bootstrap_stats`` with every bootstrap curve evaluated on
     the whole grid: one replication of one dataset at a time, each sample's
     weights drawn from a new generator on its stream, and each statistic
     the derivative of the whole-grid difference on its contact set.  Same
-    arguments and result, shape (cells, D, replications)."""
+    arguments and result, shape (cells, D, replications); it keeps no
+    workspace, so ``work`` goes unread."""
     cells, directions = plan
     replications, depth = keys.shape[:2]
     sizes = [s.n for s in samples] if pairs is None else [pairs.n]

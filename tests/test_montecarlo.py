@@ -239,8 +239,10 @@ class TestChunkedWarpSpeed:
     def test_memory_of_a_group(self):
         # One group at the benchmark's warp-speed shape: n = 500, G = 1001,
         # 50 replications, 10 cells, so three core calls of up to 17 rows.
-        # Measured traced peak: 2.9 MB, against 1.4 MB in 8-row chunks and
-        # 7.8 MB in one 50-row call.
+        # Measured traced peak: 4.0 MB, with one workspace for the group's
+        # chunks and up to three integral bandwidths per reduction; 2.9 MB
+        # before either, against 1.4 MB in 8-row chunks and 7.8 MB in one
+        # 50-row call.
         specs = [SimSpec(DoubleParetoParams(2.1, 1.5), DoubleParetoParams(100.0, 3.0), 500, 500,
                          TestConfig(kind=kind, tau=tau, seed=3), 50)
                  for kind in ("sup", "int") for tau in (1.0, 2.0, 3.0, 4.0, INF)]
