@@ -75,11 +75,11 @@ def derivative(kind: FunctionalKind, h, contact, grid: Grid, columns=None,
     w_j (g_j + g_j+1) / 2, where a subinterval outside the set contributes
     +0.0.  Adding +0.0 leaves a running sum of nonnegative terms unchanged,
     so a value's bits depend on neither the set's size, nor the columns,
-    nor the other curves and sets of the call.  (Before, each row's
-    members were summed pairwise, which moved the last bits of every
-    integral.)  ``contact`` is the set's boolean mask, shape (G,) or
-    (D, G); with D rows, curve row i is measured on mask row i mod D, so h
-    holds a whole number of D-row groups.  A stack of T such masks, shape
+    nor the other curves and sets of the call.  (Summing each row's
+    members pairwise, as this function once did, gives other last bits.)
+    ``contact`` is the set's boolean mask, shape (G,) or (D, G); with D
+    rows, curve row i is measured on mask row i mod D, so h holds a whole
+    number of D-row groups.  A stack of T such masks, shape
     (T, D, G), one per bandwidth, measures every curve on each and returns
     T leading rows of values: the integrals of all T R curves are one
     reduction down a (C - 1, T R) array, which numpy runs row after row.
