@@ -14,6 +14,7 @@ import json
 import sys
 import time
 from dataclasses import asdict, dataclass, fields
+from enum import Enum
 from itertools import product
 from pathlib import Path
 
@@ -24,8 +25,7 @@ from .dgp import DoubleParetoParams
 from .empirical import PairedSample, SortedSample, make_paired, make_sample
 from .errors import ConfigError, DataError
 from .functionals import FunctionalKind
-from .inference import (RankingMatrix, TestConfig, TestResult, _coerce, pairwise_rank,
-                        run_test)
+from .inference import TestConfig, _coerce, pairwise_rank, run_test
 from .montecarlo import SimResult, SimSpec, preset_specs, run_table
 from .variance import Scheme
 
@@ -142,64 +142,36 @@ def load_csv(path, paired: bool = False) -> SortedSample | PairedSample:
     return make_sample(data[:, 0])
 
 
+def _name(field) -> str:
+    """A TestConfig field's name in flags, spec keys and reports: ``kind``
+    is ``functional``."""
+    return "functional" if field.name == "kind" else field.name
+
+
 def _config_dict(cfg: TestConfig) -> dict:
-    # ``threads`` accepts only 1 and says nothing about the test, so it is
-    # absent: reports must not depend on how they were computed.
-    return {
-        "m": cfg.m,
-        "direction": cfg.direction.value,
-        "functional": cfg.kind.value,
-        "alpha": cfg.alpha,
-        "tau": "inf" if np.isinf(cfg.tau) else cfg.tau,
-        "xi": cfg.xi,
-        "eta": cfg.eta,
-        "bootstrap": cfg.bootstrap,
-        "seed": cfg.seed,
-        "grid": cfg.grid,
-        "vgrid": cfg.vgrid,
-        "scheme": cfg.scheme.value,
-    }
+    """TestConfig's fields, enums by value and an infinite bandwidth as "inf".
+
+    ``threads`` accepts only 1 and says nothing about the test, so it is
+    absent: reports must not depend on how they were computed.
+    """
+    values = {_name(f): getattr(cfg, f.name) for f in fields(TestConfig) if f.name != "threads"}
+    return {key: value.value if isinstance(value, Enum) else "inf" if value == np.inf else value
+            for key, value in values.items()}
 
 
-def _test_result_dict(res: TestResult) -> dict:
-    return {
-        "statistic": res.statistic,
-        "critical_value": res.critical_value,
-        "p_value": res.p_value,
-        "reject": res.reject,
-        "contact_fraction": res.contact_fraction,
-        "T_n": res.t_n,
-    }
-
-
-def _rank_result_dict(matrix: RankingMatrix) -> dict:
-    return {
-        "labels": list(matrix.labels),
-        "relation": matrix.to_table(),
-        "pairs": [
-            {
-                "a": d.a,
-                "b": d.b,
-                "reject_a_dominates": d.reject_a_dominates,
-                "reject_b_dominates": d.reject_b_dominates,
-                "p_a_dominates": d.p_a_dominates,
-                "p_b_dominates": d.p_b_dominates,
-            }
-            for d in matrix.decisions
-        ],
-    }
+# TestConfig's fields that a spec file lists values of, one cell each, by key.
+_AXES = ("direction", "functional", "tau")
 
 
 def _cell_dict(res: SimResult) -> dict:
     s = res.spec
+    config = _config_dict(s.config)
     return {
-        "dgp1": {"alpha": s.dgp1.alpha, "beta": s.dgp1.beta, "scale": s.dgp1.scale},
-        "dgp2": {"alpha": s.dgp2.alpha, "beta": s.dgp2.beta, "scale": s.dgp2.scale},
+        "dgp1": asdict(s.dgp1),
+        "dgp2": asdict(s.dgp2),
         "n1": s.n1,
         "n2": s.n2,
-        "direction": s.config.direction.value,
-        "functional": s.config.kind.value,
-        "tau": "inf" if np.isinf(s.config.tau) else s.config.tau,
+        **{key: config[key] for key in _AXES},
         "mode": s.mode.value,
         "replications": s.replications,
         "rejection_rate": res.rejection_rate,
@@ -315,23 +287,19 @@ def _given(values: dict) -> dict:
     return {k: v for k, v in values.items() if v is not None}
 
 
+# Help of the flags whose name does not say enough; the others have none.
+_HELP = {"m": f"dominance degree (default {TestConfig.m})",
+         "tau": f"contact-set bandwidth; a number or 'inf' (default {TestConfig.tau:g})",
+         "threads": "accepted only as 1: the bootstrap runs on one thread"}
+
+
 def _add_test_flags(p: argparse.ArgumentParser) -> None:
-    # One flag per TestConfig field but ``scheme``, named after it (``kind``
-    # is --functional); TestConfig checks every value.
-    p.add_argument("--m", type=int, help=f"dominance degree (default {TestConfig.m})")
-    p.add_argument("--direction")
-    p.add_argument("--functional", dest="kind")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--tau", type=float,
-                   help=f"contact-set bandwidth; a number or 'inf' (default {TestConfig.tau:g})")
-    p.add_argument("--xi", type=float)
-    p.add_argument("--eta", type=float)
-    p.add_argument("--bootstrap", type=int, metavar="B")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--grid", type=int)
-    p.add_argument("--vgrid", type=int)
-    p.add_argument("--threads", type=int,
-                   help="accepted only as 1: the bootstrap runs on one thread")
+    # One flag per TestConfig field but ``scheme``, named after it, of its
+    # default's type (an enum's: a plain string); TestConfig checks every value.
+    for f in fields(TestConfig):
+        if f.name != "scheme":
+            p.add_argument(f"--{_name(f)}", dest=f.name, help=_HELP.get(f.name),
+                           type=str if isinstance(f.default, Enum) else type(f.default))
     p.add_argument("--format", choices=["json", "csv", "text"], default="json")
     p.add_argument("--output", default=None, help="write the report here instead of stdout")
 
@@ -374,8 +342,7 @@ def _config_from_args(args, scheme: Scheme) -> TestConfig:
     return TestConfig(**_given(values), scheme=scheme)
 
 
-def _cmd_test(args) -> Report:
-    start = time.perf_counter()
+def _cmd_test(args) -> tuple:
     cfg = _config_from_args(args, Scheme.MATCHED if args.matched else Scheme.INDEPENDENT)
     if args.matched:
         if len(args.files) != 1:
@@ -385,21 +352,19 @@ def _cmd_test(args) -> Report:
         if len(args.files) != 2:
             raise ConfigError("test takes exactly two sample files (or one with --matched)")
         result = run_test(load_csv(args.files[0]), load_csv(args.files[1]), cfg)
-    elapsed = (time.perf_counter() - start) * 1e3
-    return Report("test", _config_dict(cfg), _test_result_dict(result),
-                  cfg.seed, __version__, elapsed)
+    # The wall time is the report's own, at its top level.
+    return cfg, {("T_n" if key == "t_n" else key): value
+                 for key, value in asdict(result).items() if key != "elapsed_ms"}
 
 
-def _cmd_rank(args) -> Report:
-    start = time.perf_counter()
+def _cmd_rank(args) -> tuple:
     if len(args.files) < 2:
         raise ConfigError("rank takes at least two sample files")
     cfg = _config_from_args(args, Scheme.INDEPENDENT)
     datasets = [(Path(f).stem, load_csv(f)) for f in args.files]
     matrix = pairwise_rank(datasets, cfg)
-    elapsed = (time.perf_counter() - start) * 1e3
-    return Report("rank", _config_dict(cfg), _rank_result_dict(matrix),
-                  cfg.seed, __version__, elapsed)
+    return cfg, {"labels": list(matrix.labels), "relation": matrix.to_table(),
+                 "pairs": [asdict(d) for d in matrix.decisions]}
 
 
 def _parse_spec_file(path) -> dict:
@@ -423,14 +388,12 @@ def _cast(cast, tokens, key):
         raise ConfigError(f"spec key {key!r}: cannot parse {tokens!r}") from None
 
 
-# Spec keys of TestConfig's scalar fields, each with the type TestConfig checks.
-_CONFIG_KEYS = {"m": int, "alpha": float, "xi": float, "eta": float, "grid": int,
-                "vgrid": int, "bootstrap": int, "seed": int}
+# Spec keys of TestConfig's fields that take one value, each with its default's type.
+_CONFIG_KEYS = {f.name: type(f.default) for f in fields(TestConfig)
+                if not isinstance(f.default, Enum) and f.name not in ("tau", "threads")}
 # Every key _specs_from_file reads; any other key is a configuration error.
-_SPEC_KEYS = frozenset({
-    *_CONFIG_KEYS, "mode", "replications", "n", "direction", "functional", "tau",
-    "dgp1.alpha", "dgp1.beta", "dgp1.scale", "dgp2", "dgp2.alpha", "dgp2.beta", "dgp2.scale",
-})
+_SPEC_KEYS = frozenset({*_CONFIG_KEYS, *_AXES, "mode", "replications", "n", "dgp2",
+                        *(f"dgp{i}.{f.name}" for i in (1, 2) for f in fields(DoubleParetoParams))})
 
 
 def _specs_from_file(path, overrides: dict) -> list[SimSpec]:
@@ -487,8 +450,7 @@ def _specs_from_file(path, overrides: dict) -> list[SimSpec]:
     return specs
 
 
-def _cmd_simulate(args) -> Report:
-    start = time.perf_counter()
+def _cmd_simulate(args) -> tuple:
     if (args.spec is None) == (args.preset is None):
         raise ConfigError("simulate needs exactly one of --spec FILE or --preset NAME")
     given = _given({"seed": args.seed, "replications": args.replications})
@@ -496,24 +458,20 @@ def _cmd_simulate(args) -> Report:
         specs = preset_specs(args.preset, **given)
     else:
         specs = _specs_from_file(args.spec, given)
-    results = run_table(specs)
-    elapsed = (time.perf_counter() - start) * 1e3
-    cfg = specs[0].config
-    return Report("simulate", _config_dict(cfg),
-                  {"cells": [_cell_dict(r) for r in results]},
-                  cfg.seed, __version__, elapsed)
+    return specs[0].config, {"cells": [_cell_dict(r) for r in run_table(specs)]}
+
+
+_COMMANDS = {"test": _cmd_test, "rank": _cmd_rank, "simulate": _cmd_simulate}
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "test":
-            report = _cmd_test(args)
-        elif args.command == "rank":
-            report = _cmd_rank(args)
-        else:
-            report = _cmd_simulate(args)
+        start = time.perf_counter()
+        cfg, result = _COMMANDS[args.command](args)
+        elapsed = (time.perf_counter() - start) * 1e3
+        report = Report(args.command, _config_dict(cfg), result, cfg.seed, __version__, elapsed)
         payload = emit_report(report, args.format)
         if args.output:
             Path(args.output).write_bytes(payload)
