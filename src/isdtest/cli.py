@@ -205,36 +205,44 @@ def _emit_csv(report: Report) -> str:
 
 
 def _simulate_csv(cells: list) -> list:
-    # One block per (functional, direction[, upper shape]); rows are the
-    # contact-set bandwidths (or sizes when tau is constant), columns the
-    # varying shape of the second law -- the published table layout.
-    taus = {c["tau"] for c in cells}
-    multi_tau = len(taus) > 1
-    betas2 = sorted({c["dgp2"]["beta"] for c in cells})
-    alphas2 = sorted({c["dgp2"]["alpha"] for c in cells})
+    # One block per (functional, direction[, upper shape of the first law]);
+    # rows are the contact-set bandwidths (or sizes when tau is constant),
+    # columns the varying shape of the second law -- the published table
+    # layout.  Any other field that tells apart two cells of one slot enters
+    # the block's header too, named by its path in the cell (``n1``,
+    # ``dgp1.beta``; the first law's upper shape is ``alpha``): of fields
+    # that tell the same cells apart, the earliest.  The published tables
+    # need none.
+    values = [{**{f"{law}.{k}": x for law in ("dgp1", "dgp2") for k, x in c[law].items()},
+               **{k: x for k, x in c.items() if not isinstance(x, dict)}} for c in cells]
+    multi_tau = len({v["tau"] for v in values}) > 1
+    betas2 = sorted({v["dgp2.beta"] for v in values})
+    alphas2 = sorted({v["dgp2.alpha"] for v in values})
     col_key = "beta" if len(betas2) >= len(alphas2) else "alpha"
     cols = betas2 if col_key == "beta" else alphas2
+    head = ["functional", "direction", *(["dgp1.alpha"] if multi_tau else [])]
+    row, col = "tau" if multi_tau else "n1", f"dgp2.{col_key}"
+    outcome = {"rejection_rate", "rejections", "critical_value"}
+    rest = [k for k in values[0] if k not in {*head, row, col, *outcome}]
 
-    def row_sort(value):
-        return float("inf") if value == "inf" else float(value)
+    def slots(keys) -> int:
+        return len({tuple(v[k] for k in [*head, row, col, *keys]) for v in values})
+
+    for key in rest[::-1]:
+        if slots([k for k in rest if k != key]) == slots(rest):
+            rest.remove(key)
+    head += rest
 
     lines = []
     blocks: dict[tuple, dict] = {}
-    for c in cells:
-        block = (c["functional"], c["direction"],
-                 c["dgp1"]["alpha"] if multi_tau else None)
-        row = c["tau"] if multi_tau else c["n1"]
-        blocks.setdefault(block, {})[(row, c["dgp2"][col_key])] = c["rejection_rate"]
-    row_label = "tau" if multi_tau else "n"
-    for (functional, direction, alpha1), table in blocks.items():
-        head = f"functional={functional},direction={direction}"
-        if alpha1 is not None:
-            head += f",alpha={alpha1}"
-        lines.append(f"# {head}")
-        lines.append(f"{row_label}\\{col_key}," + ",".join(str(c) for c in cols))
-        for r in sorted({r for (r, _) in table}, key=row_sort):
-            values = [table.get((r, c), "") for c in cols]
-            lines.append(f"{r}," + ",".join(str(v) for v in values))
+    for v in values:
+        blocks.setdefault(tuple(v[k] for k in head), {})[v[row], v[col]] = v["rejection_rate"]
+    for block, table in blocks.items():
+        lines.append("# " + ",".join(f"{'alpha' if k == 'dgp1.alpha' else k}={x}"
+                                     for k, x in zip(head, block)))
+        lines.append(f"{'tau' if multi_tau else 'n'}\\{col_key}," + ",".join(map(str, cols)))
+        for r in sorted({r for r, _ in table}, key=float):
+            lines.append(f"{r}," + ",".join(str(table.get((r, c), "")) for c in cols))
     return lines
 
 

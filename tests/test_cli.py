@@ -526,6 +526,31 @@ class TestMainSimulate:
         assert "tau\\beta" in out
         assert "# functional=sup,direction=up,alpha=3.0" in out
 
+    @pytest.mark.parametrize("fmt", ["csv", "text"])
+    def test_table_keeps_every_cell(self, tmp_path, capsysbinary, monkeypatch, fmt):
+        # Rows are the bandwidths and columns the second law's beta, so the
+        # two sizes would share each slot: the size enters the blocks' header.
+        path = tmp_path / "design.sim"
+        path.write_text("n = 60 90\ntau = 1 inf\ndgp2.beta = 2 2.5\n", encoding="utf-8")
+        monkeypatch.setattr(cli, "run_table", lambda specs: [
+            SimResult(s, k / 8, k, 0.0) for k, s in enumerate(specs)])
+        assert main(["simulate", "--spec", str(path)]) == 0
+        cells = json.loads(capsysbinary.readouterr().out)["result"]["cells"]
+        assert len(cells) == 8
+        assert main(["simulate", "--spec", str(path), "--format", fmt]) == 0
+        table, head = {}, None
+        for line in capsysbinary.readouterr().out.decode().splitlines():
+            if line.startswith("# "):
+                head = dict(field.split("=") for field in line[2:].split(","))
+            elif line.startswith("tau\\beta,"):
+                betas = line.split(",")[1:]
+            elif head is not None and "," in line:
+                tau, *rates = line.split(",")
+                for beta, rate in zip(betas, rates):
+                    table[head.get("n1"), tau, beta] = float(rate)
+        assert table == {(str(c["n1"]), str(c["tau"]), str(c["dgp2"]["beta"])):
+                         c["rejection_rate"] for c in cells}
+
     def test_needs_spec_or_preset(self):
         assert main(["simulate"]) == 3
 
