@@ -377,6 +377,7 @@ def _cmd_rank(args) -> tuple:
 
 def _parse_spec_file(path) -> dict:
     values: dict[str, list[str]] = {}
+    first: dict[str, int] = {}  # key -> its line
     for line_no, raw in enumerate(_lines(path), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -384,7 +385,12 @@ def _parse_spec_file(path) -> dict:
         if "=" not in line:
             raise DataError(f"line {line_no}: expected 'key = value'")
         key, _, rest = line.partition("=")
-        values[key.strip().lower()] = rest.split()
+        key = key.strip().lower()
+        if key in first:
+            raise ConfigError(f"spec key {key!r} is given twice, on lines {first[key]} "
+                              f"and {line_no}")
+        first[key] = line_no
+        values[key] = rest.split()
     return values
 
 

@@ -504,6 +504,13 @@ dgp2.scale = 1.5
 """
 
 
+def _spec_with(line: str) -> str:
+    """SPEC_TEXT with ``line`` in place of the line of its key, or added."""
+    key = line.split("=")[0].strip()
+    kept = [old for old in SPEC_TEXT.splitlines() if old.split("=")[0].strip() != key]
+    return "\n".join([*kept, line]) + "\n"
+
+
 class TestMainSimulate:
     def test_spec_file(self, tmp_path, capsysbinary):
         path = tmp_path / "design.sim"
@@ -648,15 +655,27 @@ class TestMainSimulate:
         "replications = some", "seed = x", "n = 60.5", "dgp2 =", "dgp2 = sme",
         "dgp1.alpha = inf",
     ])
-    def test_malformed_spec_value_is_config_error(self, tmp_path, line):
-        # A later line overrides the same key of SPEC_TEXT.
+    def test_malformed_spec_value_is_config_error(self, tmp_path, capsys, line):
+        path = tmp_path / "design.sim"
+        path.write_text(_spec_with(line), encoding="utf-8")
+        assert main(["simulate", "--spec", str(path)]) == 3
+        assert "given twice" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["tau = inf", "TAU = 1", "dgp2 = same"])
+    def test_repeated_spec_key_is_config_error(self, tmp_path, capsys, line):
+        # SPEC_TEXT gives tau on line 6 and dgp2 on line 11; a repeat, in any
+        # case, is an error rather than the last line winning.
         path = tmp_path / "design.sim"
         path.write_text(SPEC_TEXT + line + "\n", encoding="utf-8")
         assert main(["simulate", "--spec", str(path)]) == 3
+        first = 6 if line.lower().startswith("tau") else 11
+        key = line.split("=")[0].strip().lower()
+        assert (f"spec key {key!r} is given twice, on lines {first} and 15"
+                in capsys.readouterr().err)
 
     def test_unknown_functional_names_the_spec_key(self, tmp_path, capsys):
         path = tmp_path / "design.sim"
-        path.write_text(SPEC_TEXT + "functional = sup max\n", encoding="utf-8")
+        path.write_text(_spec_with("functional = sup max"), encoding="utf-8")
         assert main(["simulate", "--spec", str(path)]) == 3
         err = capsys.readouterr().err
         assert "config error: spec key 'functional' must be one of sup, int, got 'max'" in err
