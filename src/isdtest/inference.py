@@ -218,21 +218,16 @@ def _plan(cells) -> tuple:
     """The index structure of a list of cells (a, b, direction, kind, tau).
 
     A cell tests the null that sample a dominates sample b.  Returns the
-    cell count and, per direction, each ordered pair (a, b) with its
-    distinct kinds, its distinct bandwidths and its cells as (cell, kind,
-    kind index, bandwidth index).  It depends on the cells only, so a
-    caller that tests many data sets with one list of cells builds it once.
+    cell count and, per direction, each ordered pair (a, b) with its cells
+    grouped by kind, then by bandwidth: ``{kind: {tau: [cell, ...]}}``.  It
+    depends on the cells only, so a caller that tests many data sets with
+    one list of cells builds it once.
     """
     directions: dict = {}
     for i, (a, b, direction, kind, tau) in enumerate(cells):
-        kinds, taus, members = directions.setdefault(direction, {}).setdefault(
-            (a, b), ([], [], []))
-        if kind not in kinds:
-            kinds.append(kind)
-        if tau not in taus:
-            taus.append(tau)
-        members.append((i, kind, kinds.index(kind), taus.index(tau)))
-    return len(cells), [(direction, [(a, b, *lists) for (a, b), lists in tests.items()])
+        tests = directions.setdefault(direction, {})
+        tests.setdefault((a, b), {}).setdefault(kind, {}).setdefault(tau, []).append(i)
+    return len(cells), [(direction, [(a, b, kinds) for (a, b), kinds in tests.items()])
                         for direction, tests in directions.items()]
 
 
@@ -248,21 +243,12 @@ def _block_replications(width: int, depth: int) -> int:
     return max(step, _BLOCK_CELLS // width // depth // step * step)
 
 
-def _by_kind(members, contact) -> list:
-    """A test's cells by kind: each kind's contact sets stacked, shape (T, D,
-    C), one per bandwidth that the kind reads, and the cells that read each."""
-    kinds: dict = {}
-    for i, kind, _, t in members:
-        kinds.setdefault(kind, {}).setdefault(t, []).append(i)
-    return [(kind, np.stack([np.atleast_2d(contact[t]) for t in bands]), list(bands.values()))
-            for kind, bands in kinds.items()]
-
-
 def _bootstrap_stats(samples, pairs, m, grid, plan, keys, streams, work=None) -> np.ndarray:
     """Bootstrap statistics of every cell, shape (cells, D, replications).
 
     ``plan`` lists each direction with its tests (a, b, phi-hat,
-    sqrt(T_n), members, contact sets).  ``keys`` holds the Philox keys of
+    sqrt(T_n), cells by kind and bandwidth as :func:`_plan` groups them,
+    contact set by bandwidth).  ``keys`` holds the Philox keys of
     the bootstrap streams, shape (replications, D, streams, 2): replication
     b of dataset d draws sample k's weights from the stream of
     ``keys[b, d, streams[k]]``, from its start, the samples of one stream
@@ -301,13 +287,18 @@ def _bootstrap_stats(samples, pairs, m, grid, plan, keys, streams, work=None) ->
         draws.setdefault(stream, []).append(k)
     read = []  # per direction: its columns, and its tests on those columns
     for direction, tests in directions:
-        masks = [np.reshape(mask, (-1, len(grid))) for *_, contact in tests for mask in contact]
+        masks = [np.reshape(mask, (-1, len(grid)))
+                 for *_, contact in tests for mask in contact.values()]
         union = np.vstack(masks).any(axis=0)
         columns = None if union.all() else np.flatnonzero(union)  # None: the whole grid
         at = slice(None) if columns is None else columns
+        # Per test and kind: the contact sets it reads stacked, shape (T, D,
+        # C), and the cells that read each.
         read.append((direction, columns, [
-            (a, b, phi[..., at], root_t, _by_kind(members, [mask[..., at] for mask in contact]))
-            for a, b, phi, root_t, members, contact in tests]))
+            (a, b, phi[..., at], root_t,
+             [(kind, np.stack([np.atleast_2d(contact[tau])[..., at] for tau in bands]),
+               list(bands.values())) for kind, bands in kinds.items()])
+            for a, b, phi, root_t, kinds, contact in tests]))
     gen = np.random.Generator(np.random.Philox(key=0))
     for lo in range(0, replications, per_block):
         hi = min(lo + per_block, replications)
@@ -379,7 +370,7 @@ def _test_cells(samples, pairs, m, xi, fgrid, vgrid, plan, keys, streams, work=N
         for direction, tests in directions:
             curves = [eval_on_grid(LambdaCurve(s, m, direction), fgrid) for s in samples]
             evaluated = []
-            for a, b, kinds, taus, members in tests:
+            for a, b, kinds in tests:
                 t_n = effective_size(samples[a].n, samples[b].n)
                 kernel = kernels.get((a, b))
                 if kernel is None:
@@ -389,14 +380,17 @@ def _test_cells(samples, pairs, m, xi, fgrid, vgrid, plan, keys, streams, work=N
                 phi = curves[b] - curves[a]
                 # Matched pairs give one row of sigma-hat, independent stacks D rows.
                 vhat = np.atleast_2d(sigma_curve(kernel, m, direction, vgrid, fgrid, xi))
-                observed = [sqrt(t_n) * functional(kind, phi, fgrid) for kind in kinds]
+                observed = {kind: sqrt(t_n) * functional(kind, phi, fgrid) for kind in kinds}
                 _finite(phi, "curve difference")
                 _finite(vhat, "standard deviation")
-                _finite(observed, "test statistic")
-                contact = [estimate_contact_set(phi, vhat, t_n, tau) for tau in taus]
-                for i, _, k, t in members:
-                    statistics[i], contact_sets[i] = observed[k], contact[t]
-                evaluated.append((a, b, phi, sqrt(t_n), members, contact))
+                _finite(list(observed.values()), "test statistic")
+                contact = {tau: estimate_contact_set(phi, vhat, t_n, tau)
+                           for tau in {tau for bands in kinds.values() for tau in bands}}
+                for kind, bands in kinds.items():
+                    for tau, indices in bands.items():
+                        for i in indices:
+                            statistics[i], contact_sets[i] = observed[kind], contact[tau]
+                evaluated.append((a, b, phi, sqrt(t_n), kinds, contact))
             tests_by_direction.append((direction, evaluated))
         boot = _bootstrap_stats(samples, pairs, m, fgrid, (cells, tests_by_direction), keys,
                                 streams, work)

@@ -342,10 +342,13 @@ def full_grid_bootstrap_stats(samples, pairs, m, grid, plan, keys, streams, work
             for direction, tests in directions:
                 curves = [eval_block(SortedSample(s.values[d]), w[None], m, direction, grid)[0]
                           for s, w in zip(samples, weights)]
-                for a, c, phi, root_t, members, contact in tests:
+                for a, c, phi, root_t, kinds, contact in tests:
                     h = (curves[c] - curves[a] - np.atleast_2d(phi)[d]) * root_t
-                    for i, kind, _, t in members:
-                        stats[i, d, b] = derivative(kind, h, np.atleast_2d(contact[t])[d], grid)
+                    for kind, bands in kinds.items():
+                        for tau, cells in bands.items():
+                            mask = np.atleast_2d(contact[tau])[d]
+                            for i in cells:
+                                stats[i, d, b] = derivative(kind, h, mask, grid)
     return stats
 
 

@@ -214,7 +214,7 @@ class TestBlockRoute:
 
     def _block_stats(self, s1, s2, pairs, phi, cs, t_n, cfg):
         """The test's block loop on one cell, with the given contact set."""
-        test = (0, 1, phi, np.sqrt(t_n), [(0, cfg.kind, 0, 0)], [cs])
+        test = (0, 1, phi, np.sqrt(t_n), {cfg.kind: {cfg.tau: [0]}}, {cfg.tau: cs})
         return inference._bootstrap_stats(
             [SortedSample(s1.values[None]), SortedSample(s2.values[None])], pairs, cfg.m,
             self.grid, (1, [(cfg.direction, [test])]),
@@ -345,8 +345,8 @@ class TestBlockRoute:
         pairs = make_paired(left, right)
         g = Grid.uniform(51)
         full = np.ones(len(g), dtype=bool)
-        members = [(0, FunctionalKind.SUP, 0, 0), (1, FunctionalKind.INT, 0, 0)]
-        test = (0, 1, np.zeros(len(g)), 1.0, members, [full])
+        kinds = {FunctionalKind.SUP: {np.inf: [0]}, FunctionalKind.INT: {np.inf: [1]}}
+        test = (0, 1, np.zeros(len(g)), 1.0, kinds, {np.inf: full})
         stats = inference._bootstrap_stats(
             [SortedSample(pairs.left_sample().values[None]),
              SortedSample(pairs.right_sample().values[None])], pairs, 3, g,

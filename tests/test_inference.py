@@ -442,7 +442,8 @@ def _columns_spy(monkeypatch):
 
     def spied_stats(samples, pairs, m, grid, plan, *args):
         for direction, tests in plan[1]:
-            masks = [np.reshape(mask, (-1, len(grid))) for *_, contact in tests for mask in contact]
+            masks = [np.reshape(mask, (-1, len(grid)))
+                     for *_, contact in tests for mask in contact.values()]
             union[direction] = np.flatnonzero(np.vstack(masks).any(axis=0))
         return stats(samples, pairs, m, grid, plan, *args)
 
