@@ -83,9 +83,9 @@ def _mix(x, y):
     return value ^ value >> _SHIFT
 
 
-def _generate_state(seed, key: tuple, n_words: int, dtype=np.uint32) -> np.ndarray:
+def _generate_state(seed, key: tuple, n_words: int) -> np.ndarray:
     """``SeedSequence(entropy=seed mod 2**64, spawn_key=<key's words>)
-    .generate_state(n_words, dtype)``, bit for bit, for many keys at once.
+    .generate_state(n_words, np.uint64)``, bit for bit, for many keys at once.
 
     ``seed`` and any part of ``key`` may be arrays: a uint64 array of seeds,
     an integer array of key values (taken mod 2**64) or a float64 array
@@ -111,14 +111,10 @@ def _generate_state(seed, key: tuple, n_words: int, dtype=np.uint32) -> np.ndarr
         for dst in range(_POOL):
             pool[dst] = _mix(pool[dst], _hash(word, *next(steps)))
 
-    wide = np.dtype(dtype) == np.uint64
-    count = 2 * n_words if wide else n_words
     state = np.moveaxis(np.array([_hash(pool[i % _POOL], *step) for i, step in
-                                  enumerate(_constants(_INIT_B, _MULT_B, count))],
+                                  enumerate(_constants(_INIT_B, _MULT_B, 2 * n_words))],
                                  dtype=np.uint64), 0, -1)
-    if wide:  # little-endian pairs of 32-bit words
-        return state[..., 0::2] | state[..., 1::2] << 32
-    return state.astype(np.uint32)
+    return state[..., 0::2] | state[..., 1::2] << 32  # little-endian pairs of 32-bit words
 
 
 def _restart(gen: np.random.Generator, key) -> None:
@@ -130,15 +126,15 @@ def _restart(gen: np.random.Generator, key) -> None:
         "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
 
-def derive_seed(seed: int, *key) -> int:
-    """Deterministic 64-bit child seed for nested components.
-
-    With an array among the key parts, the seeds of every key of the
+def derive_seed(seed: int, *key):
+    """Deterministic 64-bit child seed for nested components, a uint64, or
+    with an array among the key parts the seeds of every key of the
     broadcast, as a uint64 array.
     """
-    state = _generate_state(seed, key, 2).astype(np.uint64)
-    seeds = state[..., 0] << 32 | state[..., 1]
-    return int(seeds) if seeds.ndim == 0 else seeds
+    # The first two 32-bit words of the state, the first one high: one
+    # uint64 word with its halves swapped.
+    word = _generate_state(seed, key, 1)[..., 0]
+    return word << 32 | word >> 32
 
 
 def draw_weights(n: int, rng: np.random.Generator) -> np.ndarray:
@@ -146,16 +142,15 @@ def draw_weights(n: int, rng: np.random.Generator) -> np.ndarray:
     return np.bincount(rng.integers(0, n, size=n), minlength=n)
 
 
-def critical_value(stats, alpha: float) -> float:
+def critical_value(stats: np.ndarray, alpha: float) -> float:
     """Left-continuous empirical (1 - alpha) quantile: the ceil((1-alpha)B)-th
-    smallest of the B bootstrap statistics."""
-    stats = np.asarray(stats, dtype=float)
+    smallest of the B bootstrap statistics, a float array."""
     b = stats.size
     k = min(max(ceil((1.0 - alpha) * b), 1), b)
     return float(np.partition(stats, k - 1)[k - 1])
 
 
-def p_value(stats, observed: float) -> float:
-    """Share of bootstrap statistics at or above the observed statistic."""
-    stats = np.asarray(stats, dtype=float)
+def p_value(stats: np.ndarray, observed: float) -> float:
+    """Share of bootstrap statistics, a float array, at or above the
+    observed statistic."""
     return float(np.count_nonzero(stats >= observed)) / stats.size

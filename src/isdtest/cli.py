@@ -148,13 +148,15 @@ def _name(field) -> str:
     return "functional" if field.name == "kind" else field.name
 
 
-def _config_dict(cfg: TestConfig) -> dict:
-    """TestConfig's fields, enums by value and an infinite bandwidth as "inf".
+def _config_dict(cfg: TestConfig, omit=()) -> dict:
+    """TestConfig's fields but those named in ``omit``, enums by value and
+    an infinite bandwidth as "inf".
 
     ``threads`` accepts only 1 and says nothing about the test, so it is
     absent: reports must not depend on how they were computed.
     """
-    values = {_name(f): getattr(cfg, f.name) for f in fields(TestConfig) if f.name != "threads"}
+    values = {_name(f): getattr(cfg, f.name) for f in fields(TestConfig)
+              if _name(f) not in ("threads", *omit)}
     return {key: value.value if isinstance(value, Enum) else "inf" if value == np.inf else value
             for key, value in values.items()}
 
@@ -361,8 +363,8 @@ def _cmd_test(args) -> tuple:
             raise ConfigError("test takes exactly two sample files (or one with --matched)")
         result = run_test(load_csv(args.files[0]), load_csv(args.files[1]), cfg)
     # The wall time is the report's own, at its top level.
-    return cfg, {("T_n" if key == "t_n" else key): value
-                 for key, value in asdict(result).items() if key != "elapsed_ms"}
+    return _config_dict(cfg), {("T_n" if key == "t_n" else key): value
+                               for key, value in asdict(result).items() if key != "elapsed_ms"}
 
 
 def _cmd_rank(args) -> tuple:
@@ -371,8 +373,8 @@ def _cmd_rank(args) -> tuple:
     cfg = _config_from_args(args, Scheme.INDEPENDENT)
     datasets = [(Path(f).stem, load_csv(f)) for f in args.files]
     matrix = pairwise_rank(datasets, cfg)
-    return cfg, {"labels": list(matrix.labels), "relation": matrix.to_table(),
-                 "pairs": [asdict(d) for d in matrix.decisions]}
+    return _config_dict(cfg), {"labels": list(matrix.labels), "relation": matrix.to_table(),
+                               "pairs": [asdict(d) for d in matrix.decisions]}
 
 
 def _parse_spec_file(path) -> dict:
@@ -433,8 +435,13 @@ def _specs_from_file(path, overrides: dict) -> list[SimSpec]:
         return _cast(cast, kv[key], key)[0]
 
     def axis(key, cast=str, default=None):
-        """The key's values, or ``default`` when it is not given (None: its owner's)."""
-        return _cast(cast, kv[key], key) if key in kv else [default]
+        """The key's values, or ``default`` when it is not given (None: its
+        owner's); a value listed twice would run its cells twice."""
+        values = _cast(cast, kv[key], key) if key in kv else [default]
+        repeated = [value for i, value in enumerate(values) if value in values[:i]]
+        if repeated:
+            raise ConfigError(f"spec key {key!r} lists the value {repeated[0]!r} twice")
+        return values
 
     config = _given({key: one(key, cast) for key, cast in _CONFIG_KEYS.items()})
     plan = _given({"mode": one("mode"), "replications": one("replications", int)})
@@ -472,7 +479,8 @@ def _cmd_simulate(args) -> tuple:
         specs = preset_specs(args.preset, **given)
     else:
         specs = _specs_from_file(args.spec, given)
-    return specs[0].config, {"cells": [_cell_dict(r) for r in run_table(specs)]}
+    cells = [_cell_dict(r) for r in run_table(specs)]
+    return _config_dict(specs[0].config, omit=_AXES), {"cells": cells}  # each cell has its axes
 
 
 _COMMANDS = {"test": _cmd_test, "rank": _cmd_rank, "simulate": _cmd_simulate}
@@ -483,9 +491,9 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         start = time.perf_counter()
-        cfg, result = _COMMANDS[args.command](args)
+        config, result = _COMMANDS[args.command](args)
         elapsed = (time.perf_counter() - start) * 1e3
-        report = Report(args.command, _config_dict(cfg), result, cfg.seed, __version__, elapsed)
+        report = Report(args.command, config, result, config["seed"], __version__, elapsed)
         payload = emit_report(report, args.format)
         if args.output:
             Path(args.output).write_bytes(payload)

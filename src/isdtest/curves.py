@@ -15,8 +15,8 @@ no quadrature is involved and the results are exact up to floating point.
 
 A sample of size n reweighted by integer multiplicities summing to n has
 its step breakpoints on the lattice j/n, j = 0..n.  :func:`eval_block`
-uses this to evaluate R reweighted copies of one sample at once, or R
-reweighted samples of one size, one per row: the jump sizes are binned
+uses this to evaluate R reweighted rows of a stack of D samples of one
+size at once, row r reweighting dataset r mod D: the jump sizes are binned
 onto lattice levels, prefix sums over the lattice carry the binomial
 expansion, and a lattice-to-grid index shared by every row reads the sums
 off at the grid points.  Upward the sums run from p = 0 and expand in
@@ -29,8 +29,8 @@ row alone.  A block may be read off at a sorted subset of the grid's
 columns only, bit for bit the full evaluation's values there, and in both
 directions its binning and its sums then stop at the last lattice level
 that subset reads, so the cost follows how far the subset reaches from the
-direction's own end of p.  :func:`eval_on_grid` evaluates an unweighted
-sample, or a stack of them, as one block.
+direction's own end of p.  :func:`eval_on_grid` evaluates a stack of
+unweighted samples as one block.
 """
 
 from __future__ import annotations
@@ -103,7 +103,8 @@ class Grid:
 
 @dataclass(frozen=True)
 class LambdaCurve:
-    """One sample's dominance curve of degree ``m``, evaluated by :func:`eval_on_grid`."""
+    """The dominance curves of degree ``m`` of a stack of samples, values of
+    shape (D, n), evaluated by :func:`eval_on_grid`."""
 
     sample: SortedSample
     m: int
@@ -112,35 +113,33 @@ class LambdaCurve:
 
 def _jumps(values: np.ndarray, first: int, out: np.ndarray) -> None:
     """Jump sizes (X_(1), diff(X), -X_(n)) at the breakpoints ``first``,
-    ``first`` + 1, ... of the n + 1, as many as a row of ``out`` holds,
-    written into every row of ``out``: one sample's values, shape (n,), for
-    all rows, or one sample per row, shape (R, n).
+    ``first`` + 1, ... of the n + 1, as many as a row of ``out`` holds, of
+    a stack of D samples, shape (D, n): row r of ``out`` gets dataset r
+    mod D's.  The D datasets' jumps go into the first D rows, which a plain
+    copy repeats into the others.
 
     The step quantile equals X_(i) on (c_{i-1}, c_i]; writing the curve
     integrals by parts collapses them to sums of d_k * ((p - c_k)_+)^(m-1)
     over the breakpoints c_k with these jump sizes d_k.
     """
-    n = values.shape[-1]
-    target = out if values.ndim > 1 else out[:1]
+    depth, n = values.shape
+    target = out[:depth]
     end = first + out.shape[-1]
     lo, hi = max(first, 1), min(end, n)  # the breakpoints between two values
     if first == 0:
-        target[..., 0] = values[..., 0]
-    np.subtract(values[..., lo:hi], values[..., lo - 1:hi - 1],
-                out=target[..., lo - first:hi - first])
+        target[:, 0] = values[:, 0]
+    np.subtract(values[:, lo:hi], values[:, lo - 1:hi - 1],
+                out=target[:, lo - first:hi - first])
     if end == n + 1:
-        target[..., -1] = -values[..., -1]
-    if values.ndim == 1:
-        out[1:] = target
+        target[:, -1] = -values[:, -1]
+    out.reshape(-1, *target.shape)[1:] = target
 
 
 def eval_on_grid(curve: LambdaCurve, grid: Grid) -> np.ndarray:
-    """Pointwise evaluation over a grid with a single O((n + G) m) sweep per
-    sample: shape (G,), or (D, G) for a stack of D samples."""
-    values = curve.sample.values
-    curves = eval_block(curve.sample, np.ones(np.atleast_2d(values).shape, dtype=np.int64),
-                        curve.m, curve.direction, grid)
-    return curves.reshape(values.shape[:-1] + (len(grid),))
+    """Pointwise evaluation of a stack of D samples over a grid with a
+    single O((n + G) m) sweep per sample, shape (D, G)."""
+    return eval_block(curve.sample, np.ones(curve.sample.values.shape, dtype=np.int64),
+                      curve.m, curve.direction, grid)
 
 
 @dataclass(frozen=True)
@@ -243,15 +242,16 @@ def eval_block(sample: SortedSample, weights, m: int, direction: Direction,
     """Curves of R reweighted samples at the grid columns ``columns``,
     shape (R, C), or over the whole grid, shape (R, G).
 
-    ``sample`` is one :class:`SortedSample` that every row reweights, or a
-    stack of R samples of size n, values of shape (R, n), one per row.  Row
-    b of ``weights`` holds that row's nonnegative integer multiplicities,
-    aligned with the sorted values and summing to n (a multinomial
-    bootstrap draw; all ones for the sample itself).  ``columns`` holds
-    strictly increasing indices of grid points (default: all of them), and
-    each row's values there are bit for bit those of the whole grid.  The
-    core builds both so, and neither is checked here.  The cost is
-    O(R (n + C) m) with no search per row.  The lattice levels are
+    ``sample`` is a stack of D samples of size n, values of shape (D, n),
+    and row r of ``weights``, a C-contiguous int64 array of shape (R, n)
+    with R a multiple of D, reweights dataset r mod D: it holds that row's
+    nonnegative integer multiplicities, aligned with the sorted values and
+    summing to n (a multinomial bootstrap draw; all ones for the sample
+    itself).  ``columns`` holds an array of strictly increasing indices of
+    grid points (default: all of them), and each row's values there are
+    bit for bit those of the whole grid.  The core builds all three so, and
+    none is checked here.  The cost is O(R (n + C) m) with no search per
+    row.  The lattice levels are
     summed from p = 0 upward and from p = 1 downward (suffix sums, expanded
     about p = 1; see :class:`_LatticePlan`), and a prefix sum's first k
     terms do not depend on the terms that follow, so in both directions
@@ -269,11 +269,9 @@ def eval_block(sample: SortedSample, weights, m: int, direction: Direction,
     """
     values = sample.values
     n = values.shape[-1]
-    w = np.ascontiguousarray(weights, dtype=np.int64)
-    cols = None if columns is None else np.asarray(columns)
     plan = grid._plan(n, m, direction)
-    cut, powers, mean_factor = plan.at(cols)
-    rows, width = w.shape[0], n + 1
+    cut, powers, mean_factor = plan.at(columns)
+    rows, width = len(weights), n + 1
     pairs, size, up = (rows + 1) // 2, len(cut), direction is Direction.UP
     # The columns read the first `stop` levels in summation order (cut
     # rises with p upward and falls downward).
@@ -290,7 +288,7 @@ def eval_block(sample: SortedSample, weights, m: int, direction: Direction,
     first = 0 if up else width - span
     far = n  # the level of the range's far knot, in summation order
     if span < width:
-        far = (w[:, :span - 1] if up else w[:, first:]).sum(axis=1)
+        far = (weights[:, :span - 1] if up else weights[:, first:]).sum(axis=1)
         if np.any(far < stop):
             span, first, far = width, 0, n
     # Rows 2q and 2q + 1 are the real and imaginary lanes of pair q: one
@@ -304,10 +302,10 @@ def eval_block(sample: SortedSample, weights, m: int, direction: Direction,
     levels = work.array("levels", (rows, span), np.intp)
     if up:
         levels[:, 0] = offset
-        np.multiply(w[:, :span - 1], 2, out=levels[:, 1:])
+        np.multiply(weights[:, :span - 1], 2, out=levels[:, 1:])
     else:
         levels[:, 0] = offset + 2 * far
-        np.multiply(w[:, first:], -2, out=levels[:, 1:])
+        np.multiply(weights[:, first:], -2, out=levels[:, 1:])
     np.cumsum(levels, axis=1, out=levels)
     if stop < width:
         np.minimum(levels, (offset + 2 * stop)[:, None], out=levels)
@@ -347,12 +345,13 @@ def eval_block(sample: SortedSample, weights, m: int, direction: Direction,
     out[1::2] = lanes[:rows // 2, :, 1]
     out /= factorial(m - 1)
     if up:
-        if cols is None or cols[0] == 0:
+        if columns is None or columns[0] == 0:
             out[:, 0] = 0.0
     else:
-        weighted = np.multiply(w, values, out=work.array("weighted", (rows, n)))
-        mean = np.sum(weighted, axis=1) / n
+        weighted = work.array("weighted", (rows // len(values), *values.shape))
+        np.multiply(weights.reshape(weighted.shape), values, out=weighted)
+        mean = np.sum(weighted, axis=-1).reshape(-1) / n
         out += np.multiply(mean[:, None], mean_factor, out=work.array("mean", (rows, size)))
-        if cols is None or cols[-1] == len(grid) - 1:
+        if columns is None or columns[-1] == len(grid) - 1:
             out[:, -1] = 0.0
     return out

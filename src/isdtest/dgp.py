@@ -51,23 +51,20 @@ class DoubleParetoParams:
         return self.alpha / (self.alpha + self.beta)
 
 
-def dp_quantile(params: DoubleParetoParams, u):
-    """Inverse CDF; defined on [0, 1) since u = 1 maps to infinity.
+def dp_quantile(params: DoubleParetoParams, u: np.ndarray) -> np.ndarray:
+    """Inverse CDF of an array of levels; defined on [0, 1) since u = 1
+    maps to infinity.
 
     A level whose quantile passes the double range maps to inf, without a
     warning: :func:`~isdtest.empirical.make_sample` turns it into a
     DataError.
     """
-    u = np.asarray(u, dtype=float)
     a, b, m = params.alpha, params.beta, params.scale
     split = params.lower_mass
     with np.errstate(over="ignore"):
         lower = m * (u * (a + b) / a) ** (1.0 / b)
         upper = m * (np.maximum(1.0 - u, 1e-300) * (a + b) / b) ** (-1.0 / a)
-    out = np.where(u <= split, lower, upper)
-    if np.ndim(u) == 0:
-        return float(out)
-    return out
+    return np.where(u <= split, lower, upper)
 
 
 def dp_sample(params: DoubleParetoParams, n: int, rng: np.random.Generator) -> SortedSample:

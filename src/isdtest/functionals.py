@@ -36,11 +36,6 @@ class FunctionalKind(Enum):
     INT = "int"
 
 
-def _reduced(values: np.ndarray):
-    """A float for one curve, an array of R values for a stack."""
-    return float(values) if values.ndim == 0 else values
-
-
 def estimate_contact_set(phi, vhat, t_n: float, tau_n: float) -> np.ndarray:
     """The mask of grid points where |sqrt(T_n) * phi| <= tau_n * vhat,
     shape (G,), or (D, G) for D curves on a grid of G points.
@@ -62,10 +57,11 @@ def _left_to_right(terms: np.ndarray) -> np.ndarray:
     return np.cumsum(terms, axis=0)[-1]
 
 
-def derivative(kind: FunctionalKind, h, contact, grid: Grid, columns=None,
-               work: BlockWorkspace | None = None):
-    """The ``kind`` functional of h restricted to the contact set (per row
-    for a stack of curves).
+def derivative(kind: FunctionalKind, h: np.ndarray, contact: np.ndarray, grid: Grid,
+               columns=None, work: BlockWorkspace | None = None) -> np.ndarray:
+    """The ``kind`` functional of the float array h restricted to the
+    contact set (per row for a stack of curves), an array, 0-d for one
+    curve.
 
     The sup takes the maximum over the member points.  The integral is the
     trapezoidal integral of max(h, 0) over the subintervals with both
@@ -83,19 +79,17 @@ def derivative(kind: FunctionalKind, h, contact, grid: Grid, columns=None,
     (T, D, G), one per bandwidth, measures every curve on each and returns
     T leading rows of values: the integrals of all T R curves are one
     reduction down a (C - 1, T R) array, which numpy runs row after row.
-    With ``columns``, strictly increasing indices of grid points, h and
-    the masks hold those points only, shape (..., C): two neighbouring
-    columns bound a subinterval only if they are neighbours on the grid.
-    When every member of the set is among the columns, the value is bit
+    With ``columns``, an array of strictly increasing indices of grid
+    points, h and the masks hold those points only, shape (..., C): two
+    neighbouring columns bound a subinterval only if they are neighbours
+    on the grid.  When every member of the set is among the columns, the value is bit
     for bit that of the whole grid.  Scratch arrays come from ``work`` (see
     :class:`~isdtest.curves.BlockWorkspace`), or from a fresh workspace
     when none is given: the sup's masked copy of h, and the integral's
     trapezoids in the buffers that :func:`~isdtest.curves.eval_block` uses
     for its sums, which are free between its calls.
     """
-    h = np.asarray(h, dtype=float)
-    masks = np.asarray(contact, dtype=bool)
-    mask = masks.reshape(-1, *masks.shape[-2:]) if masks.ndim > 1 else masks[None, None]
+    mask = contact.reshape(-1, *contact.shape[-2:]) if contact.ndim > 1 else contact[None, None]
     bands, depth, size = mask.shape
     stack = h.reshape(-1, depth, size)
     work = work if work is not None else BlockWorkspace()
@@ -111,9 +105,8 @@ def derivative(kind: FunctionalKind, h, contact, grid: Grid, columns=None,
         keep = mask[..., :-1] & mask[..., 1:]
         widths = np.diff(grid.points)
         if columns is not None:  # two columns bound a subinterval only as grid neighbours
-            cols = np.asarray(columns)
-            keep &= cols[1:] == cols[:-1] + 1
-            widths = widths[cols[:-1]]
+            keep &= columns[1:] == columns[:-1] + 1
+            widths = widths[columns[:-1]]
         # Two buffers in turn: "part" holds the positive part and then the
         # masked trapezoids, one row per (band, curve); "acc" the trapezoids
         # and then the masked ones transposed, one lane per (band, curve).
@@ -130,10 +123,11 @@ def derivative(kind: FunctionalKind, h, contact, grid: Grid, columns=None,
         terms = work.array("acc", lanes.shape[::-1])
         np.copyto(terms, lanes.T)
         out = _left_to_right(terms)
-    return _reduced(out.reshape(masks.shape[:-2] + h.shape[:-1]))
+    return out.reshape(contact.shape[:-2] + h.shape[:-1])
 
 
-def functional(kind: FunctionalKind, h, grid: Grid) -> float:
-    """The ``kind`` functional of h over the whole grid: the sup of h, or
-    the trapezoidal integral of max(h, 0) over [0, 1]."""
+def functional(kind: FunctionalKind, h: np.ndarray, grid: Grid) -> np.ndarray:
+    """The ``kind`` functional of h over the whole grid (per row for a
+    stack of curves): the sup of h, or the trapezoidal integral of
+    max(h, 0) over [0, 1]."""
     return derivative(kind, h, np.ones(len(grid), dtype=bool), grid)

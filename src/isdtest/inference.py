@@ -256,8 +256,9 @@ def _bootstrap_stats(samples, pairs, m, grid, plan, keys, streams, work=None) ->
     routed through each column's sort order).  One generator, re-keyed
     for every row and stream, draws them all.  A block holds whole
     replications, row (b, d) for every dataset d of the stack, and draws
-    and evaluates every sample once per direction; each test's curves are
-    row differences of those.
+    and evaluates every sample once per direction: :func:`eval_block`
+    takes each slot's stack as it is, and its row (b, d) reweights
+    dataset d.  Each test's curves are row differences of those.
 
     Each statistic reads its curves only on its contact set, so every
     sample is evaluated, per direction, only at the union of the contact
@@ -287,8 +288,7 @@ def _bootstrap_stats(samples, pairs, m, grid, plan, keys, streams, work=None) ->
         draws.setdefault(stream, []).append(k)
     read = []  # per direction: its columns, and its tests on those columns
     for direction, tests in directions:
-        masks = [np.reshape(mask, (-1, len(grid)))
-                 for *_, contact in tests for mask in contact.values()]
+        masks = [mask for *_, contact in tests for mask in contact.values()]
         union = np.vstack(masks).any(axis=0)
         columns = None if union.all() else np.flatnonzero(union)  # None: the whole grid
         at = slice(None) if columns is None else columns
@@ -296,7 +296,7 @@ def _bootstrap_stats(samples, pairs, m, grid, plan, keys, streams, work=None) ->
         # C), and the cells that read each.
         read.append((direction, columns, [
             (a, b, phi[..., at], root_t,
-             [(kind, np.stack([np.atleast_2d(contact[tau])[..., at] for tau in bands]),
+             [(kind, np.stack([contact[tau][:, at] for tau in bands]),
                list(bands.values())) for kind, bands in kinds.items()])
             for a, b, phi, root_t, kinds, contact in tests]))
     gen = np.random.Generator(np.random.Philox(key=0))
@@ -315,12 +315,10 @@ def _bootstrap_stats(samples, pairs, m, grid, plan, keys, streams, work=None) ->
             weights = [np.take(w, order, axis=1, out=work.array(name, w.shape, w.dtype))
                        for name, order in (("left", pairs.left_order()),
                                            ("right", pairs.right_order()))]
-        # Row (b, d) reweights dataset d: one shared sample, or the stack tiled.
-        rows = [SortedSample(s.values[0] if depth == 1 else np.tile(s.values, (hi - lo, 1)))
-                for s in samples]
         for direction, columns, tests in read:
-            curves = [eval_block(x, w, m, direction, grid, work, columns)
-                      for x, w in zip(rows, weights)]
+            # Row (b, d) reweights dataset d of each slot's stack.
+            curves = [eval_block(s, w, m, direction, grid, work, columns)
+                      for s, w in zip(samples, weights)]
             for a, b, phi, root_t, kinds in tests:
                 # In the workspace: a fresh difference per test and block
                 # fragments the heap and raises peak memory.
@@ -403,7 +401,7 @@ def _test_keys(seed, replications: int) -> np.ndarray:
     b draws both samples' weights, the first sample's then the second's
     (stream map (0, 0)), from one stream keyed by (seed, b).  ``seed`` is an
     int (D = 1) or a uint64 array of D seeds."""
-    keys = _generate_state(seed, (_BOOT_TAG, np.arange(replications)[:, None]), 2, np.uint64)
+    keys = _generate_state(seed, (_BOOT_TAG, np.arange(replications)[:, None]), 2)
     return keys[:, :, None]
 
 
@@ -559,7 +557,7 @@ def pairwise_rank(datasets, config: TestConfig) -> RankingMatrix:
     cell = (config.direction, config.kind, config.tau)
     # Replication b of dataset d draws from stream d of keys[b, 0], keyed by (seed, d, b).
     replication = np.arange(config.bootstrap)[:, None]
-    keys = _generate_state(config.seed, (_RANK_TAG, np.arange(k), replication), 2, np.uint64)
+    keys = _generate_state(config.seed, (_RANK_TAG, np.arange(k), replication), 2)
     statistics, stats, _ = _test_cells(
         [SortedSample(s.values[None]) for s in samples], None, config.m, config.xi,
         Grid.uniform(config.grid), Grid.uniform(config.vgrid),

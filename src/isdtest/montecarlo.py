@@ -136,11 +136,11 @@ def _run_group(specs: list[SimSpec]) -> list[SimResult]:
     # Every replication's stream keys, derived at once: data, then the
     # bootstrap (full mode: run_test's under the replication's derived seed).
     index = np.arange(reps)
-    data_keys = _generate_state(cfg.seed, (_MC_DATA, *key, index), 2, np.uint64)
+    data_keys = _generate_state(cfg.seed, (_MC_DATA, *key, index), 2)
     if full:
         seeds = derive_seed(cfg.seed, _MC_FULL, *key, index)
     else:  # one draw, both samples' weights from the replication's stream
-        boot_keys = _generate_state(cfg.seed, (_MC_BOOT, *key, index), 2, np.uint64)
+        boot_keys = _generate_state(cfg.seed, (_MC_BOOT, *key, index), 2)
     rng = np.random.Generator(np.random.Philox(key=0))
     # One workspace for every chunk: a warp-speed call runs one bootstrap
     # block, and a workspace of its own would fault its pages in each call.

@@ -178,11 +178,10 @@ def _inverse(order: np.ndarray) -> np.ndarray:
 
 
 def _sample_variance(sample: SortedSample, m: int, direction: Direction, ps: np.ndarray,
-                     memo: dict | None) -> np.ndarray:
-    """The sample's own variance term; with a ``memo`` that kernels over
-    common samples share, computed once per (sample, m, direction, levels)."""
-    if memo is None:
-        return _variance_independent(sample.values, m, direction, ps)
+                     memo: dict) -> np.ndarray:
+    """The sample's own variance term, computed once per (sample, m,
+    direction, levels) while the ``memo`` that kernels over common samples
+    share lives."""
     key = (id(sample), m, direction, ps.tobytes())
     if key not in memo:  # the memo holds the sample, so its id stays its own
         memo[key] = sample, _variance_independent(sample.values, m, direction, ps)
@@ -192,13 +191,13 @@ def _sample_variance(sample: SortedSample, m: int, direction: Direction, ps: np.
 class CovKernel:
     """Covariance-kernel estimate for a two-sample layout.
 
-    Construct with :meth:`independent` or :meth:`matched`.  Independent
-    samples may also be stacks of D samples of one size each, values of
-    shape (D, n1) and (D, n2), whose variances are computed row by row.
-    Independent kernels that share a ``memo`` dict compute each common
-    sample's own variance term once while the dict lives; the test's core
-    lends one dict to the kernels of one call.  The kernel is immutable
-    after construction; evaluation is pure.
+    Construct matched pairs with :meth:`matched`.  Independent samples may
+    also be stacks of D samples of one size each, values of shape (D, n1)
+    and (D, n2), whose variances are computed row by row.  An independent
+    kernel reads each sample's own variance term through its ``memo`` dict:
+    kernels that share one compute each common sample's term once while
+    the dict lives.  The test's core lends one dict to the kernels of one
+    call.  The kernel is immutable after construction; evaluation is pure.
     """
 
     def __init__(self, scheme: Scheme, sorted1: SortedSample, sorted2: SortedSample,
@@ -219,16 +218,13 @@ class CovKernel:
             self._pos2 = _inverse(order2)
 
     @classmethod
-    def independent(cls, sample1: SortedSample, sample2: SortedSample) -> "CovKernel":
-        return cls(Scheme.INDEPENDENT, sample1, sample2)
-
-    @classmethod
     def matched(cls, pairs: PairedSample) -> "CovKernel":
         return cls(Scheme.MATCHED, pairs.left_sample(), pairs.right_sample(),
                    order1=pairs.left_order(), order2=pairs.right_order())
 
-    def sigma_sq_many(self, m: int, direction: Direction, ps) -> np.ndarray:
-        """Exact collapsed double integral of the kernel at each level in ``ps``.
+    def sigma_sq_many(self, m: int, direction: Direction, ps: np.ndarray) -> np.ndarray:
+        """Exact collapsed double integral of the kernel at each level in
+        ``ps``, a float array of levels.
 
         Independent samples cost O((n + G) m^2) for G levels; matched pairs
         cost O(G n m).  The value is clamped at 0 and is exactly 0 at
@@ -236,7 +232,6 @@ class CovKernel:
         A value that overflows (data near the top of the double range) is a
         DataError, not a clamped 0.
         """
-        ps = np.atleast_1d(np.asarray(ps, dtype=float))
         # An overflow shows as a non-finite value, checked here.
         with np.errstate(over="ignore", invalid="ignore"):
             if self.scheme is Scheme.INDEPENDENT:

@@ -30,6 +30,7 @@ from isdtest import (
     FunctionalKind,
     PairedSample,
     Scheme,
+    SimMode,
     SimSpec,
     SortedSample,
     TestConfig,
@@ -73,8 +74,10 @@ def core_calls():
     The runs: run_test, independent and matched, in both directions, with
     both functionals and with tau = 1 and inf, at sizes where the contact
     sets' columns stop short of the far end of p; a three-dataset
-    pairwise_rank; a warp-speed run_table cell per direction, whose
-    bootstrap reweights stacks of datasets.
+    pairwise_rank; a warp-speed and a full-mode run_table cell per
+    direction, whose bootstraps reweight stacks of datasets: a warp-speed
+    block has one row per dataset, and a full-mode block whole
+    replications of the stack.
     """
     targets = [(inference, name) for name in (
         "LambdaCurve", "eval_block", "derivative", "functional", "estimate_contact_set",
@@ -114,11 +117,23 @@ def core_calls():
                            for label, a in (("a", 2.5), ("b", 3.0), ("c", 4.0))],
                           TestConfig(**small, direction=direction))
             run_table([SimSpec(DoubleParetoParams(3.0, 2.0), DoubleParetoParams(2.5, 2.0),
-                               30, 40, TestConfig(**small, direction=direction), 3)])
+                               30, 40, TestConfig(**small, direction=direction), 3, mode)
+                       for mode in SimMode])
     finally:
         for owner, name, original in originals:
             setattr(owner, name, original)
     return calls
+
+
+def stacked(sample) -> SortedSample:
+    """A sample as the core passes it to ``eval_block`` and ``eval_on_grid``:
+    a stack of datasets, values of shape (D, n), one sample a stack of one."""
+    return SortedSample(np.atleast_2d(sample.values))
+
+
+def independent_kernel(sample1, sample2) -> CovKernel:
+    """The covariance kernel of two independent samples, with a memo of its own."""
+    return CovKernel(Scheme.INDEPENDENT, sample1, sample2, memo={})
 
 
 def grid_columns(columns, size) -> bool:
@@ -242,13 +257,14 @@ def expansion_rows(values, weights, m, direction, points):
     of p; downward they are summed from p = 1 (level n first) and the
     expansion is in powers of 1 - p, with level factors (c - 1)^(k - r).
     ``values`` holds one sorted sample that every row of ``weights``
-    reweights, or one sorted sample per row.  Every operation is the one
-    ``eval_block`` applies to that row, in the same order, so the rows
-    agree bit for bit.
+    reweights, or a stack of D of them, shape (D, n), whose dataset b mod D
+    row b reweights.  Every operation is the one ``eval_block`` applies to
+    that row, in the same order, so the rows agree bit for bit.
     """
     w = np.asarray(weights, dtype=np.int64)
     rows, n = w.shape
-    stack = np.broadcast_to(np.asarray(values, dtype=float), (rows, n))
+    datasets = np.atleast_2d(np.asarray(values, dtype=float))
+    stack = np.tile(datasets, (rows // len(datasets), 1))
     points = np.asarray(points, dtype=float)
     k, up = m - 1, direction is Direction.UP
     levels = np.arange(n + 1) / n
@@ -340,7 +356,8 @@ def full_grid_bootstrap_stats(samples, pairs, m, grid, plan, keys, streams, work
             if pairs is not None:
                 weights = [weights[0][pairs.left_order()], weights[0][pairs.right_order()]]
             for direction, tests in directions:
-                curves = [eval_block(SortedSample(s.values[d]), w[None], m, direction, grid)[0]
+                curves = [eval_block(SortedSample(s.values[d:d + 1]), w[None], m, direction,
+                                     grid)[0]
                           for s, w in zip(samples, weights)]
                 for a, c, phi, root_t, kinds, contact in tests:
                     h = (curves[c] - curves[a] - np.atleast_2d(phi)[d]) * root_t

@@ -31,16 +31,17 @@ from isdtest.bootstrap import derive_seed
 from isdtest.cli import main
 from isdtest.curves import Grid, LambdaCurve, eval_on_grid
 from isdtest.dgp import dp_quantile
-from isdtest.variance import CovKernel
 
 from conftest import (
     dp_cdf,
     dp_mean,
     dp_pdf,
     fine_kernel,
+    independent_kernel,
     nested_sigma_oracle,
     quad_lambda_grids,
     save_csv,
+    stacked,
     substream,
 )
 
@@ -70,10 +71,10 @@ def _curve_oracle_chunk(indices):
     worst = 0.0
     for i in indices:
         vals, cum = _curve_sample(i)
-        sample = make_sample(vals)
+        sample = stacked(make_sample(vals))
         oracle = quad_lambda_grids(vals, cum, CURVE_COMBOS, grid.points)
         for (m, direction), want in zip(CURVE_COMBOS, oracle):
-            got = eval_on_grid(LambdaCurve(sample, m, direction), grid)
+            got = eval_on_grid(LambdaCurve(sample, m, direction), grid)[0]
             err = np.max(np.abs(got - want) / np.maximum(np.abs(want), 1e-12))
             worst = max(worst, float(err))
     return worst
@@ -104,13 +105,13 @@ def test_acceptance_2_boundary_and_bridge():
     worst_gap = 0.0
     for _ in range(100):
         n = int(rng.integers(2, 80))
-        s = dp_sample(DoubleParetoParams(3.0, 2.0), n, rng)
+        s = stacked(dp_sample(DoubleParetoParams(3.0, 2.0), n, rng))
         for m in (2, 3, 4):
-            ok &= eval_on_grid(LambdaCurve(s, m, UP), ends)[0] == 0.0
+            ok &= eval_on_grid(LambdaCurve(s, m, UP), ends)[0, 0] == 0.0
             if m >= 3:
-                ok &= eval_on_grid(LambdaCurve(s, m, DOWN), ends)[1] == 0.0
-        up_end = eval_on_grid(LambdaCurve(s, 3, UP), ends)[1]
-        down_start = eval_on_grid(LambdaCurve(s, 3, DOWN), ends)[0]
+                ok &= eval_on_grid(LambdaCurve(s, m, DOWN), ends)[0, 1] == 0.0
+        up_end = eval_on_grid(LambdaCurve(s, 3, UP), ends)[0, 1]
+        down_start = eval_on_grid(LambdaCurve(s, 3, DOWN), ends)[0, 0]
         gap = abs(up_end - down_start)
         worst_gap = max(worst_gap, gap)
         ok &= gap < 1e-12
@@ -134,13 +135,13 @@ def test_acceptance_3_sigma_collapse():
         n1, n2 = rng.choice(sizes, size=2)
         x1 = dp_quantile(DoubleParetoParams(3.0, 2.0), rng.random(int(n1)))
         x2 = dp_quantile(DoubleParetoParams(3.0, 2.0), rng.random(int(n2)))
-        kernel = CovKernel.independent(make_sample(x1), make_sample(x2))
+        kernel = independent_kernel(make_sample(x1), make_sample(x2))
         km = fine_kernel(x1, x2, mids)
         for m in (3, 4):
             for direction in (UP, DOWN):
                 for p in (0.25, 0.5, 0.75):
                     want = nested_sigma_oracle(km, cells, m, direction, p)
-                    got = kernel.sigma_sq_many(m, direction, [p])[0]
+                    got = kernel.sigma_sq_many(m, direction, np.array([p]))[0]
                     rel = abs(got - want) / max(abs(want), 1e-12)
                     worst = max(worst, float(rel))
     elapsed = time.perf_counter() - start

@@ -634,12 +634,43 @@ class TestMainSimulate:
                             lambda specs: [SimResult(s, 0.0, 0, 0.0) for s in specs])
         assert main(["simulate", "--spec", str(path)]) == 0
         payload = json.loads(capsysbinary.readouterr().out)
-        assert _echo(payload) == list({**DEFAULT_ECHO, "tau": 2.0}.items())
+        axes = ("direction", "functional", "tau")
+        assert _echo(payload) == [(k, v) for k, v in DEFAULT_ECHO.items() if k not in axes]
         assert payload["seed"] == TestConfig().seed
         defaults = {f.name: f.default for f in fields(SimSpec)}
         for cell in payload["result"]["cells"]:
             assert cell["mode"] == defaults["mode"].value
             assert cell["replications"] == defaults["replications"]
+
+    @pytest.mark.parametrize("text, varying", [(SPEC_TEXT, {"functional", "tau"}),
+                                               (FULL_SPEC_TEXT, {"direction", "tau"})],
+                             ids=["spec", "full-spec"])
+    def test_cells_axes_are_echoed_by_the_cells_only(self, tmp_path, capsysbinary, text,
+                                                     varying):
+        # Cells may differ in direction, functional and tau, so the
+        # top-level config leaves them out and every cell reports its own.
+        path = tmp_path / "design.sim"
+        path.write_text(text, encoding="utf-8")
+        assert main(["simulate", "--spec", str(path)]) == 0
+        payload = json.loads(capsysbinary.readouterr().out)
+        cells = payload["result"]["cells"]
+        for key in ("direction", "functional", "tau"):
+            assert key not in payload["config"]
+            assert len({cell[key] for cell in cells}) == (2 if key in varying else 1)
+        assert payload["config"]["seed"] == payload["seed"] == 4
+
+    @pytest.mark.parametrize("line, value", [
+        ("tau = 1 1", "1.0"), ("tau = 2 inf 2.0", "2.0"), ("tau = inf inf", "inf"),
+        ("n = 60 60", "60"), ("direction = up down up", "'up'"),
+        ("functional = int int", "'int'"), ("dgp1.alpha = 3 3", "3.0"),
+    ])
+    def test_repeated_axis_value_is_config_error(self, tmp_path, capsys, line, value):
+        # A value listed twice would run its cells twice.
+        path = tmp_path / "design.sim"
+        path.write_text(_spec_with(line), encoding="utf-8")
+        assert main(["simulate", "--spec", str(path)]) == 3
+        key = line.split("=")[0].strip()
+        assert f"spec key {key!r} lists the value {value} twice" in capsys.readouterr().err
 
     def test_missing_spec_file(self, tmp_path):
         assert main(["simulate", "--spec", str(tmp_path / "none.sim")]) == 2

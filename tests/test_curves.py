@@ -34,19 +34,25 @@ from conftest import (
     quad_lambda,
     random_dp_values,
     rel_err,
+    stacked,
 )
 
 UP, DOWN = Direction.UP, Direction.DOWN
 
 
 def curve(values, m, direction):
-    return LambdaCurve(make_sample(values), m, direction)
+    return LambdaCurve(stacked(make_sample(values)), m, direction)
+
+
+def on_grid(c, grid):
+    """The curve of a one-sample stack on a grid, shape (G,)."""
+    return eval_on_grid(c, grid)[0]
 
 
 def at(c, *ps):
     """Values of a curve at the points ``ps``, read off a grid that contains them."""
     pts = np.unique(np.concatenate(([0.0, 1.0], ps)))
-    y = eval_on_grid(c, Grid(pts))
+    y = on_grid(c, Grid(pts))
     vals = [y[np.searchsorted(pts, p)] for p in ps]
     return vals[0] if len(ps) == 1 else vals
 
@@ -141,8 +147,8 @@ class TestLambdaEval:
         w = np.bincount(rng.integers(0, n, size=n), minlength=n)
         g = Grid.uniform(9)
         for m, direction in ((2, UP), (3, UP), (4, DOWN)):
-            weighted = eval_block(make_sample(vals), w[None, :], m, direction, g)[0]
-            expanded = eval_on_grid(curve(np.repeat(vals, w), m, direction), g)
+            weighted = eval_block(stacked(make_sample(vals)), w[None, :], m, direction, g)[0]
+            expanded = on_grid(curve(np.repeat(vals, w), m, direction), g)
             for got, want in zip(weighted, expanded):
                 assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
 
@@ -160,7 +166,7 @@ class TestLambdaEval:
         vals = random_dp_values(rng, 35)
         g = Grid.uniform(101)
         for m in (2, 3, 4):
-            y = eval_on_grid(curve(vals, m, UP), g)
+            y = on_grid(curve(vals, m, UP), g)
             dy = np.diff(y)
             assert np.all(dy >= -1e-12)
             assert np.all(np.diff(dy) >= -1e-12)
@@ -180,7 +186,7 @@ class TestBridgeIdentity:
 def difference(first, second, grid):
     """Second curve minus first: positive values are evidence against the
     null that the first sample's distribution dominates the second's."""
-    return eval_on_grid(second, grid) - eval_on_grid(first, grid)
+    return on_grid(second, grid) - on_grid(first, grid)
 
 
 class TestDifference:
@@ -219,7 +225,7 @@ class TestEvalOnGrid:
         g = Grid.uniform(101)
         for m, direction in ((2, UP), (3, UP), (4, UP), (3, DOWN), (4, DOWN)):
             c = curve(vals, m, direction)
-            grid_vals = eval_on_grid(c, g)
+            grid_vals = on_grid(c, g)
             for i in range(0, 101, 10):
                 assert grid_vals[i] == pytest.approx(
                     point_lambda(np.sort(vals), cum, m, direction, g.points[i]),
@@ -227,7 +233,7 @@ class TestEvalOnGrid:
 
     def test_constant_sample(self):
         g = Grid(np.array([0.0, 0.5, 1.0]))
-        y = eval_on_grid(curve([4, 4, 4], 2, UP), g)
+        y = on_grid(curve([4, 4, 4], 2, UP), g)
         assert y == pytest.approx([0.0, 2.0, 4.0], rel=1e-14)
 
     def test_identical_difference_all_zero(self):
@@ -236,7 +242,7 @@ class TestEvalOnGrid:
 
     def test_endpoints_example(self):
         g = Grid(np.array([0.0, 1.0]))
-        y = eval_on_grid(curve([1, 2, 3], 3, UP), g)
+        y = on_grid(curve([1, 2, 3], 3, UP), g)
         assert y[0] == 0.0
         assert y[1] == pytest.approx(7 / 9, rel=1e-12)
 
@@ -259,7 +265,7 @@ class TestStackedBlock:
         for work in (None, BlockWorkspace()):
             got = eval_block(SortedSample(stack), w, m, direction, g, work)
             for d, row in enumerate(stack):
-                want = eval_block(SortedSample(row), w[d:d + 1], m, direction, g)[0]
+                want = eval_block(SortedSample(row[None]), w[d:d + 1], m, direction, g)[0]
                 assert np.array_equal(got[d], want), d
 
     @pytest.mark.parametrize("direction", [UP, DOWN], ids=lambda d: d.value)
@@ -269,16 +275,52 @@ class TestStackedBlock:
         got = eval_on_grid(LambdaCurve(SortedSample(stack), 4, direction), g)
         assert got.shape == (3, 41)
         for row, values in zip(got, stack):
-            assert np.array_equal(row, eval_on_grid(curve(values, 4, direction), g))
+            assert np.array_equal(row, on_grid(curve(values, 4, direction), g))
 
-    def test_stack_must_match_weights(self):
+    @pytest.mark.parametrize("m", [3, 4, 6])
+    @pytest.mark.parametrize("direction", [UP, DOWN], ids=lambda d: d.value)
+    @pytest.mark.parametrize("columns", [None, [0, 1, 2, 9, 10], [40, 50, 56]])
+    def test_row_reweights_its_dataset_mod_depth(self, m, direction, columns):
+        # Four replications of a stack of three: row r reweights dataset
+        # r mod 3, bit for bit as that dataset alone and as the float rows.
+        rng = np.random.default_rng(33)
+        stack = self._stack(rng, depth=3, n=60)
+        w = np.stack([draw_weights(stack.shape[1], rng) for _ in range(4 * len(stack))])
+        g = Grid.uniform(57)
+        got = eval_block(SortedSample(stack), w, m, direction, g, BlockWorkspace(), columns)
+        at = slice(None) if columns is None else columns
+        assert np.array_equal(got, expansion_rows(stack, w, m, direction, g.points)[:, at])
+        for r, row in enumerate(got):
+            want = eval_block(SortedSample(stack[r % 3][None]), w[r:r + 1], m, direction, g,
+                              columns=columns)[0]
+            assert np.array_equal(row, want), r
+
+    def test_weights_are_whole_replications_of_the_stack(self):
         # eval_block does not check a stack against its weights: the core
-        # tiles each stack to its block's rows.
-        stacked = [args for args, _ in core_calls()["inference.eval_block"]
-                   if args["sample"].values.ndim == 2]
+        # passes each slot's stack, shape (D, n), with whole replications of
+        # it, D rows each.  A warp-speed call has one, a full-mode call many.
+        calls = core_calls()["inference.eval_block"]
+        for args, _ in calls:
+            depth, n = args["sample"].values.shape
+            rows = len(args["weights"])
+            assert args["weights"].shape == (rows, n) and rows % depth == 0
+        depths = {(args["sample"].values.shape[0], len(args["weights"])) for args, _ in calls}
+        assert any(rows == depth > 1 for depth, rows in depths)
+        assert any(rows > depth > 1 for depth, rows in depths)
+
+    def test_stacked_rows_match_each_dataset_alone(self):
+        # Both simulation modes: every row of every stacked core call is
+        # bit for bit its dataset's row evaluated alone.
+        stacked = [(args, got) for args, got in core_calls()["inference.eval_block"]
+                   if len(args["sample"].values) > 1]
         assert stacked
-        for args in stacked:
-            assert args["sample"].values.shape == args["weights"].shape
+        for args, got in stacked:
+            values, w = args["sample"].values, args["weights"]
+            for r, row in enumerate(got):
+                want = eval_block(SortedSample(values[r % len(values)][None]), w[r:r + 1],
+                                  args["m"], args["direction"], args["grid"],
+                                  columns=args["columns"])[0]
+                assert np.array_equal(row, want), r
 
 
 class TestPairLanes:
@@ -295,7 +337,7 @@ class TestPairLanes:
         values = (np.sort(random_dp_values(rng, n * rows).reshape(rows, n), axis=1)
                   if stacked else np.sort(random_dp_values(rng, n)))
         w = np.stack([draw_weights(n, rng) for _ in range(rows)])
-        got = eval_block(SortedSample(values), w, m, direction, g)
+        got = eval_block(SortedSample(np.atleast_2d(values)), w, m, direction, g)
         assert got.shape == (rows, len(g))
         assert np.array_equal(got, expansion_rows(values, w, m, direction, g.points))
 
@@ -314,7 +356,7 @@ class TestPairLanes:
         good = 1 - bad
         assert not np.isfinite(got[bad]).all()
         assert np.array_equal(got[good],
-                              eval_block(SortedSample(stack[good]), w[good:good + 1], 5,
+                              eval_block(SortedSample(stack[good:good + 1]), w[good:good + 1], 5,
                                          direction, g)[0])
 
     def test_plan_arrays_are_read_only(self):
@@ -400,11 +442,12 @@ class TestColumns:
                   if stacked else np.sort(random_dp_values(rng, n)))
         w = np.stack([draw_weights(n, rng) for _ in range(rows)])
         columns = np.array(_column_sets(len(g))[name])
-        full = eval_block(SortedSample(values), w, m, direction, g)
+        sample = SortedSample(np.atleast_2d(values))
+        full = eval_block(sample, w, m, direction, g)
         assert np.array_equal(full, expansion_rows(values, w, m, direction, g.points))
         work = BlockWorkspace()
         for _ in range(2):  # a second call reuses the workspace's views
-            got = eval_block(SortedSample(values), w, m, direction, g, work, columns)
+            got = eval_block(sample, w, m, direction, g, work, columns)
             assert got.shape == (rows, len(columns))
             assert got.tobytes() == np.ascontiguousarray(full[:, columns]).tobytes()
 
@@ -418,9 +461,9 @@ class TestColumns:
         g = Grid.uniform(n + 1)
         values = np.sort(random_dp_values(rng, n))
         w = np.stack([draw_weights(n, rng) for _ in range(rows)])
-        full = eval_block(SortedSample(values), w, 4, direction, g)
+        full = eval_block(SortedSample(values[None]), w, 4, direction, g)
         for columns in ([0], list(range(7)), list(range(n)), [3, n], list(range(n + 1))):
-            got = eval_block(SortedSample(values), w, 4, direction, g, columns=columns)
+            got = eval_block(SortedSample(values[None]), w, 4, direction, g, columns=columns)
             assert got.tobytes() == np.ascontiguousarray(full[:, columns]).tobytes(), columns
 
     @pytest.mark.parametrize("margin", [0, 1, 10**9])
@@ -436,7 +479,7 @@ class TestColumns:
         full = expansion_rows(values, w, 5, direction, g.points)
         monkeypatch.setattr(curves, "_margin", lambda n: margin)
         for columns in _column_sets(len(g)).values():
-            got = eval_block(SortedSample(values), w, 5, direction, g, columns=columns)
+            got = eval_block(SortedSample(values[None]), w, 5, direction, g, columns=columns)
             assert got.tobytes() == np.ascontiguousarray(full[:, columns]).tobytes(), columns
 
     @pytest.mark.parametrize("end", ["first", "last", "both"])
@@ -456,7 +499,7 @@ class TestColumns:
         full = expansion_rows(values, w, 4, direction, g.points)
         exact = fraction_curves(values, w, 4, direction, g.points)
         for columns in ([0, 1, 2], list(range(12)), list(range(30, 41)), [38, 39, 40], None):
-            got = eval_block(SortedSample(values), w, 4, direction, g, columns=columns)
+            got = eval_block(SortedSample(values[None]), w, 4, direction, g, columns=columns)
             want = full if columns is None else full[:, columns]
             assert got.tobytes() == np.ascontiguousarray(want).tobytes(), columns
             picked = range(len(g)) if columns is None else columns
@@ -523,7 +566,8 @@ class TestExactOracle:
         values, w, exact = _exact_case(m, direction, stacked)
         g = Grid.uniform(41)
         columns = _column_sets(len(g))[name]
-        got = eval_block(SortedSample(values), w, m, direction, g, columns=columns)
+        got = eval_block(SortedSample(np.atleast_2d(values)), w, m, direction, g,
+                         columns=columns)
         worst = max(abs(Fraction(float(got[b, i])) - exact[b][j]) / abs(exact[b][j])
                     for b in range(len(w)) for i, j in enumerate(columns) if exact[b][j])
         assert worst <= self.BOUND.get((direction, m), 1e-12)
@@ -546,5 +590,5 @@ class TestGoldenBits:
         rng = np.random.default_rng(37)
         values = np.sort(rng.random(37) * 8.0)
         weights = rng.multinomial(37, np.full(37, 1 / 37), size=5)
-        out = eval_block(SortedSample(values), weights, m, direction, Grid.uniform(41))
+        out = eval_block(SortedSample(values[None]), weights, m, direction, Grid.uniform(41))
         assert hashlib.sha256(out.tobytes()).hexdigest() == self.DIGESTS[m, direction]

@@ -143,7 +143,8 @@ class TestContactSet:
 class TestDerivatives:
     def test_single_member(self):
         g = Grid(np.array([0.0, 0.5, 1.0]))
-        assert derivative(SUP, [1.0, 7.0, -2.0], [False, True, False], g) == 7.0
+        assert derivative(SUP, np.array([1.0, 7.0, -2.0]), np.array([False, True, False]),
+                          g) == 7.0
 
     def test_full_grid_equals_functionals_exactly(self, grid):
         rng = np.random.default_rng(3)
@@ -163,7 +164,7 @@ class TestDerivatives:
 
     def test_nonpositive_with_zero(self):
         g = Grid(np.array([0.0, 0.5, 1.0]))
-        assert derivative(SUP, [0.0, -1.0, -3.0], [True, True, True], g) == 0.0
+        assert derivative(SUP, np.array([0.0, -1.0, -3.0]), np.ones(3, dtype=bool), g) == 0.0
 
     def test_isolated_endpoint_zero_measure(self, grid):
         # Only p = 0 in the set: the integral derivative sees no interval.
@@ -260,8 +261,9 @@ class TestColumns:
         # Columns 2 and 5 are neighbours among the columns, not on the grid.
         g = Grid.uniform(11)
         h = np.ones(3)
-        assert derivative(INT, h, np.ones(3, dtype=bool), g, [1, 2, 5]) == pytest.approx(0.1)
-        assert derivative(INT, h, np.ones(3, dtype=bool), g, [1, 2, 3]) == pytest.approx(0.2)
+        for columns, want in (([1, 2, 5], 0.1), ([1, 2, 3], 0.2)):
+            got = derivative(INT, h, np.ones(3, dtype=bool), g, np.array(columns))
+            assert got == pytest.approx(want)
 
     def test_misaligned_columns(self):
         # derivative does not check its columns: the core passes grid

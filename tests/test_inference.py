@@ -28,9 +28,15 @@ from isdtest import (
 from isdtest.bootstrap import critical_value, draw_weights, p_value
 from isdtest.curves import Grid, LambdaCurve, eval_block, eval_on_grid
 from isdtest.functionals import derivative, estimate_contact_set, functional
-from isdtest.variance import CovKernel, sigma_curve
+from isdtest.variance import sigma_curve
 
-from conftest import full_grid_bootstrap_stats, random_dp_values, substream
+from conftest import (
+    full_grid_bootstrap_stats,
+    independent_kernel,
+    random_dp_values,
+    stacked,
+    substream,
+)
 
 
 def quick_cfg(**kw):
@@ -293,16 +299,17 @@ def _rank_reference(samples, cfg):
         return np.stack([draw_weights(n, substream(cfg.seed, inference._RANK_TAG, k, b))
                          for b in range(cfg.bootstrap)])
 
-    boot = [eval_block(s, rows(k, s.n), m, direction, fgrid) for k, s in enumerate(samples)]
-    curves = [eval_on_grid(LambdaCurve(s, m, direction), fgrid) for s in samples]
+    boot = [eval_block(stacked(s), rows(k, s.n), m, direction, fgrid)
+            for k, s in enumerate(samples)]
+    curves = [eval_on_grid(LambdaCurve(stacked(s), m, direction), fgrid)[0] for s in samples]
 
     def null(a, b):  # H0: dataset a dominates dataset b
         t_n = samples[a].n * samples[b].n / (samples[a].n + samples[b].n)
         phi = curves[b] - curves[a]
-        vhat = sigma_curve(CovKernel.independent(samples[a], samples[b]), m, direction,
+        vhat = sigma_curve(independent_kernel(samples[a], samples[b]), m, direction,
                            vgrid, fgrid, cfg.xi)
         cs = estimate_contact_set(phi, vhat, t_n, cfg.tau)
-        statistic = sqrt(t_n) * functional(kind, phi, fgrid)
+        statistic = sqrt(t_n) * float(functional(kind, phi, fgrid))
         stats = derivative(kind, sqrt(t_n) * (boot[b] - boot[a] - phi), cs, fgrid)
         return bool(statistic > critical_value(stats, cfg.alpha)), p_value(stats, statistic)
 
@@ -408,7 +415,7 @@ class TestNonFinite:
         with pytest.raises(DataError, match="variance overflows"):
             run_test(*self._window_samples(k), TestConfig(bootstrap=49))
         x, y = self._window_samples(k)
-        kernel = CovKernel.independent(x, y)
+        kernel = independent_kernel(x, y)
         with pytest.raises(DataError, match="variance overflows"):
             kernel.sigma_sq_many(3, Direction.UP, np.linspace(0.0, 1.0, 101))
 

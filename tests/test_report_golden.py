@@ -65,31 +65,31 @@ DIGESTS = {
     ("rank", "text"):
         "2558a8f813079707b5705b4a49ea9c983562154b2ae15d7fb9d2c78913b86dc8",
     ("simulate --spec", "json"):
-        "65daae76bf22bfa1dcd7332dd0f497d5ea0fa8a96013f7a0b23f813e9388cd4d",
+        "d330c9158d1660c7bbe0a74d04b0b0b0bc4e21603b7991854ab69f336db1cd65",
     ("simulate --spec", "csv"):
         "161a86be496b9c621b94fc24194b42e01fc3ea5af896d7a7131ecc9b62b8bf89",
     ("simulate --spec", "text"):
         "f2fd5e0a42b72c0d031f05698d102a04e463c8b10d769750316c50d0c39d8833",
     ("simulate --preset size_up", "json"):
-        "491fa04fb351524a400f34a1482a44458b8f3734b4e3f0d2dee14bbf18467578",
+        "2dee392557e9e4288083c585bb253103431dc9772c0fd793abbb812df4c70b74",
     ("simulate --preset size_up", "csv"):
         "66117b822a17e180e3001d23abbcb3946c715071668d9219cf2633c5366a1bc7",
     ("simulate --preset size_up", "text"):
         "27eaad4ec0d855a3084f9c335cf3fb95c81b44fe74a544993b20502ff4f34e01",
     ("simulate --preset size_down", "json"):
-        "be55caeeee5191dd697998e17f0bf81af4fc365c152f878e287e53056ffe3680",
+        "8e52389d333523293b811b6b82976b07485e63531cc582322ff4570e27263c53",
     ("simulate --preset size_down", "csv"):
         "5c3ec3fb49bbf940367d77570a6e108b589b40144d224e177955113aaf39f9b2",
     ("simulate --preset size_down", "text"):
         "ba075d70a23cf2a0b7362a9e981b85dd295b8e89bbd62ecdb323ea2e5068176e",
     ("simulate --preset power_up", "json"):
-        "794f006f90bf525f97f10ae697f3326f516cebf7b03f204dc454ebbd3e2a021d",
+        "0ca6559fe6e0cc3e8a2ecd0cf8d65990f37e3ae46b031f531b6f3b10f4009cfb",
     ("simulate --preset power_up", "csv"):
         "8dad06397190f6a4decfd01f57f8b63bffa756d215a90a97b849c7987ee309ad",
     ("simulate --preset power_up", "text"):
         "c7b6d65be7c40514d7f3c519ddb6837306ddfbd7646bb78bcde6edb0dc54faa3",
     ("simulate --preset power_down", "json"):
-        "8d73fbcde7c19e2ee3ee6542c378e5ab88d5b304bee5fcaf860903da1a4d7441",
+        "dfc45f63fae0894cddb095b51d69d5b80ec10c22f260d8821b250ba6a7980efd",
     ("simulate --preset power_down", "csv"):
         "cc9b756a62484f04407f465d71a893fa697fff3cb4506cb61aefbd8c26a32646",
     ("simulate --preset power_down", "text"):

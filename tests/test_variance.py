@@ -22,6 +22,7 @@ from conftest import (
     dense_sigma_sq,
     fine_kernel,
     fraction_sigma_sq,
+    independent_kernel,
     interval_weights,
     nested_sigma_oracle,
     random_dp_values,
@@ -71,7 +72,7 @@ class TestKernel:
 
     def test_degenerate_samples_zero(self):
         s = make_sample([2.0] * 10)
-        k = CovKernel.independent(s, make_sample([3.0] * 12))
+        k = independent_kernel(s, make_sample([3.0] * 12))
         for m in (3, 4):
             for direction in (UP, DOWN):
                 assert np.all(k.sigma_sq_many(m, direction, np.linspace(0, 1, 11)) == 0.0)
@@ -144,7 +145,7 @@ def _layout(rng, n, matched):
         x2 = x1 * rng.uniform(0.6, 1.4, size=n)
         return x1, x2, CovKernel.matched(make_paired(x1, x2))
     x2 = random_dp_values(rng, n + 1)
-    return x1, x2, CovKernel.independent(make_sample(x1), make_sample(x2))
+    return x1, x2, independent_kernel(make_sample(x1), make_sample(x2))
 
 
 def _levels(n):
@@ -198,7 +199,7 @@ class TestPrefixMoments:
         if matched:
             shifted = CovKernel.matched(make_paired(x1 + shift, x2 + shift))
         else:
-            shifted = CovKernel.independent(make_sample(x1 + shift), make_sample(x2 + shift))
+            shifted = independent_kernel(make_sample(x1 + shift), make_sample(x2 + shift))
         ps = _levels(40)
         for direction in (UP, DOWN):
             base = k.sigma_sq_many(m, direction, ps)
@@ -211,14 +212,14 @@ class TestPrefixMoments:
         ps = rng.permutation(_levels(30))
         for direction in (UP, DOWN):
             got = k.sigma_sq_many(4, direction, ps)
-            want = np.array([k.sigma_sq_many(4, direction, [p])[0] for p in ps])
+            want = np.array([k.sigma_sq_many(4, direction, np.array([p]))[0] for p in ps])
             assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
 
     def test_memory_is_linear_in_n(self):
         # One dense (101 x n) float array alone would take 162 MB here.
         rng = np.random.default_rng(18)
         n = 200_000
-        k = CovKernel.independent(make_sample(random_dp_values(rng, n)),
+        k = independent_kernel(make_sample(random_dp_values(rng, n)),
                                   make_sample(random_dp_values(rng, n)))
         ps = Grid.uniform(101).points
         tracemalloc.start()
@@ -234,15 +235,15 @@ class TestPrefixMoments:
 class TestSigmaSq:
     def test_boundaries_exact_zero(self):
         rng = np.random.default_rng(3)
-        k = CovKernel.independent(make_sample(random_dp_values(rng, 20)),
+        k = independent_kernel(make_sample(random_dp_values(rng, 20)),
                                   make_sample(random_dp_values(rng, 30)))
         for m in (3, 4):
-            assert k.sigma_sq_many(m, UP, [0.0])[0] == 0.0
-            assert k.sigma_sq_many(m, DOWN, [1.0])[0] == 0.0
+            assert k.sigma_sq_many(m, UP, np.array([0.0]))[0] == 0.0
+            assert k.sigma_sq_many(m, DOWN, np.array([1.0]))[0] == 0.0
 
     def test_nonnegative(self):
         rng = np.random.default_rng(21)
-        k = CovKernel.independent(make_sample(random_dp_values(rng, 25)),
+        k = independent_kernel(make_sample(random_dp_values(rng, 25)),
                                   make_sample(random_dp_values(rng, 25)))
         ps = np.linspace(0, 1, 41)
         for m in (3, 4):
@@ -272,14 +273,14 @@ class TestSigmaSq:
         cells = 1200
         for n1, n2 in ((20, 30), (48, 48), (40, 24)):
             x1, x2 = random_dp_values(rng, n1), random_dp_values(rng, n2)
-            k = CovKernel.independent(make_sample(x1), make_sample(x2))
+            k = independent_kernel(make_sample(x1), make_sample(x2))
             mids = (np.arange(cells) + 0.5) / cells
             km = fine_kernel(x1, x2, mids)
             for m in (3, 4):
                 for direction in (UP, DOWN):
                     for p in (0.25, 0.5, 0.75):
                         want = nested_sigma_oracle(km, cells, m, direction, p)
-                        got = k.sigma_sq_many(m, direction, [p])[0]
+                        got = k.sigma_sq_many(m, direction, np.array([p]))[0]
                         assert rel_err(got, want, floor=1e-12) < 1e-6
 
     def test_matches_nested_oracle_matched(self):
@@ -294,22 +295,22 @@ class TestSigmaSq:
         for m in (3, 4):
             for p in (0.25, 0.75):
                 want = nested_sigma_oracle(km, cells, m, UP, p)
-                got = k.sigma_sq_many(m, UP, [p])[0]
+                got = k.sigma_sq_many(m, UP, np.array([p]))[0]
                 assert rel_err(got, want, floor=1e-12) < 1e-6
 
     def test_scale_quadratic(self):
         rng = np.random.default_rng(14)
         x1, x2 = random_dp_values(rng, 30), random_dp_values(rng, 45)
-        k = CovKernel.independent(make_sample(x1), make_sample(x2))
-        kc = CovKernel.independent(make_sample(1000.0 * x1), make_sample(1000.0 * x2))
+        k = independent_kernel(make_sample(x1), make_sample(x2))
+        kc = independent_kernel(make_sample(1000.0 * x1), make_sample(1000.0 * x2))
         for m, direction, p in ((3, UP, 0.4), (4, DOWN, 0.6)):
-            assert kc.sigma_sq_many(m, direction, [p])[0] == pytest.approx(
-                1e6 * k.sigma_sq_many(m, direction, [p])[0], rel=1e-9)
+            assert kc.sigma_sq_many(m, direction, np.array([p]))[0] == pytest.approx(
+                1e6 * k.sigma_sq_many(m, direction, np.array([p]))[0], rel=1e-9)
 
     def test_matched_identical_columns_zero(self):
         base = np.linspace(0.5, 4.0, 20)
         k = CovKernel.matched(make_paired(base, base))
-        assert k.sigma_sq_many(3, UP, [0.5])[0] == pytest.approx(0.0, abs=1e-18)
+        assert k.sigma_sq_many(3, UP, np.array([0.5]))[0] == pytest.approx(0.0, abs=1e-18)
 
 
 class TestSigmaCurve:
@@ -317,7 +318,7 @@ class TestSigmaCurve:
 
     def _kernel(self, seed):
         rng = np.random.default_rng(seed)
-        return CovKernel.independent(make_sample(random_dp_values(rng, 40)),
+        return independent_kernel(make_sample(random_dp_values(rng, 40)),
                                      make_sample(random_dp_values(rng, 40)))
 
     @pytest.mark.parametrize("xi", [1e-3, 1e-12])
@@ -330,7 +331,7 @@ class TestSigmaCurve:
         assert np.all(got >= np.sqrt(xi))
 
     def test_zero_variance_is_floored(self):
-        k = CovKernel.independent(make_sample([2.0] * 10), make_sample([3.0] * 12))
+        k = independent_kernel(make_sample([2.0] * 10), make_sample([3.0] * 12))
         got = sigma_curve(k, 4, DOWN, Grid.uniform(11), Grid.uniform(31), 0.001)
         assert np.array_equal(got, np.full(31, np.sqrt(0.001)))
 
@@ -359,7 +360,7 @@ class TestStackedVariance:
     def test_sigma_curve_rows_match_each_pair(self, m, direction):
         x1, x2 = self._stacks()
         vgrid, fgrid = Grid.uniform(21), Grid.uniform(81)
-        stacked = CovKernel.independent(SortedSample(x1), SortedSample(x2))
+        stacked = independent_kernel(SortedSample(x1), SortedSample(x2))
         # A floor far below the variance, so that every row's own values show.
         got = sigma_curve(stacked, m, direction, vgrid, fgrid, 1e-30)
         assert got.shape == (4, 81)
@@ -367,7 +368,7 @@ class TestStackedVariance:
             v = variance._variance_independent(x1[d], m, direction, vgrid.points)
             assert np.array_equal(
                 variance._variance_independent(x1, m, direction, vgrid.points)[d], v)
-            pair = CovKernel.independent(SortedSample(x1[d]), SortedSample(x2[d]))
+            pair = independent_kernel(SortedSample(x1[d]), SortedSample(x2[d]))
             assert np.array_equal(got[d], sigma_curve(pair, m, direction, vgrid, fgrid, 1e-30))
 
 
@@ -392,15 +393,15 @@ class TestSampleVariance:
                               4, DOWN, vgrid, fgrid, 1e-30) for a, b in pairs]
         assert sorted(computed) == [30, 40, 50]
         computed.clear()
-        alone = [sigma_curve(CovKernel.independent(samples[a], samples[b]), 4, DOWN, vgrid,
+        alone = [sigma_curve(independent_kernel(samples[a], samples[b]), 4, DOWN, vgrid,
                              fgrid, 1e-30) for a, b in pairs]
         assert sorted(computed) == sorted([30, 40, 50] * 4)
         assert all(np.array_equal(x, y) for x, y in zip(shared, alone))
 
 
 @pytest.mark.parametrize("make", [
-    lambda: CovKernel.independent(make_sample([1.5]), make_sample([1.0, 2.0, 3.0])),
-    lambda: CovKernel.independent(make_sample([1.0, 2.0]), make_sample([4.0])),
+    lambda: independent_kernel(make_sample([1.5]), make_sample([1.0, 2.0, 3.0])),
+    lambda: independent_kernel(make_sample([1.0, 2.0]), make_sample([4.0])),
     lambda: CovKernel.matched(make_paired([1.0], [2.0])),
 ], ids=["first", "second", "matched"])
 def test_one_observation_is_data_error(make):
