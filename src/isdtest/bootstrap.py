@@ -44,8 +44,9 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _SHIFT = 16
-# The counter and the (spent) buffer of a Philox stream's start.
-_ZEROS = np.zeros(4, dtype=np.uint64)
+# The counter and the (spent) buffer of a Philox stream's start, as Python
+# ints: numpy reads the state's words one by one, and an int reads fastest.
+_ZEROS = (0, 0, 0, 0)
 
 
 def _words(value) -> list:
@@ -120,7 +121,9 @@ def _generate_state(seed, key: tuple, n_words: int) -> np.ndarray:
 def _restart(gen: np.random.Generator, key) -> None:
     """Move ``gen``, a Philox generator, to the start of the stream with
     Philox ``key`` (two uint64 words): its draws are then those of a new
-    ``Generator(Philox(key=key))``, bit for bit, without building one."""
+    ``Generator(Philox(key=key))``, bit for bit, without building one.
+    Callers pass the key as Python ints (``.tolist()`` of a block's keys),
+    which numpy reads faster than the words of an array."""
     gen.bit_generator.state = {
         "bit_generator": "Philox", "state": {"counter": _ZEROS, "key": key},
         "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}

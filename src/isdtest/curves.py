@@ -232,9 +232,16 @@ class BlockWorkspace:
 
 
 def _margin(n: int) -> int:
-    """Knots that :func:`eval_block` bins beyond the last level it reads: a
-    bootstrap draw's knot i sits within a few sqrt(n) levels of level i."""
-    return int(8 * n ** 0.5) + 16
+    """Knots that :func:`eval_block` bins beyond the last level it reads.
+
+    A multinomial draw's knot i sits at level S_i ~ Binomial(n, i/n), mean
+    i.  With a margin of d knots past ``stop`` levels, the far knot is knot
+    stop + d - 1, and a row falls back to all knots only when that knot
+    lies below level ``stop``, d levels or more below its mean: by
+    Hoeffding's inequality, with probability at most exp(-2 d^2 / n).
+    d >= 3 sqrt(n) puts that below exp(-18), about 1.5e-8 per row.  The
+    margin moves work, never a bit."""
+    return int(3 * n ** 0.5) + 16
 
 
 def eval_block(sample: SortedSample, weights, m: int, direction: Direction,
@@ -251,13 +258,17 @@ def eval_block(sample: SortedSample, weights, m: int, direction: Direction,
     grid points (default: all of them), and each row's values there are
     bit for bit those of the whole grid.  The core builds all three so, and
     none is checked here.  The cost is O(R (n + C) m) with no search per
-    row.  The lattice levels are
-    summed from p = 0 upward and from p = 1 downward (suffix sums, expanded
-    about p = 1; see :class:`_LatticePlan`), and a prefix sum's first k
-    terms do not depend on the terms that follow, so in both directions
-    the knots binned, the m level products and the prefix sums stop at the
-    last level the columns read: the cost follows how far along p the
-    columns reach from the direction's own end.  Rows 2q and 2q + 1 are
+    row.  The lattice levels are summed from p = 0 upward and from p = 1
+    downward (suffix sums, expanded about p = 1; see
+    :class:`_LatticePlan`), and a prefix sum's first k terms do not depend
+    on the terms that follow, so in both directions the m level products
+    and the prefix sums stop at the last level the columns read, and the
+    knots binned stop :func:`_margin` knots past it (all of them for a row
+    whose draw falls short): the cost follows how far along p the columns
+    reach from the direction's own end.  The lattice-to-grid gather writes
+    straight into the workspace in ``mode="clip"``, since numpy buffers
+    ``out`` in its default mode; every cut is at most the last level
+    summed, by construction.  Rows 2q and 2q + 1 are
     summed as the two lanes of one complex row, so the m prefix sums cost
     about half as much as R float rows; an odd R leaves the last pair's
     second lane empty.  Each row's values do not depend on the other rows
@@ -335,7 +346,7 @@ def eval_block(sample: SortedSample, weights, m: int, direction: Direction,
                         out=term.view(np.float64))
             scaled = term
         np.cumsum(scaled, axis=1, out=prefix[:, 1:])
-        np.take(prefix, cut, axis=1, out=part)
+        np.take(prefix, cut, axis=1, out=part, mode="clip")
         if r:
             np.multiply(part.view(np.float64), powers[r], out=part.view(np.float64))
         acc += part

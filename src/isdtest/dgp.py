@@ -23,18 +23,27 @@ __all__ = ["DoubleParetoParams", "dp_quantile", "dp_sample"]
 
 @dataclass(frozen=True)
 class DoubleParetoParams:
-    """Shape parameters (alpha: upper tail, beta: lower) and scale point."""
+    """Shape parameters (alpha: upper tail, beta: lower) and scale point,
+    stored as Python floats: a simulation keys its streams by these values,
+    so ``(3, 2)`` and ``(3.0, 2.0)``, which compare equal, draw alike."""
 
     alpha: float
     beta: float
     scale: float = 1.0
 
     def __post_init__(self):
-        for value in (self.alpha, self.beta, self.scale):
-            if isinstance(value, bool) or not isinstance(value, Real) or not 0 < value < inf:
+        for name in ("alpha", "beta", "scale"):
+            value = getattr(self, name)
+            try:
+                number = float(value) if isinstance(value, Real) else None
+            except OverflowError:
+                raise ConfigError(f"double Pareto parameter {name} overflows double "
+                                  "precision") from None
+            if isinstance(value, bool) or number is None or not 0 < number < inf:
                 raise ConfigError("double Pareto parameters must be positive finite numbers, "
                                   f"got {value!r}")
-        a, b = float(self.alpha), float(self.beta)  # Python floats overflow to inf silently
+            object.__setattr__(self, name, number)
+        a, b = self.alpha, self.beta  # Python floats overflow to inf silently
         if not (a + b < inf and a * b < inf):
             raise ConfigError("double Pareto shapes overflow: alpha + beta and alpha * beta "
                               f"must be finite, got alpha={self.alpha!r}, beta={self.beta!r}")

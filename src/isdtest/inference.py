@@ -302,7 +302,7 @@ def _bootstrap_stats(samples, pairs, m, grid, plan, keys, streams, work=None) ->
     gen = np.random.Generator(np.random.Philox(key=0))
     for lo in range(0, replications, per_block):
         hi = min(lo + per_block, replications)
-        block = keys[lo:hi].reshape(-1, *keys.shape[2:])
+        block = keys[lo:hi].reshape(-1, *keys.shape[2:]).tolist()
         weights = [work.array(f"weights{k}", (len(block), n), np.int64)
                    for k, n in enumerate(sizes)]
         for row, row_keys in enumerate(block):
@@ -311,8 +311,11 @@ def _bootstrap_stats(samples, pairs, m, grid, plan, keys, streams, work=None) ->
                 for k in slots:
                     weights[k][row] = bootstrap.draw_weights(sizes[k], gen)
         if pairs is not None:
+            # Sort orders are permutations: "clip" gathers without numpy's
+            # buffer of ``out``, which its default mode always takes.
             w = weights[0]
-            weights = [np.take(w, order, axis=1, out=work.array(name, w.shape, w.dtype))
+            weights = [np.take(w, order, axis=1, out=work.array(name, w.shape, w.dtype),
+                               mode="clip")
                        for name, order in (("left", pairs.left_order()),
                                            ("right", pairs.right_order()))]
         for direction, columns, tests in read:

@@ -136,7 +136,7 @@ def _run_group(specs: list[SimSpec]) -> list[SimResult]:
     # Every replication's stream keys, derived at once: data, then the
     # bootstrap (full mode: run_test's under the replication's derived seed).
     index = np.arange(reps)
-    data_keys = _generate_state(cfg.seed, (_MC_DATA, *key, index), 2)
+    data_keys = _generate_state(cfg.seed, (_MC_DATA, *key, index), 2).tolist()
     if full:
         seeds = derive_seed(cfg.seed, _MC_FULL, *key, index)
     else:  # one draw, both samples' weights from the replication's stream

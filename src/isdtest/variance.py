@@ -167,7 +167,8 @@ def _row_values(values: np.ndarray, m: int, direction: Direction, ps: np.ndarray
     tails = np.stack((tail, beta), axis=1) @ np.stack((np.ones(n), z[:n]))
     np.copyto(rows, tails, where=np.arange(n) >= j[:, None])
     del tails  # the gather below is the call's peak: hold two (G, n) arrays, not three
-    return np.take(rows, pos if direction is Direction.UP else n - 1 - pos, axis=1)
+    # pos is a permutation of range(n), so "clip" never clips.
+    return np.take(rows, pos if direction is Direction.UP else n - 1 - pos, axis=1, mode="clip")
 
 
 def _inverse(order: np.ndarray) -> np.ndarray:

@@ -4,6 +4,8 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isdtest import (
     ConfigError,
@@ -533,6 +535,64 @@ class TestColumns:
         for args, _ in core_calls()["inference.eval_block"]:
             if args["columns"] is not None:
                 assert grid_columns(args["columns"], len(args["grid"]))
+
+
+class _Recording(BlockWorkspace):
+    """A workspace that records the shape of every array asked of it, by name."""
+
+    def __init__(self):
+        super().__init__()
+        self.shapes: dict = {}
+
+    def array(self, name, shape, dtype=np.float64):
+        self.shapes.setdefault(name, []).append(shape)
+        return super().array(name, shape, dtype)
+
+
+class TestBinnedRange:
+    """What makes the block's unchecked gathers and its short binned range
+    safe: every cut lies inside the prefix sums, and a multinomial draw
+    reaches the binned range's far end."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_cuts_lie_within_the_prefix(self, data):
+        n = data.draw(st.integers(1, 300))
+        inner = data.draw(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                                   max_size=30, unique=True))
+        grid = Grid(np.array([0.0, *sorted(inner), 1.0]))
+        columns = np.array(sorted(data.draw(
+            st.sets(st.integers(0, len(grid) - 1), min_size=1))))
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        rng = np.random.default_rng(seed)
+        w = np.stack([draw_weights(n, rng) for _ in range(3)])
+        values = np.sort(random_dp_values(rng, n))[None]
+        for direction in (UP, DOWN):
+            cut = grid._plan(n, 3, direction).at(columns)[0]
+            work = _Recording()
+            eval_block(SortedSample(values), w, 3, direction, grid, work, columns)
+            (shape,) = work.shapes["prefix"]  # (pairs, stop + 1)
+            assert cut.min() >= 0 and cut.max() == (cut[-1] if direction is UP else cut[0])
+            assert cut.max() < shape[1] <= n + 2
+
+    @pytest.mark.parametrize("reach", [0.2, 0.8])
+    @pytest.mark.parametrize("direction", [UP, DOWN], ids=lambda d: d.value)
+    @pytest.mark.parametrize("n", [500, 2000, 3000, 10**4])
+    def test_draws_reach_the_margin(self, n, direction, reach):
+        # 2 000 multinomial rows, in blocks of 100: none falls back to all
+        # knots, so every block bins exactly stop + _margin(n) knots.
+        rng = np.random.default_rng(n)
+        grid = Grid.uniform(1001)
+        last = int(reach * (len(grid) - 1))
+        columns = np.arange(last + 1) if direction is UP else np.arange(1000 - last, 1001)
+        values = np.sort(random_dp_values(rng, n))[None]
+        work = _Recording()
+        for _ in range(20):
+            w = np.stack([draw_weights(n, rng) for _ in range(100)])
+            eval_block(SortedSample(values), w, 3, direction, grid, work, columns)
+        (stop,) = {shape[1] - 1 for shape in work.shapes["prefix"]}
+        assert stop + curves._margin(n) < n + 1  # a range shorter than every knot
+        assert work.shapes["levels"] == [(100, stop + curves._margin(n))] * 20
 
 
 @lru_cache(maxsize=None)

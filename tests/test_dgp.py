@@ -32,6 +32,20 @@ class TestParams:
             DoubleParetoParams(np.float64(alpha), np.float64(beta))
         assert DoubleParetoParams(1e308, 1.0).lower_mass == 1.0
 
+    def test_stored_as_floats(self):
+        # A simulation keys its streams by these values, and an int key
+        # hashes by its value while a float hashes by its bits.
+        for given in ((3, 2), (3.0, 2.0), (np.float64(3.0), np.int64(2)), (3, 2, 1)):
+            p = DoubleParetoParams(*given)
+            assert p == DoubleParetoParams(3.0, 2.0)
+            assert all(type(v) is float for v in (p.alpha, p.beta, p.scale))
+
+    @pytest.mark.parametrize("given", [(10**400, 2.0), (3.0, 10**400), (3.0, 2.0, 10**400)],
+                             ids=["alpha", "beta", "scale"])
+    def test_overflowing_number_is_config_error(self, given):
+        with pytest.raises(ConfigError, match="overflows"):
+            DoubleParetoParams(*given)
+
     def test_heavy_tail_warns(self):
         with pytest.warns(UserWarning, match="alpha"):
             DoubleParetoParams(2.0, 1.0)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from isdtest import DataError, make_paired, make_sample
 
@@ -64,6 +66,18 @@ class TestPairedSample:
         ties = make_paired([3, 1, 2, 1], [5, 5, 4, 6])
         assert list(ties.left_order()) == [1, 3, 2, 0]  # stable among equal values
         assert list(ties.right_order()) == [2, 0, 1, 3]
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 4)), min_size=1, max_size=40))
+    def test_orders_are_permutations(self, rows):
+        # The matched core gathers through these orders without a bounds
+        # check, so each must be a permutation of range(n), ties included.
+        left, right = zip(*rows)
+        p = make_paired(left, right)
+        for column, order in ((p.left, p.left_order()), (p.right, p.right_order())):
+            assert order.dtype == np.intp
+            assert np.array_equal(np.sort(order), np.arange(len(rows)))
+            assert np.all(np.diff(column[order]) >= 0)
 
     def test_length_mismatch(self):
         with pytest.raises(DataError, match="equal length"):

@@ -71,6 +71,18 @@ class TestRunCell:
         assert np.isnan(res.critical_value)
 
 
+class TestDgpKey:
+    def test_int_and_float_shapes_draw_alike(self):
+        # (3, 2) and (3.0, 2.0) are one law: before the parameters were
+        # stored as floats they keyed different streams and rejected 1 and
+        # 5 times here.
+        cfg = TestConfig(bootstrap=19, grid=41, seed=3)
+        results = [run_table([SimSpec(d, d, 60, 60, cfg, 40)])[0]
+                   for d in (DoubleParetoParams(3, 2), DoubleParetoParams(3.0, 2.0))]
+        assert results[0].rejections == results[1].rejections == 5
+        assert results[0].critical_value == results[1].critical_value
+
+
 class TestRunTable:
     @pytest.mark.parametrize("mode, size", [(SimMode.WARPSPEED, dict()),
                                             (SimMode.FULL, dict(replications=8, n=60, alpha=0.5))])

@@ -313,6 +313,25 @@ class TestSigmaSq:
         assert k.sigma_sq_many(3, UP, np.array([0.5]))[0] == pytest.approx(0.0, abs=1e-18)
 
 
+    @pytest.mark.parametrize("direction", [UP, DOWN], ids=lambda d: d.value)
+    def test_matched_gathers_positions_in_range(self, monkeypatch, direction):
+        # The row values are gathered without a bounds check: the positions
+        # of each column's rows must be a permutation of range(n), ties
+        # included.
+        rng = np.random.default_rng(15)
+        n = 30
+        left, right = np.round(random_dp_values(rng, n), 1), np.round(random_dp_values(rng, n), 1)
+        left[:5] = left[5]
+        k = CovKernel.matched(make_paired(left, right))
+        gathered, take = [], np.take
+        monkeypatch.setattr(np, "take", lambda a, indices, *args, **kwargs:
+                            gathered.append(np.array(indices)) or take(a, indices, *args, **kwargs))
+        k.sigma_sq_many(4, direction, np.linspace(0.0, 1.0, 11))
+        assert len(gathered) == 2
+        for positions in gathered:
+            assert np.array_equal(np.sort(positions), np.arange(n))
+
+
 class TestSigmaCurve:
     """``sigma_curve`` is the trimmed standard deviation on the functional grid."""
 
