@@ -362,7 +362,8 @@ def eval_block(sample: SortedSample, weights, m: int, direction: Direction,
         weighted = work.array("weighted", (rows // len(values), *values.shape))
         np.multiply(weights.reshape(weighted.shape), values, out=weighted)
         mean = np.sum(weighted, axis=-1).reshape(-1) / n
-        out += np.multiply(mean[:, None], mean_factor, out=work.array("mean", (rows, size)))
+        # The sums are done with "part": the mean term goes there.
+        out += np.multiply(mean[:, None], mean_factor, out=work.array("part", (rows, size)))
         if columns is None or columns[-1] == len(grid) - 1:
             out[:, -1] = 0.0
     return out

@@ -293,12 +293,16 @@ def _bootstrap_stats(samples, pairs, m, grid, plan, keys, streams, work=None) ->
         columns = None if union.all() else np.flatnonzero(union)  # None: the whole grid
         at = slice(None) if columns is None else columns
         # Per test and kind: the contact sets it reads stacked, shape (T, D,
-        # C), and the cells that read each.
-        read.append((direction, columns, [
-            (a, b, phi[..., at], root_t,
-             [(kind, np.stack([contact[tau][:, at] for tau in bands]),
-               list(bands.values())) for kind, bands in kinds.items()])
-            for a, b, phi, root_t, kinds, contact in tests]))
+        # C), and the cells that read each.  A test's masks are stacked once;
+        # a kind that reads every bandwidth, in order, shares that stack.
+        evaluated = []
+        for a, b, phi, root_t, kinds, contact in tests:
+            taus = list(contact)
+            sets = np.stack([contact[tau][:, at] for tau in taus])
+            evaluated.append((a, b, phi[..., at], root_t, [
+                (kind, sets if list(bands) == taus else sets[[taus.index(t) for t in bands]],
+                 list(bands.values())) for kind, bands in kinds.items()]))
+        read.append((direction, columns, evaluated))
     gen = np.random.Generator(np.random.Philox(key=0))
     for lo in range(0, replications, per_block):
         hi = min(lo + per_block, replications)
@@ -362,7 +366,9 @@ def _test_cells(samples, pairs, m, xi, fgrid, vgrid, plan, keys, streams, work=N
     many calls of one shape lends them one, so that its buffers are not
     allocated and faulted in again in every call.
     A non-finite phi-hat, sigma-hat or statistic raises DataError; the
-    guard runs once per call, whatever D.
+    guard runs once per call, whatever D.  The observed curves are freed
+    once the differences exist, and sigma-hat once the contact sets do, so
+    neither is held through the variance or the bootstrap.
     """
     cells, directions = plan
     statistics, contact_sets = [None] * cells, [None] * cells
@@ -370,29 +376,36 @@ def _test_cells(samples, pairs, m, xi, fgrid, vgrid, plan, keys, streams, work=N
     with np.errstate(all="ignore"):  # an overflow shows as a non-finite value, checked here
         for direction, tests in directions:
             curves = [eval_on_grid(LambdaCurve(s, m, direction), fgrid) for s in samples]
+            # The curves are read once the differences exist: freed before
+            # the variance.
+            phis = [curves[b] - curves[a] for a, b, _ in tests]
+            del curves
             evaluated = []
-            for a, b, kinds in tests:
+            for (a, b, kinds), phi in zip(tests, phis):
                 t_n = effective_size(samples[a].n, samples[b].n)
                 kernel = kernels.get((a, b))
                 if kernel is None:
                     kernel = kernels[a, b] = (
                         CovKernel.matched(pairs) if pairs is not None else
                         CovKernel(Scheme.INDEPENDENT, samples[a], samples[b], memo=variances))
-                phi = curves[b] - curves[a]
                 # Matched pairs give one row of sigma-hat, independent stacks D rows.
                 vhat = np.atleast_2d(sigma_curve(kernel, m, direction, vgrid, fgrid, xi))
                 observed = {kind: sqrt(t_n) * functional(kind, phi, fgrid) for kind in kinds}
                 _finite(phi, "curve difference")
                 _finite(vhat, "standard deviation")
                 _finite(list(observed.values()), "test statistic")
+                # Bandwidths in the plan's order, so that kinds that read the
+                # same ones read them in the contact set's order.
                 contact = {tau: estimate_contact_set(phi, vhat, t_n, tau)
-                           for tau in {tau for bands in kinds.values() for tau in bands}}
+                           for tau in dict.fromkeys(tau for bands in kinds.values()
+                                                    for tau in bands)}
                 for kind, bands in kinds.items():
                     for tau, indices in bands.items():
                         for i in indices:
                             statistics[i], contact_sets[i] = observed[kind], contact[tau]
                 evaluated.append((a, b, phi, sqrt(t_n), kinds, contact))
             tests_by_direction.append((direction, evaluated))
+        del vhat  # the last test's, read: not held through the bootstrap
         boot = _bootstrap_stats(samples, pairs, m, fgrid, (cells, tests_by_direction), keys,
                                 streams, work)
     _finite(boot, "bootstrap statistic")

@@ -98,23 +98,50 @@ def _group_key(spec: SimSpec) -> tuple:
 
 
 def _chunk_rows(n: int, grid: int) -> int:
-    """Replications per core call for samples of up to n observations and
-    a functional grid of ``grid`` points.
+    """The most replications per core call for samples of up to n
+    observations and a functional grid of ``grid`` points.
 
     A chunk of D replications holds a few dozen arrays of D rows of n or
-    ``grid`` values at once; D * 5 (n + grid) cells stay within twice the
-    bootstrap block budget.  With 1001 grid points that is 24 rows at
-    n = 80, 21 at n = 200, 17 at n = 500 and 8 at n = 2000.  A warp-speed
-    core call costs about 2 ms besides 0.3 to 0.5 ms per replication at
-    n = 500, so warp speed gains from fewer calls: at n = 500 and 50
-    replications a group makes 3 calls instead of 7 (at 8 rows), for about
-    20 % less time and 1.5 MB more traced peak memory (2.9 MB in all;
-    2 vCPU, one BLAS thread).  One call of all 50 rows peaked at 7.8 MB.
-    The bootstrap blocks of a full-mode chunk fill the block budget's rows
-    even at small B, as one replication's blocks do at large B, so full
-    mode's time and peak memory did not move with these rows.
+    ``grid`` values at once; D * 5 (n + grid) cells stay within three times
+    the bootstrap block budget.  With 1001 grid points that is 36 rows at
+    n = 80, 32 at n = 200, 26 at n = 500 and 13 at n = 2000 (:func:`_chunks`
+    splits a group evenly).  A warp-speed core call costs about 1.1 ms
+    besides its replications' share (2 vCPU), so warp speed gains from
+    fewer calls: at n = 500 and 50 replications a group makes 2 calls of 25
+    rows instead of 3 of up to 17, and peaks at 3.4 MB of traced memory,
+    against 3.9 MB in 17-row chunks, because the harness and the core free
+    the arrays they have read (the uniforms, the observed curves, the last
+    sigma-hat) before the variance and the bootstrap.  One call of all 50
+    rows peaked at 7.8 MB.  The bootstrap blocks of a full-mode
+    chunk fill the block budget's rows even at small B, as one
+    replication's blocks do at large B, so full mode's time and peak
+    memory move little with these rows.
     """
-    return max(1, 2 * inference._BLOCK_CELLS // (5 * (n + grid)))
+    return max(1, 3 * inference._BLOCK_CELLS // (5 * (n + grid)))
+
+
+def _chunks(replications: int, rows: int) -> list[tuple[int, int]]:
+    """The fewest chunks of at most ``rows`` replications, (start, stop)
+    each, whose sizes differ by one at most: the largest chunk sets a
+    group's peak memory, so 50 replications of at most 26 rows run as
+    25 + 25, not 26 + 24."""
+    count = -(-replications // rows)
+    bounds = [replications * i // count for i in range(count + 1)]
+    return list(zip(bounds[:-1], bounds[1:]))
+
+
+def _chunk_data(spec: SimSpec, rng: np.random.Generator, data_keys) -> list:
+    """The sorted data stacks of the replications whose data keys are
+    given.  Each replication's uniforms come from its own stream, the first
+    sample's then the second's; the quantile, the checks and the sort run
+    once on the stacks, each row bit for bit as dp_sample makes it alone.
+    The uniforms are freed on return, before the core call."""
+    uniforms = [np.empty((len(data_keys), spec.n1)), np.empty((len(data_keys), spec.n2))]
+    for row, key in enumerate(data_keys):
+        _restart(rng, key)
+        for u in uniforms:
+            rng.random(out=u[row])
+    return [_sorted_rows(dp_quantile(dgp, u)) for dgp, u in zip((spec.dgp1, spec.dgp2), uniforms)]
 
 
 def _run_group(specs: list[SimSpec]) -> list[SimResult]:
@@ -132,7 +159,6 @@ def _run_group(specs: list[SimSpec]) -> list[SimResult]:
     # Full mode: each replication's own critical values.  Warp speed: the
     # one bootstrap statistic of each replication, pooled below.
     boot = np.empty((len(specs), reps))
-    chunk = _chunk_rows(max(base.n1, base.n2), cfg.grid)
     # Every replication's stream keys, derived at once: data, then the
     # bootstrap (full mode: run_test's under the replication's derived seed).
     index = np.arange(reps)
@@ -145,21 +171,11 @@ def _run_group(specs: list[SimSpec]) -> list[SimResult]:
     # One workspace for every chunk: a warp-speed call runs one bootstrap
     # block, and a workspace of its own would fault its pages in each call.
     work = BlockWorkspace()
-    for lo in range(0, reps, chunk):
-        hi = min(lo + chunk, reps)
-        # Each replication's uniforms from its own stream, the first sample's
-        # then the second's; the quantile, the checks and the sort run once
-        # on the stacks, each row bit for bit as dp_sample makes it alone.
-        uniforms = [np.empty((hi - lo, base.n1)), np.empty((hi - lo, base.n2))]
-        for row, r in enumerate(range(lo, hi)):
-            _restart(rng, data_keys[r])
-            for u in uniforms:
-                rng.random(out=u[row])
-        stacks = [_sorted_rows(dp_quantile(dgp, u))
-                  for dgp, u in zip((base.dgp1, base.dgp2), uniforms)]
+    for lo, hi in _chunks(reps, _chunk_rows(max(base.n1, base.n2), cfg.grid)):
+        stacks = _chunk_data(base, rng, data_keys[lo:hi])
         keys = _test_keys(seeds[lo:hi], cfg.bootstrap) if full else boot_keys[None, lo:hi, None]
-        observed[:, lo:hi], stats, _ = _test_cells(
-            stacks, None, cfg.m, cfg.xi, fgrid, vgrid, plan, keys, (0, 0), work)
+        observed[:, lo:hi], stats = _test_cells(
+            stacks, None, cfg.m, cfg.xi, fgrid, vgrid, plan, keys, (0, 0), work)[:2]
         boot[:, lo:hi] = ([[_critical(draws, s.config) for draws in rows]
                            for rows, s in zip(stats, specs)] if full else stats[:, :, 0])
 

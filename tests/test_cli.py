@@ -585,13 +585,13 @@ class TestMainSimulate:
         # Warp speed stacks a chunk of replications into one core call; the
         # report is byte-identical (wall time aside) in one-row chunks and
         # in chunks of two rows, which split three replications unevenly.
-        # A chunk of D rows takes D * 5 (n + G) cells of twice the block
-        # budget, so a block budget of 5 (n + G) gives two rows at n = 2000
-        # and G = 1001.
+        # A chunk of D rows takes D * 5 (n + G) cells of three times the
+        # block budget, so a block budget of 4 (n + G) gives two rows at
+        # n = 2000 and G = 1001.
         from isdtest import inference, montecarlo
 
         payloads = []
-        for block_cells, rows in ((None, 3), (1, 1), (5 * (2000 + 1001), 2)):
+        for block_cells, rows in ((None, 3), (1, 1), (4 * (2000 + 1001), 2)):
             if block_cells is not None:
                 monkeypatch.setattr(inference, "_BLOCK_CELLS", block_cells)
             assert min(montecarlo._chunk_rows(2000, 1001), 3) == rows

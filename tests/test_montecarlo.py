@@ -232,7 +232,9 @@ class TestChunkedWarpSpeed:
         assert got == _one_replication_at_a_time(specs)
         assert len({rejections for rejections, _ in got}) > 1  # the cells differ
 
-    def test_default_chunk_is_one_call(self, monkeypatch):
+    @staticmethod
+    def _core_calls(monkeypatch):
+        """The rows of every core call that ``run_table`` makes from now on."""
         calls = []
 
         def counted(samples, *args):
@@ -240,24 +242,58 @@ class TestChunkedWarpSpeed:
             return inference._test_cells(samples, *args)
 
         monkeypatch.setattr(montecarlo, "_test_cells", counted)
+        return calls
+
+    def test_default_chunk_is_one_call(self, monkeypatch):
+        calls = self._core_calls(monkeypatch)
         run_table(self._specs(3))
         assert calls == [11]
 
-    @pytest.mark.parametrize("n, rows", [(80, 24), (200, 21), (500, 17), (2000, 8)])
+    @pytest.mark.parametrize("n, rows", [(80, 36), (200, 32), (500, 26), (2000, 13)])
     def test_default_rows(self, n, rows):
         # README quotes these rows per core call at G = 1001.
         assert montecarlo._chunk_rows(n, 1001) == rows
 
+    @pytest.mark.parametrize("n", [80, 200, 500, 2000])
+    def test_chunks_are_the_fewest_and_even(self, n):
+        rows = montecarlo._chunk_rows(n, 1001)
+        for reps in range(1, 201):
+            chunks = montecarlo._chunks(reps, rows)
+            sizes = [hi - lo for lo, hi in chunks]
+            assert len(chunks) == -(-reps // rows)
+            assert max(sizes) - min(sizes) <= 1 and max(sizes) <= rows
+            assert [lo for lo, _ in chunks] == [0] + [hi for _, hi in chunks[:-1]]
+            assert chunks[-1][1] == reps
+
+    @staticmethod
+    def _benchmark_group(replications=50):
+        # One group at the benchmark's warp-speed shape: n = 500, G = 1001
+        # and 10 cells.
+        return [SimSpec(DoubleParetoParams(2.1, 1.5), DoubleParetoParams(100.0, 3.0), 500, 500,
+                        TestConfig(kind=kind, tau=tau, seed=3), replications)
+                for kind in ("sup", "int") for tau in (1.0, 2.0, 3.0, 4.0, INF)]
+
+    def test_benchmark_group_makes_two_calls(self, monkeypatch):
+        calls = self._core_calls(monkeypatch)
+        run_table(self._benchmark_group())
+        assert calls == [25, 25]
+
+    def test_uneven_group_matches_one_row_chunks(self, monkeypatch):
+        # 51 replications of at most 26 rows run as 25 + 26.
+        specs = self._benchmark_group(51)
+        default = run_table(specs)
+        monkeypatch.setattr(montecarlo, "_chunk_rows", lambda n, grid: 1)
+        assert run_table(specs) == default
+
     def test_memory_of_a_group(self):
-        # One group at the benchmark's warp-speed shape: n = 500, G = 1001,
-        # 50 replications, 10 cells, so three core calls of up to 17 rows.
-        # Measured traced peak: 4.0 MB, with one workspace for the group's
-        # chunks and up to three integral bandwidths per reduction; 2.9 MB
-        # before either, against 1.4 MB in 8-row chunks and 7.8 MB in one
-        # 50-row call.
-        specs = [SimSpec(DoubleParetoParams(2.1, 1.5), DoubleParetoParams(100.0, 3.0), 500, 500,
-                         TestConfig(kind=kind, tau=tau, seed=3), 50)
-                 for kind in ("sup", "int") for tau in (1.0, 2.0, 3.0, 4.0, INF)]
+        # The benchmark's group of 50 replications runs as two core calls of
+        # 25 rows.  Measured traced peak: 3.4 MB, since the harness and the
+        # core free the arrays they have read (the uniforms, the observed
+        # curves, the last sigma-hat) before the variance or the bootstrap;
+        # 3.9 MB in three calls of up to 17 rows before that, 4.4 MB in
+        # 26-row calls without it, against 1.4 MB in 8-row chunks and 7.8 MB
+        # in one 50-row call.
+        specs = self._benchmark_group()
         run_table(specs)  # first-call costs outside the measurement
         tracemalloc.start()
         try:
@@ -269,14 +305,15 @@ class TestChunkedWarpSpeed:
 
     def test_memory_of_a_full_integral_group(self, monkeypatch):
         # One full-mode group with five integral bandwidths: n = 500,
-        # G = 1001, B = 99 and 20 replications, so chunks of 17 and 3 rows
-        # whose bootstrap blocks hold 34 and 60 rows, the widest lanes of
-        # the integral's reduction.  A call's lanes stay within the block
-        # budget, unless one bandwidth alone exceeds it.  The traced peak
-        # was 6.00 MB when each dataset's integral was summed on its own;
-        # the bound is 1.1 times that.
+        # G = 1001, B = 100 and 20 replications, so one chunk of 20 rows
+        # whose bootstrap blocks hold 60 rows, the widest lanes of the
+        # integral's reduction, and a last block of 20 rows, whose lanes
+        # leave room for more than one bandwidth per call.  A call's lanes
+        # stay within the block budget, unless one bandwidth alone exceeds
+        # it.  The traced peak was 6.00 MB when each dataset's integral was
+        # summed on its own; the bound is 1.1 times that.  Measured: 5.6 MB.
         specs = [SimSpec(DoubleParetoParams(2.1, 1.5), DoubleParetoParams(100.0, 3.0), 500, 500,
-                         TestConfig(kind="int", tau=tau, seed=3, bootstrap=99), 20, SimMode.FULL)
+                         TestConfig(kind="int", tau=tau, seed=3, bootstrap=100), 20, SimMode.FULL)
                  for tau in (1.0, 2.0, 3.0, 4.0, INF)]
         lanes = []
 
