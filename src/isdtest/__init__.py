@@ -18,13 +18,13 @@ from .inference import (
     PairDecision,
     RankingMatrix,
     Relation,
+    Scheme,
     TestConfig,
     TestResult,
     pairwise_rank,
     run_test,
 )
 from .montecarlo import SimMode, SimResult, SimSpec, preset_specs, run_table
-from .variance import Scheme
 
 # The user's calls, results and inputs.  The kernels behind them stay in
 # their layer modules, which are internal: they take arguments that these

@@ -25,9 +25,8 @@ from .dgp import DoubleParetoParams
 from .empirical import PairedSample, SortedSample, make_paired, make_sample
 from .errors import ConfigError, DataError
 from .functionals import FunctionalKind
-from .inference import TestConfig, _coerce, pairwise_rank, run_test
+from .inference import Scheme, TestConfig, _coerce, pairwise_rank, run_test
 from .montecarlo import SimResult, SimSpec, preset_specs, run_table
-from .variance import Scheme
 
 __all__ = ["Report", "load_csv", "emit_report", "main"]
 

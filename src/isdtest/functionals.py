@@ -10,9 +10,10 @@ it.  :func:`derivative` picks the sup or the integral variant by
 :class:`FunctionalKind` and reduces along the last axis, so a stack of R
 curves, shape (R, G), yields R values at once; with D mask rows, curve row
 i is measured on mask row i mod D, and a stack of T such masks, one per
-bandwidth, yields T rows of values.  :func:`functional` is the derivative
-over the whole grid.  The test and the simulation harness both go through
-these two functions.
+bandwidth, yields T rows of values: the test's core holds each test's
+contact sets as one such (T, D, G) stack.  :func:`functional` is the
+derivative over the whole grid.  The test and the simulation harness both
+go through these two functions.
 """
 
 from __future__ import annotations

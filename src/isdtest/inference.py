@@ -74,9 +74,10 @@ from .curves import (
 from .empirical import PairedSample, SortedSample
 from .errors import ConfigError, DataError
 from .functionals import FunctionalKind, derivative, estimate_contact_set, functional
-from .variance import CovKernel, Scheme, effective_size, sigma_curve
+from .variance import CovKernel, effective_size, sigma_curve
 
 __all__ = [
+    "Scheme",
     "TestConfig",
     "TestResult",
     "Relation",
@@ -116,6 +117,13 @@ def _real(value, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, Real):
         raise ConfigError(f"{name} must be a real number, got {value!r}")
     return float(value)
+
+
+class Scheme(Enum):
+    """Sampling scheme: two independent samples, or i.i.d. matched pairs."""
+
+    INDEPENDENT = "independent"
+    MATCHED = "matched"
 
 
 @dataclass(frozen=True)
@@ -218,17 +226,31 @@ def _plan(cells) -> tuple:
     """The index structure of a list of cells (a, b, direction, kind, tau).
 
     A cell tests the null that sample a dominates sample b.  Returns the
-    cell count and, per direction, each ordered pair (a, b) with its cells
-    grouped by kind, then by bandwidth: ``{kind: {tau: [cell, ...]}}``.  It
-    depends on the cells only, so a caller that tests many data sets with
-    one list of cells builds it once.
+    cell count and, per direction, each ordered pair's test ``(a, b, taus,
+    kinds)``.  ``taus`` lists the test's bandwidths once each, by first
+    appearance by kind, then by bandwidth; ``kinds`` holds, per kind,
+    ``(kind, bands, cells)``: the indices into ``taus`` of the bandwidths
+    it reads, and the cells that read each.  It depends on the cells only,
+    so a caller that tests many data sets with one list of cells builds it
+    once.
     """
     directions: dict = {}
     for i, (a, b, direction, kind, tau) in enumerate(cells):
         tests = directions.setdefault(direction, {})
         tests.setdefault((a, b), {}).setdefault(kind, {}).setdefault(tau, []).append(i)
-    return len(cells), [(direction, [(a, b, kinds) for (a, b), kinds in tests.items()])
-                        for direction, tests in directions.items()]
+    plan = []
+    for direction, tests in directions.items():
+        listed = []
+        for (a, b), kinds in tests.items():
+            taus: dict = {}  # bandwidth -> its index
+            for bands in kinds.values():
+                for tau in bands:
+                    taus.setdefault(tau, len(taus))
+            listed.append((a, b, list(taus), [
+                (kind, [taus[tau] for tau in bands], list(bands.values()))
+                for kind, bands in kinds.items()]))
+        plan.append((direction, listed))
+    return len(cells), plan
 
 
 def _block_replications(width: int, depth: int) -> int:
@@ -247,11 +269,12 @@ def _bootstrap_stats(samples, pairs, m, grid, plan, keys, streams, work=None) ->
     """Bootstrap statistics of every cell, shape (cells, D, replications).
 
     ``plan`` lists each direction with its tests (a, b, phi-hat,
-    sqrt(T_n), cells by kind and bandwidth as :func:`_plan` groups them,
-    contact set by bandwidth).  ``keys`` holds the Philox keys of
-    the bootstrap streams, shape (replications, D, streams, 2): replication
-    b of dataset d draws sample k's weights from the stream of
-    ``keys[b, d, streams[k]]``, from its start, the samples of one stream
+    sqrt(T_n), kinds as :func:`_plan` lists them, contact sets), the
+    contact sets one boolean stack of shape (T, D, G), a (D, G) mask per
+    bandwidth of the test in :func:`_plan`'s order.  ``keys`` holds the
+    Philox keys of the bootstrap streams, shape (replications, D, streams,
+    2): replication b of dataset d draws sample k's weights from the stream
+    of ``keys[b, d, streams[k]]``, from its start, the samples of one stream
     in slot order (matched pairs: one draw from the first slot's stream,
     routed through each column's sort order).  One generator, re-keyed
     for every row and stream, draws them all.  A block holds whole
@@ -288,20 +311,18 @@ def _bootstrap_stats(samples, pairs, m, grid, plan, keys, streams, work=None) ->
         draws.setdefault(stream, []).append(k)
     read = []  # per direction: its columns, and its tests on those columns
     for direction, tests in directions:
-        masks = [mask for *_, contact in tests for mask in contact.values()]
-        union = np.vstack(masks).any(axis=0)
+        union = np.any([contact.any(axis=(0, 1)) for *_, contact in tests], axis=0)
         columns = None if union.all() else np.flatnonzero(union)  # None: the whole grid
         at = slice(None) if columns is None else columns
-        # Per test and kind: the contact sets it reads stacked, shape (T, D,
-        # C), and the cells that read each.  A test's masks are stacked once;
-        # a kind that reads every bandwidth, in order, shares that stack.
+        # Per test and kind: the contact sets it reads on the columns, shape
+        # (T, D, C), and the cells that read each.  Kinds that read every
+        # bandwidth, in order, share the whole stack's columns.
         evaluated = []
         for a, b, phi, root_t, kinds, contact in tests:
-            taus = list(contact)
-            sets = np.stack([contact[tau][:, at] for tau in taus])
+            whole, every = contact[..., at], list(range(len(contact)))
             evaluated.append((a, b, phi[..., at], root_t, [
-                (kind, sets if list(bands) == taus else sets[[taus.index(t) for t in bands]],
-                 list(bands.values())) for kind, bands in kinds.items()]))
+                (kind, whole if bands == every else contact[bands][..., at], cells)
+                for kind, bands, cells in kinds]))
         read.append((direction, columns, evaluated))
     gen = np.random.Generator(np.random.Philox(key=0))
     for lo in range(0, replications, per_block):
@@ -351,12 +372,15 @@ def _test_cells(samples, pairs, m, xi, fgrid, vgrid, plan, keys, streams, work=N
     Sample slot k is a :class:`SortedSample` holding a stack of D datasets
     of one size, values of shape (D, n_k); dataset d of every slot makes up
     one test problem, computed row by row exactly as if it were alone.
-    Each test (ordered pair, direction) gets its phi-hat, sigma-hat,
-    observed statistic per kind and contact set per bandwidth exactly as a
-    two-sample test of its pair would; each sample's own variance is
-    computed once per direction and mixed per pair.  One set of bootstrap
-    draws, replication b of dataset d from the streams keyed by
-    ``keys[b, d]`` (see :func:`_bootstrap_stats`), serves every cell;
+    Each test (ordered pair, direction) gets its phi-hat, sigma-hat (D,
+    F), observed statistic per kind and contact set per bandwidth exactly
+    as a two-sample test of its pair would; its contact sets are one stack
+    of shape (T, D, F), a mask per bandwidth of the test.  Each test's
+    kernel is built from its own slots, matched pairs with the columns'
+    sort orders; each sample's own variance is computed once per direction
+    and mixed per pair.  One set of bootstrap draws, replication b of
+    dataset d from the streams keyed by ``keys[b, d]`` (see
+    :func:`_bootstrap_stats`), serves every cell;
     there are ``len(keys)`` replications.  ``pairs`` is the
     :class:`PairedSample` whose columns are ``samples`` under the matched
     scheme (then D = 1), else None.  Returns each cell's observed
@@ -372,37 +396,29 @@ def _test_cells(samples, pairs, m, xi, fgrid, vgrid, plan, keys, streams, work=N
     """
     cells, directions = plan
     statistics, contact_sets = [None] * cells, [None] * cells
-    tests_by_direction, kernels, variances = [], {}, {}
+    tests_by_direction, variances = [], {}
+    orders = None if pairs is None else (pairs.left_order(), pairs.right_order())
     with np.errstate(all="ignore"):  # an overflow shows as a non-finite value, checked here
         for direction, tests in directions:
             curves = [eval_on_grid(LambdaCurve(s, m, direction), fgrid) for s in samples]
             # The curves are read once the differences exist: freed before
             # the variance.
-            phis = [curves[b] - curves[a] for a, b, _ in tests]
+            phis = [curves[b] - curves[a] for a, b, *_ in tests]
             del curves
             evaluated = []
-            for (a, b, kinds), phi in zip(tests, phis):
+            for (a, b, taus, kinds), phi in zip(tests, phis):
                 t_n = effective_size(samples[a].n, samples[b].n)
-                kernel = kernels.get((a, b))
-                if kernel is None:
-                    kernel = kernels[a, b] = (
-                        CovKernel.matched(pairs) if pairs is not None else
-                        CovKernel(Scheme.INDEPENDENT, samples[a], samples[b], memo=variances))
-                # Matched pairs give one row of sigma-hat, independent stacks D rows.
-                vhat = np.atleast_2d(sigma_curve(kernel, m, direction, vgrid, fgrid, xi))
-                observed = {kind: sqrt(t_n) * functional(kind, phi, fgrid) for kind in kinds}
+                kernel = CovKernel(samples[a], samples[b], variances, orders)
+                vhat = sigma_curve(kernel, m, direction, vgrid, fgrid, xi)
+                observed = [sqrt(t_n) * functional(kind, phi, fgrid) for kind, _, _ in kinds]
                 _finite(phi, "curve difference")
                 _finite(vhat, "standard deviation")
-                _finite(list(observed.values()), "test statistic")
-                # Bandwidths in the plan's order, so that kinds that read the
-                # same ones read them in the contact set's order.
-                contact = {tau: estimate_contact_set(phi, vhat, t_n, tau)
-                           for tau in dict.fromkeys(tau for bands in kinds.values()
-                                                    for tau in bands)}
-                for kind, bands in kinds.items():
-                    for tau, indices in bands.items():
+                _finite(observed, "test statistic")
+                contact = np.stack([estimate_contact_set(phi, vhat, t_n, tau) for tau in taus])
+                for (_, bands, band_cells), value in zip(kinds, observed):
+                    for t, indices in zip(bands, band_cells):
                         for i in indices:
-                            statistics[i], contact_sets[i] = observed[kind], contact[tau]
+                            statistics[i], contact_sets[i] = value, contact[t]
                 evaluated.append((a, b, phi, sqrt(t_n), kinds, contact))
             tests_by_direction.append((direction, evaluated))
         del vhat  # the last test's, read: not held through the bootstrap

@@ -37,8 +37,7 @@ from .dgp import DoubleParetoParams, dp_quantile
 from .empirical import _sorted_rows
 from .errors import ConfigError
 from .functionals import FunctionalKind
-from .inference import TestConfig, _coerce, _count, _critical, _plan, _test_cells, _test_keys
-from .variance import Scheme
+from .inference import Scheme, TestConfig, _coerce, _count, _critical, _plan, _test_cells, _test_keys
 
 __all__ = ["SimMode", "SimSpec", "SimResult", "run_table", "preset_specs"]
 

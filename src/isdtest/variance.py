@@ -38,33 +38,25 @@ variance enters the test only through the contact set.
 Matched pairs pair rows across two rank orders, so there is no prefix
 structure: the row values f_p are evaluated from the same coefficients,
 O(G n m), gathered into row order and differenced.  Identical columns give
-exactly 0.
+exactly 0.  Each column is a stack of one sample, so the variance is
+(D, G) for both schemes, D = 1 here.
 """
 
 from __future__ import annotations
 
-from enum import Enum
 from math import comb, factorial
 
 import numpy as np
 
 from .curves import Direction, Grid
-from .empirical import PairedSample, SortedSample
+from .empirical import SortedSample
 from .errors import DataError
 
 __all__ = [
-    "Scheme",
     "CovKernel",
     "effective_size",
     "sigma_curve",
 ]
-
-
-class Scheme(Enum):
-    """Sampling scheme: two independent samples, or i.i.d. matched pairs."""
-
-    INDEPENDENT = "independent"
-    MATCHED = "matched"
 
 
 def effective_size(n1: int, n2: int) -> float:
@@ -85,9 +77,9 @@ def _frame(values: np.ndarray, m: int, direction: Direction, ps: np.ndarray):
 
     Returns ``(z, e, j, c, tail, beta)``; ``z`` (..., n + 1) and ``e``
     (..., q + 1, n + 1) carry a trailing zero so that prefix sums over
-    segments may start at j = n.  ``values`` is one sorted sample, shape
-    (n,), or a stack of them, shape (D, n); ``z``, ``e`` and ``tail`` then
-    carry the same leading axis.
+    segments may start at j = n.  ``values`` is a stack of sorted samples,
+    shape (D, n), whose leading axis ``z``, ``e`` and ``tail`` carry, or
+    one column of matched pairs, shape (n,).
     """
     q = m - 2
     n = values.shape[-1]
@@ -124,7 +116,7 @@ def _frame(values: np.ndarray, m: int, direction: Direction, ps: np.ndarray):
 def _variance_independent(values: np.ndarray, m: int, direction: Direction,
                           ps: np.ndarray) -> np.ndarray:
     """Variance over k of f_p(X_(k)) from prefix moments, O((n + G) m^2),
-    shape (G,), or (D, G) for a stack of D samples.
+    shape (D, G) for a stack of D samples, values of shape (D, n).
 
     Each product e_r e_s is reduced onto the segments between consecutive
     distinct j and summed over segments, so only n-vectors are held.
@@ -158,24 +150,19 @@ def _variance_independent(values: np.ndarray, m: int, direction: Direction,
 
 
 def _row_values(values: np.ndarray, m: int, direction: Direction, ps: np.ndarray,
-                pos: np.ndarray) -> np.ndarray:
-    """f_p up to a constant per level, shape (G, n), at the rows whose sorted
-    positions are ``pos``."""
-    z, e, j, c, tail, beta = _frame(values, m, direction, ps)
+                order: np.ndarray) -> np.ndarray:
+    """f_p up to a constant per level, shape (G, n), in row order: ``values``
+    is a column sorted by the row order ``order``."""
     n = len(values)
+    pos = np.empty_like(order)
+    pos[order] = np.arange(n)  # each row's sorted position
+    z, e, j, c, tail, beta = _frame(values, m, direction, ps)
     rows = c.T @ e[:, :n]
     tails = np.stack((tail, beta), axis=1) @ np.stack((np.ones(n), z[:n]))
     np.copyto(rows, tails, where=np.arange(n) >= j[:, None])
     del tails  # the gather below is the call's peak: hold two (G, n) arrays, not three
     # pos is a permutation of range(n), so "clip" never clips.
     return np.take(rows, pos if direction is Direction.UP else n - 1 - pos, axis=1, mode="clip")
-
-
-def _inverse(order: np.ndarray) -> np.ndarray:
-    """Inverse permutation of a sort order: the sorted position of each row."""
-    pos = np.empty_like(order)
-    pos[order] = np.arange(len(order))
-    return pos
 
 
 def _sample_variance(sample: SortedSample, m: int, direction: Direction, ps: np.ndarray,
@@ -192,20 +179,20 @@ def _sample_variance(sample: SortedSample, m: int, direction: Direction, ps: np.
 class CovKernel:
     """Covariance-kernel estimate for a two-sample layout.
 
-    Construct matched pairs with :meth:`matched`.  Independent samples may
-    also be stacks of D samples of one size each, values of shape (D, n1)
-    and (D, n2), whose variances are computed row by row.  An independent
-    kernel reads each sample's own variance term through its ``memo`` dict:
-    kernels that share one compute each common sample's term once while
-    the dict lives.  The test's core lends one dict to the kernels of one
-    call.  The kernel is immutable after construction; evaluation is pure.
+    ``sorted1`` and ``sorted2`` are stacks of D samples of one size each,
+    values of shape (D, n1) and (D, n2), whose variances are computed row
+    by row.  Matched pairs are two stacks of one column, D = 1, with the
+    row orders that sort the columns as ``orders``; without them the
+    samples are independent.  Kernels that share a ``memo`` dict compute
+    each common independent sample's own variance term once while the
+    dict lives; the test's core lends one dict to the kernels of one call.
+    The kernel holds no computed state, and evaluation is pure.
     """
 
-    def __init__(self, scheme: Scheme, sorted1: SortedSample, sorted2: SortedSample,
-                 order1: np.ndarray | None = None, order2: np.ndarray | None = None,
-                 memo: dict | None = None):
-        self.scheme = scheme
+    def __init__(self, sorted1: SortedSample, sorted2: SortedSample, memo: dict,
+                 orders: tuple | None = None):
         self._memo = memo
+        self._orders = orders
         self._s1 = sorted1
         self._s2 = sorted2
         self.n1 = sorted1.n
@@ -213,36 +200,27 @@ class CovKernel:
         if min(self.n1, self.n2) < 2:
             raise DataError("kernel estimation requires at least two observations per sample")
         self.lam = self.n1 / (self.n1 + self.n2)
-        if scheme is Scheme.MATCHED:
-            # Positions of each row in the per-column sort, for cross terms.
-            self._pos1 = _inverse(order1)
-            self._pos2 = _inverse(order2)
-
-    @classmethod
-    def matched(cls, pairs: PairedSample) -> "CovKernel":
-        return cls(Scheme.MATCHED, pairs.left_sample(), pairs.right_sample(),
-                   order1=pairs.left_order(), order2=pairs.right_order())
 
     def sigma_sq_many(self, m: int, direction: Direction, ps: np.ndarray) -> np.ndarray:
         """Exact collapsed double integral of the kernel at each level in
-        ``ps``, a float array of levels.
+        ``ps``, a float array of levels, shape (D, G) for stacks of D
+        samples and G levels.
 
-        Independent samples cost O((n + G) m^2) for G levels; matched pairs
-        cost O(G n m).  The value is clamped at 0 and is exactly 0 at
-        p = 0 upward and p = 1 downward.  Shape (G,), or (D, G) for stacks.
-        A value that overflows (data near the top of the double range) is a
-        DataError, not a clamped 0.
+        Independent samples cost O((n + G) m^2); matched pairs cost
+        O(G n m).  The value is clamped at 0 and is exactly 0 at p = 0
+        upward and p = 1 downward.  A value that overflows (data near the
+        top of the double range) is a DataError, not a clamped 0.
         """
         # An overflow shows as a non-finite value, checked here.
         with np.errstate(over="ignore", invalid="ignore"):
-            if self.scheme is Scheme.INDEPENDENT:
+            if self._orders is None:
                 out = ((1.0 - self.lam) * _sample_variance(self._s1, m, direction, ps, self._memo)
                        + self.lam * _sample_variance(self._s2, m, direction, ps, self._memo))
             else:
-                diff = _row_values(self._s1.values, m, direction, ps, self._pos1)
-                diff -= _row_values(self._s2.values, m, direction, ps, self._pos2)
+                diff = _row_values(self._s1.values[0], m, direction, ps, self._orders[0])
+                diff -= _row_values(self._s2.values[0], m, direction, ps, self._orders[1])
                 diff -= diff.mean(axis=1, keepdims=True)
-                out = np.einsum("gk,gk->g", diff, diff) / (2.0 * (self.n1 - 1))
+                out = np.einsum("gk,gk->g", diff, diff)[None] / (2.0 * (self.n1 - 1))
         # Clamped, an overflowed -inf would read as 0 and shrink the contact set.
         if not np.isfinite(out).all():
             raise DataError("the variance overflows double precision: "
@@ -260,8 +238,8 @@ def sigma_curve(kernel: CovKernel, m: int, direction: Direction,
     abscissae, interpolated linearly onto the functional grid and floored
     at the trimming level ``xi`` before the square root.  It enters the
     test only through the contact set, so coarse resolution suffices.
-    Shape (F,), or (D, F) for a kernel over stacks of D samples.
+    Shape (D, F) for a kernel over stacks of D samples.
     """
     sig_v = kernel.sigma_sq_many(m, direction, vgrid.points)
-    sig_f = [np.interp(fgrid.points, vgrid.points, row) for row in np.atleast_2d(sig_v)]
-    return np.sqrt(np.maximum(sig_f, xi)).reshape(sig_v.shape[:-1] + (len(fgrid),))
+    sig_f = [np.interp(fgrid.points, vgrid.points, row) for row in sig_v]
+    return np.sqrt(np.maximum(sig_f, xi))

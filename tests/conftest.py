@@ -132,8 +132,16 @@ def stacked(sample) -> SortedSample:
 
 
 def independent_kernel(sample1, sample2) -> CovKernel:
-    """The covariance kernel of two independent samples, with a memo of its own."""
-    return CovKernel(Scheme.INDEPENDENT, sample1, sample2, memo={})
+    """The covariance kernel of two independent samples (or stacks of them)
+    as the core builds it, from stacks, with a memo of its own."""
+    return CovKernel(stacked(sample1), stacked(sample2), {})
+
+
+def matched_kernel(pairs) -> CovKernel:
+    """The covariance kernel of matched pairs as the core builds it: each
+    column a stack of one sample, with the columns' sort orders."""
+    return CovKernel(stacked(pairs.left_sample()), stacked(pairs.right_sample()), {},
+                     (pairs.left_order(), pairs.right_order()))
 
 
 def grid_columns(columns, size) -> bool:
@@ -360,12 +368,11 @@ def full_grid_bootstrap_stats(samples, pairs, m, grid, plan, keys, streams, work
                                      grid)[0]
                           for s, w in zip(samples, weights)]
                 for a, c, phi, root_t, kinds, contact in tests:
-                    h = (curves[c] - curves[a] - np.atleast_2d(phi)[d]) * root_t
-                    for kind, bands in kinds.items():
-                        for tau, cells in bands.items():
-                            mask = np.atleast_2d(contact[tau])[d]
-                            for i in cells:
-                                stats[i, d, b] = derivative(kind, h, mask, grid)
+                    h = (curves[c] - curves[a] - phi[d]) * root_t
+                    for kind, bands, cells in kinds:
+                        for t, band_cells in zip(bands, cells):
+                            for i in band_cells:
+                                stats[i, d, b] = derivative(kind, h, contact[t, d], grid)
     return stats
 
 

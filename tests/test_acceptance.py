@@ -141,7 +141,7 @@ def test_acceptance_3_sigma_collapse():
             for direction in (UP, DOWN):
                 for p in (0.25, 0.5, 0.75):
                     want = nested_sigma_oracle(km, cells, m, direction, p)
-                    got = kernel.sigma_sq_many(m, direction, np.array([p]))[0]
+                    got = kernel.sigma_sq_many(m, direction, np.array([p]))[0, 0]
                     rel = abs(got - want) / max(abs(want), 1e-12)
                     worst = max(worst, float(rel))
     elapsed = time.perf_counter() - start

@@ -1,5 +1,7 @@
+import ast
 import importlib
 import re
+from graphlib import TopologicalSorter
 from pathlib import Path
 
 import pytest
@@ -22,19 +24,40 @@ PUBLIC = [
 # its spans from the traced metrics without a failure.
 LAYER_NAMES = {
     "cli": ["Report", "load_csv", "emit_report", "main"],
-    "inference": ["TestConfig", "TestResult", "Relation", "RankingMatrix", "run_test",
+    "inference": ["Scheme", "TestConfig", "TestResult", "Relation", "RankingMatrix", "run_test",
                   "pairwise_rank"],
     "montecarlo": ["SimMode", "SimSpec", "SimResult", "run_table", "preset_specs"],
     "bootstrap": ["derive_seed", "draw_weights", "critical_value", "p_value"],
     "curves": ["MAX_DEGREE", "Direction", "Grid", "LambdaCurve", "eval_on_grid", "eval_block",
                "BlockWorkspace"],
-    "variance": ["Scheme", "CovKernel", "effective_size", "sigma_curve"],
+    "variance": ["CovKernel", "effective_size", "sigma_curve"],
     "functionals": ["FunctionalKind", "estimate_contact_set", "functional", "derivative"],
     "empirical": ["SortedSample", "PairedSample", "make_sample", "make_paired"],
     "dgp": ["DoubleParetoParams", "dp_quantile", "dp_sample"],
 }
 
-README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+# The package modules each module may import from, all of them lower
+# layers; "__init__" is the package itself (the command line reads its
+# version there).  A module gains a lower layer only by a deliberate edit.
+LOWER_LAYERS = {
+    "errors": set(),
+    "bootstrap": set(),
+    "empirical": {"errors"},
+    "curves": {"empirical", "errors"},
+    "dgp": {"empirical", "errors"},
+    "functionals": {"curves"},
+    "variance": {"curves", "empirical", "errors"},
+    "inference": {"bootstrap", "curves", "empirical", "errors", "functionals", "variance"},
+    "montecarlo": {"bootstrap", "curves", "dgp", "empirical", "errors", "functionals",
+                   "inference"},
+    "__init__": {"curves", "dgp", "empirical", "errors", "functionals", "inference",
+                 "montecarlo"},
+    "cli": {"__init__", "dgp", "empirical", "errors", "functionals", "inference", "montecarlo"},
+}
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "isdtest"
+README = (ROOT / "README.md").read_text(encoding="utf-8")
 
 
 def test_public_names_pinned():
@@ -54,6 +77,31 @@ def test_layer_names_pinned(layer):
     module = importlib.import_module(f"isdtest.{layer}")
     assert module.__all__ == LAYER_NAMES[layer]
     assert all(hasattr(module, name) for name in module.__all__)
+
+
+def _package_imports(module: str) -> set:
+    """The package modules that ``module`` imports, from its ``from .x
+    import`` and ``from . import x`` lines."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is not None:
+                imported.add(node.module.partition(".")[0])
+            else:
+                imported.update(alias.name if (PACKAGE / f"{alias.name}.py").exists()
+                                else "__init__" for alias in node.names)
+    return imported
+
+
+def test_layers_cover_every_module_and_have_no_cycle():
+    assert sorted(LOWER_LAYERS) == sorted(path.stem for path in PACKAGE.glob("*.py"))
+    list(TopologicalSorter(LOWER_LAYERS).static_order())  # a cycle raises CycleError
+
+
+@pytest.mark.parametrize("module", sorted(LOWER_LAYERS))
+def test_imports_only_lower_layers(module):
+    assert _package_imports(module) <= LOWER_LAYERS[module]
 
 
 def test_readme_documents_every_public_name():

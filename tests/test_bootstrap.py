@@ -225,7 +225,7 @@ class TestBlockRoute:
 
     def _block_stats(self, s1, s2, pairs, phi, cs, t_n, cfg):
         """The test's block loop on one cell, with the given contact set."""
-        test = (0, 1, phi[None], np.sqrt(t_n), {cfg.kind: {cfg.tau: [0]}}, {cfg.tau: cs[None]})
+        test = (0, 1, phi[None], np.sqrt(t_n), [(cfg.kind, [0], [[0]])], cs[None, None])
         return inference._bootstrap_stats(
             [stacked(s1), stacked(s2)], pairs, cfg.m,
             self.grid, (1, [(cfg.direction, [test])]),
@@ -356,8 +356,8 @@ class TestBlockRoute:
         pairs = make_paired(left, right)
         g = Grid.uniform(51)
         full = np.ones(len(g), dtype=bool)
-        kinds = {FunctionalKind.SUP: {np.inf: [0]}, FunctionalKind.INT: {np.inf: [1]}}
-        test = (0, 1, np.zeros((1, len(g))), 1.0, kinds, {np.inf: full[None]})
+        kinds = [(FunctionalKind.SUP, [0], [[0]]), (FunctionalKind.INT, [0], [[1]])]
+        test = (0, 1, np.zeros((1, len(g))), 1.0, kinds, full[None, None])
         stats = inference._bootstrap_stats(
             [stacked(pairs.left_sample()), stacked(pairs.right_sample())], pairs, 3, g,
             (2, [(Direction.UP, [test])]), inference._test_keys(8, 3), (0, 0))

@@ -288,6 +288,8 @@ class TestMainTest:
         assert main(["test", fa, fb, "--threads", "2"]) == 3
         assert main(["rank", fa, fb, "--threads", "2"]) == 3
         assert b"one thread" in capsysbinary.readouterr().err
+        assert main(["test", fa, fb, "--matched"]) == 3
+        assert b"--matched takes exactly one two-column file" in capsysbinary.readouterr().err
 
     def test_unknown_functional_names_the_flag(self, tmp_path, capsys):
         fa, fb = _two_sample_files(tmp_path)

@@ -72,6 +72,8 @@ class TestGrid:
             Grid(np.array([0.1, 0.5, 1.0]))  # missing 0
         with pytest.raises(ConfigError):
             Grid(np.array([0.0, 0.5, 0.5, 1.0]))  # not strictly increasing
+        with pytest.raises(ConfigError, match="at least the two endpoints"):
+            Grid(np.array([0.0]))  # one point
 
 
 class TestLambdaEval:

@@ -138,6 +138,11 @@ class TestSampling:
         b = dp_sample(params, 50, substream(3, 1))
         assert np.array_equal(a.values, b.values)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_size_at_least_one(self, params, n):
+        with pytest.raises(ConfigError, match="at least 1"):
+            dp_sample(params, n, substream(3, 1))
+
     def test_positive_and_sorted(self, params):
         s = dp_sample(params, 200, substream(4, 2))
         assert np.all(s.values > 0)

@@ -204,6 +204,12 @@ class TestPairwiseRank:
         with pytest.raises(ConfigError):
             pairwise_rank([("x", s), ("x", s)], quick_cfg())
 
+    def test_independent_samples_only(self):
+        rng = np.random.default_rng(13)
+        s = make_sample(random_dp_values(rng, 10))
+        with pytest.raises(ConfigError, match="independent samples only"):
+            pairwise_rank([("x", s), ("y", s)], quick_cfg(scheme=Scheme.MATCHED))
+
     def test_stacked_dataset_rejected(self):
         rng = np.random.default_rng(12)
         one = make_sample(random_dp_values(rng, 50))
@@ -449,8 +455,7 @@ def _columns_spy(monkeypatch):
 
     def spied_stats(samples, pairs, m, grid, plan, *args):
         for direction, tests in plan[1]:
-            masks = [np.reshape(mask, (-1, len(grid)))
-                     for *_, contact in tests for mask in contact.values()]
+            masks = [contact.reshape(-1, len(grid)) for *_, contact in tests]
             union[direction] = np.flatnonzero(np.vstack(masks).any(axis=0))
         return stats(samples, pairs, m, grid, plan, *args)
 

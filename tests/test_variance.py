@@ -7,7 +7,6 @@ from isdtest import (
     ConfigError,
     DataError,
     Direction,
-    Scheme,
     SortedSample,
     TestConfig,
     make_paired,
@@ -24,9 +23,11 @@ from conftest import (
     fraction_sigma_sq,
     independent_kernel,
     interval_weights,
+    matched_kernel,
     nested_sigma_oracle,
     random_dp_values,
     rel_err,
+    stacked,
 )
 
 UP, DOWN = Direction.UP, Direction.DOWN
@@ -143,7 +144,7 @@ def _layout(rng, n, matched):
     x1 = random_dp_values(rng, n)
     if matched:
         x2 = x1 * rng.uniform(0.6, 1.4, size=n)
-        return x1, x2, CovKernel.matched(make_paired(x1, x2))
+        return x1, x2, matched_kernel(make_paired(x1, x2))
     x2 = random_dp_values(rng, n + 1)
     return x1, x2, independent_kernel(make_sample(x1), make_sample(x2))
 
@@ -197,7 +198,7 @@ class TestPrefixMoments:
         x1, x2, k = _layout(rng, 40, matched)
         shift = 25.0
         if matched:
-            shifted = CovKernel.matched(make_paired(x1 + shift, x2 + shift))
+            shifted = matched_kernel(make_paired(x1 + shift, x2 + shift))
         else:
             shifted = independent_kernel(make_sample(x1 + shift), make_sample(x2 + shift))
         ps = _levels(40)
@@ -211,8 +212,8 @@ class TestPrefixMoments:
         _, _, k = _layout(rng, 30, False)
         ps = rng.permutation(_levels(30))
         for direction in (UP, DOWN):
-            got = k.sigma_sq_many(4, direction, ps)
-            want = np.array([k.sigma_sq_many(4, direction, np.array([p]))[0] for p in ps])
+            got = k.sigma_sq_many(4, direction, ps)[0]
+            want = np.array([k.sigma_sq_many(4, direction, np.array([p]))[0, 0] for p in ps])
             assert got == pytest.approx(want, rel=1e-12, abs=1e-15)
 
     def test_memory_is_linear_in_n(self):
@@ -228,7 +229,7 @@ class TestPrefixMoments:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert out.shape == (101,)
+        assert out.shape == (1, 101)
         assert peak < 64 * 2 ** 20
 
 
@@ -238,8 +239,8 @@ class TestSigmaSq:
         k = independent_kernel(make_sample(random_dp_values(rng, 20)),
                                   make_sample(random_dp_values(rng, 30)))
         for m in (3, 4):
-            assert k.sigma_sq_many(m, UP, np.array([0.0]))[0] == 0.0
-            assert k.sigma_sq_many(m, DOWN, np.array([1.0]))[0] == 0.0
+            assert k.sigma_sq_many(m, UP, np.array([0.0]))[0, 0] == 0.0
+            assert k.sigma_sq_many(m, DOWN, np.array([1.0]))[0, 0] == 0.0
 
     def test_nonnegative(self):
         rng = np.random.default_rng(21)
@@ -280,7 +281,7 @@ class TestSigmaSq:
                 for direction in (UP, DOWN):
                     for p in (0.25, 0.5, 0.75):
                         want = nested_sigma_oracle(km, cells, m, direction, p)
-                        got = k.sigma_sq_many(m, direction, np.array([p]))[0]
+                        got = k.sigma_sq_many(m, direction, np.array([p]))[0, 0]
                         assert rel_err(got, want, floor=1e-12) < 1e-6
 
     def test_matches_nested_oracle_matched(self):
@@ -289,13 +290,13 @@ class TestSigmaSq:
         n = 40
         left = random_dp_values(rng, n)
         right = left * rng.uniform(0.6, 1.4, size=n)
-        k = CovKernel.matched(make_paired(left, right))
+        k = matched_kernel(make_paired(left, right))
         mids = (np.arange(cells) + 0.5) / cells
         km = fine_kernel(left, right, mids, matched=True)
         for m in (3, 4):
             for p in (0.25, 0.75):
                 want = nested_sigma_oracle(km, cells, m, UP, p)
-                got = k.sigma_sq_many(m, UP, np.array([p]))[0]
+                got = k.sigma_sq_many(m, UP, np.array([p]))[0, 0]
                 assert rel_err(got, want, floor=1e-12) < 1e-6
 
     def test_scale_quadratic(self):
@@ -304,13 +305,13 @@ class TestSigmaSq:
         k = independent_kernel(make_sample(x1), make_sample(x2))
         kc = independent_kernel(make_sample(1000.0 * x1), make_sample(1000.0 * x2))
         for m, direction, p in ((3, UP, 0.4), (4, DOWN, 0.6)):
-            assert kc.sigma_sq_many(m, direction, np.array([p]))[0] == pytest.approx(
-                1e6 * k.sigma_sq_many(m, direction, np.array([p]))[0], rel=1e-9)
+            assert kc.sigma_sq_many(m, direction, np.array([p]))[0, 0] == pytest.approx(
+                1e6 * k.sigma_sq_many(m, direction, np.array([p]))[0, 0], rel=1e-9)
 
     def test_matched_identical_columns_zero(self):
         base = np.linspace(0.5, 4.0, 20)
-        k = CovKernel.matched(make_paired(base, base))
-        assert k.sigma_sq_many(3, UP, np.array([0.5]))[0] == pytest.approx(0.0, abs=1e-18)
+        k = matched_kernel(make_paired(base, base))
+        assert k.sigma_sq_many(3, UP, np.array([0.5]))[0, 0] == pytest.approx(0.0, abs=1e-18)
 
 
     @pytest.mark.parametrize("direction", [UP, DOWN], ids=lambda d: d.value)
@@ -322,7 +323,7 @@ class TestSigmaSq:
         n = 30
         left, right = np.round(random_dp_values(rng, n), 1), np.round(random_dp_values(rng, n), 1)
         left[:5] = left[5]
-        k = CovKernel.matched(make_paired(left, right))
+        k = matched_kernel(make_paired(left, right))
         gathered, take = [], np.take
         monkeypatch.setattr(np, "take", lambda a, indices, *args, **kwargs:
                             gathered.append(np.array(indices)) or take(a, indices, *args, **kwargs))
@@ -345,14 +346,25 @@ class TestSigmaCurve:
         k = self._kernel(15)
         vgrid, fgrid = Grid.uniform(11), Grid.uniform(101)
         got = sigma_curve(k, 3, UP, vgrid, fgrid, xi)
-        want = np.interp(fgrid.points, vgrid.points, k.sigma_sq_many(3, UP, vgrid.points))
-        assert np.array_equal(got, np.sqrt(np.maximum(want, xi)))
+        want = np.interp(fgrid.points, vgrid.points, k.sigma_sq_many(3, UP, vgrid.points)[0])
+        assert np.array_equal(got, np.sqrt(np.maximum(want, xi))[None])
         assert np.all(got >= np.sqrt(xi))
 
     def test_zero_variance_is_floored(self):
         k = independent_kernel(make_sample([2.0] * 10), make_sample([3.0] * 12))
         got = sigma_curve(k, 4, DOWN, Grid.uniform(11), Grid.uniform(31), 0.001)
-        assert np.array_equal(got, np.full(31, np.sqrt(0.001)))
+        assert np.array_equal(got, np.full((1, 31), np.sqrt(0.001)))
+
+    @SCHEMES
+    def test_one_shape_for_both_schemes(self, matched):
+        # A kernel over stacks of D samples gives D rows, and matched pairs
+        # are stacks of one column: sigma-hat is (D, F) for both schemes.
+        _, _, k = _layout(np.random.default_rng(16), 30, matched)
+        vgrid, fgrid = Grid.uniform(11), Grid.uniform(31)
+        assert k.sigma_sq_many(3, UP, vgrid.points).shape == (1, 11)
+        assert sigma_curve(k, 3, UP, vgrid, fgrid, 1e-3).shape == (1, 31)
+        for args, sigma in core_calls()["inference.sigma_curve"]:
+            assert sigma.ndim == 2 and sigma.shape[1] == len(args["fgrid"])
 
     @pytest.mark.parametrize("xi", [0.0, -1.0, np.nan])
     def test_nonpositive_xi_rejected(self, xi):
@@ -379,16 +391,17 @@ class TestStackedVariance:
     def test_sigma_curve_rows_match_each_pair(self, m, direction):
         x1, x2 = self._stacks()
         vgrid, fgrid = Grid.uniform(21), Grid.uniform(81)
-        stacked = independent_kernel(SortedSample(x1), SortedSample(x2))
+        kernel = independent_kernel(SortedSample(x1), SortedSample(x2))
         # A floor far below the variance, so that every row's own values show.
-        got = sigma_curve(stacked, m, direction, vgrid, fgrid, 1e-30)
+        got = sigma_curve(kernel, m, direction, vgrid, fgrid, 1e-30)
         assert got.shape == (4, 81)
         for d in range(4):
-            v = variance._variance_independent(x1[d], m, direction, vgrid.points)
+            v = variance._variance_independent(x1[d:d + 1], m, direction, vgrid.points)
             assert np.array_equal(
-                variance._variance_independent(x1, m, direction, vgrid.points)[d], v)
-            pair = independent_kernel(SortedSample(x1[d]), SortedSample(x2[d]))
-            assert np.array_equal(got[d], sigma_curve(pair, m, direction, vgrid, fgrid, 1e-30))
+                variance._variance_independent(x1, m, direction, vgrid.points)[d:d + 1], v)
+            pair = independent_kernel(SortedSample(x1[d:d + 1]), SortedSample(x2[d:d + 1]))
+            assert np.array_equal(got[d:d + 1],
+                                  sigma_curve(pair, m, direction, vgrid, fgrid, 1e-30))
 
 
 class TestSampleVariance:
@@ -397,19 +410,19 @@ class TestSampleVariance:
 
     def test_once_per_sample(self, monkeypatch):
         rng = np.random.default_rng(42)
-        samples = [make_sample(random_dp_values(rng, n)) for n in (30, 40, 50)]
+        samples = [stacked(make_sample(random_dp_values(rng, n))) for n in (30, 40, 50)]
         computed, original = [], variance._variance_independent
 
         def counted(values, m, direction, ps):
-            computed.append(len(values))
+            computed.append(values.shape[-1])
             return original(values, m, direction, ps)
 
         monkeypatch.setattr(variance, "_variance_independent", counted)
         vgrid, fgrid = Grid.uniform(21), Grid.uniform(81)
         pairs = [(a, b) for a in range(3) for b in range(3) if a != b]
         memo = {}
-        shared = [sigma_curve(CovKernel(Scheme.INDEPENDENT, samples[a], samples[b], memo=memo),
-                              4, DOWN, vgrid, fgrid, 1e-30) for a, b in pairs]
+        shared = [sigma_curve(CovKernel(samples[a], samples[b], memo), 4, DOWN, vgrid, fgrid,
+                              1e-30) for a, b in pairs]
         assert sorted(computed) == [30, 40, 50]
         computed.clear()
         alone = [sigma_curve(independent_kernel(samples[a], samples[b]), 4, DOWN, vgrid,
@@ -421,7 +434,7 @@ class TestSampleVariance:
 @pytest.mark.parametrize("make", [
     lambda: independent_kernel(make_sample([1.5]), make_sample([1.0, 2.0, 3.0])),
     lambda: independent_kernel(make_sample([1.0, 2.0]), make_sample([4.0])),
-    lambda: CovKernel.matched(make_paired([1.0], [2.0])),
+    lambda: matched_kernel(make_paired([1.0], [2.0])),
 ], ids=["first", "second", "matched"])
 def test_one_observation_is_data_error(make):
     # Too little data is an input problem, not a configuration one.
