@@ -9,16 +9,17 @@ This orientation is the single most error-prone convention of the tool.
 
 The test's recipe is written once, in a private core that takes a list of
 sample slots, a list of cells (ordered pair (a, b), direction, functional,
-contact-set bandwidth) and the keys of the bootstrap streams, with a map
-from each sample slot to its stream.  Each slot holds a stack of D
-datasets of one size, and dataset d of every slot is one test problem,
-computed row by row exactly as if it were alone.  Each test, an ordered
-pair in one direction, evaluates phi-hat and sigma-hat once and the
-contact set once per bandwidth, exactly as a two-sample test of that pair
-would; each sample's own variance is computed once per direction and
-mixed per pair.  A block of replications draws every sample once and
-evaluates it once per direction; each test's bootstrap curves are row
-differences of those.  ``run_test`` is the one-cell call on two samples
+contact-set bandwidth) and the keys of the bootstrap streams: one stream
+per replication, which every slot draws from in slot order, or one per
+slot.  Each slot holds a stack of D datasets of one size, and dataset d
+of every slot is one test problem, computed row by row exactly as if it
+were alone.  Each test, an ordered pair in one direction, evaluates
+phi-hat and sigma-hat once and the contact set once per bandwidth,
+exactly as a two-sample test of that pair would, and measures each of
+its kinds at every one of its bandwidths; each sample's own variance is
+computed once per direction and mixed per pair.  A block of replications
+draws every sample once and evaluates it once per direction; each test's
+bootstrap curves are row differences of those.  ``run_test`` is the one-cell call on two samples
 (D = 1), whose weights both come from one stream keyed by (seed, b).
 ``pairwise_rank`` is one call over all its datasets (D = 1) with both
 nulls of every pair; dataset k draws from a stream keyed by (seed, k, b),
@@ -199,7 +200,8 @@ def _resolve_layout(sample1, sample2, scheme: Scheme):
     if scheme is Scheme.MATCHED:
         if not isinstance(sample1, PairedSample) or sample2 is not None:
             raise ConfigError("matched scheme requires a PairedSample as sample1 (and sample2=None)")
-        return sample1.left_sample(), sample1.right_sample(), sample1
+        return (sample1.left_sample(), sample1.right_sample(),
+                (sample1.left_order(), sample1.right_order()))
     if not isinstance(sample1, SortedSample) or not isinstance(sample2, SortedSample):
         raise ConfigError("independent scheme requires two SortedSample inputs")
     if np.ndim(sample1.values) != 1 or np.ndim(sample2.values) != 1:
@@ -227,30 +229,24 @@ def _plan(cells) -> tuple:
 
     A cell tests the null that sample a dominates sample b.  Returns the
     cell count and, per direction, each ordered pair's test ``(a, b, taus,
-    kinds)``.  ``taus`` lists the test's bandwidths once each, by first
-    appearance by kind, then by bandwidth; ``kinds`` holds, per kind,
-    ``(kind, bands, cells)``: the indices into ``taus`` of the bandwidths
-    it reads, and the cells that read each.  It depends on the cells only,
-    so a caller that tests many data sets with one list of cells builds it
-    once.
+    kinds, cells)``: the test's bandwidths and kinds, each once, in order
+    of first appearance, and ``cells[i][t]``, the cells that read kind i
+    at bandwidth t (possibly none).  The test measures every kind at every
+    bandwidth, a grid of T bandwidths by its kinds; each bandwidth's
+    statistic is independent of the others, bit for bit, so a pair that
+    no cell reads changes no result.  It depends on the cells only, so a
+    caller that tests many data sets with one list of cells builds it once.
     """
     directions: dict = {}
     for i, (a, b, direction, kind, tau) in enumerate(cells):
-        tests = directions.setdefault(direction, {})
-        tests.setdefault((a, b), {}).setdefault(kind, {}).setdefault(tau, []).append(i)
-    plan = []
-    for direction, tests in directions.items():
-        listed = []
-        for (a, b), kinds in tests.items():
-            taus: dict = {}  # bandwidth -> its index
-            for bands in kinds.values():
-                for tau in bands:
-                    taus.setdefault(tau, len(taus))
-            listed.append((a, b, list(taus), [
-                (kind, [taus[tau] for tau in bands], list(bands.values()))
-                for kind, bands in kinds.items()]))
-        plan.append((direction, listed))
-    return len(cells), plan
+        taus, kinds = directions.setdefault(direction, {}).setdefault((a, b), ({}, {}))
+        taus[tau] = None
+        kinds.setdefault(kind, {}).setdefault(tau, []).append(i)
+    return len(cells), [
+        (direction, [(a, b, list(taus), list(kinds),
+                      [[bands.get(tau, []) for tau in taus] for bands in kinds.values()])
+                     for (a, b), (taus, kinds) in tests.items()])
+        for direction, tests in directions.items()]
 
 
 def _block_replications(width: int, depth: int) -> int:
@@ -265,35 +261,36 @@ def _block_replications(width: int, depth: int) -> int:
     return max(step, _BLOCK_CELLS // width // depth // step * step)
 
 
-def _bootstrap_stats(samples, pairs, m, grid, plan, keys, streams, work=None) -> np.ndarray:
+def _bootstrap_stats(samples, orders, m, grid, plan, keys, work=None) -> np.ndarray:
     """Bootstrap statistics of every cell, shape (cells, D, replications).
 
-    ``plan`` lists each direction with its tests (a, b, phi-hat,
-    sqrt(T_n), kinds as :func:`_plan` lists them, contact sets), the
-    contact sets one boolean stack of shape (T, D, G), a (D, G) mask per
-    bandwidth of the test in :func:`_plan`'s order.  ``keys`` holds the
-    Philox keys of the bootstrap streams, shape (replications, D, streams,
-    2): replication b of dataset d draws sample k's weights from the stream
-    of ``keys[b, d, streams[k]]``, from its start, the samples of one stream
-    in slot order (matched pairs: one draw from the first slot's stream,
-    routed through each column's sort order).  One generator, re-keyed
+    ``plan`` is the cell count and, per direction, ``(direction, columns,
+    tests)``: the grid indices where its curves are evaluated, strictly
+    increasing (None: the whole grid), and each test ``(a, b, phi, root_t,
+    kinds, cells, contact)`` on those columns: phi-hat (D, C), sqrt(T_n),
+    kinds and cells as :func:`_plan` lists them, and the contact sets, a
+    boolean stack (T, D, C), a mask per bandwidth.  ``keys`` holds the
+    Philox keys of the bootstrap streams, shape (replications, D, S, 2):
+    replication b of dataset d draws every sample's weights, in slot order,
+    from the start of the stream of ``keys[b, d, 0]`` when S = 1, and
+    sample k's from that of ``keys[b, d, k]`` otherwise.  Matched pairs
+    (``orders``, the columns' sort orders, else None) draw once and route
+    the draw through each column's sort order.  One generator, re-keyed
     for every row and stream, draws them all.  A block holds whole
     replications, row (b, d) for every dataset d of the stack, and draws
     and evaluates every sample once per direction: :func:`eval_block`
     takes each slot's stack as it is, and its row (b, d) reweights
     dataset d.  Each test's curves are row differences of those.
 
-    Each statistic reads its curves only on its contact set, so every
-    sample is evaluated, per direction, only at the union of the contact
-    sets of that direction's tests (all datasets, all bandwidths), and the
-    differences, their centring and scaling and the derivatives run on
-    those columns: every statistic keeps its bits, and the cost follows
-    how far the contact sets reach along p from the direction's own end,
-    p = 0 upward and p = 1 downward, where the curves' sums start.  A test
-    near its null, whose contact set spans the grid, costs what a
-    whole-grid evaluation does.  Each test passes all the contact sets that
-    one kind reads, every bandwidth's, to one :func:`derivative` call per
-    block, so the integrals of every bandwidth, dataset and row are one
+    The columns are the union of the direction's contact sets, where its
+    statistics read the curves, and the differences, their centring and
+    scaling and the derivatives run on them: every statistic keeps its
+    bits, and the cost follows how far the contact sets reach along p from
+    the direction's own end, p = 0 upward and p = 1 downward, where the
+    curves' sums start.  A test near its null, whose contact set spans the
+    grid, costs what a whole-grid evaluation does.  Each kind of a test
+    measures every bandwidth's contact set in one :func:`derivative` call
+    per block, so the integrals of every bandwidth, dataset and row are one
     reduction; a call holds as many bandwidths as keep its lanes, rows
     times columns per bandwidth, within the block budget, and one at
     least.  The curves' temporaries, the differences and the derivatives'
@@ -305,25 +302,7 @@ def _bootstrap_stats(samples, pairs, m, grid, plan, keys, streams, work=None) ->
     per_block = _block_replications(max(max(s.n for s in samples), len(grid)) + 1, depth)
     stats = np.empty((cells, depth, replications))
     work = work if work is not None else BlockWorkspace()
-    sizes = [s.n for s in samples] if pairs is None else [pairs.n]
-    draws: dict = {}  # stream -> the slots it draws, in slot order
-    for k, stream in enumerate(streams[:len(sizes)]):
-        draws.setdefault(stream, []).append(k)
-    read = []  # per direction: its columns, and its tests on those columns
-    for direction, tests in directions:
-        union = np.any([contact.any(axis=(0, 1)) for *_, contact in tests], axis=0)
-        columns = None if union.all() else np.flatnonzero(union)  # None: the whole grid
-        at = slice(None) if columns is None else columns
-        # Per test and kind: the contact sets it reads on the columns, shape
-        # (T, D, C), and the cells that read each.  Kinds that read every
-        # bandwidth, in order, share the whole stack's columns.
-        evaluated = []
-        for a, b, phi, root_t, kinds, contact in tests:
-            whole, every = contact[..., at], list(range(len(contact)))
-            evaluated.append((a, b, phi[..., at], root_t, [
-                (kind, whole if bands == every else contact[bands][..., at], cells)
-                for kind, bands, cells in kinds]))
-        read.append((direction, columns, evaluated))
+    sizes = [s.n for s in samples] if orders is None else [samples[0].n]
     gen = np.random.Generator(np.random.Philox(key=0))
     for lo in range(0, replications, per_block):
         hi = min(lo + per_block, replications)
@@ -331,23 +310,22 @@ def _bootstrap_stats(samples, pairs, m, grid, plan, keys, streams, work=None) ->
         weights = [work.array(f"weights{k}", (len(block), n), np.int64)
                    for k, n in enumerate(sizes)]
         for row, row_keys in enumerate(block):
-            for stream, slots in draws.items():
-                bootstrap._restart(gen, row_keys[stream])
-                for k in slots:
-                    weights[k][row] = bootstrap.draw_weights(sizes[k], gen)
-        if pairs is not None:
+            for k, n in enumerate(sizes):
+                if k < len(row_keys):  # one stream per slot; else slot 0's serves all
+                    bootstrap._restart(gen, row_keys[k])
+                weights[k][row] = bootstrap.draw_weights(n, gen)
+        if orders is not None:
             # Sort orders are permutations: "clip" gathers without numpy's
             # buffer of ``out``, which its default mode always takes.
             w = weights[0]
             weights = [np.take(w, order, axis=1, out=work.array(name, w.shape, w.dtype),
                                mode="clip")
-                       for name, order in (("left", pairs.left_order()),
-                                           ("right", pairs.right_order()))]
-        for direction, columns, tests in read:
+                       for name, order in zip(("left", "right"), orders)]
+        for direction, columns, tests in directions:
             # Row (b, d) reweights dataset d of each slot's stack.
             curves = [eval_block(s, w, m, direction, grid, work, columns)
                       for s, w in zip(samples, weights)]
-            for a, b, phi, root_t, kinds in tests:
+            for a, b, phi, root_t, kinds, kind_cells, contact in tests:
                 # In the workspace: a fresh difference per test and block
                 # fragments the heap and raises peak memory.
                 h = np.subtract(curves[b], curves[a],
@@ -356,17 +334,17 @@ def _bootstrap_stats(samples, pairs, m, grid, plan, keys, streams, work=None) ->
                 stacked -= phi
                 stacked *= root_t
                 step = max(1, _BLOCK_CELLS // h.size)  # bandwidths per call
-                for kind, sets, cells in kinds:
-                    for j in range(0, len(sets), step):
-                        values = derivative(kind, h, sets[j:j + step], grid, columns, work)
+                for kind, bands in zip(kinds, kind_cells):
+                    for j in range(0, len(contact), step):
+                        values = derivative(kind, h, contact[j:j + step], grid, columns, work)
                         for band, band_cells in zip(values.reshape(-1, hi - lo, depth),
-                                                    cells[j:j + step]):
+                                                    bands[j:j + step]):
                             for i in band_cells:
                                 stats[i, :, lo:hi] = band.T
     return stats
 
 
-def _test_cells(samples, pairs, m, xi, fgrid, vgrid, plan, keys, streams, work=None):
+def _test_cells(samples, orders, m, xi, fgrid, vgrid, plan, keys, work=None):
     """The test's statistics for every cell of a :func:`_plan` over ``samples``.
 
     Sample slot k is a :class:`SortedSample` holding a stack of D datasets
@@ -378,12 +356,15 @@ def _test_cells(samples, pairs, m, xi, fgrid, vgrid, plan, keys, streams, work=N
     of shape (T, D, F), a mask per bandwidth of the test.  Each test's
     kernel is built from its own slots, matched pairs with the columns'
     sort orders; each sample's own variance is computed once per direction
-    and mixed per pair.  One set of bootstrap draws, replication b of
-    dataset d from the streams keyed by ``keys[b, d]`` (see
-    :func:`_bootstrap_stats`), serves every cell;
-    there are ``len(keys)`` replications.  ``pairs`` is the
-    :class:`PairedSample` whose columns are ``samples`` under the matched
-    scheme (then D = 1), else None.  Returns each cell's observed
+    and mixed per pair.  ``orders`` is ``(left_order, right_order)`` when
+    ``samples`` are the two columns of matched pairs (then D = 1), else
+    None.  Once a direction's contact sets exist, their union fixes the
+    columns where the bootstrap evaluates that direction's curves, and each
+    test's phi-hat and contact sets are cut to those columns: the
+    whole-grid phi-hat is not held through the bootstrap.  One set of
+    bootstrap draws, replication b of dataset d from the streams keyed by
+    ``keys[b, d]`` (see :func:`_bootstrap_stats`), serves every cell; there
+    are ``len(keys)`` replications.  Returns each cell's observed
     statistics (cells, D), its bootstrap statistics (cells, D,
     replications) and its contact-set mask (one row per dataset).
     ``work`` is the bootstrap's :class:`BlockWorkspace`; a caller that makes
@@ -396,8 +377,7 @@ def _test_cells(samples, pairs, m, xi, fgrid, vgrid, plan, keys, streams, work=N
     """
     cells, directions = plan
     statistics, contact_sets = [None] * cells, [None] * cells
-    tests_by_direction, variances = [], {}
-    orders = None if pairs is None else (pairs.left_order(), pairs.right_order())
+    read, variances = [], {}
     with np.errstate(all="ignore"):  # an overflow shows as a non-finite value, checked here
         for direction, tests in directions:
             curves = [eval_on_grid(LambdaCurve(s, m, direction), fgrid) for s in samples]
@@ -405,34 +385,39 @@ def _test_cells(samples, pairs, m, xi, fgrid, vgrid, plan, keys, streams, work=N
             # the variance.
             phis = [curves[b] - curves[a] for a, b, *_ in tests]
             del curves
-            evaluated = []
-            for (a, b, taus, kinds), phi in zip(tests, phis):
+            measured = []  # per test, on the whole grid
+            for (a, b, taus, kinds, kind_cells), phi in zip(tests, phis):
                 t_n = effective_size(samples[a].n, samples[b].n)
                 kernel = CovKernel(samples[a], samples[b], variances, orders)
                 vhat = sigma_curve(kernel, m, direction, vgrid, fgrid, xi)
-                observed = [sqrt(t_n) * functional(kind, phi, fgrid) for kind, _, _ in kinds]
+                observed = [sqrt(t_n) * functional(kind, phi, fgrid) for kind in kinds]
                 _finite(phi, "curve difference")
                 _finite(vhat, "standard deviation")
                 _finite(observed, "test statistic")
                 contact = np.stack([estimate_contact_set(phi, vhat, t_n, tau) for tau in taus])
-                for (_, bands, band_cells), value in zip(kinds, observed):
-                    for t, indices in zip(bands, band_cells):
-                        for i in indices:
-                            statistics[i], contact_sets[i] = value, contact[t]
-                evaluated.append((a, b, phi, sqrt(t_n), kinds, contact))
-            tests_by_direction.append((direction, evaluated))
-        del vhat  # the last test's, read: not held through the bootstrap
-        boot = _bootstrap_stats(samples, pairs, m, fgrid, (cells, tests_by_direction), keys,
-                                streams, work)
+                for value, bands in zip(observed, kind_cells):
+                    for mask, band_cells in zip(contact, bands):
+                        for i in band_cells:
+                            statistics[i], contact_sets[i] = value, mask
+                measured.append((a, b, phi, sqrt(t_n), kinds, kind_cells, contact))
+            del vhat, phi, phis  # read: not held through the bootstrap
+            union = np.any([contact.any(axis=(0, 1)) for *_, contact in measured], axis=0)
+            columns = None if union.all() else np.flatnonzero(union)  # None: the whole grid
+            at = slice(None) if columns is None else columns
+            read.append((direction, columns, [
+                (a, b, phi[..., at], root_t, kinds, kind_cells, contact[..., at])
+                for a, b, phi, root_t, kinds, kind_cells, contact in measured]))
+        del measured  # the last direction's whole-grid phi-hat
+        boot = _bootstrap_stats(samples, orders, m, fgrid, (cells, read), keys, work)
     _finite(boot, "bootstrap statistic")
     return np.array(statistics), boot, contact_sets
 
 
 def _test_keys(seed, replications: int) -> np.ndarray:
     """``run_test``'s stream keys, shape (replications, D, 1, 2): replication
-    b draws both samples' weights, the first sample's then the second's
-    (stream map (0, 0)), from one stream keyed by (seed, b).  ``seed`` is an
-    int (D = 1) or a uint64 array of D seeds."""
+    b draws both samples' weights, the first sample's then the second's,
+    from one stream keyed by (seed, b).  ``seed`` is an int (D = 1) or a
+    uint64 array of D seeds."""
     keys = _generate_state(seed, (_BOOT_TAG, np.arange(replications)[:, None]), 2)
     return keys[:, :, None]
 
@@ -446,12 +431,12 @@ def run_test(sample1, sample2, config: TestConfig) -> TestResult:
     ``None`` as ``sample2``; the columns play the roles (left = sample 1).
     """
     start = time.perf_counter()
-    s1, s2, pairs = _resolve_layout(sample1, sample2, config.scheme)
+    s1, s2, orders = _resolve_layout(sample1, sample2, config.scheme)
     [[statistic]], [[stats]], [contact] = _test_cells(
-        [SortedSample(s1.values[None]), SortedSample(s2.values[None])], pairs, config.m,
+        [SortedSample(s1.values[None]), SortedSample(s2.values[None])], orders, config.m,
         config.xi, Grid.uniform(config.grid), Grid.uniform(config.vgrid),
         _plan([(0, 1, config.direction, config.kind, config.tau)]),
-        _test_keys(config.seed, config.bootstrap), (0, 0))
+        _test_keys(config.seed, config.bootstrap))
     statistic = float(statistic)
     chat = _critical(stats, config)
 
@@ -461,7 +446,7 @@ def run_test(sample1, sample2, config: TestConfig) -> TestResult:
         critical_value=chat,
         p_value=p_value(stats, statistic),
         reject=bool(statistic > chat),
-        contact_fraction=np.count_nonzero(contact[0]) / config.grid,
+        contact_fraction=int(np.count_nonzero(contact[0])) / config.grid,
         t_n=effective_size(s1.n, s2.n),
         elapsed_ms=elapsed_ms,
     )
@@ -594,7 +579,7 @@ def pairwise_rank(datasets, config: TestConfig) -> RankingMatrix:
         [SortedSample(s.values[None]) for s in samples], None, config.m, config.xi,
         Grid.uniform(config.grid), Grid.uniform(config.vgrid),
         _plan([(a, b, *cell) for i, j in tested for a, b in ((i, j), (j, i))]),
-        keys[:, None], range(k))
+        keys[:, None])
     statistics, stats = statistics[:, 0], stats[:, 0]
     reject = [bool(statistic > _critical(row, config))
               for statistic, row in zip(statistics, stats)]

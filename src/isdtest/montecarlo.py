@@ -174,7 +174,7 @@ def _run_group(specs: list[SimSpec]) -> list[SimResult]:
         stacks = _chunk_data(base, rng, data_keys[lo:hi])
         keys = _test_keys(seeds[lo:hi], cfg.bootstrap) if full else boot_keys[None, lo:hi, None]
         observed[:, lo:hi], stats = _test_cells(
-            stacks, None, cfg.m, cfg.xi, fgrid, vgrid, plan, keys, (0, 0), work)[:2]
+            stacks, None, cfg.m, cfg.xi, fgrid, vgrid, plan, keys, work)[:2]
         boot[:, lo:hi] = ([[_critical(draws, s.config) for draws in rows]
                            for rows, s in zip(stats, specs)] if full else stats[:, :, 0])
 

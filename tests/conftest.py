@@ -6,9 +6,12 @@ integration, the curves interval by interval in rational arithmetic, the
 block expansion one float row at a time, numpy's own
 SeedSequence for the streams, the double Pareto density, distribution
 function and mean in closed form) and must not import the evaluation paths
-they check.  ``full_grid_bootstrap_stats`` is the exception: it checks
-where the bootstrap evaluates its curves, not how, so it evaluates them
-with the package's kernel, on the whole grid, one replication at a time.
+they check.  ``reference_test`` is a whole test built that way: exact
+curves and variance, the contact set and the functionals as loops over
+grid points, and the documented streams.  ``full_grid_bootstrap_stats``
+is the exception: it checks where the bootstrap evaluates its curves, not
+how, so it evaluates them with the package's kernel, on the whole grid,
+one replication at a time.
 ``core_calls`` is not an oracle: it records what the public calls pass to
 the kernels, which no longer re-check the arguments that the boundary
 (``TestConfig``, ``SimSpec``, ``make_sample``, ``make_paired``) and the
@@ -19,7 +22,7 @@ import inspect
 from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import ceil, comb, factorial
 
 import numpy as np
 import scipy.integrate
@@ -342,35 +345,47 @@ def fraction_curves(values, weights, m, direction, points):
     return out
 
 
-def full_grid_bootstrap_stats(samples, pairs, m, grid, plan, keys, streams, work=None):
+def full_grid_bootstrap_stats(samples, orders, m, grid, plan, keys, work=None):
     """``inference._bootstrap_stats`` with every bootstrap curve evaluated on
-    the whole grid: one replication of one dataset at a time, each sample's
-    weights drawn from a new generator on its stream, and each statistic
-    the derivative of the whole-grid difference on its contact set.  Same
-    arguments and result, shape (cells, D, replications); it keeps no
-    workspace, so ``work`` goes unread."""
+    the whole grid: one replication of one dataset at a time, each stream
+    drawn by a new generator (one stream per replication: every sample in
+    slot order; else sample k from stream k), and each statistic the
+    derivative of the whole-grid difference on its contact set.  Same
+    arguments and result, shape (cells, D, replications).  Each test's
+    phi-hat and contact sets come on its direction's columns; they are
+    scattered back onto the whole grid, the masks False off the columns,
+    so no statistic reads a point off them.  It keeps no workspace, so
+    ``work`` goes unread."""
     cells, directions = plan
-    replications, depth = keys.shape[:2]
-    sizes = [s.n for s in samples] if pairs is None else [pairs.n]
+    replications, depth, streams = keys.shape[:3]
+    sizes = [s.n for s in samples] if orders is None else [samples[0].n]
     stats = np.empty((cells, depth, replications))
+    whole = []  # per direction: its tests with phi-hat and masks on the whole grid
+    for direction, columns, tests in directions:
+        at = slice(None) if columns is None else columns
+        scattered = []
+        for a, c, phi, root_t, kinds, kind_cells, contact in tests:
+            full_phi = np.zeros(phi.shape[:-1] + (len(grid),))
+            full_phi[..., at] = phi
+            full_contact = np.zeros(contact.shape[:-1] + (len(grid),), dtype=bool)
+            full_contact[..., at] = contact
+            scattered.append((a, c, full_phi, root_t, kinds, kind_cells, full_contact))
+        whole.append((direction, scattered))
     for b in range(replications):
         for d in range(depth):
-            weights, gens = [], {}
-            for k, n in enumerate(sizes):
-                stream = streams[k]
-                if stream not in gens:
-                    gens[stream] = np.random.Generator(np.random.Philox(key=keys[b, d, stream]))
-                weights.append(draw_weights(n, gens[stream]))
-            if pairs is not None:
-                weights = [weights[0][pairs.left_order()], weights[0][pairs.right_order()]]
-            for direction, tests in directions:
+            gens = [np.random.Generator(np.random.Philox(key=key)) for key in keys[b, d]]
+            weights = [draw_weights(n, gens[k if streams > 1 else 0])
+                       for k, n in enumerate(sizes)]
+            if orders is not None:
+                weights = [weights[0][order] for order in orders]
+            for direction, tests in whole:
                 curves = [eval_block(SortedSample(s.values[d:d + 1]), w[None], m, direction,
                                      grid)[0]
                           for s, w in zip(samples, weights)]
-                for a, c, phi, root_t, kinds, contact in tests:
+                for a, c, phi, root_t, kinds, kind_cells, contact in tests:
                     h = (curves[c] - curves[a] - phi[d]) * root_t
-                    for kind, bands, cells in kinds:
-                        for t, band_cells in zip(bands, cells):
+                    for kind, bands in zip(kinds, kind_cells):
+                        for t, band_cells in enumerate(bands):
                             for i in band_cells:
                                 stats[i, d, b] = derivative(kind, h, contact[t, d], grid)
     return stats
@@ -595,3 +610,87 @@ def fraction_sigma_sq(x1, x2, m, direction, p, matched=False):
         return float(var([a - b for a, b in zip(f1, f2)]) / 2)
     lam = Fraction(len(x1), len(x1) + len(x2))
     return float((1 - lam) * var(f1) + lam * var(f2))
+
+
+@lru_cache(maxsize=None)
+def _reference_curves(x1, x2, m, direction, bootstrap, seed, grid, vgrid, xi):
+    """What ``reference_test`` reads of a (data, m, direction) triple, for
+    every functional, bandwidth and floor: the exact difference phi-hat,
+    sigma-hat in floats, and each replication's exact bootstrap difference
+    phi* - phi-hat, each a list over the grid points.  Arguments are
+    hashable: the samples as sorted tuples."""
+    points = np.linspace(0.0, 1.0, grid)
+    vpoints = np.linspace(0.0, 1.0, vgrid)
+    n1, n2 = len(x1), len(x2)
+    weights1, weights2 = [np.ones(n1, dtype=np.int64)], [np.ones(n2, dtype=np.int64)]
+    for b in range(bootstrap):  # one stream per replication: sample 1's draw, then sample 2's
+        rng = np.random.Generator(np.random.Philox(key=philox_key(seed, inference._BOOT_TAG, b)))
+        weights1.append(np.bincount(rng.integers(0, n1, n1), minlength=n1))
+        weights2.append(np.bincount(rng.integers(0, n2, n2), minlength=n2))
+    rows = [[c2 - c1 for c1, c2 in zip(row1, row2)] for row1, row2 in zip(
+        fraction_curves(x1, weights1, m, direction, points),
+        fraction_curves(x2, weights2, m, direction, points))]
+    phi = rows[0]
+    variance = [fraction_sigma_sq(x1, x2, m, direction, p) for p in vpoints]
+    vhat = np.sqrt(np.maximum(np.interp(points, vpoints, variance), xi))
+    return phi, vhat, [[star - at for star, at in zip(row, phi)] for row in rows[1:]]
+
+
+def _reference_functional(kind, h, member, points):
+    """The sup of h over the member points, or the trapezoidal integral of
+    max(h, 0) over the subintervals with both ends members, as a loop over
+    the grid points in exact arithmetic."""
+    if kind is FunctionalKind.SUP:
+        return max(v for v, inside in zip(h, member) if inside)
+    total = Fraction(0)
+    for g in range(len(h) - 1):
+        if member[g] and member[g + 1]:
+            width = Fraction(float(points[g + 1])) - Fraction(float(points[g]))
+            total += width * (max(h[g], 0) + max(h[g + 1], 0)) / 2
+    return total
+
+
+def reference_test(sample1, sample2, cfg):
+    """``run_test`` of two independent samples under the config ``cfg``,
+    written from the paper's definitions, sharing no kernel with the package.
+
+    The curves are exact (``fraction_curves``), and so is the variance at
+    the variance grid's points (``fraction_sigma_sq``), interpolated onto
+    the grid and floored at xi before the square root.  The contact set
+    holds the points where |sqrt(T_n) phi-hat| <= tau sigma-hat.  The
+    statistic is sqrt(T_n) times the functional of phi-hat on the whole
+    grid, and replication b's is sqrt(T_n) times the functional of
+    phi* - phi-hat on the contact set, with phi* drawn from the stream
+    ``Generator(Philox(philox_key(seed, _BOOT_TAG, b)))``: the weights of
+    sample 1, then those of sample 2, each the counts of n uniform picks of
+    n sorted positions.  The critical value is the ceil((1 - alpha) B)-th
+    smallest statistic, floored at eta when eta > 0; the p-value is the
+    share of statistics at or above the observed one.  Returns the fields
+    ``run_test`` reports (the elapsed time aside) and ``margin``, the least
+    relative distance of a grid point from the contact set's boundary,
+    |sqrt(T_n) |phi-hat| - tau sigma-hat| / (tau sigma-hat) (inf for
+    tau = inf).
+    """
+    x1, x2 = (tuple(np.sort(np.asarray(s.values, dtype=float)).tolist())
+              for s in (sample1, sample2))
+    phi, vhat, stars = _reference_curves(x1, x2, cfg.m, cfg.direction, cfg.bootstrap, cfg.seed,
+                                         cfg.grid, cfg.vgrid, cfg.xi)
+    points = np.linspace(0.0, 1.0, cfg.grid)
+    n1, n2 = len(x1), len(x2)
+    root = np.sqrt(n1 * n2 / (n1 + n2))
+    member, margin = [], float("inf")
+    for v, s in zip(phi, vhat):
+        scaled, bound = abs(root * float(v)), cfg.tau * s
+        member.append(scaled <= bound)
+        if bound < float("inf"):
+            margin = min(margin, abs(scaled - bound) / bound)
+    statistic = root * float(_reference_functional(cfg.kind, phi, [True] * len(phi), points))
+    stats = sorted(root * float(_reference_functional(cfg.kind, h, member, points))
+                   for h in stars)
+    b = len(stats)
+    chat = stats[min(max(ceil((1 - cfg.alpha) * b), 1), b) - 1]
+    if cfg.eta > 0:
+        chat = max(chat, cfg.eta)
+    return dict(statistic=statistic, critical_value=chat,
+                p_value=sum(s >= statistic for s in stats) / b, reject=statistic > chat,
+                contact_fraction=sum(member) / cfg.grid, margin=margin)

@@ -121,3 +121,31 @@ def test_readme_code_runs():
     namespace = {}
     for block in blocks:
         exec(compile(block, "README.md", "exec"), namespace)
+
+
+def test_every_function_is_called_from_the_package():
+    # Code that only the tests call belongs in tests/: every function and
+    # method of the package is referenced by name somewhere in src beyond
+    # its own definition, is a dunder, overrides a base class's method, or
+    # is named in its module's or the package's __all__.  A test oracle
+    # left behind in src fails here.
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in PACKAGE.glob("*.py")}
+    referenced = {node.id if isinstance(node, ast.Name) else node.attr
+                  for tree in trees.values() for node in ast.walk(tree)
+                  if isinstance(node, (ast.Name, ast.Attribute))}
+    unused = []
+    for module, tree in trees.items():
+        owner = importlib.import_module("isdtest" if module == "__init__" else f"isdtest.{module}")
+        exported = {*getattr(owner, "__all__", ()), *isdtest.__all__}
+        overrides = {method.name for node in tree.body if isinstance(node, ast.ClassDef)
+                     for base in getattr(owner, node.name).__mro__[1:]
+                     for method in node.body
+                     if isinstance(method, ast.FunctionDef) and method.name in vars(base)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = node.name
+                if not (name.startswith("__") and name.endswith("__") or name in referenced
+                        or name in exported or name in overrides):
+                    unused.append(f"{module}.{name}")
+    assert not unused

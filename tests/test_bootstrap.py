@@ -188,6 +188,11 @@ def _layout(scheme, n1=40, n2=55, seed=21):
     return make_sample(random_dp_values(rng, n1)), make_sample(random_dp_values(rng, n2)), None
 
 
+def _orders(pairs):
+    """Matched pairs as the core takes them: the columns' sort orders."""
+    return None if pairs is None else (pairs.left_order(), pairs.right_order())
+
+
 def _contact(grid):
     # Gaps in the membership exercise the masked reductions.
     mask = (np.arange(len(grid)) % 7) != 3
@@ -224,12 +229,14 @@ class TestBlockRoute:
         return s1, s2, pairs, phi, _contact(self.grid), t_n, cfg
 
     def _block_stats(self, s1, s2, pairs, phi, cs, t_n, cfg):
-        """The test's block loop on one cell, with the given contact set."""
-        test = (0, 1, phi[None], np.sqrt(t_n), [(cfg.kind, [0], [[0]])], cs[None, None])
+        """The test's block loop on one cell, with the given contact set,
+        its curves evaluated on the set's columns, as the core passes them."""
+        at = np.flatnonzero(cs)
+        test = (0, 1, phi[None, at], np.sqrt(t_n), [cfg.kind], [[[0]]], cs[None, None, at])
         return inference._bootstrap_stats(
-            [stacked(s1), stacked(s2)], pairs, cfg.m,
-            self.grid, (1, [(cfg.direction, [test])]),
-            inference._test_keys(cfg.seed, cfg.bootstrap), (0, 0))[0, 0]
+            [stacked(s1), stacked(s2)], _orders(pairs), cfg.m,
+            self.grid, (1, [(cfg.direction, at, [test])]),
+            inference._test_keys(cfg.seed, cfg.bootstrap))[0, 0]
 
     @pytest.mark.parametrize("bootstrap", [1, BLOCK_ROWS - 1, BLOCK_ROWS + 1])
     @pytest.mark.parametrize("m, direction, kind, scheme", BLOCK_COMBOS)
@@ -356,11 +363,11 @@ class TestBlockRoute:
         pairs = make_paired(left, right)
         g = Grid.uniform(51)
         full = np.ones(len(g), dtype=bool)
-        kinds = [(FunctionalKind.SUP, [0], [[0]]), (FunctionalKind.INT, [0], [[1]])]
-        test = (0, 1, np.zeros((1, len(g))), 1.0, kinds, full[None, None])
+        test = (0, 1, np.zeros((1, len(g))), 1.0, [FunctionalKind.SUP, FunctionalKind.INT],
+                [[[0]], [[1]]], full[None, None])
         stats = inference._bootstrap_stats(
-            [stacked(pairs.left_sample()), stacked(pairs.right_sample())], pairs, 3, g,
-            (2, [(Direction.UP, [test])]), inference._test_keys(8, 3), (0, 0))
+            [stacked(pairs.left_sample()), stacked(pairs.right_sample())], _orders(pairs), 3, g,
+            (2, [(Direction.UP, None, [test])]), inference._test_keys(8, 3))
         for b in range(3):
             w = draw_weights(15, substream(8, inference._BOOT_TAG, b))
             expanded = (curve_on_grid(make_sample(np.repeat(right, w)), 3, Direction.UP, g)

@@ -1,3 +1,4 @@
+from dataclasses import fields
 from math import sqrt
 
 import numpy as np
@@ -18,6 +19,7 @@ from isdtest import (
     SimSpec,
     SortedSample,
     TestConfig,
+    TestResult,
     dp_sample,
     make_paired,
     make_sample,
@@ -34,6 +36,7 @@ from conftest import (
     full_grid_bootstrap_stats,
     independent_kernel,
     random_dp_values,
+    reference_test,
     stacked,
     substream,
 )
@@ -160,6 +163,61 @@ class TestRunTest:
         s = make_sample(random_dp_values(rng, 40))
         res = run_test(s, s, quick_cfg(eta=123.0))
         assert res.critical_value == 123.0
+
+
+    @pytest.mark.parametrize("scheme", list(Scheme), ids=lambda scheme: scheme.value)
+    def test_float_fields_are_python_floats(self, scheme):
+        # repr(result) prints plain numbers only when no field is a numpy
+        # scalar; eta = 50 floors the critical value at the configured float.
+        rng = np.random.default_rng(10)
+        a, b = random_dp_values(rng, 60), random_dp_values(rng, 60)
+        args = ((make_paired(a, b), None) if scheme is Scheme.MATCHED
+                else (make_sample(a), make_sample(b)))
+        names = [f.name for f in fields(TestResult) if f.type == "float"]
+        assert names == ["statistic", "critical_value", "p_value", "contact_fraction", "t_n",
+                         "elapsed_ms"]
+        for eta in (0.0, 50.0):
+            res = run_test(*args, quick_cfg(scheme=scheme, eta=eta))
+            assert [type(getattr(res, name)) for name in names] == [float] * len(names)
+            assert type(res.reject) is bool and "np." not in repr(res)
+
+
+def _reference_samples():
+    rng = np.random.default_rng(5)
+    return (make_sample(random_dp_values(rng, 24)),
+            make_sample(1.3 * random_dp_values(rng, 32, alpha=3.5, beta=2.5)))
+
+
+REFERENCE_SAMPLES = _reference_samples()
+
+
+class TestReference:
+    """``run_test`` against ``conftest.reference_test``, the test written
+    from the paper's definitions in exact arithmetic.  The decisions,
+    p-values and contact fractions are equal; the statistics and critical
+    values agree within a relative 1e-10 (the package's curves round, the
+    reference's do not; measured: 1.6e-14 at most).  No grid point lies
+    within a relative 1e-6 of its contact set's boundary, so rounding of
+    that size cannot move a member.  On these samples 12 of the 32
+    configurations reject, the contact sets at tau = 1 hold 2 to 13 of
+    the 21 grid points, and eta = 0.3 floors 12 critical values."""
+
+    @pytest.mark.parametrize("direction", list(Direction), ids=lambda d: d.value)
+    @pytest.mark.parametrize("m", [3, 4])
+    def test_matches_reference(self, m, direction):
+        s1, s2 = REFERENCE_SAMPLES
+        for kind in FunctionalKind:
+            for tau in (1.0, float("inf")):
+                for eta in (0.0, 0.3):
+                    cfg = TestConfig(m=m, direction=direction, kind=kind, tau=tau, eta=eta,
+                                     bootstrap=39, grid=21, vgrid=11, seed=17)
+                    got, want = run_test(s1, s2, cfg), reference_test(s1, s2, cfg)
+                    assert want["margin"] > 1e-6
+                    assert (got.reject, got.p_value, got.contact_fraction) == (
+                        want["reject"], want["p_value"], want["contact_fraction"]), cfg
+                    assert got.statistic == pytest.approx(want["statistic"], rel=1e-10, abs=0)
+                    assert got.critical_value == pytest.approx(want["critical_value"], rel=1e-10,
+                                                               abs=0)
 
 
 class TestPairwiseRank:
@@ -449,18 +507,25 @@ def _columns_spy(monkeypatch):
     """Check that every bootstrap curve is evaluated at the union of its
     direction's contact sets (all tests, datasets and bandwidths), passed
     as None when it is the whole grid; returns the (direction, column
-    count, grid size) of every evaluation."""
-    seen, union = [], {}
-    stats, block = inference._bootstrap_stats, inference.eval_block
+    count, grid size) of every evaluation.  The union is taken from the
+    whole-grid masks as ``estimate_contact_set`` returns them: a core call
+    evaluates a direction's observed curves, then its contact sets, and
+    then, after every direction, the bootstrap's curves."""
+    seen, masks, current = [], {}, []
+    block, observed = inference.eval_block, inference.eval_on_grid
+    contact = inference.estimate_contact_set
 
-    def spied_stats(samples, pairs, m, grid, plan, *args):
-        for direction, tests in plan[1]:
-            masks = [contact.reshape(-1, len(grid)) for *_, contact in tests]
-            union[direction] = np.flatnonzero(np.vstack(masks).any(axis=0))
-        return stats(samples, pairs, m, grid, plan, *args)
+    def spied_observed(curve, grid):
+        masks[curve.direction], current[:] = [], [curve.direction]
+        return observed(curve, grid)
+
+    def spied_contact(*args):
+        mask = contact(*args)
+        masks[current[0]].append(mask)
+        return mask
 
     def spied_block(sample, weights, m, direction, grid, work=None, columns=None):
-        want = union[direction]
+        want = np.flatnonzero(np.vstack(masks[direction]).any(axis=0))
         if columns is None:
             assert len(want) == len(grid)
         else:
@@ -468,7 +533,8 @@ def _columns_spy(monkeypatch):
         seen.append((direction, len(want), len(grid)))
         return block(sample, weights, m, direction, grid, work, columns)
 
-    monkeypatch.setattr(inference, "_bootstrap_stats", spied_stats)
+    monkeypatch.setattr(inference, "eval_on_grid", spied_observed)
+    monkeypatch.setattr(inference, "estimate_contact_set", spied_contact)
     monkeypatch.setattr(inference, "eval_block", spied_block)
     return seen
 

@@ -17,7 +17,7 @@ from isdtest import (
     preset_specs,
     run_table,
 )
-from isdtest import inference, montecarlo
+from isdtest import cli, inference, montecarlo
 from isdtest.bootstrap import derive_seed
 from isdtest.curves import Grid
 from isdtest.functionals import derivative
@@ -200,7 +200,7 @@ def _one_replication_at_a_time(specs):
         keys = philox_key(cfg.seed, montecarlo._MC_BOOT, *key, r)
         statistic, stats, _ = inference._test_cells(
             [SortedSample(x1.values[None]), SortedSample(x2.values[None])], None, cfg.m,
-            cfg.xi, fgrid, vgrid, plan, keys[None, None, None], (0, 0))
+            cfg.xi, fgrid, vgrid, plan, keys[None, None, None])
         observed.append(statistic[:, 0])
         boot.append(stats[:, 0, 0])
     chats = [inference._critical(row, s.config) for row, s in zip(np.transpose(boot), specs)]
@@ -353,7 +353,7 @@ def _full_one_replication_at_a_time(specs):
             [SortedSample(x1.values[None]), SortedSample(x2.values[None])], None, cfg.m,
             cfg.xi, fgrid, vgrid, plan,
             inference._test_keys(derive_seed(cfg.seed, montecarlo._MC_FULL, *key, r),
-                                 cfg.bootstrap), (0, 0))
+                                 cfg.bootstrap))
         observed.append(statistic[:, 0])
         boot.append(stats[:, 0])
     observed, boot = np.stack(observed, axis=1), np.stack(boot, axis=1)
@@ -471,3 +471,64 @@ class TestPresets:
     def test_unknown_preset(self):
         with pytest.raises(ConfigError):
             preset_specs("nope")
+
+
+def _test_grids(specs):
+    """Each group's tests as ``inference._plan`` lists them: (direction,
+    kinds, taus, cells) per test."""
+    groups: dict = {}
+    for s in specs:
+        groups.setdefault(montecarlo._group_key(s), []).append(s)
+    return [(direction, kinds, taus, cells)
+            for group in groups.values()
+            for direction, tests in inference._plan(
+                [(0, 1, s.config.direction, s.config.kind, s.config.tau) for s in group])[1]
+            for _, _, taus, kinds, cells in tests]
+
+
+class TestKindBandwidthGrid:
+    """The core measures every kind of a test at every bandwidth of that
+    test.  Every shipped design is a complete kind x bandwidth grid, so no
+    shipped group computes a pair that no cell reads; a sparse group
+    computes them, and no result moves."""
+
+    @staticmethod
+    def _assert_complete(specs):
+        grids = _test_grids(specs)
+        assert grids
+        for direction, kinds, taus, cells in grids:
+            assert all(band for bands in cells for band in bands), (direction, kinds, taus)
+
+    @pytest.mark.filterwarnings("ignore:upper-tail shape")
+    @pytest.mark.parametrize("name", ["size_up", "size_down", "power_up", "power_down"])
+    def test_presets_are_complete_grids(self, name):
+        self._assert_complete(preset_specs(name, replications=2))
+
+    def test_spec_file_is_a_complete_grid(self, tmp_path):
+        path = tmp_path / "grid.spec"
+        path.write_text("functional = sup int\ndirection = up down\ntau = 1 3 inf\n"
+                        "dgp2.beta = 2 3\nn = 100 200\n", encoding="utf-8")
+        specs = cli._specs_from_file(path, {"replications": 2})
+        assert len(specs) == 48
+        self._assert_complete(specs)
+
+    @pytest.mark.parametrize("mode", list(SimMode), ids=lambda mode: mode.value)
+    def test_sparse_group_matches_each_cell_alone(self, mode):
+        # Upward, sup reads tau = 1 and inf and int reads tau = 3; downward,
+        # int reads 1 and sup reads 2.  Full mode reports NaN critical values.
+        cells = [("up", "sup", 1.0), ("up", "int", 3.0), ("up", "sup", INF),
+                 ("down", "int", 1.0), ("down", "sup", 2.0)]
+        specs = [SimSpec(DGP, DoubleParetoParams(3.0, 2.0, 1.2), 60, 80,
+                         TestConfig(direction=d, kind=k, tau=tau, bootstrap=19, grid=101,
+                                    vgrid=21, seed=808),
+                         5 if mode is SimMode.FULL else 16, mode)
+                 for d, k, tau in cells]
+        assert any(not band for *_, cells in _test_grids(specs) for bands in cells
+                   for band in bands)
+        together = run_table(specs)
+        for spec, res in zip(specs, together):
+            [alone] = run_table([spec])
+            assert res.rejections == alone.rejections
+            assert np.array_equal(res.critical_value, alone.critical_value, equal_nan=True)
+            assert np.isnan(res.critical_value) == (mode is SimMode.FULL)
+        assert len({res.rejections for res in together}) > 1
