@@ -78,6 +78,6 @@ def dp_quantile(params: DoubleParetoParams, u: np.ndarray) -> np.ndarray:
 
 def dp_sample(params: DoubleParetoParams, n: int, rng: np.random.Generator) -> SortedSample:
     """n inverse-CDF draws from independent uniforms, sorted."""
-    if n < 1:
-        raise ConfigError("sample size must be at least 1")
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ConfigError(f"sample size must be an integer of at least 1, got {n!r}")
     return make_sample(dp_quantile(params, rng.random(n)))

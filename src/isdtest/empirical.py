@@ -29,6 +29,8 @@ def _frozen_array(values, dtype=float) -> np.ndarray:
 def _numeric(raw, what: str = "sample") -> np.ndarray:
     try:
         return np.asarray(raw, dtype=float)
+    except OverflowError:  # an int beyond the double range
+        raise DataError(f"{what} contains values beyond the double range") from None
     except (TypeError, ValueError):
         raise DataError(f"{what} contains values that are not numbers") from None
 
@@ -117,8 +119,8 @@ def make_sample(raw) -> SortedSample:
     Raises
     ------
     DataError
-        If the input is empty, contains values that are not numbers,
-        negative values (support is [0, inf)), or non-finite values.
+        If the input is empty, or holds values that are not numbers, negative
+        (support is [0, inf)), non-finite or beyond the double range.
     """
     values = _numeric(raw)
     _validate_column(values)

@@ -13,14 +13,14 @@ contact-set bandwidth) and the keys of the bootstrap streams: one stream
 per replication, which every slot draws from in slot order, or one per
 slot.  Each slot holds a stack of D datasets of one size, and dataset d
 of every slot is one test problem, computed row by row exactly as if it
-were alone.  Each test, an ordered pair in one direction, evaluates
-phi-hat and sigma-hat once and the contact set once per bandwidth,
-exactly as a two-sample test of that pair would, and measures each of
-its kinds at every one of its bandwidths; each sample's own variance is
-computed once per direction and mixed per pair.  A block of replications
-draws every sample once and evaluates it once per direction; each test's
-bootstrap curves are row differences of those.  ``run_test`` is the one-cell call on two samples
-(D = 1), whose weights both come from one stream keyed by (seed, b).
+were alone.  A direction's cells are places in one grid, tests (ordered
+pairs) x kinds x bandwidths.  Each test evaluates phi-hat and sigma-hat
+once and the contact set once per bandwidth, exactly as a two-sample test
+of that pair would; each sample's own variance is computed once per
+direction and mixed per pair.  A block of replications draws every sample
+once and evaluates it once per direction; each test's bootstrap curves
+are row differences of those.  ``run_test`` is the one-cell call on two
+samples (D = 1), whose weights both come from one stream keyed by (seed, b).
 ``pairwise_rank`` is one call over all its datasets (D = 1) with both
 nulls of every pair; dataset k draws from a stream keyed by (seed, k, b),
 so the tests of one ranking share each dataset's draws.  Both modes of the
@@ -47,7 +47,8 @@ Each replication's statistic depends only on its own weights, bit for bit,
 so the statistics are a pure function of (data, config, seed), whatever
 the block size or the number of stacked datasets.  A phi-hat, sigma-hat or
 statistic that is not finite (data at the ends of the double range) raises
-:class:`~isdtest.errors.DataError`; the check runs once per core call.
+:class:`~isdtest.errors.DataError`, checked once per test, and for the
+bootstrap statistics once per core call.
 """
 
 from __future__ import annotations
@@ -114,10 +115,13 @@ def _count(value, name: str) -> int:
 
 
 def _real(value, name: str) -> float:
-    """``value`` as a float; a bool, a string or None is rejected."""
+    """``value`` as a float; a bool, a string, None or an overflowing int is rejected."""
     if isinstance(value, bool) or not isinstance(value, Real):
         raise ConfigError(f"{name} must be a real number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{name} overflows double precision") from None
 
 
 class Scheme(Enum):
@@ -225,28 +229,25 @@ def _finite(values, what: str) -> None:
 
 
 def _plan(cells) -> tuple:
-    """The index structure of a list of cells (a, b, direction, kind, tau).
+    """The grids of a list of cells (a, b, direction, kind, tau), one per
+    direction, and each cell's place ``(d, t, i, u)`` in them.
 
-    A cell tests the null that sample a dominates sample b.  Returns the
-    cell count and, per direction, each ordered pair's test ``(a, b, taus,
-    kinds, cells)``: the test's bandwidths and kinds, each once, in order
-    of first appearance, and ``cells[i][t]``, the cells that read kind i
-    at bandwidth t (possibly none).  The test measures every kind at every
-    bandwidth, a grid of T bandwidths by its kinds; each bandwidth's
-    statistic is independent of the others, bit for bit, so a pair that
-    no cell reads changes no result.  It depends on the cells only, so a
-    caller that tests many data sets with one list of cells builds it once.
+    A cell tests the null that sample a dominates sample b.  Direction d
+    is ``(direction, tests, kinds, taus)``, its ordered pairs (a, b), kinds
+    and bandwidths, each once, in order of first appearance, and every test
+    is measured at every kind and bandwidth of its direction.  Each
+    bandwidth's statistic is independent of the others, bit for bit, so a
+    place that no cell reads changes no result.  It depends on the cells
+    only: a caller that tests many data sets with one list of cells builds
+    it once.
     """
     directions: dict = {}
-    for i, (a, b, direction, kind, tau) in enumerate(cells):
-        taus, kinds = directions.setdefault(direction, {}).setdefault((a, b), ({}, {}))
-        taus[tau] = None
-        kinds.setdefault(kind, {}).setdefault(tau, []).append(i)
-    return len(cells), [
-        (direction, [(a, b, list(taus), list(kinds),
-                      [[bands.get(tau, []) for tau in taus] for bands in kinds.values()])
-                     for (a, b), (taus, kinds) in tests.items()])
-        for direction, tests in directions.items()]
+    places = []
+    for a, b, direction, kind, tau in cells:
+        d, *axes = directions.setdefault(direction, (len(directions), {}, {}, {}))
+        places.append((d, *(axis.setdefault(value, len(axis))
+                            for axis, value in zip(axes, ((a, b), kind, tau)))))
+    return [(direction, *map(list, axes)) for direction, (_, *axes) in directions.items()], places
 
 
 def _block_replications(width: int, depth: int) -> int:
@@ -261,16 +262,16 @@ def _block_replications(width: int, depth: int) -> int:
     return max(step, _BLOCK_CELLS // width // depth // step * step)
 
 
-def _bootstrap_stats(samples, orders, m, grid, plan, keys, work=None) -> np.ndarray:
-    """Bootstrap statistics of every cell, shape (cells, D, replications).
+def _bootstrap_stats(samples, orders, m, grid, plan, keys, work=None) -> list:
+    """Bootstrap statistics of every place of each direction's grid, one
+    array (tests, kinds, T, D, replications) per direction.
 
-    ``plan`` is the cell count and, per direction, ``(direction, columns,
-    tests)``: the grid indices where its curves are evaluated, strictly
-    increasing (None: the whole grid), and each test ``(a, b, phi, root_t,
-    kinds, cells, contact)`` on those columns: phi-hat (D, C), sqrt(T_n),
-    kinds and cells as :func:`_plan` lists them, and the contact sets, a
-    boolean stack (T, D, C), a mask per bandwidth.  ``keys`` holds the
-    Philox keys of the bootstrap streams, shape (replications, D, S, 2):
+    ``plan`` is, per direction, ``(direction, columns, kinds, tests)``: the
+    grid indices where its curves are evaluated, strictly increasing (None:
+    the whole grid), its kinds, and each test ``(a, b, phi, root_t,
+    contact)`` on those columns: phi-hat (D, C), sqrt(T_n) and the contact
+    sets, a boolean stack (T, D, C), a mask per bandwidth.  ``keys`` holds
+    the Philox keys of the bootstrap streams, shape (replications, D, S, 2):
     replication b of dataset d draws every sample's weights, in slot order,
     from the start of the stream of ``keys[b, d, 0]`` when S = 1, and
     sample k's from that of ``keys[b, d, k]`` otherwise.  Matched pairs
@@ -293,14 +294,14 @@ def _bootstrap_stats(samples, orders, m, grid, plan, keys, work=None) -> np.ndar
     per block, so the integrals of every bandwidth, dataset and row are one
     reduction; a call holds as many bandwidths as keep its lanes, rows
     times columns per bandwidth, within the block budget, and one at
-    least.  The curves' temporaries, the differences and the derivatives'
-    scratch arrays come from ``work``, or from a workspace of the call's
-    own when none is given.
+    least, and fills its own slice.  The curves' temporaries, the
+    differences and the derivatives' scratch arrays come from ``work``, or
+    from a workspace of the call's own when none is given.
     """
-    cells, directions = plan
     replications, depth = keys.shape[:2]
     per_block = _block_replications(max(max(s.n for s in samples), len(grid)) + 1, depth)
-    stats = np.empty((cells, depth, replications))
+    stats = [np.empty((len(tests), len(kinds), len(tests[0][-1]), depth, replications))
+             for _, _, kinds, tests in plan]
     work = work if work is not None else BlockWorkspace()
     sizes = [s.n for s in samples] if orders is None else [samples[0].n]
     gen = np.random.Generator(np.random.Philox(key=0))
@@ -321,11 +322,11 @@ def _bootstrap_stats(samples, orders, m, grid, plan, keys, work=None) -> np.ndar
             weights = [np.take(w, order, axis=1, out=work.array(name, w.shape, w.dtype),
                                mode="clip")
                        for name, order in zip(("left", "right"), orders)]
-        for direction, columns, tests in directions:
+        for (direction, columns, kinds, tests), direction_stats in zip(plan, stats):
             # Row (b, d) reweights dataset d of each slot's stack.
             curves = [eval_block(s, w, m, direction, grid, work, columns)
                       for s, w in zip(samples, weights)]
-            for a, b, phi, root_t, kinds, kind_cells, contact in tests:
+            for (a, b, phi, root_t, contact), test_stats in zip(tests, direction_stats):
                 # In the workspace: a fresh difference per test and block
                 # fragments the heap and raises peak memory.
                 h = np.subtract(curves[b], curves[a],
@@ -334,13 +335,12 @@ def _bootstrap_stats(samples, orders, m, grid, plan, keys, work=None) -> np.ndar
                 stacked -= phi
                 stacked *= root_t
                 step = max(1, _BLOCK_CELLS // h.size)  # bandwidths per call
-                for kind, bands in zip(kinds, kind_cells):
+                for kind, into in zip(kinds, test_stats):
                     for j in range(0, len(contact), step):
                         values = derivative(kind, h, contact[j:j + step], grid, columns, work)
-                        for band, band_cells in zip(values.reshape(-1, hi - lo, depth),
-                                                    bands[j:j + step]):
-                            for i in band_cells:
-                                stats[i, :, lo:hi] = band.T
+                        # Rows (b, d) of each bandwidth, stored as (d, b).
+                        into[j:j + step, :, lo:hi] = np.swapaxes(
+                            values.reshape(-1, hi - lo, depth), 1, 2)
     return stats
 
 
@@ -352,65 +352,62 @@ def _test_cells(samples, orders, m, xi, fgrid, vgrid, plan, keys, work=None):
     one test problem, computed row by row exactly as if it were alone.
     Each test (ordered pair, direction) gets its phi-hat, sigma-hat (D,
     F), observed statistic per kind and contact set per bandwidth exactly
-    as a two-sample test of its pair would; its contact sets are one stack
-    of shape (T, D, F), a mask per bandwidth of the test.  Each test's
+    as a two-sample test of its pair would; a direction keeps them as one
+    array (tests, kinds, D) and one stack (tests, T, D, F).  Each test's
     kernel is built from its own slots, matched pairs with the columns'
-    sort orders; each sample's own variance is computed once per direction
-    and mixed per pair.  ``orders`` is ``(left_order, right_order)`` when
-    ``samples`` are the two columns of matched pairs (then D = 1), else
-    None.  Once a direction's contact sets exist, their union fixes the
-    columns where the bootstrap evaluates that direction's curves, and each
-    test's phi-hat and contact sets are cut to those columns: the
-    whole-grid phi-hat is not held through the bootstrap.  One set of
-    bootstrap draws, replication b of dataset d from the streams keyed by
-    ``keys[b, d]`` (see :func:`_bootstrap_stats`), serves every cell; there
-    are ``len(keys)`` replications.  Returns each cell's observed
-    statistics (cells, D), its bootstrap statistics (cells, D,
-    replications) and its contact-set mask (one row per dataset).
-    ``work`` is the bootstrap's :class:`BlockWorkspace`; a caller that makes
-    many calls of one shape lends them one, so that its buffers are not
-    allocated and faulted in again in every call.
-    A non-finite phi-hat, sigma-hat or statistic raises DataError; the
-    guard runs once per call, whatever D.  The observed curves are freed
-    once the differences exist, and sigma-hat once the contact sets do, so
-    neither is held through the variance or the bootstrap.
+    sort orders (``orders``, ``(left_order, right_order)`` when ``samples``
+    are the two columns of matched pairs, then D = 1, else None).  Once a
+    direction's contact sets exist, their union fixes the columns where
+    the bootstrap evaluates that direction's curves, and each test's
+    phi-hat and contact sets are cut to those columns: the whole-grid
+    phi-hat is not held through the bootstrap.  One set of bootstrap
+    draws (``keys``, see :func:`_bootstrap_stats`) serves every cell.
+    Returns what each cell reads at its place: its observed statistics
+    (cells, D), its bootstrap statistics (cells, D, replications) and its
+    contact-set mask (one row per dataset).  ``work`` is the bootstrap's
+    :class:`BlockWorkspace`; a caller that makes many calls of one shape
+    lends them one, so that its buffers are not allocated and faulted in
+    again in every call.  A non-finite phi-hat, sigma-hat or observed
+    statistic raises DataError, checked once per test, and so does a
+    non-finite bootstrap statistic, checked once per call.  The observed
+    curves are freed once the differences exist, before the variance, and
+    sigma-hat and the whole-grid phi-hat once phi-hat is cut, before the
+    bootstrap.
     """
-    cells, directions = plan
-    statistics, contact_sets = [None] * cells, [None] * cells
-    read, variances = [], {}
+    directions, places = plan
+    observed, contacts, read, variances = [], [], [], {}
     with np.errstate(all="ignore"):  # an overflow shows as a non-finite value, checked here
-        for direction, tests in directions:
+        for direction, tests, kinds, taus in directions:
             curves = [eval_on_grid(LambdaCurve(s, m, direction), fgrid) for s in samples]
             # The curves are read once the differences exist: freed before
             # the variance.
-            phis = [curves[b] - curves[a] for a, b, *_ in tests]
+            phis = [curves[b] - curves[a] for a, b in tests]
             del curves
-            measured = []  # per test, on the whole grid
-            for (a, b, taus, kinds, kind_cells), phi in zip(tests, phis):
+            statistics = np.empty((len(tests), len(kinds), *phis[0].shape[:-1]))
+            contact = np.empty((len(tests), len(taus), *phis[0].shape), dtype=bool)
+            for t, ((a, b), phi) in enumerate(zip(tests, phis)):
                 t_n = effective_size(samples[a].n, samples[b].n)
                 kernel = CovKernel(samples[a], samples[b], variances, orders)
                 vhat = sigma_curve(kernel, m, direction, vgrid, fgrid, xi)
-                observed = [sqrt(t_n) * functional(kind, phi, fgrid) for kind in kinds]
+                statistics[t] = [sqrt(t_n) * functional(kind, phi, fgrid) for kind in kinds]
                 _finite(phi, "curve difference")
                 _finite(vhat, "standard deviation")
-                _finite(observed, "test statistic")
-                contact = np.stack([estimate_contact_set(phi, vhat, t_n, tau) for tau in taus])
-                for value, bands in zip(observed, kind_cells):
-                    for mask, band_cells in zip(contact, bands):
-                        for i in band_cells:
-                            statistics[i], contact_sets[i] = value, mask
-                measured.append((a, b, phi, sqrt(t_n), kinds, kind_cells, contact))
-            del vhat, phi, phis  # read: not held through the bootstrap
-            union = np.any([contact.any(axis=(0, 1)) for *_, contact in measured], axis=0)
+                _finite(statistics[t], "test statistic")
+                contact[t] = [estimate_contact_set(phi, vhat, t_n, tau) for tau in taus]
+            union = contact.any(axis=(0, 1, 2))
             columns = None if union.all() else np.flatnonzero(union)  # None: the whole grid
             at = slice(None) if columns is None else columns
-            read.append((direction, columns, [
-                (a, b, phi[..., at], root_t, kinds, kind_cells, contact[..., at])
-                for a, b, phi, root_t, kinds, kind_cells, contact in measured]))
-        del measured  # the last direction's whole-grid phi-hat
-        boot = _bootstrap_stats(samples, orders, m, fgrid, (cells, read), keys, work)
-    _finite(boot, "bootstrap statistic")
-    return np.array(statistics), boot, contact_sets
+            read.append((direction, columns, kinds, [
+                (a, b, phi[..., at], sqrt(effective_size(samples[a].n, samples[b].n)),
+                 mask[..., at]) for (a, b), phi, mask in zip(tests, phis, contact)]))
+            del vhat, phi, phis  # read, and the whole-grid phi-hat: not held through the bootstrap
+            observed.append(statistics)
+            contacts.append(contact)
+        boot = _bootstrap_stats(samples, orders, m, fgrid, read, keys, work)
+    stats = np.array([boot[d][t, i, u] for d, t, i, u in places])
+    _finite(stats, "bootstrap statistic")
+    return (np.array([observed[d][t, i] for d, t, i, _ in places]), stats,
+            [contacts[d][t, u] for d, t, _, u in places])
 
 
 def _test_keys(seed, replications: int) -> np.ndarray:

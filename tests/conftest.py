@@ -6,9 +6,10 @@ integration, the curves interval by interval in rational arithmetic, the
 block expansion one float row at a time, numpy's own
 SeedSequence for the streams, the double Pareto density, distribution
 function and mean in closed form) and must not import the evaluation paths
-they check.  ``reference_test`` is a whole test built that way: exact
-curves and variance, the contact set and the functionals as loops over
-grid points, and the documented streams.  ``full_grid_bootstrap_stats``
+they check.  ``reference_test`` and ``reference_rank`` are a whole test
+and a whole ranking built that way: exact curves and variance, the
+contact set and the functionals as loops over grid points, and the
+documented streams.  ``full_grid_bootstrap_stats``
 is the exception: it checks where the bootstrap evaluates its curves, not
 how, so it evaluates them with the package's kernel, on the whole grid,
 one replication at a time.
@@ -351,26 +352,26 @@ def full_grid_bootstrap_stats(samples, orders, m, grid, plan, keys, work=None):
     drawn by a new generator (one stream per replication: every sample in
     slot order; else sample k from stream k), and each statistic the
     derivative of the whole-grid difference on its contact set.  Same
-    arguments and result, shape (cells, D, replications).  Each test's
-    phi-hat and contact sets come on its direction's columns; they are
-    scattered back onto the whole grid, the masks False off the columns,
-    so no statistic reads a point off them.  It keeps no workspace, so
-    ``work`` goes unread."""
-    cells, directions = plan
+    arguments and result, one array (tests, kinds, T, D, replications) per
+    direction, every place of the grid filled.  Each test's phi-hat and
+    contact sets come on its direction's columns; they are scattered back
+    onto the whole grid, the masks False off the columns, so no statistic
+    reads a point off them.  It keeps no workspace, so ``work`` goes
+    unread."""
     replications, depth, streams = keys.shape[:3]
     sizes = [s.n for s in samples] if orders is None else [samples[0].n]
-    stats = np.empty((cells, depth, replications))
-    whole = []  # per direction: its tests with phi-hat and masks on the whole grid
-    for direction, columns, tests in directions:
+    stats, whole = [], []  # per direction: its array, and its tests on the whole grid
+    for direction, columns, kinds, tests in plan:
         at = slice(None) if columns is None else columns
         scattered = []
-        for a, c, phi, root_t, kinds, kind_cells, contact in tests:
+        for a, c, phi, root_t, contact in tests:
             full_phi = np.zeros(phi.shape[:-1] + (len(grid),))
             full_phi[..., at] = phi
             full_contact = np.zeros(contact.shape[:-1] + (len(grid),), dtype=bool)
             full_contact[..., at] = contact
-            scattered.append((a, c, full_phi, root_t, kinds, kind_cells, full_contact))
-        whole.append((direction, scattered))
+            scattered.append((a, c, full_phi, root_t, full_contact))
+        stats.append(np.empty((len(tests), len(kinds), len(tests[0][-1]), depth, replications)))
+        whole.append((direction, kinds, scattered))
     for b in range(replications):
         for d in range(depth):
             gens = [np.random.Generator(np.random.Philox(key=key)) for key in keys[b, d]]
@@ -378,16 +379,15 @@ def full_grid_bootstrap_stats(samples, orders, m, grid, plan, keys, work=None):
                        for k, n in enumerate(sizes)]
             if orders is not None:
                 weights = [weights[0][order] for order in orders]
-            for direction, tests in whole:
+            for (direction, kinds, tests), values in zip(whole, stats):
                 curves = [eval_block(SortedSample(s.values[d:d + 1]), w[None], m, direction,
                                      grid)[0]
                           for s, w in zip(samples, weights)]
-                for a, c, phi, root_t, kinds, kind_cells, contact in tests:
+                for t, (a, c, phi, root_t, contact) in enumerate(tests):
                     h = (curves[c] - curves[a] - phi[d]) * root_t
-                    for kind, bands in zip(kinds, kind_cells):
-                        for t, band_cells in enumerate(bands):
-                            for i in band_cells:
-                                stats[i, d, b] = derivative(kind, h, contact[t, d], grid)
+                    for i, kind in enumerate(kinds):
+                        for u, mask in enumerate(contact):
+                            values[t, i, u, d, b] = derivative(kind, h, mask[d], grid)
     return stats
 
 
@@ -612,28 +612,65 @@ def fraction_sigma_sq(x1, x2, m, direction, p, matched=False):
     return float((1 - lam) * var(f1) + lam * var(f2))
 
 
+def _exact_weights(n, rng):
+    """One replication's weights of a sample of n: the counts of n uniform
+    picks of its n sorted positions."""
+    return np.bincount(rng.integers(0, n, n), minlength=n)
+
+
 @lru_cache(maxsize=None)
-def _reference_curves(x1, x2, m, direction, bootstrap, seed, grid, vgrid, xi):
-    """What ``reference_test`` reads of a (data, m, direction) triple, for
-    every functional, bandwidth and floor: the exact difference phi-hat,
-    sigma-hat in floats, and each replication's exact bootstrap difference
-    phi* - phi-hat, each a list over the grid points.  Arguments are
-    hashable: the samples as sorted tuples."""
-    points = np.linspace(0.0, 1.0, grid)
+def _reference_vhat(x1, x2, m, direction, grid, vgrid, xi):
+    """sigma-hat on the grid: the exact variance at the variance grid's
+    points, interpolated onto the grid and floored at xi before the square
+    root.  Arguments are hashable: the samples as sorted tuples."""
     vpoints = np.linspace(0.0, 1.0, vgrid)
+    variance = [fraction_sigma_sq(x1, x2, m, direction, p) for p in vpoints]
+    return np.sqrt(np.maximum(np.interp(np.linspace(0.0, 1.0, grid), vpoints, variance), xi))
+
+
+def _centred(curves1, curves2):
+    """The exact difference phi-hat of two samples' own curves (the first
+    rows), and each replication's bootstrap difference phi* - phi-hat,
+    each a list over the grid points."""
+    rows = [[c2 - c1 for c1, c2 in zip(row1, row2)] for row1, row2 in zip(curves1, curves2)]
+    return rows[0], [[star - at for star, at in zip(row, rows[0])] for row in rows[1:]]
+
+
+@lru_cache(maxsize=None)
+def _reference_curves(x1, x2, m, direction, bootstrap, seed, grid):
+    """What ``reference_test`` reads of a (data, m, direction) triple's
+    curves, for every functional, bandwidth and floor: :func:`_centred`
+    of the two samples' exact curves.  Arguments are hashable: the samples
+    as sorted tuples."""
+    points = np.linspace(0.0, 1.0, grid)
     n1, n2 = len(x1), len(x2)
     weights1, weights2 = [np.ones(n1, dtype=np.int64)], [np.ones(n2, dtype=np.int64)]
     for b in range(bootstrap):  # one stream per replication: sample 1's draw, then sample 2's
         rng = np.random.Generator(np.random.Philox(key=philox_key(seed, inference._BOOT_TAG, b)))
-        weights1.append(np.bincount(rng.integers(0, n1, n1), minlength=n1))
-        weights2.append(np.bincount(rng.integers(0, n2, n2), minlength=n2))
-    rows = [[c2 - c1 for c1, c2 in zip(row1, row2)] for row1, row2 in zip(
-        fraction_curves(x1, weights1, m, direction, points),
-        fraction_curves(x2, weights2, m, direction, points))]
-    phi = rows[0]
-    variance = [fraction_sigma_sq(x1, x2, m, direction, p) for p in vpoints]
-    vhat = np.sqrt(np.maximum(np.interp(points, vpoints, variance), xi))
-    return phi, vhat, [[star - at for star, at in zip(row, phi)] for row in rows[1:]]
+        weights1.append(_exact_weights(n1, rng))
+        weights2.append(_exact_weights(n2, rng))
+    return _centred(fraction_curves(x1, weights1, m, direction, points),
+                    fraction_curves(x2, weights2, m, direction, points))
+
+
+@lru_cache(maxsize=None)
+def _reference_rank_curves(x, k, m, direction, bootstrap, seed, grid):
+    """Dataset k's exact curves in a ranking, its own and then each
+    replication b's, whose weights come from the stream
+    ``Generator(Philox(philox_key(seed, _RANK_TAG, k, b)))``; ``x`` is the
+    dataset as a sorted tuple."""
+    weights = [np.ones(len(x), dtype=np.int64)]
+    for b in range(bootstrap):
+        key = philox_key(seed, inference._RANK_TAG, k, b)
+        weights.append(_exact_weights(len(x), np.random.Generator(np.random.Philox(key=key))))
+    return fraction_curves(x, weights, m, direction, np.linspace(0.0, 1.0, grid))
+
+
+@lru_cache(maxsize=None)
+def _reference_rank_pair(x1, x2, k1, k2, *key):
+    """:func:`_centred` of datasets k1 and k2 of a ranking, for every
+    functional and bandwidth."""
+    return _centred(_reference_rank_curves(x1, k1, *key), _reference_rank_curves(x2, k2, *key))
 
 
 def _reference_functional(kind, h, member, points):
@@ -648,6 +685,38 @@ def _reference_functional(kind, h, member, points):
             width = Fraction(float(points[g + 1])) - Fraction(float(points[g]))
             total += width * (max(h[g], 0) + max(h[g + 1], 0)) / 2
     return total
+
+
+def _reference_null(x1, x2, phi, centred, cfg):
+    """The test of the null that the sample ``x1`` dominates ``x2`` (sorted
+    tuples), from the exact difference phi-hat and the replications' exact
+    bootstrap differences phi* - phi-hat: the fields ``run_test`` reports (the
+    elapsed time aside) and the contact set's ``margin`` (see
+    :func:`reference_test`)."""
+    vhat = _reference_vhat(x1, x2, cfg.m, cfg.direction, cfg.grid, cfg.vgrid, cfg.xi)
+    points = np.linspace(0.0, 1.0, cfg.grid)
+    n1, n2 = len(x1), len(x2)
+    root = np.sqrt(n1 * n2 / (n1 + n2))
+    member, margin = [], float("inf")
+    for v, s in zip(phi, vhat):
+        scaled, bound = abs(root * float(v)), cfg.tau * s
+        member.append(scaled <= bound)
+        if bound < float("inf"):
+            margin = min(margin, abs(scaled - bound) / bound)
+    statistic = root * float(_reference_functional(cfg.kind, phi, [True] * len(phi), points))
+    stats = sorted(root * float(_reference_functional(cfg.kind, h, member, points))
+                   for h in centred)
+    b = len(stats)
+    chat = stats[min(max(ceil((1 - cfg.alpha) * b), 1), b) - 1]
+    if cfg.eta > 0:
+        chat = max(chat, cfg.eta)
+    return dict(statistic=statistic, critical_value=chat,
+                p_value=sum(s >= statistic for s in stats) / b, reject=statistic > chat,
+                contact_fraction=sum(member) / cfg.grid, margin=margin)
+
+
+def _sorted_tuple(sample):
+    return tuple(np.sort(np.asarray(sample.values, dtype=float)).tolist())
 
 
 def reference_test(sample1, sample2, cfg):
@@ -671,26 +740,37 @@ def reference_test(sample1, sample2, cfg):
     |sqrt(T_n) |phi-hat| - tau sigma-hat| / (tau sigma-hat) (inf for
     tau = inf).
     """
-    x1, x2 = (tuple(np.sort(np.asarray(s.values, dtype=float)).tolist())
-              for s in (sample1, sample2))
-    phi, vhat, stars = _reference_curves(x1, x2, cfg.m, cfg.direction, cfg.bootstrap, cfg.seed,
-                                         cfg.grid, cfg.vgrid, cfg.xi)
-    points = np.linspace(0.0, 1.0, cfg.grid)
-    n1, n2 = len(x1), len(x2)
-    root = np.sqrt(n1 * n2 / (n1 + n2))
-    member, margin = [], float("inf")
-    for v, s in zip(phi, vhat):
-        scaled, bound = abs(root * float(v)), cfg.tau * s
-        member.append(scaled <= bound)
-        if bound < float("inf"):
-            margin = min(margin, abs(scaled - bound) / bound)
-    statistic = root * float(_reference_functional(cfg.kind, phi, [True] * len(phi), points))
-    stats = sorted(root * float(_reference_functional(cfg.kind, h, member, points))
-                   for h in stars)
-    b = len(stats)
-    chat = stats[min(max(ceil((1 - cfg.alpha) * b), 1), b) - 1]
-    if cfg.eta > 0:
-        chat = max(chat, cfg.eta)
-    return dict(statistic=statistic, critical_value=chat,
-                p_value=sum(s >= statistic for s in stats) / b, reject=statistic > chat,
-                contact_fraction=sum(member) / cfg.grid, margin=margin)
+    x1, x2 = _sorted_tuple(sample1), _sorted_tuple(sample2)
+    return _reference_null(x1, x2, *_reference_curves(x1, x2, cfg.m, cfg.direction,
+                                                      cfg.bootstrap, cfg.seed, cfg.grid), cfg)
+
+
+def reference_rank(datasets, cfg):
+    """``pairwise_rank`` of named independent samples under ``cfg``,
+    written from the paper's definitions, sharing no kernel with the package.
+
+    For every pair (i, j), i < j, in label order, both nulls are tested as
+    :func:`reference_test` tests one, "dataset i dominates dataset j" and
+    then the reverse, except for the streams: replication b of dataset k
+    draws its weights, the counts of n_k uniform picks of its n_k sorted
+    positions, from ``Generator(Philox(philox_key(seed, _RANK_TAG, k, b)))``,
+    and that draw serves every pair that dataset k enters.  Returns, per
+    pair, the fields of its ``PairDecision`` (labels, reject flags and
+    p-values) and ``margin``, the smaller of both nulls' margins.
+    """
+    labels = [label for label, _ in datasets]
+    xs = [_sorted_tuple(sample) for _, sample in datasets]
+    key = (cfg.m, cfg.direction, cfg.bootstrap, cfg.seed, cfg.grid)
+
+    def null(a, b):  # H0: dataset a dominates dataset b
+        return _reference_null(xs[a], xs[b], *_reference_rank_pair(xs[a], xs[b], a, b, *key),
+                               cfg)
+
+    out = []
+    for i in range(len(xs)):
+        for j in range(i + 1, len(xs)):
+            ij, ji = null(i, j), null(j, i)
+            out.append(dict(a=labels[i], b=labels[j], reject_a_dominates=ij["reject"],
+                            reject_b_dominates=ji["reject"], p_a_dominates=ij["p_value"],
+                            p_b_dominates=ji["p_value"], margin=min(ij["margin"], ji["margin"])))
+    return out

@@ -55,6 +55,19 @@ LOWER_LAYERS = {
     "cli": {"__init__", "dgp", "empirical", "errors", "functionals", "inference", "montecarlo"},
 }
 
+# The private names that each package module reaches in another, by
+# ``from .x import _name`` or by an attribute read such as
+# ``inference._BLOCK_CELLS``.  The internal interface between layers grows
+# only by a deliberate edit here.
+PRIVATE_REACH = {
+    "cli": {"inference._coerce"},
+    "inference": {"bootstrap._generate_state", "bootstrap._restart"},
+    "montecarlo": {"bootstrap._generate_state", "bootstrap._restart", "empirical._sorted_rows",
+                   "inference._BLOCK_CELLS", "inference._coerce", "inference._count",
+                   "inference._critical", "inference._plan", "inference._test_cells",
+                   "inference._test_keys"},
+}
+
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "isdtest"
 README = (ROOT / "README.md").read_text(encoding="utf-8")
@@ -92,6 +105,34 @@ def _package_imports(module: str) -> set:
                 imported.update(alias.name if (PACKAGE / f"{alias.name}.py").exists()
                                 else "__init__" for alias in node.names)
     return imported
+
+
+def _private_reach(module: str) -> set:
+    """The private names of other package modules that ``module`` imports
+    (``from .x import _name``) or reads as attributes of a module it
+    imports (``from . import x``, then ``x._name``), as ``"x._name"``."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+
+    def private(name):
+        return name.startswith("_") and not name.endswith("__")
+
+    modules, reach = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            for alias in node.names:
+                if node.module is None:
+                    modules[alias.asname or alias.name] = alias.name
+                elif private(alias.name):
+                    reach.add(f"{node.module}.{alias.name}")
+    reach.update(f"{modules[node.value.id]}.{node.attr}" for node in ast.walk(tree)
+                 if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                 and node.value.id in modules and private(node.attr))
+    return reach
+
+
+@pytest.mark.parametrize("module", sorted(LOWER_LAYERS))
+def test_private_reach_pinned(module):
+    assert _private_reach(module) == PRIVATE_REACH.get(module, set())
 
 
 def test_layers_cover_every_module_and_have_no_cycle():

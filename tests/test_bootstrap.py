@@ -232,11 +232,12 @@ class TestBlockRoute:
         """The test's block loop on one cell, with the given contact set,
         its curves evaluated on the set's columns, as the core passes them."""
         at = np.flatnonzero(cs)
-        test = (0, 1, phi[None, at], np.sqrt(t_n), [cfg.kind], [[[0]]], cs[None, None, at])
-        return inference._bootstrap_stats(
+        test = (0, 1, phi[None, at], np.sqrt(t_n), cs[None, None, at])
+        [stats] = inference._bootstrap_stats(
             [stacked(s1), stacked(s2)], _orders(pairs), cfg.m,
-            self.grid, (1, [(cfg.direction, at, [test])]),
-            inference._test_keys(cfg.seed, cfg.bootstrap))[0, 0]
+            self.grid, [(cfg.direction, at, [cfg.kind], [test])],
+            inference._test_keys(cfg.seed, cfg.bootstrap))
+        return stats[0, 0, 0, 0]
 
     @pytest.mark.parametrize("bootstrap", [1, BLOCK_ROWS - 1, BLOCK_ROWS + 1])
     @pytest.mark.parametrize("m, direction, kind, scheme", BLOCK_COMBOS)
@@ -363,18 +364,17 @@ class TestBlockRoute:
         pairs = make_paired(left, right)
         g = Grid.uniform(51)
         full = np.ones(len(g), dtype=bool)
-        test = (0, 1, np.zeros((1, len(g))), 1.0, [FunctionalKind.SUP, FunctionalKind.INT],
-                [[[0]], [[1]]], full[None, None])
-        stats = inference._bootstrap_stats(
+        test = (0, 1, np.zeros((1, len(g))), 1.0, full[None, None])
+        [stats] = inference._bootstrap_stats(
             [stacked(pairs.left_sample()), stacked(pairs.right_sample())], _orders(pairs), 3, g,
-            (2, [(Direction.UP, None, [test])]), inference._test_keys(8, 3))
+            [(Direction.UP, None, list(FunctionalKind), [test])], inference._test_keys(8, 3))
         for b in range(3):
             w = draw_weights(15, substream(8, inference._BOOT_TAG, b))
             expanded = (curve_on_grid(make_sample(np.repeat(right, w)), 3, Direction.UP, g)
                         - curve_on_grid(make_sample(np.repeat(left, w)), 3, Direction.UP, g))
             for i, kind in enumerate(FunctionalKind):
                 want = derivative(kind, expanded, full, g)
-                assert stats[i, 0, b] == pytest.approx(want, rel=1e-12, abs=1e-15)
+                assert stats[0, i, 0, 0, b] == pytest.approx(want, rel=1e-12, abs=1e-15)
 
     def test_workspace_reuse_is_bit_exact(self):
         # One workspace lent to calls of changing n, rows, degree and

@@ -138,7 +138,7 @@ class TestSampling:
         b = dp_sample(params, 50, substream(3, 1))
         assert np.array_equal(a.values, b.values)
 
-    @pytest.mark.parametrize("n", [0, -1])
+    @pytest.mark.parametrize("n", [0, -1, 2.5, True])
     def test_size_at_least_one(self, params, n):
         with pytest.raises(ConfigError, match="at least 1"):
             dp_sample(params, n, substream(3, 1))

@@ -31,9 +31,11 @@ class TestMakeSample:
         with pytest.raises(DataError, match="non-finite"):
             make_sample([1.0, np.inf])
 
-    @pytest.mark.parametrize("raw", [["1", "x"], ["", "2"], [1.0, 2j]])
-    def test_non_numeric_rejected(self, raw):
-        with pytest.raises(DataError, match="not numbers"):
+    @pytest.mark.parametrize("raw, match", [(["1", "x"], "not numbers"), (["", "2"], "not numbers"),
+                                            ([1.0, 2j], "not numbers"),
+                                            ([10**400, 1.0], "double range")])
+    def test_non_numeric_rejected(self, raw, match):
+        with pytest.raises(DataError, match=match):
             make_sample(raw)
         with pytest.raises(DataError, match="left column"):
             make_paired(raw, [1.0] * len(raw))

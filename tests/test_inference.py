@@ -1,4 +1,4 @@
-from dataclasses import fields
+from dataclasses import asdict, fields
 from math import sqrt
 
 import numpy as np
@@ -36,6 +36,7 @@ from conftest import (
     full_grid_bootstrap_stats,
     independent_kernel,
     random_dp_values,
+    reference_rank,
     reference_test,
     stacked,
     substream,
@@ -70,6 +71,7 @@ class TestConfigValidation:
         dict(bootstrap=2.5), dict(grid=10.5), dict(vgrid=10.5), dict(threads=2.0),
         dict(m=3.0), dict(seed=1.5), dict(bootstrap=True), dict(grid="11"),
         dict(alpha="0.05"), dict(tau="3"), dict(xi=None), dict(direction="sideways"),
+        dict(alpha=10**400), dict(tau=10**400), dict(xi=10**400), dict(eta=10**400),
     ])
     def test_rejects(self, kw):
         with pytest.raises(ConfigError):
@@ -191,6 +193,15 @@ def _reference_samples():
 REFERENCE_SAMPLES = _reference_samples()
 
 
+def _reference_rank_sets():
+    rng = np.random.default_rng(0)
+    return [(c, make_sample(scale * random_dp_values(rng, n)))
+            for c, n, scale in zip("abc", (20, 26, 32), (1.0, 1.25, 1.6))]
+
+
+REFERENCE_RANK_SETS = _reference_rank_sets()
+
+
 class TestReference:
     """``run_test`` against ``conftest.reference_test``, the test written
     from the paper's definitions in exact arithmetic.  The decisions,
@@ -198,16 +209,20 @@ class TestReference:
     values agree within a relative 1e-10 (the package's curves round, the
     reference's do not; measured: 1.6e-14 at most).  No grid point lies
     within a relative 1e-6 of its contact set's boundary, so rounding of
-    that size cannot move a member.  On these samples 12 of the 32
+    that size cannot move a member.  On these samples 12 of the 48
     configurations reject, the contact sets at tau = 1 hold 2 to 13 of
-    the 21 grid points, and eta = 0.3 floors 12 critical values."""
+    the 21 grid points and those at tau = 3 all of them, and eta = 0.3
+    floors 16 critical values.  ``pairwise_rank`` of three datasets is
+    checked against ``conftest.reference_rank`` the same way: every
+    decision's reject flags and p-values are equal; 16 of its 48 nulls
+    reject, and 16 of its 24 pairs are strictly ranked."""
 
     @pytest.mark.parametrize("direction", list(Direction), ids=lambda d: d.value)
     @pytest.mark.parametrize("m", [3, 4])
     def test_matches_reference(self, m, direction):
         s1, s2 = REFERENCE_SAMPLES
         for kind in FunctionalKind:
-            for tau in (1.0, float("inf")):
+            for tau in (1.0, 3.0, float("inf")):
                 for eta in (0.0, 0.3):
                     cfg = TestConfig(m=m, direction=direction, kind=kind, tau=tau, eta=eta,
                                      bootstrap=39, grid=21, vgrid=11, seed=17)
@@ -218,6 +233,17 @@ class TestReference:
                     assert got.statistic == pytest.approx(want["statistic"], rel=1e-10, abs=0)
                     assert got.critical_value == pytest.approx(want["critical_value"], rel=1e-10,
                                                                abs=0)
+
+    @pytest.mark.parametrize("direction", list(Direction), ids=lambda d: d.value)
+    def test_rank_matches_reference(self, direction):
+        for kind in FunctionalKind:
+            for tau in (1.0, float("inf")):
+                cfg = TestConfig(direction=direction, kind=kind, tau=tau, bootstrap=39, grid=21,
+                                 vgrid=11, seed=23)
+                got = pairwise_rank(REFERENCE_RANK_SETS, cfg)
+                want = reference_rank(REFERENCE_RANK_SETS, cfg)
+                assert all(pair.pop("margin") > 1e-6 for pair in want)
+                assert [asdict(d) for d in got.decisions] == want, cfg
 
 
 class TestPairwiseRank:

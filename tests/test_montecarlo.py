@@ -14,6 +14,7 @@ from isdtest import (
     SortedSample,
     TestConfig,
     dp_sample,
+    pairwise_rank,
     preset_specs,
     run_table,
 )
@@ -473,31 +474,42 @@ class TestPresets:
             preset_specs("nope")
 
 
-def _test_grids(specs):
-    """Each group's tests as ``inference._plan`` lists them: (direction,
-    kinds, taus, cells) per test."""
+def _group_cells(specs):
+    """The cells of each ``_group_key`` group, as ``montecarlo._run_group``
+    passes them to ``inference._plan``."""
     groups: dict = {}
     for s in specs:
-        groups.setdefault(montecarlo._group_key(s), []).append(s)
-    return [(direction, kinds, taus, cells)
-            for group in groups.values()
-            for direction, tests in inference._plan(
-                [(0, 1, s.config.direction, s.config.kind, s.config.tau) for s in group])[1]
-            for _, _, taus, kinds, cells in tests]
+        groups.setdefault(montecarlo._group_key(s), []).append(
+            (0, 1, s.config.direction, s.config.kind, s.config.tau))
+    return list(groups.values())
+
+
+def _unread_places(cells):
+    """The places of ``inference._plan(cells)``'s grids that no cell reads,
+    after checking that each cell's place names its own direction, test,
+    kind and bandwidth."""
+    directions, places = inference._plan(cells)
+    for (a, b, direction, kind, tau), (d, t, i, u) in zip(cells, places, strict=True):
+        name, tests, kinds, taus = directions[d]
+        assert (name, tests[t], kinds[i], taus[u]) == (direction, (a, b), kind, tau)
+    every = {(d, t, i, u) for d, (_, tests, kinds, taus) in enumerate(directions)
+             for t in range(len(tests)) for i in range(len(kinds)) for u in range(len(taus))}
+    return every - set(places)
 
 
 class TestKindBandwidthGrid:
-    """The core measures every kind of a test at every bandwidth of that
-    test.  Every shipped design is a complete kind x bandwidth grid, so no
-    shipped group computes a pair that no cell reads; a sparse group
-    computes them, and no result moves."""
+    """The core measures every test of a direction at every kind and
+    bandwidth of that direction.  Every shipped call is a complete grid of
+    tests x kinds x bandwidths in each direction, so no shipped call
+    computes a place that no cell reads; a sparse group computes them, and
+    no result moves."""
 
     @staticmethod
     def _assert_complete(specs):
-        grids = _test_grids(specs)
-        assert grids
-        for direction, kinds, taus, cells in grids:
-            assert all(band for bands in cells for band in bands), (direction, kinds, taus)
+        groups = _group_cells(specs)
+        assert groups
+        for cells in groups:
+            assert not _unread_places(cells), cells
 
     @pytest.mark.filterwarnings("ignore:upper-tail shape")
     @pytest.mark.parametrize("name", ["size_up", "size_down", "power_up", "power_down"])
@@ -512,6 +524,22 @@ class TestKindBandwidthGrid:
         assert len(specs) == 48
         self._assert_complete(specs)
 
+    def test_ranking_is_a_complete_grid(self, monkeypatch):
+        # The one shipped caller whose direction holds several tests: both
+        # nulls of every pair of K = 4 datasets, one kind, one bandwidth.
+        planned, plan = [], inference._plan
+
+        def recorded(cells):
+            planned.append(cells)
+            return plan(cells)
+
+        monkeypatch.setattr(inference, "_plan", recorded)
+        rng = substream(5, 0)
+        datasets = [(f"d{k}", dp_sample(DGP, 20 + k, rng)) for k in range(4)]
+        pairwise_rank(datasets, TestConfig(bootstrap=3, grid=21, vgrid=5))
+        [cells] = planned
+        assert len(cells) == 12 and not _unread_places(cells)
+
     @pytest.mark.parametrize("mode", list(SimMode), ids=lambda mode: mode.value)
     def test_sparse_group_matches_each_cell_alone(self, mode):
         # Upward, sup reads tau = 1 and inf and int reads tau = 3; downward,
@@ -523,8 +551,7 @@ class TestKindBandwidthGrid:
                                     vgrid=21, seed=808),
                          5 if mode is SimMode.FULL else 16, mode)
                  for d, k, tau in cells]
-        assert any(not band for *_, cells in _test_grids(specs) for bands in cells
-                   for band in bands)
+        assert any(_unread_places(group) for group in _group_cells(specs))
         together = run_table(specs)
         for spec, res in zip(specs, together):
             [alone] = run_table([spec])
