@@ -14,9 +14,14 @@ call's keys at once, and one generator, re-keyed in place by
 result, are bit for bit those of one generator built per replication.
 
 A replication reweights each sample by :func:`draw_weights`, a
-multinomial draw of n categories.  The test stacks the weights of R
-replications into (R, n) rows and evaluates them at once with
-:func:`~isdtest.curves.eval_block`; a replication's statistic is
+multinomial draw of n categories: the counts of numpy's bounded draws
+``integers(0, n, n)`` on the replication's stream.  The test draws a block
+of R replications at once with :func:`draw_block`, which reads the same
+bounded draws off each stream's raw Philox words in one vectorised pass
+and redraws through :func:`draw_weights` the rare rows where numpy's draw
+rejects a 32-bit word, so that every row is bit for bit its stream's
+:func:`draw_weights`.  The test evaluates the block's (R, n) rows at once
+with :func:`~isdtest.curves.eval_block`; a replication's statistic is
 :func:`~isdtest.functionals.derivative` of sqrt(T_n) * (phi_star - phi_hat)
 on the contact set.  :func:`critical_value` and :func:`p_value` read the
 decision off the B statistics.
@@ -32,6 +37,7 @@ import numpy as np
 __all__ = [
     "derive_seed",
     "draw_weights",
+    "draw_block",
     "critical_value",
     "p_value",
 ]
@@ -143,6 +149,56 @@ def derive_seed(seed: int, *key):
 def draw_weights(n: int, rng: np.random.Generator) -> np.ndarray:
     """Multinomial(n; 1/n, ..., 1/n) sample via n uniform category draws."""
     return np.bincount(rng.integers(0, n, size=n), minlength=n)
+
+
+def draw_block(block: list, sizes: list, gen: np.random.Generator, work) -> list:
+    """The weights of a block of rows, one (rows, n) int64 array per sample
+    size, each row bit for bit what :func:`draw_weights` gives on its stream.
+
+    ``block`` holds each row's Philox keys, one per stream ([k0, k1] Python
+    ints): with one stream, every sample draws from it in turn, in the order
+    of ``sizes``; otherwise sample k draws from stream k.  Each row and
+    stream draws its raw words once, and each sample reads its run of their
+    32-bit halves, low half first, as Philox feeds numpy's bounded draw:
+    half x picks category (x n) >> 32 (Lemire 2019), and n = 1 draws
+    nothing.  numpy draws again where (x n) mod 2**32 < 2**32 mod n; a row
+    and stream where that happens is redrawn through :func:`draw_weights`.
+    ``gen`` is re-keyed for every row and stream; the raw words, products
+    and weights are ``work``'s arrays "raw", "levels" and "weights{k}"
+    (:func:`~isdtest.curves.eval_block` rewrites "levels" before reading it).
+    """
+    rows, streams = len(block), len(block[0])
+    weights = [work.array(f"weights{k}", (rows, n), np.int64) for k, n in enumerate(sizes)]
+    for s in range(streams):
+        members = range(len(sizes)) if streams == 1 else [s]
+        raw = work.array("raw", (rows, -(-sum(sizes[k] for k in members if sizes[k] > 1) // 2)),
+                         np.uint64)
+        for row, keys in enumerate(block):
+            _restart(gen, keys[s])
+            raw[row] = gen.bit_generator.random_raw(raw.shape[1])
+        halves = raw.astype("<u8", copy=False).view("<u4")
+        rejected = np.zeros(rows, dtype=bool)
+        start = 0
+        for k in members:
+            n, into = sizes[k], weights[k]
+            if n == 1:
+                into.fill(1)
+                continue
+            x = halves[:, start:start + n]
+            start += n
+            index = work.array("levels", (rows, n), np.int64)
+            product = index.view(np.uint64)
+            np.multiply(x, n, dtype=np.uint64, out=product)
+            np.right_shift(product, 32, out=product)
+            x *= np.uint32(n)  # in place, mod 2**32: the part numpy's rejection reads
+            rejected |= x.min(axis=1) < (1 << 32) % n
+            for row in range(rows):
+                into[row] = np.bincount(index[row], minlength=n)
+        for row in np.flatnonzero(rejected).tolist():
+            _restart(gen, block[row][s])
+            for k in members:
+                weights[k][row] = draw_weights(sizes[k], gen)
+    return weights
 
 
 def critical_value(stats: np.ndarray, alpha: float) -> float:

@@ -211,7 +211,9 @@ class BlockWorkspace:
     views are kept by shape.  The bootstrap builds one per call and runs its
     blocks through it in turn.  :func:`~isdtest.functionals.derivative`
     borrows the float buffers "part" and "acc", whose contents no call of
-    :func:`eval_block` reads once it has returned.
+    :func:`eval_block` reads once it has returned, and
+    :func:`~isdtest.bootstrap.draw_block` the integer buffer "levels", which
+    :func:`eval_block` writes before it reads.
     """
 
     def __init__(self):

@@ -82,8 +82,8 @@ class PairedSample:
     _orders: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        left = _frozen_array(self.left)
-        right = _frozen_array(self.right)
+        left = _frozen_array(_numeric(self.left, "left column"))
+        right = _frozen_array(_numeric(self.right, "right column"))
         _validate_column(left, "left column")
         _validate_column(right, "right column")
         if len(left) != len(right):
@@ -136,4 +136,4 @@ def _sorted_rows(values: np.ndarray) -> SortedSample:
 
 def make_paired(left_raw, right_raw) -> PairedSample:
     """Validate two row-aligned columns into a :class:`PairedSample`."""
-    return PairedSample(_numeric(left_raw, "left column"), _numeric(right_raw, "right column"))
+    return PairedSample(left_raw, right_raw)

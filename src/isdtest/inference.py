@@ -276,12 +276,13 @@ def _bootstrap_stats(samples, orders, m, grid, plan, keys, work=None) -> list:
     from the start of the stream of ``keys[b, d, 0]`` when S = 1, and
     sample k's from that of ``keys[b, d, k]`` otherwise.  Matched pairs
     (``orders``, the columns' sort orders, else None) draw once and route
-    the draw through each column's sort order.  One generator, re-keyed
-    for every row and stream, draws them all.  A block holds whole
-    replications, row (b, d) for every dataset d of the stack, and draws
-    and evaluates every sample once per direction: :func:`eval_block`
-    takes each slot's stack as it is, and its row (b, d) reweights
-    dataset d.  Each test's curves are row differences of those.
+    the draw through each column's sort order.  One
+    :func:`~isdtest.bootstrap.draw_block` call per block draws them all into
+    ``work``, from one generator re-keyed for every row and stream.  A block
+    holds whole replications, row (b, d) for every dataset d of the stack,
+    and draws and evaluates every sample once per direction:
+    :func:`eval_block` takes each slot's stack as it is, and its row (b, d)
+    reweights dataset d.  Each test's curves are row differences of those.
 
     The columns are the union of the direction's contact sets, where its
     statistics read the curves, and the differences, their centring and
@@ -307,14 +308,8 @@ def _bootstrap_stats(samples, orders, m, grid, plan, keys, work=None) -> list:
     gen = np.random.Generator(np.random.Philox(key=0))
     for lo in range(0, replications, per_block):
         hi = min(lo + per_block, replications)
-        block = keys[lo:hi].reshape(-1, *keys.shape[2:]).tolist()
-        weights = [work.array(f"weights{k}", (len(block), n), np.int64)
-                   for k, n in enumerate(sizes)]
-        for row, row_keys in enumerate(block):
-            for k, n in enumerate(sizes):
-                if k < len(row_keys):  # one stream per slot; else slot 0's serves all
-                    bootstrap._restart(gen, row_keys[k])
-                weights[k][row] = bootstrap.draw_weights(n, gen)
+        weights = bootstrap.draw_block(keys[lo:hi].reshape(-1, *keys.shape[2:]).tolist(), sizes,
+                                       gen, work)
         if orders is not None:
             # Sort orders are permutations: "clip" gathers without numpy's
             # buffer of ``out``, which its default mode always takes.

@@ -27,7 +27,8 @@ LAYER_NAMES = {
     "inference": ["Scheme", "TestConfig", "TestResult", "Relation", "RankingMatrix", "run_test",
                   "pairwise_rank"],
     "montecarlo": ["SimMode", "SimSpec", "SimResult", "run_table", "preset_specs"],
-    "bootstrap": ["derive_seed", "draw_weights", "critical_value", "p_value"],
+    "bootstrap": ["derive_seed", "draw_weights", "draw_block", "critical_value",
+                  "p_value"],
     "curves": ["MAX_DEGREE", "Direction", "Grid", "LambdaCurve", "eval_on_grid", "eval_block",
                "BlockWorkspace"],
     "variance": ["CovKernel", "effective_size", "sigma_curve"],
@@ -61,7 +62,7 @@ LOWER_LAYERS = {
 # only by a deliberate edit here.
 PRIVATE_REACH = {
     "cli": {"inference._coerce"},
-    "inference": {"bootstrap._generate_state", "bootstrap._restart"},
+    "inference": {"bootstrap._generate_state"},
     "montecarlo": {"bootstrap._generate_state", "bootstrap._restart", "empirical._sorted_rows",
                    "inference._BLOCK_CELLS", "inference._coerce", "inference._count",
                    "inference._critical", "inference._plan", "inference._test_cells",

@@ -160,6 +160,127 @@ class TestDrawWeights:
         assert np.all(np.abs(means - 1.0) < band)
 
 
+# 2**32 mod 40 000 = 7296: about 7 % of rows of 40 000 draws hit numpy's rejection.
+REJECTING_N = 40_000
+
+
+def _block_keys(count, first=0):
+    """Rows of one stream each, a fixed scan of Philox keys: row i's key is
+    (0, first + i), as Python ints."""
+    return [[[0, i]] for i in range(first, first + count)]
+
+
+def _row_draws(block, sizes):
+    """Each row's weights from :func:`draw_weights`, one new generator per
+    row and stream, the samples in order: the stream contract, one row at a
+    time."""
+    out = [np.empty((len(block), n), np.int64) for n in sizes]
+    for row, keys in enumerate(block):
+        for k, n in enumerate(sizes):
+            if k < len(keys):
+                rng = np.random.Generator(np.random.Philox(key=keys[k]))
+            out[k][row] = draw_weights(n, rng)
+    return out
+
+
+def _rejects(key, n):
+    """Whether ``integers(0, n, n)`` on the stream of ``key`` draws more than
+    n 32-bit halves (n even): its next raw word is then not the one that
+    follows the stream's first n / 2."""
+    drawn = np.random.Generator(np.random.Philox(key=key))
+    drawn.integers(0, n, n)
+    following = np.random.Philox(key=key).random_raw(n // 2 + 1)[-1]
+    return drawn.bit_generator.random_raw() != following
+
+
+def _numpy_rule(key, n):
+    """``integers(0, n, n)`` from the stream's raw words, written out: the
+    32-bit halves in order, low half first; half x gives (x n) >> 32 unless
+    (x n) mod 2**32 < 2**32 mod n, when the next half is taken instead;
+    n = 1 takes none."""
+    if n == 1:
+        return np.zeros(1, np.int64)
+    raw = np.random.Philox(key=key).random_raw(n + 64)
+    halves = iter(raw.astype("<u8", copy=False).view("<u4").tolist())
+    out = []
+    while len(out) < n:
+        product = next(halves) * n
+        if product % 2**32 >= 2**32 % n:
+            out.append(product >> 32)
+    return np.array(out)
+
+
+class TestDrawBlock:
+    """A block's weights from raw words equal per-row draw_weights, bit for bit."""
+
+    def _draw(self, block, sizes):
+        gen = np.random.Generator(np.random.Philox(key=0))
+        return bootstrap.draw_block(block, sizes, gen, BlockWorkspace())
+
+    def _assert_rows_match(self, block, sizes):
+        got = self._draw(block, sizes)
+        want = _row_draws(block, sizes)
+        assert [w.shape for w in got] == [(len(block), n) for n in sizes]
+        for g, w in zip(got, want):
+            assert g.dtype == np.int64
+            assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 2000, 3000, 10**4 + 1])
+    def test_matches_draw_weights(self, n):
+        self._assert_rows_match(_block_keys(12), [n])
+
+    @pytest.mark.parametrize("sizes", [(3, 2000), (2001, 3000), (1, 5, 7, 2)])
+    def test_shared_stream_carries_half_word(self, sizes):
+        # An odd first size leaves the high half of a word to the next sample.
+        self._assert_rows_match(_block_keys(10, 100), list(sizes))
+
+    def test_one_stream_per_dataset(self):
+        sizes = [2000, 3000, 7]
+        block = [[[1, 3 * i + k] for k in range(len(sizes))] for i in range(8)]
+        self._assert_rows_match(block, sizes)
+
+    @pytest.mark.parametrize("sizes", [(REJECTING_N,), (REJECTING_N, 3)])
+    def test_rejected_rows_are_redrawn(self, sizes, monkeypatch):
+        block = _block_keys(64)
+        rejecting = [row for row, [key] in enumerate(block) if _rejects(key, REJECTING_N)]
+        assert 0 < len(rejecting) < len(block)
+        redrawn = []
+
+        def recorded(n, rng):
+            redrawn.append(n)
+            return draw_weights(n, rng)
+
+        monkeypatch.setattr(bootstrap, "draw_weights", recorded)
+        got = self._draw(block, list(sizes))
+        monkeypatch.undo()
+        # Only the rejecting rows, each redrawn whole: a rejection in the
+        # first sample moves the second's halves too.
+        assert redrawn == list(sizes) * len(rejecting)
+        for g, w in zip(got, _row_draws(block, list(sizes))):
+            assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 2000, 3000, REJECTING_N])
+    def test_numpy_bounded_draw_rule(self, n):
+        # The rule draw_block reads numpy's draws by, checked against numpy,
+        # at n = 40 000 on the scan's rows that hit a rejection.
+        keys = [key for [key] in _block_keys(12)]
+        if n == REJECTING_N:
+            keys = [key for [key] in _block_keys(64) if _rejects(key, n)]
+            assert keys
+        for key in keys:
+            rng = np.random.Generator(np.random.Philox(key=key))
+            assert np.array_equal(rng.integers(0, n, n), _numpy_rule(key, n))
+
+    def test_reuses_the_workspace(self):
+        work, gen = BlockWorkspace(), np.random.Generator(np.random.Philox(key=0))
+        sizes = [2000, 3000]
+        first = bootstrap.draw_block(_block_keys(6), sizes, gen, work)
+        second = bootstrap.draw_block(_block_keys(6, 6), sizes, gen, work)
+        assert all(np.shares_memory(a, b) for a, b in zip(first, second))
+        for g, w in zip(second, _row_draws(_block_keys(6, 6), sizes)):
+            assert np.array_equal(g, w)
+
+
 class TestBootstrapCurves:
     def test_degenerate_concentration(self):
         # All weight on the smallest value: the curve of a sample of copies of it.
@@ -309,14 +430,14 @@ class TestBlockRoute:
         # run_test's replication b draws n1 then n2 categories (matched
         # pairs: n once) from the generator keyed by (seed, b).
         s1, s2, pairs = _layout(scheme)
-        drawn = []
+        drawn, draw_block = [], bootstrap.draw_block
 
-        def recorded(n, rng):
-            w = draw_weights(n, rng)
-            drawn.append(w.tobytes())
-            return w
+        def recorded(block, sizes, gen, work):
+            weights = draw_block(block, sizes, gen, work)
+            drawn.extend(row.tobytes() for w in weights for row in w)
+            return weights
 
-        monkeypatch.setattr(bootstrap, "draw_weights", recorded)
+        monkeypatch.setattr(bootstrap, "draw_block", recorded)
         cfg = TestConfig(scheme=scheme, bootstrap=2 * BLOCK_ROWS + 1, seed=3, grid=101, vgrid=11)
         monkeypatch.setattr(inference, "_BLOCK_CELLS",
                             BLOCK_ROWS * (max(s1.n, s2.n, cfg.grid) + 1))

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isdtest import DataError, make_paired, make_sample
+from isdtest import DataError, PairedSample, make_paired, make_sample
 
 
 class TestMakeSample:
@@ -88,3 +88,12 @@ class TestPairedSample:
     def test_column_validation(self):
         with pytest.raises(DataError):
             make_paired([1, -2], [1, 2])
+
+    @pytest.mark.parametrize("raw, match", [(["a", "b"], "not numbers"),
+                                            ([10**400, 1.0], "double range")])
+    def test_built_directly_types_errors(self, raw, match):
+        # The public constructor converts its columns as make_paired does.
+        with pytest.raises(DataError, match=f"left column contains .*{match}"):
+            PairedSample(raw, [1.0, 2.0])
+        with pytest.raises(DataError, match=f"right column contains .*{match}"):
+            PairedSample([1.0, 2.0], raw)

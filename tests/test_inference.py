@@ -185,9 +185,11 @@ class TestRunTest:
 
 
 def _reference_samples():
+    # Sample 2's curves lie far above sample 1's over part of the grid, so
+    # that the contact sets at tau = 3 are partial.
     rng = np.random.default_rng(5)
-    return (make_sample(random_dp_values(rng, 24)),
-            make_sample(1.3 * random_dp_values(rng, 32, alpha=3.5, beta=2.5)))
+    x, y = random_dp_values(rng, 24), random_dp_values(rng, 32, alpha=3.5, beta=2.5)
+    return make_sample(0.4 * y), make_sample(x)
 
 
 REFERENCE_SAMPLES = _reference_samples()
@@ -207,15 +209,16 @@ class TestReference:
     from the paper's definitions in exact arithmetic.  The decisions,
     p-values and contact fractions are equal; the statistics and critical
     values agree within a relative 1e-10 (the package's curves round, the
-    reference's do not; measured: 1.6e-14 at most).  No grid point lies
-    within a relative 1e-6 of its contact set's boundary, so rounding of
-    that size cannot move a member.  On these samples 12 of the 48
-    configurations reject, the contact sets at tau = 1 hold 2 to 13 of
-    the 21 grid points and those at tau = 3 all of them, and eta = 0.3
-    floors 16 critical values.  ``pairwise_rank`` of three datasets is
-    checked against ``conftest.reference_rank`` the same way: every
-    decision's reject flags and p-values are equal; 16 of its 48 nulls
-    reject, and 16 of its 24 pairs are strictly ranked."""
+    reference's do not; measured: 1.2e-14 at most).  No grid point lies
+    within a relative 1e-6 of its contact set's boundary (measured: 0.011
+    at least), so rounding of that size cannot move a member.  On these
+    samples 35 of the 48 configurations reject, the contact sets at
+    tau = 1 hold 1 to 13 of the 21 grid points and those at tau = 3 2 to
+    18, so no tau = 3 set is full, and eta = 0.3 floors 20 critical
+    values.  ``pairwise_rank`` of three datasets is checked against
+    ``conftest.reference_rank`` the same way: every decision's reject
+    flags and p-values are equal; 16 of its 48 nulls reject, and 16 of its
+    24 pairs are strictly ranked."""
 
     @pytest.mark.parametrize("direction", list(Direction), ids=lambda d: d.value)
     @pytest.mark.parametrize("m", [3, 4])
@@ -426,15 +429,19 @@ class TestRankDraws:
         assert got == _rank_reference([s for _, s in RANK_SETS], cfg)
 
     def test_draws_each_dataset_once(self, monkeypatch):
-        calls = []
+        # One row per replication, with one stream and one weight row per dataset.
+        rows, calls, draw_block = [], [], bootstrap.draw_block
 
-        def counted(n, rng):
-            calls.append(n)
-            return draw_weights(n, rng)
+        def counted(block, sizes, gen, work):
+            weights = draw_block(block, sizes, gen, work)
+            rows.extend(len(keys) for keys in block)
+            calls.extend(w.shape[1] for w in weights for _ in w)
+            return weights
 
-        monkeypatch.setattr(bootstrap, "draw_weights", counted)
+        monkeypatch.setattr(bootstrap, "draw_block", counted)
         cfg = rank_cfg()
         pairwise_rank(RANK_SETS, cfg)
+        assert rows == [3] * cfg.bootstrap
         assert len(calls) == 3 * cfg.bootstrap
         assert sorted(calls) == sorted([s.n for _, s in RANK_SETS] * cfg.bootstrap)
 
