@@ -17,10 +17,10 @@ A replication reweights each sample by :func:`draw_weights`, a
 multinomial draw of n categories: the counts of numpy's bounded draws
 ``integers(0, n, n)`` on the replication's stream.  The test draws a block
 of R replications at once with :func:`draw_block`, which reads the same
-bounded draws off each stream's raw Philox words in one vectorised pass
-and redraws through :func:`draw_weights` the rare rows where numpy's draw
-rejects a 32-bit word, so that every row is bit for bit its stream's
-:func:`draw_weights`.  The test evaluates the block's (R, n) rows at once
+bounded draws off each stream's raw Philox words in one vectorised pass,
+counts each row's draws with :func:`draw_weights`, and redraws from the
+stream the rare rows where numpy's draw rejects a 32-bit word, so that
+every row is bit for bit its stream's :func:`draw_weights`.  The test evaluates the block's (R, n) rows at once
 with :func:`~isdtest.curves.eval_block`; a replication's statistic is
 :func:`~isdtest.functionals.derivative` of sqrt(T_n) * (phi_star - phi_hat)
 on the contact set.  :func:`critical_value` and :func:`p_value` read the
@@ -146,9 +146,14 @@ def derive_seed(seed: int, *key):
     return word << 32 | word >> 32
 
 
-def draw_weights(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Multinomial(n; 1/n, ..., 1/n) sample via n uniform category draws."""
-    return np.bincount(rng.integers(0, n, size=n), minlength=n)
+def draw_weights(n: int, rng: np.random.Generator | None = None, *,
+                 categories: np.ndarray | None = None) -> np.ndarray:
+    """Multinomial(n; 1/n, ..., 1/n) sample via n uniform category draws:
+    the counts of ``rng.integers(0, n, n)``, or of ``categories``, those n
+    draws already read off a stream (``rng`` is then not used)."""
+    if categories is None:
+        categories = rng.integers(0, n, size=n)
+    return np.bincount(categories, minlength=n)
 
 
 def draw_block(block: list, sizes: list, gen: np.random.Generator, work) -> list:
@@ -161,8 +166,9 @@ def draw_block(block: list, sizes: list, gen: np.random.Generator, work) -> list
     stream draws its raw words once, and each sample reads its run of their
     32-bit halves, low half first, as Philox feeds numpy's bounded draw:
     half x picks category (x n) >> 32 (Lemire 2019), and n = 1 draws
-    nothing.  numpy draws again where (x n) mod 2**32 < 2**32 mod n; a row
-    and stream where that happens is redrawn through :func:`draw_weights`.
+    nothing.  Each row's categories are counted by :func:`draw_weights`.
+    numpy draws again where (x n) mod 2**32 < 2**32 mod n; a row and stream
+    where that happens is redrawn from its stream by :func:`draw_weights`.
     ``gen`` is re-keyed for every row and stream; the raw words, products
     and weights are ``work``'s arrays "raw", "levels" and "weights{k}"
     (:func:`~isdtest.curves.eval_block` rewrites "levels" before reading it).
@@ -193,7 +199,7 @@ def draw_block(block: list, sizes: list, gen: np.random.Generator, work) -> list
             x *= np.uint32(n)  # in place, mod 2**32: the part numpy's rejection reads
             rejected |= x.min(axis=1) < (1 << 32) % n
             for row in range(rows):
-                into[row] = np.bincount(index[row], minlength=n)
+                into[row] = draw_weights(n, categories=index[row])
         for row in np.flatnonzero(rejected).tolist():
             _restart(gen, block[row][s])
             for k in members:

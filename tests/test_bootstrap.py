@@ -244,11 +244,11 @@ class TestDrawBlock:
         block = _block_keys(64)
         rejecting = [row for row, [key] in enumerate(block) if _rejects(key, REJECTING_N)]
         assert 0 < len(rejecting) < len(block)
-        redrawn = []
+        redrawn, counted = [], []
 
-        def recorded(n, rng):
-            redrawn.append(n)
-            return draw_weights(n, rng)
+        def recorded(n, rng=None, *, categories=None):
+            (redrawn if categories is None else counted).append(n)
+            return draw_weights(n, rng, categories=categories)
 
         monkeypatch.setattr(bootstrap, "draw_weights", recorded)
         got = self._draw(block, list(sizes))
@@ -256,6 +256,8 @@ class TestDrawBlock:
         # Only the rejecting rows, each redrawn whole: a rejection in the
         # first sample moves the second's halves too.
         assert redrawn == list(sizes) * len(rejecting)
+        # Every row and sample is counted through draw_weights first.
+        assert sorted(counted) == sorted(list(sizes) * len(block))
         for g, w in zip(got, _row_draws(block, list(sizes))):
             assert np.array_equal(g, w)
 
